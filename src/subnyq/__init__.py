@@ -4,8 +4,10 @@ seeded random-matrix experiments."""
 
 from .capacity import (
     LossReport,
+    batched_losses,
     capacity_loss,
     discrete_loss,
+    discrete_losses,
     nyquist_capacity_equal,
     nyquist_capacity_waterfill,
     sampled_capacity,

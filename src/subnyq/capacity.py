@@ -11,6 +11,12 @@ integrals are midpoint quadrature on the channel's q-point grid, which is
 exact for frequency-flat samplers and flat gains.  Equal power allocation
 P/(beta W) per active Hz is the default; water-filling variants carry the
 power constraint explicitly through the water level nu.
+
+Every per-state quantity comes from one batched path (`batched_losses`,
+and `discrete_losses` for the discrete channel): the sampler is whitened
+once per call, the subset Grams of a block of states go through one
+stacked log-determinant, and the water levels of the block come from one
+exact sort-and-threshold pass.  The single-state functions wrap it.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from .samplers import SamplerSpec
 __all__ = [
     "LOSS_CSV_HEADER",
     "LossReport",
+    "batched_losses",
     "capacity_loss",
     "discrete_loss",
+    "discrete_losses",
     "equal_power_losses",
     "loss_csv_rows",
     "nyquist_capacity_equal",
@@ -39,7 +47,9 @@ __all__ = [
 ]
 
 WATERFILL_DEFAULT_TOL = 1e-11
-WATERFILL_MAX_ITER = 200
+# float64 entries per block of stacked subset matrices, fixed so that the
+# blocking (and with it every output bit) depends on the problem sizes only
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,21 @@ class LossReport:
     loss_eq: float
     loss_opt: float
     water_level: float
+
+    @classmethod
+    def from_capacities(
+        cls, state: ChannelState, c_sampled: float, c_eq: float, c_opt: float, nu: float
+    ) -> "LossReport":
+        """Report whose losses are the Nyquist-rate capacities less c_sampled."""
+        return cls(
+            state=state,
+            c_sampled=c_sampled,
+            c_nyquist_eq=c_eq,
+            c_nyquist_opt=c_opt,
+            loss_eq=c_eq - c_sampled,
+            loss_opt=c_opt - c_sampled,
+            water_level=nu,
+        )
 
 
 LOSS_CSV_HEADER = "state;c_sampled;c_eq;c_opt;loss_eq;loss_opt;nu"
@@ -98,7 +123,19 @@ def _check_state(channel: CompoundChannel, state: ChannelState) -> np.ndarray:
     return state.zero_based()
 
 
-def _whitened_panels(channel: CompoundChannel, sampler: SamplerSpec) -> list[np.ndarray]:
+def _check_index_block(idx, n: int) -> np.ndarray:
+    """Validate an (S, k) block of zero-based states: rows increasing within 0..n-1."""
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.shape[0] == 0 or idx.shape[1] == 0:
+        raise ValueError(f"index block must have shape (S, k) with S, k >= 1, got {idx.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"index block must hold integers, got dtype {idx.dtype}")
+    if np.any(idx[:, 0] < 0) or np.any(idx[:, -1] >= n) or np.any(np.diff(idx, axis=1) <= 0):
+        raise ValueError(f"every row must be a strictly increasing subset of 0..{n - 1}")
+    return idx
+
+
+def _whitened_panels(channel: CompoundChannel, sampler: SamplerSpec) -> np.ndarray:
     if sampler.n != channel.n_subbands:
         raise ValueError(
             f"sampler has {sampler.n} columns, channel has {channel.n_subbands} subbands"
@@ -107,14 +144,128 @@ def _whitened_panels(channel: CompoundChannel, sampler: SamplerSpec) -> list[np.
         raise ValueError(
             f"sampler grid ({sampler.p} panels) must be flat or match q={channel.q}"
         )
-    return [whiten(panel) for panel in sampler.panels]
+    return np.stack([whiten(panel) for panel in sampler.panels])  # (p, m, n)
 
 
-def _logdet_pd(mat: np.ndarray) -> float:
-    sign, val = np.linalg.slogdet(mat)
-    if sign <= 0:  # pragma: no cover - I + PSD is always positive definite
+def _equal_power_scale(channel: CompoundChannel) -> float:
+    """Transmit power spectral density P/(beta W) under equal allocation."""
+    return channel.power / (channel.beta * channel.bandwidth)
+
+
+def _subset_logdets(whitened: np.ndarray, idx: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """sum_j log det(I + A_j A_j^T) per state, A_j = Qw_j[:, s] diag(amp[s, :, j]).
+
+    whitened is (p, m, n) with p = 1 (flat) or p = q, idx is (S, k) and amp
+    is (S, k, q).  One stacked slogdet runs over all S*q matrices, each the
+    smaller of the two Grams: A^T A (k x k) when k <= m, else A A^T (m x m),
+    which have equal determinants by Sylvester's identity.
+    """
+    sub = np.moveaxis(whitened[:, :, idx], 2, 0)  # (S, p, m, k)
+    a = sub * np.swapaxes(amp, 1, 2)[:, :, None, :]  # (S, q, m, k)
+    at = np.swapaxes(a, 2, 3)
+    grams = at @ a if idx.shape[1] <= whitened.shape[1] else a @ at
+    grams += np.eye(grams.shape[-1])
+    signs, vals = np.linalg.slogdet(grams)
+    if np.any(signs <= 0):  # pragma: no cover - I + PSD is always positive definite
         raise NumericalError("log-determinant of a non positive definite matrix")
-    return float(val)
+    return vals.sum(axis=1)
+
+
+def _water_levels(inv_snr: np.ndarray, power: float, df: float, tol: float | None) -> np.ndarray:
+    """Exact water level nu of each row: df * sum_i (nu - inv_snr_i)^+ = power.
+
+    Sort each row ascending.  With the c smallest cells under water the level
+    is (power/df + their sum) / c, and the cells under water are exactly
+    those lying below their own candidate level (Palomar & Fonollosa,
+    "Practical algorithms for a family of waterfilling solutions", IEEE TSP
+    2005).  tol, unless None, bounds the allocated-power residual relative
+    to power; NumericalError beyond it.
+    """
+    if tol is not None and tol <= 0:
+        raise ValueError("tol must be positive")
+    ordered = np.sort(inv_snr, axis=1)
+    levels = (power / df + np.cumsum(ordered, axis=1)) / np.arange(1, ordered.shape[1] + 1)
+    wet = np.maximum(np.count_nonzero(ordered < levels, axis=1), 1)
+    nu = levels[np.arange(len(levels)), wet - 1]
+    if tol is not None:
+        allocated = df * np.maximum(nu[:, None] - inv_snr, 0.0).sum(axis=1)
+        residual = float(np.max(np.abs(allocated - power)))
+        if residual > tol * power:
+            raise NumericalError(
+                f"water-filling power residual {residual:.3e} exceeds tol={tol} x P"
+            )
+    return nu
+
+
+def _nyquist_block(h2: np.ndarray, scale: float, power: float, df: float, tol: float | None):
+    """Nyquist-rate (c_eq, c_opt, nu) per row of active-cell squared gains h2."""
+    nu = _water_levels(1.0 / h2, power, df, tol)
+    c_eq = 0.5 * df * np.log1p(scale * h2).sum(axis=1)
+    # log+ (x) = log max(x, 1)
+    c_opt = 0.5 * df * np.log(np.maximum(nu[:, None] * h2, 1.0)).sum(axis=1)
+    return c_eq, c_opt, nu
+
+
+def _nyquist_at(channel: CompoundChannel, state: ChannelState, tol: float | None):
+    idx = _check_state(channel, state)
+    h2 = channel.gains_for(state)[idx, :].reshape(1, -1) ** 2
+    c_eq, c_opt, nu = _nyquist_block(
+        h2, _equal_power_scale(channel), channel.power, channel.grid_df, tol
+    )
+    return float(c_eq[0]), float(c_opt[0]), float(nu[0])
+
+
+def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol):
+    """(c_sampled, c_eq, c_opt, nu) for the states idx, in fixed-size blocks.
+
+    Row s takes its (k, q) gains from state_gains when that map holds its
+    1-based index tuple, else from gain_grid.
+    """
+    m, k, q = whitened.shape[1], idx.shape[1], gain_grid.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // (q * (m * k + min(m, k) ** 2)))
+    out = np.empty((4, len(idx)))
+    for start in range(0, len(idx), block):
+        rows = idx[start : start + block]
+        gains = gain_grid[rows]  # (S, k, q)
+        if state_gains:
+            for r, key in enumerate((rows + 1).tolist()):
+                grid = state_gains.get(tuple(key))
+                if grid is not None:
+                    gains[r] = grid[rows[r]]
+        h2 = (gains**2).reshape(len(rows), -1)  # subband-major, as gains[idx, :]
+        c_eq, c_opt, nu = _nyquist_block(h2, scale, power, df, tol)
+        c_sampled = 0.5 * df * _subset_logdets(whitened, rows, np.sqrt(scale) * gains)
+        out[:, start : start + block] = (c_sampled, c_eq, c_opt, nu)
+    return out[0], out[1], out[2], out[3]
+
+
+def batched_losses(
+    channel: CompoundChannel,
+    sampler: SamplerSpec,
+    idx,
+    tol: float | None = WATERFILL_DEFAULT_TOL,
+):
+    """Capacities of many states under one sampler, as arrays.
+
+    idx is an (S, k) integer block of zero-based active-subband indices, one
+    state per row.  Returns (c_sampled, c_eq, c_opt, nu), each of length S:
+    the sampled capacity, the Nyquist-rate capacities with equal power and
+    with water-filling (nats/s), and the water level.  Per-state gains
+    (channel.state_gains) and gridded samplers are honoured.  The sampler is
+    whitened once, and states are processed in blocks sized by a fixed
+    element budget, so memory stays bounded for any S.
+
+    tol bounds the water-filling power residual relative to P
+    (NumericalError beyond it); None skips that check, for callers that use
+    equal power only.
+    """
+    idx = _check_index_block(idx, channel.n_subbands)
+    if idx.shape[1] != channel.k_active:
+        raise ValueError(f"states have {idx.shape[1]} indices, channel expects {channel.k_active}")
+    return _blocked_losses(
+        _whitened_panels(channel, sampler), idx, channel.gain_grid, channel.state_gains,
+        _equal_power_scale(channel), channel.power, channel.grid_df, tol,
+    )
 
 
 def sampled_capacity(
@@ -122,26 +273,12 @@ def sampled_capacity(
 ) -> float:
     """Sampled channel capacity at `state` under equal power allocation, nats/s."""
     idx = _check_state(channel, state)
-    whitened = _whitened_panels(channel, sampler)
-    gains = channel.gains_for(state)
-    scale = channel.power / (channel.beta * channel.bandwidth)
-    m = sampler.m
-    eye = np.eye(m)
-    total = 0.0
-    for j in range(channel.q):
-        qw = whitened[0] if sampler.flat else whitened[j]
-        qs = qw[:, idx]
-        h2 = gains[idx, j] ** 2
-        total += _logdet_pd(eye + scale * (qs * h2) @ qs.T)
-    return 0.5 * channel.grid_df * total
+    return float(batched_losses(channel, sampler, idx[None], tol=None)[0][0])
 
 
 def nyquist_capacity_equal(channel: CompoundChannel, state: ChannelState) -> float:
     """Nyquist-rate capacity with equal power allocation, nats/s."""
-    idx = _check_state(channel, state)
-    gains = channel.gains_for(state)[idx, :]
-    scale = channel.power / (channel.beta * channel.bandwidth)
-    return 0.5 * channel.grid_df * float(np.sum(np.log1p(scale * gains**2)))
+    return _nyquist_at(channel, state, None)[0]
 
 
 def waterfill_level(
@@ -151,50 +288,15 @@ def waterfill_level(
 ) -> float:
     """Water level nu with integral sum (nu - 1/H^2)^+ df = P within tol*P.
 
-    Bisection on the monotone allocated-power function; the initial bracket
-    is [min 1/H^2, min 1/H^2 + P/df] with df one quadrature cell, whose
-    upper end allocates at least P through the strongest cell alone.
+    Exact, not iterative: sort the k*q active quadrature cells by 1/H^2.
+    With the c cells of smallest 1/H^2 under water the level is
+    (P/df + the sum of their 1/H^2) / c, and the cells under water are
+    exactly those lying below their own candidate level, so one sort and
+    one cumulative sum give nu.  tol is a post-check on the allocated-power
+    residual; NumericalError if float64 cannot meet it (e.g. when P/df is
+    negligible against 1/H^2).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    idx = _check_state(channel, state)
-    inv_h2 = 1.0 / channel.gains_for(state)[idx, :] ** 2
-    df = channel.grid_df
-    power = channel.power
-
-    def allocated(nu: float) -> float:
-        return df * float(np.sum(np.maximum(nu - inv_h2, 0.0)))
-
-    lo = float(np.min(inv_h2))
-    hi = lo + power / df
-    # bisect down to a machine-tight bracket (optimality of the level then
-    # dominates every 1e-9-scale comparison downstream), then confirm the
-    # allocated-power residual meets the requested tolerance
-    for _ in range(WATERFILL_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if allocated(mid) > power:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    nu = 0.5 * (lo + hi)
-    if abs(allocated(nu) - power) > tol * power:
-        raise NumericalError(
-            f"water-filling bisection did not reach tol={tol} in "
-            f"{WATERFILL_MAX_ITER} iterations"
-        )
-    return nu
-
-
-def _waterfill_capacity_at(
-    channel: CompoundChannel, state: ChannelState, nu: float
-) -> float:
-    idx = _check_state(channel, state)
-    h2 = channel.gains_for(state)[idx, :] ** 2
-    # log+ (x) = log max(x, 1)
-    total = float(np.sum(np.log(np.maximum(nu * h2, 1.0))))
-    return 0.5 * channel.grid_df * total
+    return _nyquist_at(channel, state, tol)[2]
 
 
 def nyquist_capacity_waterfill(
@@ -203,8 +305,7 @@ def nyquist_capacity_waterfill(
     tol: float = WATERFILL_DEFAULT_TOL,
 ) -> float:
     """Nyquist-rate capacity with optimal power control, nats/s."""
-    nu = waterfill_level(channel, state, tol=tol)
-    return _waterfill_capacity_at(channel, state, nu)
+    return _nyquist_at(channel, state, tol)[1]
 
 
 def waterfill_gap_bound(channel: CompoundChannel, state: ChannelState) -> float:
@@ -232,19 +333,9 @@ def capacity_loss(
     tol: float = WATERFILL_DEFAULT_TOL,
 ) -> LossReport:
     """Full per-state loss report for one sampler."""
-    c_sampled = sampled_capacity(channel, sampler, state)
-    c_eq = nyquist_capacity_equal(channel, state)
-    nu = waterfill_level(channel, state, tol=tol)
-    c_opt = _waterfill_capacity_at(channel, state, nu)
-    return LossReport(
-        state=state,
-        c_sampled=c_sampled,
-        c_nyquist_eq=c_eq,
-        c_nyquist_opt=c_opt,
-        loss_eq=c_eq - c_sampled,
-        loss_opt=c_opt - c_sampled,
-        water_level=nu,
-    )
+    idx = _check_state(channel, state)
+    values = batched_losses(channel, sampler, idx[None], tol=tol)
+    return LossReport.from_capacities(state, *(float(v[0]) for v in values))
 
 
 def equal_power_losses(
@@ -254,31 +345,9 @@ def equal_power_losses(
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
-    whitened = _whitened_panels(channel, sampler)
-    scale = channel.power / (channel.beta * channel.bandwidth)
     idx = np.stack([_check_state(channel, s) for s in states])  # (S, k)
-    m = sampler.m
-    eye = np.eye(m)
-    df = channel.grid_df
-    sampled = np.zeros(len(states))
-    nyquist = np.zeros(len(states))
-    per_state_gains = channel.state_gains is not None
-    for j in range(channel.q):
-        qw = whitened[0] if sampler.flat else whitened[j]
-        if per_state_gains:
-            h2 = np.stack(
-                [channel.gains_for(s)[i, j] ** 2 for s, i in zip(states, idx)]
-            )  # (S, k)
-        else:
-            h2 = channel.gain_grid[idx, j] ** 2  # (S, k)
-        sub = np.moveaxis(qw[:, idx], 1, 0)  # (S, m, k)
-        grams = eye + scale * np.einsum("smk,sk,slk->sml", sub, h2, sub)
-        signs, vals = np.linalg.slogdet(grams)
-        if np.any(signs <= 0):  # pragma: no cover
-            raise NumericalError("non positive definite Gram in batched capacity")
-        sampled += vals
-        nyquist += np.sum(np.log1p(scale * h2), axis=1)
-    return 0.5 * df * (nyquist - sampled)
+    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)
+    return c_eq - c_sampled
 
 
 def worst_case_loss(
@@ -305,6 +374,37 @@ def worst_case_loss(
     }
 
 
+def discrete_losses(
+    gains_diag: np.ndarray,
+    q: np.ndarray,
+    idx,
+    power: float,
+    tol: float | None = WATERFILL_DEFAULT_TOL,
+):
+    """Discrete-time sparse vector channel, many states at once, nats per use.
+
+    The continuous formulas with W = n and q = 1, so df = 1 and every active
+    coordinate gets power P/k: the same batched path as `batched_losses`,
+    returning (c_sampled, c_eq, c_opt, nu) for the (S, k) zero-based index
+    block idx.
+    """
+    gains = np.asarray(gains_diag, dtype=float)
+    if gains.ndim != 1:
+        raise ValueError("gains_diag must be a vector")
+    if np.min(gains) <= 0:
+        raise ValueError("every channel gain must be strictly positive")
+    if power <= 0:
+        raise ValueError("power must be positive")
+    n = gains.size
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != n:
+        raise ValueError(f"sensing matrix must be m x {n}, got {q.shape}")
+    idx = _check_index_block(idx, n)
+    return _blocked_losses(
+        whiten(q)[None], idx, gains[:, None], None, power / idx.shape[1], power, 1.0, tol
+    )
+
+
 def discrete_loss(
     gains_diag: np.ndarray,
     q: np.ndarray,
@@ -318,50 +418,5 @@ def discrete_loss(
     replaced by a single matrix evaluation and power P/k per active
     coordinate.
     """
-    gains = np.asarray(gains_diag, dtype=float)
-    if gains.ndim != 1:
-        raise ValueError("gains_diag must be a vector")
-    if np.min(gains) <= 0:
-        raise ValueError("every channel gain must be strictly positive")
-    if power <= 0:
-        raise ValueError("power must be positive")
-    n = gains.size
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[1] != n:
-        raise ValueError(f"sensing matrix must be m x {n}, got {q.shape}")
-    if state.indices[-1] > n:
-        raise ValueError(f"state {state.indices} exceeds n={n}")
-    idx = state.zero_based()
-    k = state.k
-    scale = power / k
-
-    qw = whiten(q)
-    qs = qw[:, idx]
-    h2 = gains[idx] ** 2
-    c_sampled = 0.5 * _logdet_pd(np.eye(q.shape[0]) + scale * (qs * h2) @ qs.T)
-    c_eq = 0.5 * float(np.sum(np.log1p(scale * h2)))
-
-    inv_h2 = 1.0 / h2
-    lo = float(np.min(inv_h2))
-    hi = lo + power
-    for _ in range(WATERFILL_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(np.maximum(mid - inv_h2, 0.0))) > power:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    nu = 0.5 * (lo + hi)
-    if abs(float(np.sum(np.maximum(nu - inv_h2, 0.0))) - power) > tol * power:
-        raise NumericalError("discrete water-filling bisection failed to converge")
-    c_opt = 0.5 * float(np.sum(np.log(np.maximum(nu * h2, 1.0))))
-    return LossReport(
-        state=state,
-        c_sampled=c_sampled,
-        c_nyquist_eq=c_eq,
-        c_nyquist_opt=c_opt,
-        loss_eq=c_eq - c_sampled,
-        loss_opt=c_opt - c_sampled,
-        water_level=nu,
-    )
+    values = discrete_losses(gains_diag, q, state.zero_based()[None], power, tol=tol)
+    return LossReport.from_capacities(state, *(float(v[0]) for v in values))

@@ -263,6 +263,8 @@ def logdet_concentration_trial(cfg: TrialConfig, workers: int = 1) -> Experiment
         spec = EnsembleSpec(cfg.ensemble, k, k, derive_trial_seed(cfg.master_seed, t))
         a = draw_matrix(spec)
         sign, val = np.linalg.slogdet(cfg.eps * np.eye(k) + (a @ a.T) / k)
+        if sign <= 0:  # eps I + PSD is positive definite; anything else is numerical
+            raise NumericalError(f"log-determinant sign {sign} in concentration trial {t}")
         return float(val) / k
 
     vals = np.asarray(map_ordered(one_trial, range(cfg.trials), workers=workers))

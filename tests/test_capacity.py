@@ -1,12 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import random_channel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subnyq import capacity
 from subnyq.capacity import (
+    batched_losses,
     capacity_loss,
     discrete_loss,
+    discrete_losses,
     equal_power_losses,
     loss_csv_rows,
     nyquist_capacity_equal,
@@ -17,8 +23,58 @@ from subnyq.capacity import (
     worst_case_loss,
 )
 from subnyq.channel import ChannelState, CompoundChannel, enumerate_states, snr_summary
+from subnyq.cli import main as cli_main
 from subnyq.numerics import SingularityError, binary_entropy
-from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
+from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler, make_gridded_sampler
+
+
+def bisect_level(inv_snr: np.ndarray, power: float, df: float) -> float:
+    """Reference water level by bisection on the allocated power, run until
+    the bracket cannot shrink further (the iterative solver the exact one
+    replaced, without its early stop)."""
+    def allocated(nu):
+        return df * float(np.sum(np.maximum(nu - inv_snr, 0.0)))
+
+    lo = float(np.min(inv_snr))
+    hi = lo + power / df
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if allocated(mid) > power:
+            hi = mid
+        else:
+            lo = mid
+    return min((lo, hi), key=lambda nu: abs(allocated(nu) - power))
+
+
+def reference_losses(gains, panels, idx, scale, power, df):
+    """(c_sampled, c_eq, c_opt, nu) of one state, straight from the formulas.
+
+    Independent of the batched path: SVD whitening U V^T of each panel, one
+    m x m determinant per grid cell, bisection for the water level.
+    """
+    g = gains[idx, :]  # (k, q)
+    total = 0.0
+    for j in range(g.shape[1]):
+        u, _, vt = np.linalg.svd(panels[0 if len(panels) == 1 else j], full_matrices=False)
+        qs = (u @ vt)[:, idx]
+        total += np.linalg.slogdet(np.eye(qs.shape[0]) + scale * (qs * g[:, j] ** 2) @ qs.T)[1]
+    h2 = g**2
+    nu = bisect_level(1.0 / h2, power, df)
+    c_eq = 0.5 * df * float(np.sum(np.log1p(scale * h2)))
+    c_opt = 0.5 * df * float(np.sum(np.log(np.maximum(nu * h2, 1.0))))
+    return 0.5 * df * total, c_eq, c_opt, nu
+
+
+def assert_rows_match(rows, states, want_of):
+    """CSV rows in `states` order, each column within 1e-10 of its reference."""
+    assert [r.split(";")[0] for r in rows] == ["|".join(map(str, s.indices)) for s in states]
+    for row, state in zip(rows, states):
+        got = [float(c) for c in row.split(";")[1:7]]
+        c_s, c_eq, c_opt, nu = want_of(state)
+        want = [c_s, c_eq, c_opt, c_eq - c_s, c_opt - c_s, nu]
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10), row
 
 
 def flat_channel(n=4, k=2, w=4.0, p=6.0, q=1, gain=1.0):
@@ -113,6 +169,34 @@ class TestNyquistCapacity:
             prev_eq, prev_s = c_eq, c_s
 
 
+@st.composite
+def waterfill_cases(draw):
+    """A channel and its state (1..k) whose k x q active cells are random,
+    tied, flat, or one strong cell among unit gains at low power."""
+    k = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 3))
+    n = k + draw(st.integers(1, 3))
+    cells = k * q
+    kind = draw(st.sampled_from(["random", "ties", "flat", "dominant"]))
+    if kind == "random":
+        active = draw(st.lists(st.floats(0.3, 3.0), min_size=cells, max_size=cells))
+    elif kind == "ties":
+        active = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=cells, max_size=cells))
+    elif kind == "flat":
+        active = [draw(st.floats(0.3, 3.0))] * cells
+    else:
+        active = [1.0] * cells
+        active[draw(st.integers(0, cells - 1))] = 1e3
+    power = draw(st.floats(1e-3, 0.5) if kind == "dominant" else st.floats(0.1, 100.0))
+    grid = np.ones((n, q))
+    grid[:k, :] = np.reshape(active, (k, q))
+    ch = CompoundChannel(
+        bandwidth=draw(st.floats(1.0, 10.0)), n_subbands=n, k_active=k,
+        power=power, gain_grid=grid,
+    )
+    return ch, ChannelState(tuple(range(1, k + 1)))
+
+
 class TestWaterfilling:
     def test_flat_level(self):
         h = 1.4
@@ -163,6 +247,17 @@ class TestWaterfilling:
             bound = waterfill_gap_bound(ch, state)
             assert c_opt >= c_eq - 1e-9
             assert c_opt - c_eq <= bound + 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=waterfill_cases())
+    def test_exact_level_matches_bisection(self, case):
+        ch, state = case
+        tol = 1e-11
+        nu = waterfill_level(ch, state, tol=tol)
+        inv = 1.0 / ch.gain_grid[state.zero_based(), :] ** 2
+        assert nu == pytest.approx(bisect_level(inv, ch.power, ch.grid_df), rel=1e-12)
+        allocated = ch.grid_df * float(np.sum(np.maximum(nu - inv, 0.0)))
+        assert abs(allocated - ch.power) <= tol * ch.power
 
     def test_gap_bound_flat_is_zero(self):
         ch = flat_channel(gain=1.9)
@@ -321,6 +416,112 @@ class TestWorstCaseLoss:
         for state, loss in zip(states, batched):
             rep = capacity_loss(ch, samp, state)
             assert loss == pytest.approx(rep.loss_eq, abs=1e-10)
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])  # k x k and m x m Grams
+    def test_gridded_sampler_and_state_gains_match_reference(self, m, k):
+        gen = np.random.default_rng(5)
+        n, q = 6, 3
+        overrides = {(1, 3, 5)[:k]: gen.uniform(0.5, 2.0, (n, q)),
+                     (2, 4, 6)[:k]: gen.uniform(0.5, 2.0, (n, q))}
+        ch = CompoundChannel(
+            bandwidth=5.0, n_subbands=n, k_active=k, power=7.0,
+            gain_grid=gen.uniform(0.5, 2.0, (n, q)), state_gains=overrides,
+        )
+        panels = [draw_matrix(EnsembleSpec("gaussian", m, n, s)) for s in (1, 2, 3)]
+        states = enumerate_states(n, k, 100)
+        idx = np.array([s.indices for s in states]) - 1
+        got = np.stack(batched_losses(ch, make_gridded_sampler(panels), idx))
+        scale = ch.power / (ch.beta * ch.bandwidth)
+        for row, state in enumerate(states):
+            want = reference_losses(
+                ch.gains_for(state), panels, state.zero_based(), scale, ch.power, ch.grid_df
+            )
+            assert got[:, row] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_blocking_does_not_change_values(self, gen, monkeypatch):
+        ch = random_channel(gen)
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, ch.n_subbands, 9)))
+        idx = np.array([s.indices for s in enumerate_states(ch.n_subbands, ch.k_active, 100)]) - 1
+        whole = np.stack(batched_losses(ch, samp, idx))
+        monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", 1)  # one state per block
+        assert np.stack(batched_losses(ch, samp, idx)) == pytest.approx(whole, rel=1e-13)
+
+    def test_index_block_validation(self):
+        ch = flat_channel(n=4, k=2)
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, 4, 1)))
+        for bad in ([[0, 1, 2]], [[1, 0]], [[0, 4]], [[-1, 2]], np.empty((0, 2), int), [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                batched_losses(ch, samp, bad)
+        with pytest.raises(ValueError):
+            batched_losses(ch, samp, [[0, 1]], tol=0.0)
+
+    def test_capacity_cli_state_gains_rows(self, tmp_path, capsys):
+        gen = np.random.default_rng(11)
+        n, k, q, m, seed = 7, 3, 2, 4, 21
+        doc = {
+            "W": 7.0, "n": n, "k": k, "P": 12.0, "q": q,
+            "gains": gen.uniform(0.4, 2.5, (n, q)).tolist(),
+            "state_gains": {key: gen.uniform(0.4, 2.5, (n, q)).tolist()
+                            for key in ("1,2,3", "2,5,7", "5,6,7")},
+        }
+        ch_path = tmp_path / "ch.json"
+        ch_path.write_text(json.dumps(doc))
+        out = tmp_path / "cap.csv"
+        assert cli_main(["--command", "capacity", "--channel", str(ch_path), "--m", str(m),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        assert "sampled state set" not in capsys.readouterr().out
+        ch = CompoundChannel.from_dict(doc)
+        panels = [draw_matrix(EnsembleSpec("gaussian", m, n, seed))]
+        scale = ch.power / (ch.beta * ch.bandwidth)
+        assert_rows_match(
+            out.read_text().splitlines()[1:],
+            list(enumerate_states(n, k, 10**6)),
+            lambda s: reference_losses(
+                ch.gains_for(s), panels, s.zero_based(), scale, ch.power, ch.grid_df
+            ),
+        )
+
+    def test_discrete_cli_sampled_states(self, tmp_path, capsys):
+        n, k, m, power, seed, cap = 12, 3, 4, 5.0, 8, 30  # C(12, 3) = 220 > cap
+        out = tmp_path / "disc.csv"
+        assert cli_main(["--command", "discrete", "--n", str(n), "--k", str(k), "--m", str(m),
+                         "--power", str(power), "--state-cap", str(cap), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith(f"discrete: {cap} states, max loss_eq ")
+        assert summary.rstrip().endswith("nats per use, sampled state set")
+        states = enumerate_states(n, k, cap)
+        assert states.sampled
+        assert [s.colex_key() for s in states] == sorted(s.colex_key() for s in states)
+        panels = [draw_matrix(EnsembleSpec("gaussian", m, n, seed))]
+        assert_rows_match(
+            out.read_text().splitlines()[1:],
+            list(states),
+            lambda s: reference_losses(np.ones((n, 1)), panels, s.zero_based(), power / k, power, 1.0),
+        )
+
+    def test_discrete_cli_census_not_flagged(self, tmp_path, capsys):
+        out = tmp_path / "disc.csv"
+        assert cli_main(["--command", "discrete", "--n", "6", "--k", "2", "--m", "2",
+                         "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith("discrete: 15 states, max loss_eq ")
+        assert "sampled" not in summary
+
+    def test_discrete_batched_matches_single_state(self):
+        gains = np.array([1.0, 0.5, 2.0, 1.5, 0.8])
+        q = draw_matrix(EnsembleSpec("gaussian", 3, 5, 2))
+        states = list(enumerate_states(5, 2, 100))
+        idx = np.array([s.indices for s in states]) - 1
+        got = np.stack(discrete_losses(gains, q, idx, 3.0))
+        for row, state in enumerate(states):
+            rep = discrete_loss(gains, q, state, 3.0)
+            assert got[:, row] == pytest.approx(
+                [rep.c_sampled, rep.c_nyquist_eq, rep.c_nyquist_opt, rep.water_level],
+                rel=1e-13,
+            )
 
 
 class TestDiscreteLoss:

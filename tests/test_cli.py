@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from subnyq.cli import main
@@ -154,6 +155,17 @@ class TestConcentration:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_nonpositive_logdet_sign_exits_3(self, monkeypatch, capsys, tmp_path, sign):
+        real = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (sign, real(a)[1]))
+        out = tmp_path / "conc.json"
+        code = run(["--command", "concentration", "--k", "20", "--trials", "3",
+                    "--eps", "0.1", "--out", str(out)])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCapacity:

@@ -40,6 +40,7 @@ from .numerics import (
     logdet_shifted,
     minimax_limit,
     rect_logdet_limit,
+    subset_logdet,
     whiten,
 )
 from .samplers import (

@@ -14,9 +14,9 @@ power constraint explicitly through the water level nu.
 
 Every per-state quantity comes from one batched path (`batched_losses`,
 and `discrete_losses` for the discrete channel): the sampler is whitened
-once per call, the subset Grams of a block of states go through one
-stacked log-determinant, and the water levels of the block come from one
-exact sort-and-threshold pass.  The single-state functions wrap it.
+once per call, the subset Grams of a block of states go through the shared
+kernel `numerics.subset_logdet`, and the water levels of the block come
+from one exact sort-and-threshold pass.  The single-state functions wrap it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import NumericalError, whiten
+from .numerics import NumericalError, subset_block_rows, subset_logdet, whiten
 from .samplers import SamplerSpec
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 WATERFILL_DEFAULT_TOL = 1e-11
-# float64 entries per block of stacked subset matrices, fixed so that the
-# blocking (and with it every output bit) depends on the problem sizes only
-_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -152,25 +149,6 @@ def _equal_power_scale(channel: CompoundChannel) -> float:
     return channel.power / (channel.beta * channel.bandwidth)
 
 
-def _subset_logdets(whitened: np.ndarray, idx: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """sum_j log det(I + A_j A_j^T) per state, A_j = Qw_j[:, s] diag(amp[s, :, j]).
-
-    whitened is (p, m, n) with p = 1 (flat) or p = q, idx is (S, k) and amp
-    is (S, k, q).  One stacked slogdet runs over all S*q matrices, each the
-    smaller of the two Grams: A^T A (k x k) when k <= m, else A A^T (m x m),
-    which have equal determinants by Sylvester's identity.
-    """
-    sub = np.moveaxis(whitened[:, :, idx], 2, 0)  # (S, p, m, k)
-    a = sub * np.swapaxes(amp, 1, 2)[:, :, None, :]  # (S, q, m, k)
-    at = np.swapaxes(a, 2, 3)
-    grams = at @ a if idx.shape[1] <= whitened.shape[1] else a @ at
-    grams += np.eye(grams.shape[-1])
-    signs, vals = np.linalg.slogdet(grams)
-    if np.any(signs <= 0):  # pragma: no cover - I + PSD is always positive definite
-        raise NumericalError("log-determinant of a non positive definite matrix")
-    return vals.sum(axis=1)
-
-
 def _water_levels(inv_snr: np.ndarray, power: float, df: float, tol: float | None) -> np.ndarray:
     """Exact water level nu of each row: df * sum_i (nu - inv_snr_i)^+ = power.
 
@@ -222,7 +200,7 @@ def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol
     1-based index tuple, else from gain_grid.
     """
     m, k, q = whitened.shape[1], idx.shape[1], gain_grid.shape[1]
-    block = max(1, _BLOCK_ELEMENTS // (q * (m * k + min(m, k) ** 2)))
+    block = subset_block_rows(m, k, q)
     out = np.empty((4, len(idx)))
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
@@ -234,8 +212,10 @@ def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol
                     gains[r] = grid[rows[r]]
         h2 = (gains**2).reshape(len(rows), -1)  # subband-major, as gains[idx, :]
         c_eq, c_opt, nu = _nyquist_block(h2, scale, power, df, tol)
-        c_sampled = 0.5 * df * _subset_logdets(whitened, rows, np.sqrt(scale) * gains)
+        c_sampled = 0.5 * df * subset_logdet(whitened, rows, np.sqrt(scale) * gains)
         out[:, start : start + block] = (c_sampled, c_eq, c_opt, nu)
+    if not np.all(np.isfinite(out[0])):  # pragma: no cover - I + PSD is positive definite
+        raise NumericalError("log-determinant of a non positive definite matrix")
     return out[0], out[1], out[2], out[3]
 
 

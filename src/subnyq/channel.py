@@ -14,18 +14,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .numerics import NumericalError
+from .samplers import philox_generator
 
 __all__ = [
     "ChannelState",
     "CompoundChannel",
     "EnumeratedStates",
     "SnrSummary",
+    "colex_indices",
     "enumerate_states",
     "load_channel",
     "snr_summary",
@@ -258,34 +261,43 @@ def snr_summary(channel: CompoundChannel) -> SnrSummary:
 
 @dataclass(frozen=True)
 class EnumeratedStates:
-    """Sequence of channel states, flagged when it is a sample, not a census."""
+    """A state set: one state per row of `indices`, flagged when it is a
+    sample rather than a census.
 
-    states: tuple[ChannelState, ...]
+    indices is a read-only (S, k) ``np.intp`` block of zero-based subband
+    indices in colexicographic order.  Iterating or indexing yields
+    `ChannelState` objects (1-based), built on demand.
+    """
+
+    indices: np.ndarray
     sampled: bool
 
-    def __iter__(self) -> Iterator[ChannelState]:
-        return iter(self.states)
-
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.indices)
 
-    def __getitem__(self, item):
-        return self.states[item]
+    def __iter__(self) -> Iterator[ChannelState]:
+        return (ChannelState(tuple(row)) for row in (self.indices + 1).tolist())
+
+    def __getitem__(self, item: int) -> ChannelState:
+        return ChannelState(tuple((self.indices[item] + 1).tolist()))
 
 
-def _colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of {1..n} in colexicographic order."""
-    s = list(range(1, k + 1))
-    while True:
-        yield tuple(s)
-        i = 0
-        while i < k - 1 and s[i] + 1 == s[i + 1]:
-            i += 1
-        if i == k - 1 and s[i] + 1 > n:
-            return
-        s[i] += 1
-        for j in range(i):
-            s[j] = j + 1
+def _colex_sorted(block: np.ndarray) -> np.ndarray:
+    """Rows of an (S, k) block of increasing subsets in colexicographic order."""
+    out = block[np.lexsort(block.T)]  # the last column is the primary key
+    out.flags.writeable = False
+    return out
+
+
+def colex_indices(n: int, k: int) -> np.ndarray:
+    """All k-subsets of {0..n-1} as a read-only (C(n, k), k) block, colex order."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    total = math.comb(n, k)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)), dtype=np.intp, count=total * k
+    )
+    return _colex_sorted(flat.reshape(total, k))
 
 
 def _floyd_sample(n: int, k: int, gen: np.random.Generator) -> tuple[int, ...]:
@@ -300,7 +312,7 @@ def _floyd_sample(n: int, k: int, gen: np.random.Generator) -> tuple[int, ...]:
 def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
     """All states of a (n, k) compound channel, or a deterministic sample.
 
-    If C(n, k) <= cap, yields every state in colexicographic order and the
+    If C(n, k) <= cap, returns every state in colexicographic order and the
     result is exhaustive.  Otherwise draws `cap` distinct states from a
     dedicated fixed-seed stream (independent of any user seed), returns
     them in colexicographic order and flags the result as sampled.
@@ -310,11 +322,9 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
     if int(cap) != cap or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap}")
     n, k, cap = int(n), int(k), int(cap)
-    total = math.comb(n, k)
-    if total <= cap:
-        states = tuple(ChannelState(s) for s in _colex_combinations(n, k))
-        return EnumeratedStates(states=states, sampled=False)
-    gen = np.random.Generator(np.random.Philox(key=_STATE_SAMPLING_KEY))
+    if math.comb(n, k) <= cap:
+        return EnumeratedStates(indices=colex_indices(n, k), sampled=False)
+    gen = philox_generator(_STATE_SAMPLING_KEY)
     picked: set[tuple[int, ...]] = set()
     attempts = 0
     while len(picked) < cap:
@@ -322,7 +332,5 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
         attempts += 1
         if attempts > 100 * cap:  # pragma: no cover - cap is well below C(n, k) here
             raise NumericalError("state sampling failed to collect distinct subsets")
-    states = tuple(
-        ChannelState(s) for s in sorted(picked, key=lambda t: tuple(reversed(t)))
-    )
-    return EnumeratedStates(states=states, sampled=True)
+    block = np.array(list(picked), dtype=np.intp).reshape(cap, k) - 1
+    return EnumeratedStates(indices=_colex_sorted(block), sampled=True)

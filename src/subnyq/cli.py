@@ -39,7 +39,9 @@ from .numerics import (
     minimax_limit,
     whiten,
 )
-from .samplers import ENSEMBLE_KINDS, EnsembleSpec, derive_trial_seed, draw_matrix, make_flat_sampler
+from .samplers import (
+    ENSEMBLE_KINDS, EnsembleSpec, derive_trial_seed, draw_matrix, make_flat_sampler, philox_generator
+)
 
 __all__ = ["main", "entry"]
 
@@ -183,9 +185,7 @@ def _result_payload(result: experiments.ExperimentResult, fmt: str | None) -> st
 
 def _verify_instances(seed: int):
     """Deterministic (n, k, m, B) quadruples for the identity suite."""
-    from .samplers import _generator
-
-    gen = _generator(derive_trial_seed(seed, 0xB0))
+    gen = philox_generator(derive_trial_seed(seed, 0xB0))
     out = []
     for t in range(VERIFY_INSTANCES):
         n = int(gen.integers(4, 13))
@@ -209,7 +209,7 @@ def cmd_verify(params: dict) -> int:
             b = b.copy()
             b[0, 0] += perturb
         for eps in VERIFY_EPS_GRID:
-            lhs = converse._subset_det_sum_raw(b, k, eps, workers=workers)
+            lhs = converse.subset_det_sum_unchecked(b, k, eps, workers=workers)
             rhs = converse.subset_det_sum_closed(n, k, m, eps)
             checks.append(
                 converse.ConverseCheck(n=n, k=k, m=m, eps=eps, lhs_sum=lhs, rhs_closed=rhs)
@@ -369,11 +369,6 @@ def cmd_concentration(params: dict) -> int:
 # --------------------------------------------------------------- capacity
 
 
-def _index_block(states) -> np.ndarray:
-    """The (S, k) zero-based index block of a state sequence, rows in its order."""
-    return np.array([s.indices for s in states], dtype=np.intp) - 1
-
-
 def _loss_reports(states, capacities) -> list[cap.LossReport]:
     """One LossReport per state from the batched (c_sampled, c_eq, c_opt, nu) arrays."""
     columns = zip(*(col.tolist() for col in capacities))
@@ -403,7 +398,7 @@ def cmd_capacity(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, channel.n_subbands, int(params["seed"]))
     sampler = make_flat_sampler(draw_matrix(spec))
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
-    reports = _loss_reports(states, cap.batched_losses(channel, sampler, _index_block(states)))
+    reports = _loss_reports(states, cap.batched_losses(channel, sampler, states.indices))
     gap_bound = cap.waterfill_gap_bound(channel, states[0])
     bad = [
         rep for rep in reports
@@ -450,7 +445,7 @@ def cmd_discrete(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, n, int(params["seed"]))
     q = draw_matrix(spec)
     states = enumerate_states(n, k, int(params["state_cap"]))
-    reports = _loss_reports(states, cap.discrete_losses(gains, q, _index_block(states), power))
+    reports = _loss_reports(states, cap.discrete_losses(gains, q, states.indices, power))
     if params["format"] == "json":
         payload = json.dumps(
             [

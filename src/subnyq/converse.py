@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _colex_combinations
-from .numerics import binary_entropy, log_binomial
+from .channel import colex_indices
+from .numerics import binary_entropy, log_binomial, subset_block_rows, subset_logdet
 from .parallel import map_ordered
 
 __all__ = [
@@ -30,12 +30,12 @@ __all__ = [
     "per_instance_sandwich",
     "subset_det_sum",
     "subset_det_sum_closed",
+    "subset_det_sum_unchecked",
 ]
 
 # Exhaustive identity checks refuse to run beyond this many subsets.
 ENUMERATION_CAP = 10**6
 ORTHONORMAL_ATOL = 1e-8
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -65,64 +65,14 @@ class ConverseCheck:
         }
 
 
-def _check_orthonormal_rows(b: np.ndarray) -> np.ndarray:
+def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
+    """B with orthonormal rows, 1 <= k <= m, eps >= 0 and C(n, k) <= ENUMERATION_CAP."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] > b.shape[1]:
         raise ValueError(f"expected an m x n matrix with m <= n, got {b.shape}")
-    gram = b @ b.T
-    if float(np.max(np.abs(gram - np.eye(b.shape[0])))) > ORTHONORMAL_ATOL:
-        raise ValueError("matrix rows are not orthonormal within 1e-8")
-    return b
-
-
-def _chunked_states(n: int, k: int, chunk: int = _CHUNK):
-    block: list[tuple[int, ...]] = []
-    for state in _colex_combinations(n, k):
-        block.append(state)
-        if len(block) == chunk:
-            yield block
-            block = []
-    if block:
-        yield block
-
-
-def _subset_dets(b: np.ndarray, states: list[tuple[int, ...]], eps: float) -> np.ndarray:
-    idx = np.asarray(states, dtype=int) - 1  # (S, k)
-    sub = np.moveaxis(b[:, idx], 1, 0)  # (S, m, k)
-    k = idx.shape[1]
-    grams = np.einsum("smk,sml->skl", sub, sub)
-    grams = grams + eps * np.eye(k)
-    return np.linalg.det(grams)
-
-
-def _subset_det_sum_raw(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
-    """Enumerated sum without the orthonormality precondition (verify hook)."""
-    n = b.shape[1]
-    chunks = list(_chunked_states(n, k))
-    partials = map_ordered(
-        lambda states: math.fsum(_subset_dets(b, states, eps).tolist()),
-        chunks,
-        workers=workers,
-    )
-    # Kahan compensation across chunk partials, fixed chunk order
-    total = 0.0
-    carry = 0.0
-    for value in partials:
-        y = value - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
-def subset_det_sum(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
-    """sum over all k-subsets s of det(eps I_k + B_s^T B_s), by enumeration.
-
-    Requires orthonormal rows (within 1e-8), k <= m, eps >= 0 and
-    C(n, k) <= ENUMERATION_CAP subsets.
-    """
-    b = _check_orthonormal_rows(b)
     m, n = b.shape
+    if float(np.max(np.abs(b @ b.T - np.eye(m)))) > ORTHONORMAL_ATOL:
+        raise ValueError("matrix rows are not orthonormal within 1e-8")
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if eps < 0:
@@ -131,7 +81,43 @@ def subset_det_sum(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float
         raise ValueError(
             f"C({n},{k}) = {math.comb(n, k)} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    return _subset_det_sum_raw(b, k, eps, workers=workers)
+    return b
+
+
+def _enumerated_logdets(b: np.ndarray, k: int, eps: float, workers: int) -> np.ndarray:
+    """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order.
+
+    Workers take blocks of states; every value is independent of the split.
+    """
+    m, n = b.shape
+    idx = colex_indices(n, k)
+    block = subset_block_rows(m, k)
+    parts = map_ordered(
+        lambda start: subset_logdet(b, idx[start : start + block], shift=eps),
+        range(0, len(idx), block),
+        workers=workers,
+    )
+    return np.concatenate(parts)
+
+
+def subset_det_sum_unchecked(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
+    """The enumerated sum of `subset_det_sum` without its preconditions.
+
+    Any m x n matrix with 1 <= k <= n is accepted (rows need not be
+    orthonormal), which lets a fault-injection run corrupt B on purpose.
+    The sum is exactly rounded (math.fsum), so it does not depend on workers.
+    """
+    b = np.asarray(b, dtype=float)
+    return math.fsum(np.exp(_enumerated_logdets(b, k, eps, workers)).tolist())
+
+
+def subset_det_sum(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
+    """sum over all k-subsets s of det(eps I_k + B_s^T B_s), by enumeration.
+
+    Requires orthonormal rows (within 1e-8), k <= m, eps >= 0 and
+    C(n, k) <= ENUMERATION_CAP subsets.
+    """
+    return subset_det_sum_unchecked(_check_instance(b, k, eps), k, eps, workers=workers)
 
 
 def subset_det_sum_closed(n: int, k: int, m: int, eps: float) -> float:
@@ -204,25 +190,9 @@ def per_instance_sandwich(
     exceed the cap for any orthonormal-rows B, so a violation here is an
     internal-consistency failure, not statistical noise.
     """
-    b = _check_orthonormal_rows(b)
+    b = _check_instance(b, k, eps)
     m, n = b.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if math.comb(n, k) > ENUMERATION_CAP:
-        raise ValueError(f"C({n},{k}) exceeds the enumeration cap {ENUMERATION_CAP}")
-
-    def chunk_min(states: list[tuple[int, ...]]) -> float:
-        dets = _subset_dets(b, states, eps)
-        # eps = 0 with a singular submatrix gives det <= 0: log -> -inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(np.maximum(dets, 0.0))
-        return float(np.min(logs)) / n
-
-    partial_mins = map_ordered(chunk_min, list(_chunked_states(n, k)), workers=workers)
-    bound = min_state_logdet_bound(n, k, m, eps)["exact"]
     return {
-        "min_state_value": min(partial_mins),
-        "deterministic_upper": bound,
+        "min_state_value": float(np.min(_enumerated_logdets(b, k, eps, workers))) / n,
+        "deterministic_upper": min_state_logdet_bound(n, k, m, eps)["exact"],
     }

@@ -22,27 +22,27 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from .capacity import equal_power_losses
+from .capacity import batched_losses
 from .channel import CompoundChannel, enumerate_states
 from .converse import min_state_logdet_bound
 from .numerics import (
     NumericalError,
-    RANK_FLOOR_FACTOR,
+    SingularityError,
     binary_entropy,
+    full_rank_gram,
     minimax_limit,
     rect_logdet_limit,
+    subset_logdet,
     whiten,
 )
 from .parallel import map_ordered
 from .samplers import (
     RESAMPLE_KEY_FLIP,
     EnsembleSpec,
-    _generator,
-    _uniform_open,
     derive_trial_seed,
     draw_matrix,
+    gaussian_batches,
     make_flat_sampler,
 )
 
@@ -60,9 +60,6 @@ __all__ = [
     "wishart_minor_limit",
     "wishart_minor_trial",
 ]
-
-_DRAW_CHUNK = 20_000  # entries budget per batched draw, fixed for determinism
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -145,29 +142,17 @@ class ExperimentResult:
 
 
 def _draw_full_rank(spec: EnsembleSpec) -> np.ndarray:
-    """Draw a matrix, resampling once (flipped key) on a degenerate Gram."""
-    for attempt, seed in enumerate((spec.seed, spec.seed ^ RESAMPLE_KEY_FLIP)):
+    """Draw a matrix, resampling once (flipped key) if it fails the rank floor."""
+    for seed in (spec.seed, spec.seed ^ RESAMPLE_KEY_FLIP):
         mat = draw_matrix(spec.with_seed(seed))
-        gram = mat @ mat.T
-        floor = max(
-            RANK_FLOOR_FACTOR * float(np.trace(gram)) / spec.rows, np.finfo(float).tiny
-        )
-        if float(np.linalg.eigvalsh(gram)[0]) >= floor:
-            return mat
+        try:
+            full_rank_gram(mat)
+        except SingularityError:
+            continue
+        return mat
     raise NumericalError(
         f"degenerate draw twice in a row for {spec}; check dimensions or the RNG"
     )
-
-
-def _state_logdets(b: np.ndarray, idx: np.ndarray, eps: float) -> np.ndarray:
-    """log det(eps I_k + B_s^T B_s) for a stack of states, natural log."""
-    sub = np.moveaxis(b[:, idx], 1, 0)  # (S, m, k)
-    grams = np.einsum("smk,sml->skl", sub, sub)
-    grams = grams + eps * np.eye(idx.shape[1])
-    signs, vals = np.linalg.slogdet(grams)
-    if np.any(signs <= 0):  # eps = 0 with a singular submatrix
-        vals = np.where(signs > 0, vals, -np.inf)
-    return vals
 
 
 def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResult:
@@ -176,8 +161,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         raise ValueError(
             f"C({cfg.n},{cfg.k}) exceeds state_cap={cfg.state_cap}; full enumeration required"
         )
-    states = enumerate_states(cfg.n, cfg.k, cfg.state_cap)
-    idx = np.stack([s.zero_based() for s in states])
+    idx = enumerate_states(cfg.n, cfg.k, cfg.state_cap).indices
     alpha = cfg.m / cfg.n
     beta = cfg.k / cfg.n
     target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
@@ -186,7 +170,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     def one_trial(t: int) -> tuple[float, float, float]:
         spec = EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
         b = whiten(_draw_full_rank(spec))
-        vals = _state_logdets(b, idx, cfg.eps) / cfg.n
+        vals = subset_logdet(b, idx, shift=cfg.eps) / cfg.n
         return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
 
     stats = map_ordered(one_trial, range(cfg.trials), workers=workers)
@@ -293,18 +277,6 @@ def logdet_concentration_trial(cfg: TrialConfig, workers: int = 1) -> Experiment
     )
 
 
-def _gaussian_chunks(total: int, shape_per_draw: tuple[int, ...], seed: int):
-    """Yield gaussian batches (c, *shape) from one pinned stream, fixed chunking."""
-    per_draw = int(np.prod(shape_per_draw))
-    chunk = max(1, _DRAW_CHUNK // max(per_draw, 1))
-    gen = _generator(seed)
-    done = 0
-    while done < total:
-        c = min(chunk, total - done)
-        yield ndtri(_uniform_open(gen, (c, *shape_per_draw)))
-        done += c
-
-
 def wishart_det_expectation(k: int, trials: int, seed: int) -> float:
     """Monte Carlo estimate of E det(A A^T) for k x k gaussian A, divided by k!.
 
@@ -317,7 +289,7 @@ def wishart_det_expectation(k: int, trials: int, seed: int) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     partials = []
-    for batch in _gaussian_chunks(trials, (k, k), seed):
+    for batch in gaussian_batches(trials, (k, k), seed):
         grams = batch @ np.swapaxes(batch, 1, 2)
         partials.append(math.fsum(np.linalg.det(grams).tolist()))
     return math.fsum(partials) / trials / math.factorial(k)
@@ -438,8 +410,7 @@ def wishart_minor_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
         seed = derive_trial_seed(cfg.master_seed, t)
         for attempt_seed in (seed, seed ^ RESAMPLE_KEY_FLIP):
             # one (m, n) draw: the first k columns form A, the rest build B
-            batch = next(_gaussian_chunks(1, (cfg.m, cfg.n), attempt_seed))
-            draw = batch[0]
+            draw = draw_matrix(EnsembleSpec("gaussian", cfg.m, cfg.n, attempt_seed))
             a = draw[:, : cfg.k]
             g = draw[:, cfg.k :]
             bwish = g @ g.T
@@ -482,7 +453,7 @@ def inverse_wishart_trace_trial(m: int, n: int, trials: int, seed: int) -> float
     if trials < 1:
         raise ValueError("trials must be >= 1")
     partials = []
-    for batch in _gaussian_chunks(trials, (m, n), seed):
+    for batch in gaussian_batches(trials, (m, n), seed):
         wis = batch @ np.swapaxes(batch, 1, 2)
         lam = np.linalg.eigvalsh(wis)
         partials.append(math.fsum(np.sum(1.0 / lam, axis=1).tolist()))
@@ -503,10 +474,11 @@ def loss_uniformity_report(
     n, k = channel.n_subbands, channel.k_active
     if math.comb(n, k) > cfg.state_cap:
         raise ValueError("full state enumeration required; raise state_cap or shrink n")
-    states = enumerate_states(n, k, cfg.state_cap)
+    idx = enumerate_states(n, k, cfg.state_cap).indices
     spec = EnsembleSpec(cfg.ensemble, cfg.m, n, cfg.master_seed)
     sampler = make_flat_sampler(_draw_full_rank(spec))
-    losses = equal_power_losses(channel, sampler, list(states))
+    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)
+    losses = c_eq - c_sampled
     mean = float(np.mean(losses))
     spread = float((np.max(losses) - np.min(losses)) / mean) if mean > 1e-12 else 0.0
     alpha = cfg.m / n

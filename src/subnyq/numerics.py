@@ -3,8 +3,10 @@
 All logarithms here (and everywhere else in the package) are natural, so
 entropies and log-determinants live on the same additive scale.  A single
 symmetric eigendecomposition backend (LAPACK, through ``numpy.linalg``)
-serves whitening, shifted log-determinants and eigenvalue-floored
-determinants alike.
+serves whitening, the rank-floor check, shifted log-determinants and
+eigenvalue-floored determinants alike.  `subset_logdet` is the one batched
+kernel behind every per-state quantity: the converse sums, the Landau
+statistics and the sampled capacities.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ __all__ = [
     "SpectralDecomp",
     "binary_entropy",
     "det_floor",
+    "full_rank_gram",
     "log_binomial",
     "logdet_shifted",
     "minimax_limit",
     "rect_logdet_limit",
     "spectral_decomp",
+    "subset_block_rows",
+    "subset_logdet",
     "whiten",
 ]
 
@@ -35,6 +40,9 @@ SYMMETRY_RTOL = 1e-10
 RANK_FLOOR_FACTOR = 1e-12
 # Exact integer binomials up to this n; log-gamma beyond.
 EXACT_BINOMIAL_MAX_N = 64
+# float64 entries per block of stacked subset matrices, fixed so that the
+# blocking (and with it every output bit) depends on the problem sizes only
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class SingularityError(ArithmeticError):
@@ -78,6 +86,30 @@ def spectral_decomp(mat: np.ndarray) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=lam[order], eigenvectors=vec[:, order])
 
 
+def full_rank_gram(q: np.ndarray, what: str = "matrix") -> SpectralDecomp:
+    """Eigendecomposition of Q Q^T for an m x n matrix Q of full row rank.
+
+    Raises:
+        SingularityError: if the smallest eigenvalue of Q Q^T falls below
+            the floor ``max(RANK_FLOOR_FACTOR * trace(Q Q^T) / m, tiny)``;
+            `what` names the matrix in the message.
+    """
+    gram = q @ q.T
+    dec = spectral_decomp(gram)
+    lam_min = dec.eigenvalues[-1]
+    floor = max(RANK_FLOOR_FACTOR * float(np.trace(gram)) / q.shape[0], np.finfo(float).tiny)
+    if lam_min < floor:
+        raise SingularityError(
+            f"rank-deficient {what}: min eigenvalue {lam_min:.3e} below floor {floor:.3e}"
+        )
+    return dec
+
+
+def _inv_sqrt(dec: SpectralDecomp) -> np.ndarray:
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues ** -0.5) @ v.T
+
+
 def whiten(q: np.ndarray) -> np.ndarray:
     """Row-orthonormalize an m x n matrix: (Q Q^T)^{-1/2} Q.
 
@@ -86,34 +118,62 @@ def whiten(q: np.ndarray) -> np.ndarray:
     by an orthogonal matrix therefore leave downstream capacities unchanged.
 
     Raises:
-        SingularityError: if the smallest eigenvalue of Q Q^T falls below
-            the floor ``RANK_FLOOR_FACTOR * trace(Q Q^T) / m``.
+        SingularityError: if Q fails the rank floor of `full_rank_gram`.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={q.ndim}")
-    m = q.shape[0]
-    out = q
     # Two passes: the first absorbs the conditioning of Q (and applies the
     # rank floor); the second runs on a nearly orthonormal matrix, where the
     # inverse square root is perfectly conditioned, restoring Q^w (Q^w)^T = I
     # to machine precision even when Q Q^T has condition number ~1e8.
-    for check_rank in (True, False):
-        gram = out @ out.T
-        dec = spectral_decomp(gram)
-        lam = dec.eigenvalues
-        if check_rank:
-            floor = max(
-                RANK_FLOOR_FACTOR * float(np.trace(gram)) / m, np.finfo(float).tiny
-            )
-            if lam[-1] < floor:
-                raise SingularityError(
-                    f"rank-deficient matrix: min eigenvalue {lam[-1]:.3e} "
-                    f"below floor {floor:.3e}"
-                )
-        v = dec.eigenvectors
-        inv_sqrt = (v * lam ** -0.5) @ v.T
-        out = inv_sqrt @ out
+    out = _inv_sqrt(full_rank_gram(q)) @ q
+    return _inv_sqrt(spectral_decomp(out @ out.T)) @ out
+
+
+def subset_block_rows(m: int, k: int, q: int = 1) -> int:
+    """States per block of `subset_logdet` for m x k subsets on q grid points."""
+    return max(1, _BLOCK_ELEMENTS // (q * (m * k + min(m, k) ** 2)))
+
+
+def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
+    """log det(shift I_k + A_s^T A_s) per state s, with A_s = B[:, s] diag(w_s).
+
+    b is an m x n matrix or a (p, m, n) stack of panels; idx is an (S, k)
+    integer block of zero-based column indices, one state per row.  weights,
+    if given, is an (S, k, q) array: the column scales at each of q grid
+    points, where grid point j uses panel j (or the one panel when p = 1).
+    The log-determinants of the q grid points are summed per state.
+
+    Each determinant comes from the smaller Gram: A^T A (k x k) when
+    k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
+    per grid point.  A determinant sign <= 0 (shift = 0 with a singular
+    minor) gives -inf.  States run in blocks of a fixed element budget, so
+    memory stays bounded and no value depends on S.
+    """
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    panels = np.asarray(b, dtype=float)
+    if panels.ndim == 2:
+        panels = panels[None]
+    idx = np.asarray(idx)
+    m, k = panels.shape[1], idx.shape[1]
+    q = panels.shape[0] if weights is None else weights.shape[2]
+    block = subset_block_rows(m, k, q)
+    eye = shift * np.eye(min(m, k))
+    out = np.empty(len(idx))
+    for start in range(0, len(idx), block):
+        rows = idx[start : start + block]
+        a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
+        if weights is not None:
+            a = a * np.swapaxes(weights[start : start + block], 1, 2)[:, :, None, :]
+        at = np.swapaxes(a, 2, 3)
+        grams = at @ a if k <= m else a @ at
+        grams += eye
+        signs, vals = np.linalg.slogdet(grams)
+        out[start : start + block] = np.where(signs > 0, vals, -np.inf).sum(axis=1)
+    if k > m:
+        out += q * (k - m) * math.log(shift) if shift > 0 else -np.inf
     return out
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .numerics import RANK_FLOOR_FACTOR, SingularityError
+from .numerics import full_rank_gram
 
 __all__ = [
     "ENSEMBLE_KINDS",
@@ -27,9 +27,11 @@ __all__ = [
     "SamplerSpec",
     "derive_trial_seed",
     "draw_matrix",
+    "gaussian_batches",
     "make_flat_sampler",
     "make_gridded_sampler",
     "moment_report",
+    "philox_generator",
 ]
 
 # Bounded ensembles and their single-entry magnitude bound D; the gaussian
@@ -41,6 +43,8 @@ ENSEMBLE_KINDS = ("gaussian", "rademacher", "uniform_sym")
 _SEED_MASK = (1 << 64) - 1
 # XORed into a trial stream key when a degenerate draw must be repeated.
 RESAMPLE_KEY_FLIP = 0x9E37_79B9_7F4A_7C15
+# float64 entries per batch of `gaussian_batches`, fixed for determinism
+_DRAW_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,8 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return (int(master_seed) ^ int(trial_index)) & _SEED_MASK
 
 
-def _generator(seed: int) -> np.random.Generator:
+def philox_generator(seed: int) -> np.random.Generator:
+    """The pinned Philox stream keyed by the low 64 bits of `seed`."""
     return np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
 
 
@@ -100,6 +105,10 @@ def _uniform_open(gen: np.random.Generator, shape) -> np.ndarray:
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+def _gaussian(gen: np.random.Generator, shape) -> np.ndarray:
+    return ndtri(_uniform_open(gen, shape))
+
+
 def draw_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Draw the (rows x cols) matrix determined by `spec`.
 
@@ -107,15 +116,29 @@ def draw_matrix(spec: EnsembleSpec) -> np.ndarray:
     rademacher: +-1 from the low bit of the raw stream.
     uniform_sym: uniform on [-sqrt(3), sqrt(3)] (unit variance).
     """
-    gen = _generator(spec.seed)
+    gen = philox_generator(spec.seed)
     shape = (spec.rows, spec.cols)
     if spec.kind == "gaussian":
-        return ndtri(_uniform_open(gen, shape))
+        return _gaussian(gen, shape)
     if spec.kind == "rademacher":
         bits = _raw_uint64(gen, shape) & np.uint64(1)
         return np.where(bits == 1, 1.0, -1.0)
     # uniform_sym
     return (2.0 * _uniform_open(gen, shape) - 1.0) * math.sqrt(3.0)
+
+
+def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
+    """Yield `total` gaussian draws of shape_per_draw from the stream `seed`,
+    as batches (c, *shape_per_draw) of a fixed size, so the values depend
+    on the arguments only."""
+    per_draw = int(np.prod(shape_per_draw))
+    chunk = max(1, _DRAW_CHUNK // max(per_draw, 1))
+    gen = philox_generator(seed)
+    done = 0
+    while done < total:
+        c = min(chunk, total - done)
+        yield _gaussian(gen, (c, *shape_per_draw))
+        done += c
 
 
 def moment_report(mat: np.ndarray) -> dict[str, float]:
@@ -172,7 +195,7 @@ class SamplerSpec:
                     raise ValueError(f"need m <= n, got {shape}")
             elif arr.shape != shape:
                 raise ValueError(f"panel {j} shape {arr.shape} != {shape}")
-            _check_full_row_rank(arr, j)
+            full_rank_gram(arr, f"sampler panel {j}")
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "panels", tuple(frozen))
@@ -198,17 +221,6 @@ class SamplerSpec:
         if not self.flat:
             raise ValueError("sampler is frequency-gridded; use .panels")
         return self.panels[0]
-
-
-def _check_full_row_rank(q: np.ndarray, index: int) -> None:
-    m = q.shape[0]
-    gram = q @ q.T
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    floor = max(RANK_FLOOR_FACTOR * float(np.trace(gram)) / m, np.finfo(float).tiny)
-    if lam_min < floor:
-        raise SingularityError(
-            f"sampler panel {index} is rank deficient (min eig {lam_min:.3e})"
-        )
 
 
 def make_flat_sampler(q: np.ndarray) -> SamplerSpec:

@@ -7,7 +7,7 @@ from conftest import random_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnyq import capacity
+from subnyq import numerics
 from subnyq.capacity import (
     batched_losses,
     capacity_loss,
@@ -445,7 +445,7 @@ class TestBatchedPath:
         samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, ch.n_subbands, 9)))
         idx = np.array([s.indices for s in enumerate_states(ch.n_subbands, ch.k_active, 100)]) - 1
         whole = np.stack(batched_losses(ch, samp, idx))
-        monkeypatch.setattr(capacity, "_BLOCK_ELEMENTS", 1)  # one state per block
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block
         assert np.stack(batched_losses(ch, samp, idx)) == pytest.approx(whole, rel=1e-13)
 
     def test_index_block_validation(self):

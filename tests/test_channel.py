@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from subnyq.channel import (
     ChannelState,
     CompoundChannel,
+    colex_indices,
     enumerate_states,
     load_channel,
     snr_summary,
@@ -72,6 +75,38 @@ class TestEnumerateStates:
             assert s.indices[-1] <= 30
         again = enumerate_states(30, 10, 100)
         assert [s.indices for s in out] == [s.indices for s in again]
+
+    @pytest.mark.parametrize(
+        "n, k, cap, digest",
+        [
+            (30, 10, 100, "e2ad7c6607150e06b5f2be122f48fa5274d81f32821f33e347c726887f2c9e63"),
+            # the discrete-sampled benchmark shape
+            (40, 8, 5000, "d6022d66c0fc15aed36a6e5778616d176dc6cf3f144d62698bb9be45492bdd3f"),
+        ],
+    )
+    def test_sampled_set_pinned(self, n, k, cap, digest):
+        # the sampled state set (members and order) is part of the output contract
+        out = enumerate_states(n, k, cap)
+        assert out.sampled
+        one_based = np.array([s.indices for s in out], dtype=np.int64)
+        assert hashlib.sha256(one_based.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, k, cap", [(9, 4, 10**6), (40, 8, 300)])
+    def test_index_block(self, n, k, cap):
+        out = enumerate_states(n, k, cap)
+        assert out.indices.dtype == np.intp
+        assert not out.indices.flags.writeable
+        assert [tuple(row + 1) for row in out.indices] == [s.indices for s in out]
+        assert out[len(out) - 1] == ChannelState(tuple(out.indices[-1] + 1))
+        keys = [s.colex_key() for s in out]
+        assert keys == sorted(keys)
+
+    def test_colex_indices_matches_definition(self):
+        for n, k in [(1, 1), (5, 1), (5, 5), (7, 3), (8, 4)]:
+            want = sorted(combinations(range(n), k), key=lambda s: s[::-1])
+            assert [tuple(row) for row in colex_indices(n, k)] == want
+        with pytest.raises(ValueError):
+            colex_indices(3, 4)
 
     def test_count_matches_binomial(self):
         for n, k in [(6, 2), (7, 3), (9, 4)]:

@@ -169,8 +169,7 @@ class TestStatisticDefinition:
         # det(eps I + (M M^T)^{-1} M_s M_s^T)  (k = m)  and
         # det(eps I + M_s^T (M M^T)^{-1} M_s)  (k <= m)
         from subnyq.channel import enumerate_states
-        from subnyq.experiments import _state_logdets
-        from subnyq.numerics import whiten
+        from subnyq.numerics import subset_logdet, whiten
         from subnyq.samplers import EnsembleSpec, draw_matrix
 
         eps = 0.05
@@ -180,7 +179,7 @@ class TestStatisticDefinition:
             b = whiten(mat)
             states = list(enumerate_states(n, k, 10**6))[:25]
             idx = np.stack([s.zero_based() for s in states])
-            fast = _state_logdets(b, idx, eps)
+            fast = subset_logdet(b, idx, shift=eps)
             gram_inv = np.linalg.inv(mat @ mat.T)
             for state, val in zip(states, fast):
                 ms = mat[:, state.zero_based()]

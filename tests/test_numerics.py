@@ -2,18 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from subnyq import experiments, numerics
+from subnyq.channel import colex_indices
+from subnyq.converse import subset_det_sum_closed
 from subnyq.numerics import (
+    RANK_FLOOR_FACTOR,
+    NumericalError,
     SingularityError,
     binary_entropy,
     det_floor,
+    full_rank_gram,
     log_binomial,
     logdet_shifted,
     minimax_limit,
     rect_logdet_limit,
     spectral_decomp,
+    subset_logdet,
     whiten,
 )
+from subnyq.samplers import EnsembleSpec, make_flat_sampler
 
 
 class TestWhiten:
@@ -194,3 +204,120 @@ class TestSpectralDecomp:
         dec = spectral_decomp(x @ x.T)
         v = dec.eigenvectors
         np.testing.assert_allclose(v @ v.T, np.eye(5), atol=1e-12)
+
+
+# log det of an exactly singular minor computed in floating point: either
+# -inf or at rounding level, far below any nonsingular O(1) minor here
+SINGULAR_LOGDET = -25.0
+
+
+def naive_subset_logdet(panels, idx, weights, shift):
+    """Per state and grid point: slogdet of the k x k matrix shift I + A^T A."""
+    out = []
+    for r, s in enumerate(idx):
+        total = 0.0
+        for j in range(weights.shape[2]):
+            a = panels[j % len(panels)][:, s] * weights[r, :, j]
+            sign, val = np.linalg.slogdet(shift * np.eye(len(s)) + a.T @ a)
+            total += val if sign > 0 else -np.inf
+        out.append(total)
+    return np.array(out)
+
+
+@st.composite
+def subset_problems(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(1, n))
+    return n, m, k
+
+
+class TestSubsetLogdet:
+    @given(
+        dims=subset_problems(),
+        shift=st.sampled_from([0.0, 0.05, 1.0]),
+        grid=st.sampled_from([None, (1, 1), (1, 3), (2, 2)]),  # None or (panels, q)
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(5, 3, 3), shift=0.0, grid=None, duplicate=False, seed=1)  # k = m
+    @example(dims=(4, 4, 2), shift=0.05, grid=(2, 2), duplicate=False, seed=2)  # m = n
+    @example(dims=(4, 4, 4), shift=1.0, grid=(1, 3), duplicate=False, seed=3)  # k = m = n
+    @example(dims=(6, 2, 4), shift=0.0, grid=None, duplicate=False, seed=4)  # k > m, eps = 0
+    @example(dims=(6, 4, 3), shift=0.0, grid=None, duplicate=True, seed=5)  # repeated column
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_slogdet(self, dims, shift, grid, duplicate, seed):
+        n, m, k = dims
+        rng = np.random.default_rng(seed)
+        p, q = grid or (1, 1)
+        panels = rng.standard_normal((p, m, n))
+        if duplicate:
+            panels[:, :, 1] = panels[:, :, 0]
+        idx = colex_indices(n, k)
+        weights = rng.uniform(0.5, 2.0, (len(idx), k, q))
+        if grid is None:
+            got = subset_logdet(panels[0], idx, shift=shift)
+            want = naive_subset_logdet(panels, idx, np.ones((len(idx), k, 1)), shift)
+        else:
+            got = subset_logdet(panels, idx, weights, shift=shift)
+            want = naive_subset_logdet(panels, idx, weights, shift)
+        if shift == 0.0 and k > m:
+            assert np.all(got == -np.inf)  # rank(A^T A) <= m < k
+        for g, w in zip(got, want):
+            if g < SINGULAR_LOGDET or w < SINGULAR_LOGDET:
+                assert g < SINGULAR_LOGDET and w < SINGULAR_LOGDET
+            else:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+    @given(dims=subset_problems(), eps=st.sampled_from([0.0, 0.05, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_sum_is_cauchy_binet(self, dims, eps, seed):
+        n, m, k = dims
+        assume(k <= m)
+        b = whiten(np.random.default_rng(seed).standard_normal((m, n)))
+        total = math.fsum(np.exp(subset_logdet(b, colex_indices(n, k), shift=eps)).tolist())
+        assert total == pytest.approx(subset_det_sum_closed(n, k, m, eps), rel=1e-9)
+
+    def test_values_do_not_depend_on_blocking(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        panels = rng.standard_normal((3, 4, 9))
+        idx = colex_indices(9, 5)  # k > m: the m x m branch
+        weights = rng.uniform(0.5, 2.0, (len(idx), 5, 3))
+        whole = subset_logdet(panels, idx, weights, shift=0.05)
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
+        assert np.array_equal(subset_logdet(panels, idx, weights, shift=0.05), whole)
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError):
+            subset_logdet(np.eye(2), [[0, 1]], shift=-1.0)
+
+
+class TestRankFloor:
+    """whiten, SamplerSpec and the experiments' draw share one rank floor."""
+
+    @staticmethod
+    def near_floor(side: float) -> np.ndarray:
+        # Q Q^T = diag(1, c): lambda_min = c, floor = F (1 + c) / 2, equal at c = F / (2 - F)
+        c = RANK_FLOOR_FACTOR / (2.0 - RANK_FLOOR_FACTOR) * (1.0 + side * 1e-6)
+        return np.array([[1.0, 0.0, 0.0], [0.0, math.sqrt(c), 0.0]])
+
+    def test_just_below_rejected_everywhere(self, monkeypatch):
+        q = self.near_floor(-1.0)
+        with pytest.raises(SingularityError):
+            full_rank_gram(q)
+        with pytest.raises(SingularityError):
+            whiten(q)
+        with pytest.raises(SingularityError):
+            make_flat_sampler(q)
+        monkeypatch.setattr(experiments, "draw_matrix", lambda spec: q)
+        with pytest.raises(NumericalError):
+            experiments._draw_full_rank(EnsembleSpec("gaussian", 2, 3, 0))
+
+    def test_just_above_accepted_everywhere(self, monkeypatch):
+        q = self.near_floor(+1.0)
+        full_rank_gram(q)
+        np.testing.assert_allclose(whiten(q) @ whiten(q).T, np.eye(2), atol=1e-10)
+        assert make_flat_sampler(q).m == 2
+        monkeypatch.setattr(experiments, "draw_matrix", lambda spec: q)
+        assert experiments._draw_full_rank(EnsembleSpec("gaussian", 2, 3, 0)) is q

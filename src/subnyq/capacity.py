@@ -37,6 +37,7 @@ __all__ = [
     "discrete_loss",
     "discrete_losses",
     "equal_power_losses",
+    "loss_csv_lines",
     "loss_csv_rows",
     "nyquist_capacity_equal",
     "nyquist_capacity_waterfill",
@@ -89,21 +90,30 @@ def loss_csv_rows(reports, bits: bool = False) -> list[str]:
 
     With bits=True a trailing loss_eq_bits column (loss_eq / log 2) is added.
     """
+    return loss_csv_lines(
+        (
+            (rep.state.indices, rep.c_sampled, rep.c_nyquist_eq, rep.c_nyquist_opt,
+             rep.loss_eq, rep.loss_opt, rep.water_level)
+            for rep in reports
+        ),
+        bits,
+    )
+
+
+def loss_csv_lines(rows, bits: bool = False) -> list[str]:
+    """The lines of `loss_csv_rows` for plain rows.
+
+    Each row is (state, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu) with
+    state the sequence of 1-based active-subband indices, so a caller that
+    holds an index block need not build a LossReport per state.
+    """
     header = LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")
     lines = [header]
     ln2 = np.log(2.0)
-    for rep in reports:
-        cells = [
-            "|".join(str(i) for i in rep.state.indices),
-            _fmt(rep.c_sampled),
-            _fmt(rep.c_nyquist_eq),
-            _fmt(rep.c_nyquist_opt),
-            _fmt(rep.loss_eq),
-            _fmt(rep.loss_opt),
-            _fmt(rep.water_level),
-        ]
+    for state, *values in rows:
+        cells = ["|".join(str(i) for i in state)] + [_fmt(v) for v in values]
         if bits:
-            cells.append(_fmt(rep.loss_eq / ln2))
+            cells.append(_fmt(values[3] / ln2))
         lines.append(";".join(cells))
     return lines
 
@@ -321,7 +331,7 @@ def capacity_loss(
 def equal_power_losses(
     channel: CompoundChannel, sampler: SamplerSpec, states
 ) -> np.ndarray:
-    """loss_eq for many states at once (one whitening, stacked determinants)."""
+    """loss_eq for many states at once (one whitening, one batched kernel call)."""
     states = list(states)
     if not states:
         raise ValueError("need at least one state")

@@ -300,13 +300,22 @@ def colex_indices(n: int, k: int) -> np.ndarray:
     return _colex_sorted(flat.reshape(total, k))
 
 
-def _floyd_sample(n: int, k: int, gen: np.random.Generator) -> tuple[int, ...]:
-    """One uniformly random k-subset of {1..n} (Floyd's algorithm)."""
-    chosen: set[int] = set()
-    for j in range(n - k + 1, n + 1):
-        t = int(gen.integers(1, j + 1))
-        chosen.add(j if t in chosen else t)
-    return tuple(sorted(chosen))
+def _floyd_samples(n: int, k: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """count uniformly random k-subsets of {1..n}, one ascending row each.
+
+    Floyd's algorithm, run on all rows at once: row r takes t uniform on
+    1..j for j = n-k+1, ..., n and keeps t, or j when t is already taken.
+    The t come from one array draw, which yields the same numbers, in the
+    same order, as drawing them one at a time, row by row.
+    """
+    highs = np.arange(n - k + 2, n + 2)  # exclusive upper bounds j + 1
+    draws = gen.integers(1, np.tile(highs, count)).reshape(count, k)
+    chosen = np.empty((count, k), dtype=np.intp)
+    for i, j in enumerate(range(n - k + 1, n + 1)):
+        t = draws[:, i]
+        taken = (chosen[:, :i] == t[:, None]).any(axis=1)
+        chosen[:, i] = np.where(taken, j, t)
+    return np.sort(chosen, axis=1)
 
 
 def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
@@ -328,8 +337,11 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
     picked: set[tuple[int, ...]] = set()
     attempts = 0
     while len(picked) < cap:
-        picked.add(_floyd_sample(n, k, gen))
-        attempts += 1
+        # a batch of exactly the missing count: the set stops growing at the
+        # same draw as a one-at-a-time loop would
+        need = cap - len(picked)
+        picked.update(map(tuple, _floyd_samples(n, k, need, gen).tolist()))
+        attempts += need
         if attempts > 100 * cap:  # pragma: no cover - cap is well below C(n, k) here
             raise NumericalError("state sampling failed to collect distinct subsets")
     block = np.array(list(picked), dtype=np.intp).reshape(cap, k) - 1

@@ -23,7 +23,9 @@ import math
 import os
 import sys
 from importlib import resources
+from itertools import starmap
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -369,16 +371,33 @@ def cmd_concentration(params: dict) -> int:
 # --------------------------------------------------------------- capacity
 
 
-def _loss_reports(states, capacities) -> list[cap.LossReport]:
-    """One LossReport per state from the batched (c_sampled, c_eq, c_opt, nu) arrays."""
-    columns = zip(*(col.tolist() for col in capacities))
-    return [cap.LossReport.from_capacities(s, *row) for s, row in zip(states, columns)]
+class _LossRow(NamedTuple):
+    """One output row; state is the list of 1-based active-subband indices."""
+
+    state: list
+    c_sampled: float
+    c_eq: float
+    c_opt: float
+    loss_eq: float
+    loss_opt: float
+    nu: float
 
 
-def _print_loss_summary(command: str, reports, unit: str, sampled: bool) -> None:
+def _loss_rows(states, capacities) -> list[_LossRow]:
+    """One row per state, labelled straight from the index block.
+
+    The losses are the Nyquist-rate capacities less c_sampled.
+    """
+    c_sampled, c_eq, c_opt, nu = capacities
+    columns = (c_sampled, c_eq, c_opt, c_eq - c_sampled, c_opt - c_sampled, nu)
+    labels = (states.indices + 1).tolist()
+    return list(starmap(_LossRow, zip(labels, *(col.tolist() for col in columns))))
+
+
+def _print_loss_summary(command: str, rows, unit: str, sampled: bool) -> None:
     print(
-        f"{command}: {len(reports)} states, max loss_eq "
-        f"{max(rep.loss_eq for rep in reports):.6f} {unit}"
+        f"{command}: {len(rows)} states, max loss_eq "
+        f"{max(row.loss_eq for row in rows):.6f} {unit}"
         + (", sampled state set" if sampled else "")
     )
 
@@ -398,37 +417,26 @@ def cmd_capacity(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, channel.n_subbands, int(params["seed"]))
     sampler = make_flat_sampler(draw_matrix(spec))
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
-    reports = _loss_reports(states, cap.batched_losses(channel, sampler, states.indices))
+    rows = _loss_rows(states, cap.batched_losses(channel, sampler, states.indices))
     gap_bound = cap.waterfill_gap_bound(channel, states[0])
     bad = [
-        rep for rep in reports
-        if rep.loss_eq < -1e-9 or (rep.c_nyquist_opt - rep.c_nyquist_eq) > gap_bound + 1e-9
+        row for row in rows
+        if row.loss_eq < -1e-9 or (row.c_opt - row.c_eq) > gap_bound + 1e-9
     ]
     if params["format"] == "json":
         payload = json.dumps(
             {
                 "channel": channel.to_dict(),
                 "sampler": spec.to_dict(),
-                "reports": [
-                    {
-                        "state": list(rep.state.indices),
-                        "c_sampled": rep.c_sampled,
-                        "c_eq": rep.c_nyquist_eq,
-                        "c_opt": rep.c_nyquist_opt,
-                        "loss_eq": rep.loss_eq,
-                        "loss_opt": rep.loss_opt,
-                        "nu": rep.water_level,
-                    }
-                    for rep in reports
-                ],
+                "reports": [row._asdict() for row in rows],
             },
             sort_keys=True,
             indent=2,
         ) + "\n"
     else:
-        payload = "\n".join(cap.loss_csv_rows(reports, bits=bool(params["bits"]))) + "\n"
+        payload = "\n".join(cap.loss_csv_lines(rows, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
-    _print_loss_summary("capacity", reports, "nats/s", states.sampled)
+    _print_loss_summary("capacity", rows, "nats/s", states.sampled)
     return 0 if not bad else 2
 
 
@@ -445,21 +453,18 @@ def cmd_discrete(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, n, int(params["seed"]))
     q = draw_matrix(spec)
     states = enumerate_states(n, k, int(params["state_cap"]))
-    reports = _loss_reports(states, cap.discrete_losses(gains, q, states.indices, power))
+    rows = _loss_rows(states, cap.discrete_losses(gains, q, states.indices, power))
     if params["format"] == "json":
         payload = json.dumps(
-            [
-                {"state": list(rep.state.indices), "loss_eq": rep.loss_eq, "loss_opt": rep.loss_opt}
-                for rep in reports
-            ],
+            [{"state": row.state, "loss_eq": row.loss_eq, "loss_opt": row.loss_opt} for row in rows],
             sort_keys=True,
             indent=2,
         ) + "\n"
     else:
-        payload = "\n".join(cap.loss_csv_rows(reports, bits=bool(params["bits"]))) + "\n"
+        payload = "\n".join(cap.loss_csv_lines(rows, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
-    _print_loss_summary("discrete", reports, "nats per use", states.sampled)
-    bad = [rep for rep in reports if rep.loss_eq < -1e-9]
+    _print_loss_summary("discrete", rows, "nats per use", states.sampled)
+    bad = [row for row in rows if row.loss_eq < -1e-9]
     return 0 if not bad else 2
 
 

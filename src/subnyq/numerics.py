@@ -3,10 +3,13 @@
 All logarithms here (and everywhere else in the package) are natural, so
 entropies and log-determinants live on the same additive scale.  A single
 symmetric eigendecomposition backend (LAPACK, through ``numpy.linalg``)
-serves whitening, the rank-floor check, shifted log-determinants and
-eigenvalue-floored determinants alike.  `subset_logdet` is the one batched
+serves whitening, the rank-floor check and the single-matrix log-dets
+`logdet_shifted` and `det_floor`.  `subset_logdet` is the one batched
 kernel behind every per-state quantity: the converse sums, the Landau
-statistics and the sampled capacities.
+statistics and the sampled capacities.  It makes no LAPACK call: it
+gathers each state's Gram from the panel's n x n Gram and factors all of
+them in one vectorized elimination, using only `take` and elementwise
+ufuncs, which release the interpreter lock, so threads calling it overlap.
 """
 
 from __future__ import annotations
@@ -136,6 +139,54 @@ def subset_block_rows(m: int, k: int, q: int = 1) -> int:
     return max(1, _BLOCK_ELEMENTS // (q * (m * k + min(m, k) ** 2)))
 
 
+def _pivot_logdet(mats: np.ndarray) -> np.ndarray:
+    """log det of every matrix in a (d, d, N) stack, overwriting the stack.
+
+    Gaussian elimination without pivoting, vectorized over the last axis:
+    d - 1 Schur-complement updates, and the log-determinant is the sum of
+    the logs of the d pivots.  It is backward stable on symmetric positive
+    (semi)definite matrices, which is all `subset_logdet` passes here.  A
+    pivot that is not positive gives -inf.
+    """
+    d = mats.shape[0]
+    # a zero or tiny pivot turns the trailing entries inf or nan, and the
+    # state ends -inf, so the floating-point warnings are only noise
+    with np.errstate(all="ignore"):
+        for i in range(d - 1):
+            ratio = mats[i + 1 :, i] / mats[i, i]
+            mats[i + 1 :, i + 1 :] -= ratio[:, None] * mats[i, i + 1 :]
+        # the eliminated diagonal holds the pivots
+        pivots = mats.reshape(d * d, -1)[:: d + 1]
+        logdets = np.log(pivots).sum(axis=0)
+    logdets[~np.all(pivots > 0, axis=0)] = -np.inf
+    return logdets
+
+
+def _subset_grams(panels, grams, rows, weights) -> np.ndarray:
+    """The smaller Gram of every state in rows, as a (d, d, q, S) stack.
+
+    With grams (the flattened n x n Grams B^T B of the panels) each k x k
+    Gram is gathered entry by entry, once per panel, and scaled by w_a w_b
+    per grid point; otherwise the Grams are formed from the columns.
+    """
+    p, m, n = panels.shape
+    if grams is not None:
+        cols = np.ascontiguousarray(rows.T)  # (k, S)
+        offsets = np.arange(p)[:, None] * (n * n)  # panel j starts at j n^2
+        flat = (cols * n)[:, None, None, :] + (cols[:, None, :] + offsets)[None]
+        mats = np.take(grams, flat)  # (k, k, p, S)
+        if weights is not None:
+            w = np.ascontiguousarray(np.transpose(weights, (1, 2, 0)))  # (k, q, S)
+            mats = mats * w[:, None] * w[None, :]
+        return mats
+    a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
+    if weights is not None:
+        a = a * np.swapaxes(weights, 1, 2)[:, :, None, :]
+    at = np.swapaxes(a, 2, 3)
+    small = at @ a if rows.shape[1] <= m else a @ at  # (S, q, d, d)
+    return np.ascontiguousarray(np.transpose(small, (2, 3, 1, 0)))
+
+
 def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     """log det(shift I_k + A_s^T A_s) per state s, with A_s = B[:, s] diag(w_s).
 
@@ -147,9 +198,15 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
 
     Each determinant comes from the smaller Gram: A^T A (k x k) when
     k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
-    per grid point.  A determinant sign <= 0 (shift = 0 with a singular
-    minor) gives -inf.  States run in blocks of a fixed element budget, so
-    memory stays bounded and no value depends on S.
+    per grid point.  For k <= m the k x k Grams are gathered from each
+    panel's n x n Gram B^T B, formed once per call, as long as those p n^2
+    entries are no more than one block of gathered Grams; beyond that (n
+    large against k) they come from the columns, like the m x m ones.  All
+    Grams of a block are factored together by elimination without pivoting
+    (`_pivot_logdet`); a pivot <= 0 (shift = 0 with a singular minor) gives
+    -inf.  States run in blocks of a fixed element budget, so memory stays
+    bounded, and every value depends on its own state only, never on S or
+    on the block split.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -157,21 +214,25 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     if panels.ndim == 2:
         panels = panels[None]
     idx = np.asarray(idx)
-    m, k = panels.shape[1], idx.shape[1]
-    q = panels.shape[0] if weights is None else weights.shape[2]
+    p, m, n = panels.shape
+    k = idx.shape[1]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"column indices must lie in [0, {n})")
+    q = p if weights is None else weights.shape[2]
+    d = min(m, k)
     block = subset_block_rows(m, k, q)
-    eye = shift * np.eye(min(m, k))
+    grams = None
+    if k <= m and p * n * n <= block * q * k * k:
+        grams = (np.swapaxes(panels, 1, 2) @ panels).reshape(-1)
     out = np.empty(len(idx))
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
-        a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
-        if weights is not None:
-            a = a * np.swapaxes(weights[start : start + block], 1, 2)[:, :, None, :]
-        at = np.swapaxes(a, 2, 3)
-        grams = at @ a if k <= m else a @ at
-        grams += eye
-        signs, vals = np.linalg.slogdet(grams)
-        out[start : start + block] = np.where(signs > 0, vals, -np.inf).sum(axis=1)
+        w = None if weights is None else weights[start : start + block]
+        # (d, d, q, S); contiguous, so that the reshapes below are views
+        mats = np.ascontiguousarray(_subset_grams(panels, grams, rows, w))
+        mats.reshape(d * d, -1)[:: d + 1] += shift
+        logdets = _pivot_logdet(mats.reshape(d, d, -1)).reshape(q, len(rows))
+        out[start : start + block] = logdets.sum(axis=0)
     if k > m:
         out += q * (k - m) * math.log(shift) if shift > 0 else -np.inf
     return out

@@ -1,9 +1,13 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from subnyq.capacity import LossReport, batched_losses, discrete_losses, loss_csv_rows
+from subnyq.channel import enumerate_states, load_channel
 from subnyq.cli import main
+from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
 
 
 def run(argv):
@@ -214,6 +218,60 @@ class TestDiscrete:
         assert len(lines) == 29  # header + C(8,2)
         for line in lines[1:]:
             assert float(line.split(";")[4]) >= -1e-9
+
+
+class TestLossRowFormatting:
+    """The CLI labels rows from the index block; its text must equal the
+    LossReport formatter's on the same values."""
+
+    @staticmethod
+    def reports(states, capacities):
+        columns = zip(*(col.tolist() for col in capacities))
+        return [LossReport.from_capacities(s, *row) for s, row in zip(states, columns)]
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_capacity_csv_equals_loss_csv_rows(self, tmp_path, capsys, bits):
+        out = tmp_path / "cap.csv"
+        assert run(["--command", "capacity", "--m", "4", "--seed", "11", "--out", str(out)]
+                   + (["--bits"] if bits else [])) == 0
+        capsys.readouterr()
+        channel = load_channel(resources.files("subnyq").joinpath("data/example_channel.json"))
+        sampler = make_flat_sampler(
+            draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
+        )
+        states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
+        reports = self.reports(states, batched_losses(channel, sampler, states.indices))
+        assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=bits)) + "\n"
+
+    def test_capacity_json_fields(self, tmp_path, capsys):
+        out = tmp_path / "cap.json"
+        assert run(["--command", "capacity", "--m", "4", "--seed", "11", "--format", "json",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        channel = load_channel(resources.files("subnyq").joinpath("data/example_channel.json"))
+        sampler = make_flat_sampler(
+            draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
+        )
+        states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
+        reports = self.reports(states, batched_losses(channel, sampler, states.indices))
+        want = [
+            {"state": list(rep.state.indices), "c_sampled": rep.c_sampled,
+             "c_eq": rep.c_nyquist_eq, "c_opt": rep.c_nyquist_opt, "loss_eq": rep.loss_eq,
+             "loss_opt": rep.loss_opt, "nu": rep.water_level}
+            for rep in reports
+        ]
+        assert json.loads(out.read_text())["reports"] == want
+
+    @pytest.mark.parametrize("cap", [10**6, 20])  # exhaustive, then sampled
+    def test_discrete_csv_equals_loss_csv_rows(self, tmp_path, capsys, cap):
+        out = tmp_path / "disc.csv"
+        assert run(["--command", "discrete", "--n", "9", "--k", "3", "--m", "4", "--power", "5",
+                    "--seed", "3", "--state-cap", str(cap), "--bits", "--out", str(out)]) == 0
+        capsys.readouterr()
+        states = enumerate_states(9, 3, cap)
+        q = draw_matrix(EnsembleSpec("gaussian", 4, 9, 3))
+        reports = self.reports(states, discrete_losses(np.ones(9), q, states.indices, 5.0))
+        assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=True)) + "\n"
 
 
 class TestConfigPrecedence:

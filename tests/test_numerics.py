@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -291,6 +295,96 @@ class TestSubsetLogdet:
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
             subset_logdet(np.eye(2), [[0, 1]], shift=-1.0)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_out_of_range_index_rejected(self, index):
+        with pytest.raises(ValueError):
+            subset_logdet(np.eye(3), [[0, index]])
+
+    @pytest.mark.parametrize(
+        "dims, duplicate",
+        [((6, 4, 3), True), ((6, 5, 5), True), ((6, 2, 4), False), ((6, 3, 5), True)],
+    )
+    def test_no_warnings_at_zero_shift(self, dims, duplicate):
+        n, m, k = dims
+        rng = np.random.default_rng(9)
+        panels = rng.standard_normal((1, m, n))
+        if duplicate:
+            panels[:, :, 1] = panels[:, :, 0]
+        idx = colex_indices(n, k)
+        weights = rng.uniform(0.5, 2.0, (len(idx), k, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = subset_logdet(panels[0], idx, shift=0.0)
+            weighted = subset_logdet(panels, idx, weights, shift=0.0)
+        for got in (plain, weighted):
+            if k > m:
+                assert np.all(got == -np.inf)
+            else:
+                both = (idx[:, 0] == 0) & (idx[:, 1] == 1)  # the repeated column twice
+                assert np.all(got[both] < SINGULAR_LOGDET)
+                assert np.all(np.isfinite(got[~both]))
+
+    @pytest.mark.parametrize("shift", [0.05, 1.0])
+    def test_near_parallel_columns_match_slogdet(self, shift):
+        rng = np.random.default_rng(12)
+        m, n, k = 6, 10, 4
+        b = rng.standard_normal((m, n))
+        b[:, 1] = b[:, 0] + 2e-5 * rng.standard_normal(m)
+        cond = np.linalg.cond(b[:, :2].T @ b[:, :2])
+        assert 1e9 < cond < 1e11
+        idx = colex_indices(n, k)
+        ones = np.ones((len(idx), k, 1))
+        got = subset_logdet(b, idx, shift=shift)
+        np.testing.assert_allclose(got, naive_subset_logdet(b[None], idx, ones, shift), rtol=1e-9)
+        weights = rng.uniform(0.5, 2.0, (len(idx), k, 3))
+        got = subset_logdet(b, idx, weights, shift=shift)
+        np.testing.assert_allclose(got, naive_subset_logdet(b[None], idx, weights, shift), rtol=1e-9)
+
+    def test_grams_from_columns_when_n_is_large(self):
+        # 400^2 entries of B^T B outnumber a block of gathered 2 x 2 Grams
+        rng = np.random.default_rng(14)
+        n, m, k = 400, 3, 2
+        panels = rng.standard_normal((1, m, n))
+        idx = np.array([np.sort(rng.choice(n, k, replace=False)) for _ in range(50)])
+        weights = rng.uniform(0.5, 2.0, (len(idx), k, 2))
+        got = subset_logdet(panels, idx, weights, shift=0.05)
+        np.testing.assert_allclose(got, naive_subset_logdet(panels, idx, weights, 0.05), rtol=1e-12)
+
+    def test_no_slogdet_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("subset_logdet called np.linalg.slogdet")
+
+        rng = np.random.default_rng(15)
+        panels = rng.standard_normal((2, 4, 8))
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        for k in (3, 6):  # the k x k and the m x m branch
+            idx = colex_indices(8, k)
+            subset_logdet(panels[0], idx, shift=0.05)
+            subset_logdet(panels, idx, rng.uniform(0.5, 2.0, (len(idx), k, 2)), shift=0.05)
+
+    def test_concurrent_calls_match_serial_bits(self):
+        rng = np.random.default_rng(16)
+        panels = [whiten(rng.standard_normal((6, 16))) for _ in range(2)]
+        idx = colex_indices(16, 6)
+        serial = [subset_logdet(b, idx, shift=0.05) for b in panels]
+        barrier = threading.Barrier(2)
+
+        def work(b):
+            barrier.wait(timeout=30)
+            return [subset_logdet(b, idx, shift=0.05) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(work, b) for b in panels]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for runs, want in zip(results, serial):
+            for got in runs:
+                assert np.array_equal(got, want)
 
 
 class TestRankFloor:

@@ -90,30 +90,34 @@ def loss_csv_rows(reports, bits: bool = False) -> list[str]:
 
     With bits=True a trailing loss_eq_bits column (loss_eq / log 2) is added.
     """
+    reports = list(reports)
     return loss_csv_lines(
-        (
-            (rep.state.indices, rep.c_sampled, rep.c_nyquist_eq, rep.c_nyquist_opt,
-             rep.loss_eq, rep.loss_opt, rep.water_level)
-            for rep in reports
-        ),
-        bits,
+        [rep.state.indices for rep in reports],
+        c_sampled=[rep.c_sampled for rep in reports],
+        c_eq=[rep.c_nyquist_eq for rep in reports],
+        c_opt=[rep.c_nyquist_opt for rep in reports],
+        loss_eq=[rep.loss_eq for rep in reports],
+        loss_opt=[rep.loss_opt for rep in reports],
+        nu=[rep.water_level for rep in reports],
+        bits=bits,
     )
 
 
-def loss_csv_lines(rows, bits: bool = False) -> list[str]:
-    """The lines of `loss_csv_rows` for plain rows.
+def loss_csv_lines(
+    labels, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu, bits: bool = False
+) -> list[str]:
+    """The lines of `loss_csv_rows` from columns, one entry per state.
 
-    Each row is (state, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu) with
-    state the sequence of 1-based active-subband indices, so a caller that
-    holds an index block need not build a LossReport per state.
+    labels holds each state's 1-based active-subband indices and the other
+    columns its values, so a caller holding an index block and the batched
+    capacities need not build a LossReport per state.
     """
     header = LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")
     lines = [header]
     ln2 = np.log(2.0)
-    for state, *values in rows:
-        cells = ["|".join(str(i) for i in state)] + [_fmt(v) for v in values]
-        if bits:
-            cells.append(_fmt(values[3] / ln2))
+    extra = ([v / ln2 for v in loss_eq],) if bits else ()
+    for label, *values in zip(labels, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu, *extra):
+        cells = ["|".join(str(i) for i in label)] + [_fmt(v) for v in values]
         lines.append(";".join(cells))
     return lines
 

@@ -23,9 +23,7 @@ import math
 import os
 import sys
 from importlib import resources
-from itertools import starmap
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -371,33 +369,25 @@ def cmd_concentration(params: dict) -> int:
 # --------------------------------------------------------------- capacity
 
 
-class _LossRow(NamedTuple):
-    """One output row; state is the list of 1-based active-subband indices."""
-
-    state: list
-    c_sampled: float
-    c_eq: float
-    c_opt: float
-    loss_eq: float
-    loss_opt: float
-    nu: float
-
-
-def _loss_rows(states, capacities) -> list[_LossRow]:
-    """One row per state, labelled straight from the index block.
+def _loss_columns(capacities) -> dict[str, list]:
+    """The output columns of the batched (c_sampled, c_eq, c_opt, nu) arrays.
 
     The losses are the Nyquist-rate capacities less c_sampled.
     """
     c_sampled, c_eq, c_opt, nu = capacities
-    columns = (c_sampled, c_eq, c_opt, c_eq - c_sampled, c_opt - c_sampled, nu)
-    labels = (states.indices + 1).tolist()
-    return list(starmap(_LossRow, zip(labels, *(col.tolist() for col in columns))))
+    return {
+        "c_sampled": c_sampled.tolist(),
+        "c_eq": c_eq.tolist(),
+        "c_opt": c_opt.tolist(),
+        "loss_eq": (c_eq - c_sampled).tolist(),
+        "loss_opt": (c_opt - c_sampled).tolist(),
+        "nu": nu.tolist(),
+    }
 
 
-def _print_loss_summary(command: str, rows, unit: str, sampled: bool) -> None:
+def _print_loss_summary(command: str, loss_eq, unit: str, sampled: bool) -> None:
     print(
-        f"{command}: {len(rows)} states, max loss_eq "
-        f"{max(row.loss_eq for row in rows):.6f} {unit}"
+        f"{command}: {len(loss_eq)} states, max loss_eq {max(loss_eq):.6f} {unit}"
         + (", sampled state set" if sampled else "")
     )
 
@@ -417,26 +407,34 @@ def cmd_capacity(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, channel.n_subbands, int(params["seed"]))
     sampler = make_flat_sampler(draw_matrix(spec))
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
-    rows = _loss_rows(states, cap.batched_losses(channel, sampler, states.indices))
+    labels = (states.indices + 1).tolist()
+    cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
     gap_bound = cap.waterfill_gap_bound(channel, states[0])
-    bad = [
-        row for row in rows
-        if row.loss_eq < -1e-9 or (row.c_opt - row.c_eq) > gap_bound + 1e-9
-    ]
+    bad = any(
+        loss < -1e-9 or (c_opt - c_eq) > gap_bound + 1e-9
+        for loss, c_eq, c_opt in zip(cols["loss_eq"], cols["c_eq"], cols["c_opt"])
+    )
     if params["format"] == "json":
         payload = json.dumps(
             {
                 "channel": channel.to_dict(),
                 "sampler": spec.to_dict(),
-                "reports": [row._asdict() for row in rows],
+                "reports": [
+                    {"state": label, "c_sampled": c_sampled, "c_eq": c_eq, "c_opt": c_opt,
+                     "loss_eq": loss_eq, "loss_opt": loss_opt, "nu": nu}
+                    for label, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu in zip(
+                        labels, cols["c_sampled"], cols["c_eq"], cols["c_opt"],
+                        cols["loss_eq"], cols["loss_opt"], cols["nu"],
+                    )
+                ],
             },
             sort_keys=True,
             indent=2,
         ) + "\n"
     else:
-        payload = "\n".join(cap.loss_csv_lines(rows, bits=bool(params["bits"]))) + "\n"
+        payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
-    _print_loss_summary("capacity", rows, "nats/s", states.sampled)
+    _print_loss_summary("capacity", cols["loss_eq"], "nats/s", states.sampled)
     return 0 if not bad else 2
 
 
@@ -453,18 +451,22 @@ def cmd_discrete(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, n, int(params["seed"]))
     q = draw_matrix(spec)
     states = enumerate_states(n, k, int(params["state_cap"]))
-    rows = _loss_rows(states, cap.discrete_losses(gains, q, states.indices, power))
+    labels = (states.indices + 1).tolist()
+    cols = _loss_columns(cap.discrete_losses(gains, q, states.indices, power))
     if params["format"] == "json":
         payload = json.dumps(
-            [{"state": row.state, "loss_eq": row.loss_eq, "loss_opt": row.loss_opt} for row in rows],
+            [
+                {"state": label, "loss_eq": loss_eq, "loss_opt": loss_opt}
+                for label, loss_eq, loss_opt in zip(labels, cols["loss_eq"], cols["loss_opt"])
+            ],
             sort_keys=True,
             indent=2,
         ) + "\n"
     else:
-        payload = "\n".join(cap.loss_csv_lines(rows, bits=bool(params["bits"]))) + "\n"
+        payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
-    _print_loss_summary("discrete", rows, "nats per use", states.sampled)
-    bad = [row for row in rows if row.loss_eq < -1e-9]
+    _print_loss_summary("discrete", cols["loss_eq"], "nats per use", states.sampled)
+    bad = any(loss < -1e-9 for loss in cols["loss_eq"])
     return 0 if not bad else 2
 
 

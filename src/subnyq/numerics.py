@@ -46,6 +46,10 @@ EXACT_BINOMIAL_MAX_N = 64
 # float64 entries per block of stacked subset matrices, fixed so that the
 # blocking (and with it every output bit) depends on the problem sizes only
 _BLOCK_ELEMENTS = 1 << 18
+# float64 entries of the panels' n x n Grams B^T B up to which `subset_logdet`
+# gathers its k x k Grams from them; fixed, so that the path (and with it
+# every output bit) depends on the problem sizes only, never on the blocking
+_GRAM_ELEMENTS = 1 << 17
 
 
 class SingularityError(ArithmeticError):
@@ -200,8 +204,9 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
     per grid point.  For k <= m the k x k Grams are gathered from each
     panel's n x n Gram B^T B, formed once per call, as long as those p n^2
-    entries are no more than one block of gathered Grams; beyond that (n
-    large against k) they come from the columns, like the m x m ones.  All
+    entries fit a fixed budget (n up to 362 for one panel); beyond it they
+    come from the columns, like the m x m ones.  The path depends on p, m,
+    n and k only, so a call for a single state forms the whole B^T B too.  All
     Grams of a block are factored together by elimination without pivoting
     (`_pivot_logdet`); a pivot <= 0 (shift = 0 with a singular minor) gives
     -inf.  States run in blocks of a fixed element budget, so memory stays
@@ -222,7 +227,7 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     d = min(m, k)
     block = subset_block_rows(m, k, q)
     grams = None
-    if k <= m and p * n * n <= block * q * k * k:
+    if k <= m and p * n * n <= _GRAM_ELEMENTS:
         grams = (np.swapaxes(panels, 1, 2) @ panels).reshape(-1)
     out = np.empty(len(idx))
     for start in range(0, len(idx), block):

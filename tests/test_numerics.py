@@ -3,6 +3,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,39 @@ def naive_subset_logdet(panels, idx, weights, shift):
     return np.array(out)
 
 
+def singular_logdet_bound(panels, s, weights):
+    """Upper bound on any computed log det(A^T A) of an exactly singular minor.
+
+    Summed over grid points as in `naive_subset_logdet`.  Rounding in forming
+    and factoring the Gram G acts as a backward error E with ||E|| <= delta =
+    k (k + 1) eps trace(G), eps the float64 machine epsilon, so the computed
+    determinant is at most delta prod(lambda_i + delta) over the k - 1
+    largest eigenvalues of G.
+    """
+    total = 0.0
+    for j in range(weights.shape[1]):
+        a = panels[j % len(panels)][:, s] * weights[:, j]
+        gram = a.T @ a
+        delta = len(s) * (len(s) + 1) * np.finfo(float).eps * np.trace(gram)
+        lam = np.maximum(np.linalg.eigvalsh(gram)[1:], 0.0)
+        total += math.log(delta) + float(np.sum(np.log(lam + delta)))
+    return total
+
+
+def exact_gram_logdet(a):
+    """log det(A^T A) for the float columns of A, in exact rational arithmetic."""
+    cols = [[Fraction(x) for x in col] for col in a.T.tolist()]
+    g = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+    det = Fraction(1)
+    for i in range(len(g)):
+        det *= g[i][i]
+        for r in range(i + 1, len(g)):
+            ratio = g[r][i] / g[i][i]
+            for c in range(i + 1, len(g)):
+                g[r][c] -= ratio * g[i][c]
+    return math.log(det)
+
+
 @st.composite
 def subset_problems(draw):
     n = draw(st.integers(2, 6))
@@ -261,14 +295,19 @@ class TestSubsetLogdet:
         weights = rng.uniform(0.5, 2.0, (len(idx), k, q))
         if grid is None:
             got = subset_logdet(panels[0], idx, shift=shift)
-            want = naive_subset_logdet(panels, idx, np.ones((len(idx), k, 1)), shift)
+            weights = np.ones((len(idx), k, 1))
         else:
             got = subset_logdet(panels, idx, weights, shift=shift)
-            want = naive_subset_logdet(panels, idx, weights, shift)
+        want = naive_subset_logdet(panels, idx, weights, shift)
         if shift == 0.0 and k > m:
             assert np.all(got == -np.inf)  # rank(A^T A) <= m < k
-        for g, w in zip(got, want):
-            if g < SINGULAR_LOGDET or w < SINGULAR_LOGDET:
+        for s, ws, g, w in zip(idx, weights, got, want):
+            if shift == 0.0 and (k > m or (duplicate and k > 1 and s[0] == 0 and s[1] == 1)):
+                # exactly singular: both sides are rounding noise, which can
+                # exceed SINGULAR_LOGDET when the other eigenvalues are large
+                bound = singular_logdet_bound(panels, s, ws)
+                assert g <= bound and w <= bound
+            elif g < SINGULAR_LOGDET or w < SINGULAR_LOGDET:
                 assert g < SINGULAR_LOGDET and w < SINGULAR_LOGDET
             else:
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
@@ -291,6 +330,19 @@ class TestSubsetLogdet:
         whole = subset_logdet(panels, idx, weights, shift=0.05)
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
         assert np.array_equal(subset_logdet(panels, idx, weights, shift=0.05), whole)
+
+    def test_gathered_values_do_not_depend_on_blocking(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        panels = rng.standard_normal((3, 4, 9))
+        idx = colex_indices(9, 3)  # k <= m: every block gathers from B^T B
+        weights = rng.uniform(0.5, 2.0, (len(idx), 3, 3))
+        take, gathers = np.take, []
+        monkeypatch.setattr(np, "take", lambda *a, **kw: gathers.append(1) or take(*a, **kw))
+        whole = subset_logdet(panels, idx, weights, shift=0.05)
+        assert len(gathers) == 1
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
+        assert np.array_equal(subset_logdet(panels, idx, weights, shift=0.05), whole)
+        assert len(gathers) == 1 + len(idx)  # one state per block, still gathered
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -341,8 +393,26 @@ class TestSubsetLogdet:
         got = subset_logdet(b, idx, weights, shift=shift)
         np.testing.assert_allclose(got, naive_subset_logdet(b[None], idx, weights, shift), rtol=1e-9)
 
+    def test_ill_conditioned_minors_at_zero_shift_track_exact_logdet(self):
+        # at shift 0 a minor whose Gram has condition ~1e12 keeps only the
+        # digits its conditioning allows: the kernel, like slogdet, lies
+        # within k (k + 1) eps cond of the exact log det of the rounded columns
+        rng = np.random.default_rng(17)
+        m, n, k = 6, 8, 4
+        b = rng.standard_normal((m, n))
+        b[:, 1] = b[:, 0] + 1e-6 * rng.standard_normal(m)
+        assert 1e12 < np.linalg.cond(b[:, :2].T @ b[:, :2]) < 1e13
+        idx = colex_indices(n, k)
+        got = subset_logdet(b, idx, shift=0.0)
+        for s, g in zip(idx, got):
+            gram = b[:, s].T @ b[:, s]
+            exact = exact_gram_logdet(b[:, s])
+            tol = k * (k + 1) * np.finfo(float).eps * np.linalg.cond(gram)
+            assert abs(g - exact) <= tol
+            assert abs(np.linalg.slogdet(gram)[1] - exact) <= tol
+
     def test_grams_from_columns_when_n_is_large(self):
-        # 400^2 entries of B^T B outnumber a block of gathered 2 x 2 Grams
+        # 400^2 entries of B^T B exceed the budget for gathering
         rng = np.random.default_rng(14)
         n, m, k = 400, 3, 2
         panels = rng.standard_normal((1, m, n))

@@ -438,6 +438,27 @@ def cmd_capacity(params: dict) -> int:
     return 0 if not bad else 2
 
 
+def _json_number(x: float) -> str:
+    """A float as `json.dumps` writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _discrete_json(labels, loss_eq, loss_opt) -> str:
+    """The bytes of ``json.dumps([{"state", "loss_eq", "loss_opt"}, ...],
+    sort_keys=True, indent=2) + "\\n"`` for one or more records, written
+    record by record: about 3x faster than the encoder, which falls back to
+    pure Python under `indent`."""
+    sep = ",\n      "
+    records = [
+        f'  {{\n    "loss_eq": {_json_number(eq)},\n    "loss_opt": {_json_number(opt)},\n'
+        f'    "state": [\n      {sep.join(map(str, state))}\n    ]\n  }}'
+        for state, eq, opt in zip(labels, loss_eq, loss_opt)
+    ]
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
 def cmd_discrete(params: dict) -> int:
     n, k, m = int(params["n"]), int(params["k"]), int(params["m"])
     if not 1 <= k < n:
@@ -454,14 +475,7 @@ def cmd_discrete(params: dict) -> int:
     labels = (states.indices + 1).tolist()
     cols = _loss_columns(cap.discrete_losses(gains, q, states.indices, power))
     if params["format"] == "json":
-        payload = json.dumps(
-            [
-                {"state": label, "loss_eq": loss_eq, "loss_opt": loss_opt}
-                for label, loss_eq, loss_opt in zip(labels, cols["loss_eq"], cols["loss_opt"])
-            ],
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        payload = _discrete_json(labels, cols["loss_eq"], cols["loss_opt"])
     else:
         payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)

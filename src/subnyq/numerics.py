@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "NumericalError",
@@ -279,7 +278,8 @@ def binary_entropy(beta: float) -> float:
 
 
 def log_binomial(n: int, k: int) -> float:
-    """log C(n, k); exact integer arithmetic up to n=64, log-gamma beyond.
+    """log C(n, k); exact integer arithmetic up to n=64, beyond it
+    `math.lgamma` (about 1e-13 relative, since the three terms cancel).
 
     Satisfies the entropy sandwich
     ``H(k/n) - log(n+1)/n <= log C(n,k) / n <= H(k/n)``.
@@ -288,7 +288,7 @@ def log_binomial(n: int, k: int) -> float:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     if n <= EXACT_BINOMIAL_MAX_N:
         return math.log(math.comb(n, k))
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def rect_logdet_limit(alpha: float) -> float:

@@ -1,9 +1,11 @@
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from subnyq import cli
 from subnyq.capacity import LossReport, batched_losses, discrete_losses, loss_csv_rows
 from subnyq.channel import enumerate_states, load_channel
 from subnyq.cli import main
@@ -272,6 +274,41 @@ class TestLossRowFormatting:
         q = draw_matrix(EnsembleSpec("gaussian", 4, 9, 3))
         reports = self.reports(states, discrete_losses(np.ones(9), q, states.indices, 5.0))
         assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=True)) + "\n"
+
+
+class TestDiscreteJson:
+    """The discrete JSON writer must give the bytes of `json.dumps`."""
+
+    @staticmethod
+    def encoded(labels, loss_eq, loss_opt):
+        records = [
+            {"state": state, "loss_eq": eq, "loss_opt": opt}
+            for state, eq, opt in zip(labels, loss_eq, loss_opt)
+        ]
+        return json.dumps(records, sort_keys=True, indent=2) + "\n"
+
+    def test_bytes_equal_json_dumps(self):
+        gen = np.random.default_rng(5)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3, -1e-17]
+        values = special + (gen.standard_normal(300) * 10.0 ** gen.integers(-20, 20, 300)).tolist()
+        loss_eq, loss_opt = values, values[::-1]
+        sizes = gen.integers(1, 6, len(values))
+        labels = [sorted(int(i) + 1 for i in gen.choice(40, k, replace=False)) for k in sizes]
+        labels[0], labels[-1] = [7], [1]
+        for args in ((labels, loss_eq, loss_opt), ([[3]], [-0.0], [math.nan])):
+            assert cli._discrete_json(*args) == self.encoded(*args)
+
+    def test_cli_output_equals_json_dumps(self, tmp_path, capsys):
+        out = tmp_path / "disc.json"
+        assert run(["--command", "discrete", "--n", "9", "--k", "3", "--m", "4", "--power", "5",
+                    "--seed", "3", "--state-cap", "20", "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        states = enumerate_states(9, 3, 20)
+        q = draw_matrix(EnsembleSpec("gaussian", 4, 9, 3))
+        c_sampled, c_eq, c_opt, _ = discrete_losses(np.ones(9), q, states.indices, 5.0)
+        labels = (states.indices + 1).tolist()
+        want = self.encoded(labels, (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist())
+        assert out.read_text() == want
 
 
 class TestConfigPrecedence:

@@ -1,11 +1,17 @@
-"""No module of the package reaches into another module's private names."""
+"""No module of the package reaches into another module's private names,
+and the package imports nothing beyond the standard library and numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "subnyq").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "subnyq").glob("*.py"))
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 
 def _private(name: str) -> bool:
@@ -62,3 +68,54 @@ def test_detector_catches_both_forms():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_names_across_modules(path):
     assert private_accesses(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of anything but the standard library and numpy."""
+    allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}" for name in names if name.split(".")[0] not in allowed
+        ]
+    return found
+
+
+def test_dependency_detector_catches_both_forms():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, numpy.linalg\n"
+        "from scipy.special import ndtri\n"
+        "import pandas as pd\n"
+        "from . import numerics\n"
+    )
+    assert foreign_imports(source) == ["line 3: scipy.special", "line 4: pandas"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy.random is imported with the package, not lazily by the first draw
+    probe = (
+        "import sys, subnyq.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.split() == ["[]", "True"]

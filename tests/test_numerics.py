@@ -159,6 +159,14 @@ class TestScalarFunctions:
                 math.log(math.comb(n, k)), rel=1e-12
             )
 
+    def test_log_binomial_lgamma_range_every_k(self):
+        # beyond the exact range: every (n, k) against exact big-int binomials
+        for n in range(65, 401):
+            for k in range(n + 1):
+                assert math.isclose(
+                    log_binomial(n, k), math.log(math.comb(n, k)), rel_tol=1e-12, abs_tol=0.0
+                ), (n, k)
+
     def test_entropy_sandwich_up_to_60(self):
         for n in range(2, 61):
             for k in range(1, n):

@@ -34,6 +34,7 @@ from .converse import (
 from .numerics import (
     NumericalError,
     SingularityError,
+    SubsetPlan,
     binary_entropy,
     det_floor,
     log_binomial,
@@ -41,6 +42,7 @@ from .numerics import (
     minimax_limit,
     rect_logdet_limit,
     subset_logdet,
+    subset_plan,
     whiten,
 )
 from .samplers import (

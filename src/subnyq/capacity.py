@@ -302,14 +302,13 @@ def nyquist_capacity_waterfill(
     return _nyquist_at(channel, state, tol)[1]
 
 
-def waterfill_gap_bound(channel: CompoundChannel, state: ChannelState) -> float:
-    """Upper bound on the power-control gain C_opt - C_eq, nats/s.
+def waterfill_gap_bound(channel: CompoundChannel) -> float:
+    """Upper bound on the power-control gain C_opt - C_eq of every state, nats/s.
 
     W * beta * (A - 1) / (1 + SNR_min) with A the truncated
     average-to-minimum SNR constant; 0 for flat gains, O(1/SNR_min) at
     high SNR with A fixed.
     """
-    _check_state(channel, state)
     summary = snr_summary(channel)
     a_const = summary.snr_avg_max
     return (

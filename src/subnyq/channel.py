@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -290,14 +289,27 @@ def _colex_sorted(block: np.ndarray) -> np.ndarray:
 
 
 def colex_indices(n: int, k: int) -> np.ndarray:
-    """All k-subsets of {0..n-1} as a read-only (C(n, k), k) block, colex order."""
+    """All k-subsets of {0..n-1} as a read-only (C(n, k), k) block, colex order.
+
+    Colex order has the prefix property: the first C(c, r) rows of any
+    colex(n', r) block with n' >= c are colex(c, r).  So colex(c', r) is
+    colex(c, r - 1) with column c appended, for c = r - 1 .. c' - 1 in turn,
+    and the block grows one column at a time without a sort.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total = math.comb(n, k)
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)), dtype=np.intp, count=total * k
-    )
-    return _colex_sorted(flat.reshape(total, k))
+    block = np.arange(n - k + 1, dtype=np.intp)[:, None]  # colex(n - k + 1, 1)
+    for r in range(2, k + 1):  # colex(n - k + r, r) from colex(n - k + r - 1, r - 1)
+        grown = np.empty((math.comb(n - k + r, r), r), dtype=np.intp)
+        start = 0
+        for c in range(r - 1, n - k + r):
+            count = math.comb(c, r - 1)
+            grown[start : start + count, :-1] = block[:count]
+            grown[start : start + count, -1] = c
+            start += count
+        block = grown
+    block.flags.writeable = False
+    return block
 
 
 def _floyd_samples(n: int, k: int, count: int, gen: np.random.Generator) -> np.ndarray:

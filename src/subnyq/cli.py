@@ -208,14 +208,15 @@ def cmd_verify(params: dict) -> int:
         if perturb:
             b = b.copy()
             b[0, 0] += perturb
-        for eps in VERIFY_EPS_GRID:
-            lhs = converse.subset_det_sum_unchecked(b, k, eps, workers=workers)
+        plans = converse.colex_plans(n, k, workers)  # one elimination plan per instance
+        sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID, workers, plans)
+        for eps, lhs in zip(VERIFY_EPS_GRID, sums):
             rhs = converse.subset_det_sum_closed(n, k, m, eps)
             checks.append(
                 converse.ConverseCheck(n=n, k=k, m=m, eps=eps, lhs_sum=lhs, rhs_closed=rhs)
             )
         if not perturb:
-            sandwich = converse.per_instance_sandwich(b, k, eps=0.04, workers=workers)
+            sandwich = converse.per_instance_sandwich(b, k, 0.04, workers, plans)
             if sandwich["min_state_value"] > sandwich["deterministic_upper"]:
                 failures.append(f"per-instance sandwich violated at (n={n}, k={k}, m={m})")
             again = whiten(b)
@@ -288,7 +289,7 @@ def _verify_waterfill_flat() -> list[str]:
     state = ChannelState((2, 5))
     c_eq = cap.nyquist_capacity_equal(channel, state)
     c_opt = cap.nyquist_capacity_waterfill(channel, state)
-    bound = cap.waterfill_gap_bound(channel, state)
+    bound = cap.waterfill_gap_bound(channel)
     if abs(c_opt - c_eq) > 1e-9:
         failures.append("flat channel: water-filling capacity differs from equal power")
     if not -1e-12 <= bound <= 1e-12:
@@ -409,7 +410,7 @@ def cmd_capacity(params: dict) -> int:
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
     labels = (states.indices + 1).tolist()
     cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
-    gap_bound = cap.waterfill_gap_bound(channel, states[0])
+    gap_bound = cap.waterfill_gap_bound(channel)
     bad = any(
         loss < -1e-9 or (c_opt - c_eq) > gap_bound + 1e-9
         for loss, c_eq, c_opt in zip(cols["loss_eq"], cols["c_eq"], cols["c_opt"])

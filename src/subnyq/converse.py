@@ -19,18 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import colex_indices
-from .numerics import binary_entropy, log_binomial, subset_block_rows, subset_logdet
+from .numerics import SubsetPlan, binary_entropy, log_binomial, subset_logdet, subset_plan
 from .parallel import map_ordered
 
 __all__ = [
     "ConverseCheck",
     "ENUMERATION_CAP",
+    "colex_plans",
     "min_state_logdet_bound",
     "minimax_lower_bound",
     "per_instance_sandwich",
     "subset_det_sum",
     "subset_det_sum_closed",
-    "subset_det_sum_unchecked",
+    "subset_det_sums_unchecked",
 ]
 
 # Exhaustive identity checks refuse to run beyond this many subsets.
@@ -84,31 +85,49 @@ def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
     return b
 
 
-def _enumerated_logdets(b: np.ndarray, k: int, eps: float, workers: int) -> np.ndarray:
-    """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order.
+def colex_plans(n: int, k: int, workers: int = 1) -> list[SubsetPlan]:
+    """Elimination plans of all k-subsets of n columns in colex order.
 
-    Workers take blocks of states; every value is independent of the split.
+    One run of states per worker.  Build them once per instance and pass
+    them to `subset_det_sums_unchecked` and `per_instance_sandwich`, which
+    build their own otherwise; no value depends on the split.
     """
-    m, n = b.shape
     idx = colex_indices(n, k)
-    block = subset_block_rows(m, k)
-    parts = map_ordered(
-        lambda start: subset_logdet(b, idx[start : start + block], shift=eps),
-        range(0, len(idx), block),
-        workers=workers,
-    )
-    return np.concatenate(parts)
+    size = -(-len(idx) // max(1, workers))
+    return [subset_plan(idx[start : start + size]) for start in range(0, len(idx), size)]
 
 
-def subset_det_sum_unchecked(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
-    """The enumerated sum of `subset_det_sum` without its preconditions.
+def _enumerated_logdets(b, k, eps_grid, workers, plans) -> list[np.ndarray]:
+    """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order, per eps."""
+    n = b.shape[1]
+    if plans is None:
+        plans = colex_plans(n, k, workers)
+    elif sum(len(plan.indices) for plan in plans) != math.comb(n, k) or any(
+        plan.indices.shape[1] != k or plan.ncols > n for plan in plans
+    ):
+        raise ValueError(f"the plans do not hold the C({n},{k}) states")
+    return [
+        np.concatenate(
+            map_ordered(lambda plan: subset_logdet(b, plan, shift=eps), plans, workers=workers)
+        )
+        for eps in eps_grid
+    ]
+
+
+def subset_det_sums_unchecked(
+    b: np.ndarray, k: int, eps_grid, workers: int = 1, plans: list[SubsetPlan] | None = None
+) -> list[float]:
+    """The enumerated sums of `subset_det_sum` at each eps of eps_grid,
+    without its preconditions.
 
     Any m x n matrix with 1 <= k <= n is accepted (rows need not be
     orthonormal), which lets a fault-injection run corrupt B on purpose.
-    The sum is exactly rounded (math.fsum), so it does not depend on workers.
+    plans, if given, come from `colex_plans(n, k)`.  Each sum is exactly
+    rounded (math.fsum), so it does not depend on workers.
     """
     b = np.asarray(b, dtype=float)
-    return math.fsum(np.exp(_enumerated_logdets(b, k, eps, workers)).tolist())
+    logdets = _enumerated_logdets(b, k, eps_grid, workers, plans)
+    return [math.fsum(np.exp(vals).tolist()) for vals in logdets]
 
 
 def subset_det_sum(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
@@ -117,7 +136,7 @@ def subset_det_sum(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float
     Requires orthonormal rows (within 1e-8), k <= m, eps >= 0 and
     C(n, k) <= ENUMERATION_CAP subsets.
     """
-    return subset_det_sum_unchecked(_check_instance(b, k, eps), k, eps, workers=workers)
+    return subset_det_sums_unchecked(_check_instance(b, k, eps), k, [eps], workers)[0]
 
 
 def subset_det_sum_closed(n: int, k: int, m: int, eps: float) -> float:
@@ -182,17 +201,19 @@ def minimax_lower_bound(n: int, k: int, m: int, snr_min: float, bandwidth: float
 
 
 def per_instance_sandwich(
-    b: np.ndarray, k: int, eps: float, workers: int = 1
+    b: np.ndarray, k: int, eps: float, workers: int = 1, plans: list[SubsetPlan] | None = None
 ) -> dict[str, float]:
     """Enumerated min of (1/n) log det(eps I + B_s^T B_s) and its certified cap.
 
     Returns {"min_state_value", "deterministic_upper"}; the min can never
     exceed the cap for any orthonormal-rows B, so a violation here is an
-    internal-consistency failure, not statistical noise.
+    internal-consistency failure, not statistical noise.  plans, if given,
+    come from `colex_plans(n, k)`.
     """
     b = _check_instance(b, k, eps)
     m, n = b.shape
+    logdets = _enumerated_logdets(b, k, [eps], workers, plans)[0]
     return {
-        "min_state_value": float(np.min(_enumerated_logdets(b, k, eps, workers))) / n,
+        "min_state_value": float(np.min(logdets)) / n,
         "deterministic_upper": min_state_logdet_bound(n, k, m, eps)["exact"],
     }

@@ -34,6 +34,7 @@ from .numerics import (
     minimax_limit,
     rect_logdet_limit,
     subset_logdet,
+    subset_plan,
     whiten,
 )
 from .parallel import map_ordered
@@ -161,7 +162,8 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         raise ValueError(
             f"C({cfg.n},{cfg.k}) exceeds state_cap={cfg.state_cap}; full enumeration required"
         )
-    idx = enumerate_states(cfg.n, cfg.k, cfg.state_cap).indices
+    # one elimination plan for every trial: it depends on the states alone
+    plan = subset_plan(enumerate_states(cfg.n, cfg.k, cfg.state_cap).indices)
     alpha = cfg.m / cfg.n
     beta = cfg.k / cfg.n
     target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
@@ -170,7 +172,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     def one_trial(t: int) -> tuple[float, float, float]:
         spec = EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
         b = whiten(_draw_full_rank(spec))
-        vals = subset_logdet(b, idx, shift=cfg.eps) / cfg.n
+        vals = subset_logdet(b, plan, shift=cfg.eps) / cfg.n
         return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
 
     stats = map_ordered(one_trial, range(cfg.trials), workers=workers)

@@ -1,10 +1,11 @@
 """Order-preserving parallel map.
 
 Results are collected in submission order no matter how many workers run,
-so every reduction downstream is reproducible bit-for-bit.  The speed-up
-comes from numpy releasing the interpreter lock inside its kernels; the
-achievability suite's trials overlap because `numerics.subset_logdet` is
-built from `take` and elementwise ufuncs only.
+so every reduction downstream is reproducible bit-for-bit.  Threads overlap
+only inside numpy's array loops, which release the interpreter lock; the
+Python steps of each task run one at a time.  On a 2-core x86-64 machine,
+two workers ran the 40-trial Landau suite over all C(22, 6) states 1.2x as
+fast as one.
 """
 
 from __future__ import annotations

@@ -162,7 +162,7 @@ def test_07_water_filling():
     st = ChannelState((2, 5))
     c_opt = nyquist_capacity_waterfill(flat, st)
     flat_dev = abs(c_opt - nyquist_capacity_equal(flat, st))
-    flat_bound = waterfill_gap_bound(flat, st)
+    flat_bound = waterfill_gap_bound(flat)
 
     gen = np.random.default_rng(424242)
     min_gap, max_excess, max_resid = math.inf, -math.inf, 0.0
@@ -172,7 +172,7 @@ def test_07_water_filling():
         c_opt = nyquist_capacity_waterfill(ch, state)
         gap = c_opt - nyquist_capacity_equal(ch, state)
         min_gap = min(min_gap, gap)
-        max_excess = max(max_excess, gap - waterfill_gap_bound(ch, state))
+        max_excess = max(max_excess, gap - waterfill_gap_bound(ch))
         inv = 1.0 / ch.gains_for(state)[state.zero_based(), :] ** 2
         allocated = ch.grid_df * float(np.sum(np.maximum(nu - inv, 0.0)))
         max_resid = max(max_resid, abs(allocated - ch.power) / ch.power)

@@ -244,7 +244,7 @@ class TestWaterfilling:
             state = ChannelState(tuple(range(1, ch.k_active + 1)))
             c_eq = nyquist_capacity_equal(ch, state)
             c_opt = nyquist_capacity_waterfill(ch, state)
-            bound = waterfill_gap_bound(ch, state)
+            bound = waterfill_gap_bound(ch)
             assert c_opt >= c_eq - 1e-9
             assert c_opt - c_eq <= bound + 1e-9
 
@@ -261,7 +261,7 @@ class TestWaterfilling:
 
     def test_gap_bound_flat_is_zero(self):
         ch = flat_channel(gain=1.9)
-        assert waterfill_gap_bound(ch, ChannelState((1, 2))) == pytest.approx(0.0, abs=1e-12)
+        assert waterfill_gap_bound(ch) == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_bound_decays_with_snr(self):
         # same gain shape, growing power: bound ~ 1/SNR_min
@@ -271,7 +271,7 @@ class TestWaterfilling:
             ch = CompoundChannel(
                 bandwidth=4.0, n_subbands=4, k_active=2, power=p, gain_grid=gains
             )
-            bounds.append(waterfill_gap_bound(ch, ChannelState((1, 2))))
+            bounds.append(waterfill_gap_bound(ch))
         assert all(b > n for b, n in zip(bounds, bounds[1:]))
         snr1 = snr_summary(CompoundChannel(
             bandwidth=4.0, n_subbands=4, k_active=2, power=1000.0, gain_grid=gains

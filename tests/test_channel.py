@@ -108,6 +108,16 @@ class TestEnumerateStates:
         with pytest.raises(ValueError):
             colex_indices(3, 4)
 
+    def test_colex_indices_match_sorted_combinations(self):
+        # the prefix recursion against combinations + lexsort, bit for bit
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                ref = np.array(list(combinations(range(n), k)), dtype=np.intp)
+                ref = ref[np.lexsort(ref.T)]
+                got = colex_indices(n, k)
+                assert got.dtype == np.intp and not got.flags.writeable
+                assert np.array_equal(got, ref), (n, k)
+
     def test_count_matches_binomial(self):
         for n, k in [(6, 2), (7, 3), (9, 4)]:
             assert len(enumerate_states(n, k, 10**6)) == math.comb(n, k)

@@ -5,11 +5,13 @@ import pytest
 
 from subnyq.converse import (
     ConverseCheck,
+    colex_plans,
     min_state_logdet_bound,
     minimax_lower_bound,
     per_instance_sandwich,
     subset_det_sum,
     subset_det_sum_closed,
+    subset_det_sums_unchecked,
 )
 from subnyq.numerics import binary_entropy, whiten
 from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
@@ -81,6 +83,29 @@ class TestSubsetDetSum:
         a = subset_det_sum(b, 3, 0.1, workers=1)
         c = subset_det_sum(b, 3, 0.1, workers=4)
         assert a == c  # identical reduction order -> identical floats
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_grid_shares_one_plan_per_worker(self, monkeypatch, workers):
+        import subnyq.converse as converse_mod
+
+        built = []
+        real = converse_mod.subset_plan
+        monkeypatch.setattr(converse_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
+        b = whitened("gaussian", 5, 11, 7)
+        grid = (0.0, 0.01, 0.5, 1.0)
+        sums = subset_det_sums_unchecked(b, 3, grid, workers=workers)
+        assert len(built) == workers and sum(built) == math.comb(11, 3)
+        assert sums == [subset_det_sum(b, 3, eps) for eps in grid]
+
+    def test_plans_must_hold_the_instance_states(self):
+        b = whitened("gaussian", 5, 11, 7)
+        plans = colex_plans(11, 3, workers=2)
+        assert subset_det_sums_unchecked(b, 3, [0.1], plans=plans) == [subset_det_sum(b, 3, 0.1)]
+        for wrong in (colex_plans(11, 2), colex_plans(10, 3), plans[:1]):
+            with pytest.raises(ValueError):
+                subset_det_sums_unchecked(b, 3, [0.1], plans=wrong)
+            with pytest.raises(ValueError):
+                per_instance_sandwich(b, 3, 0.1, plans=wrong)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,15 @@ class TestLandauAchievability:
         b = landau_achievability_trial(self.CFG, workers=4)
         assert a.per_trial == b.per_trial
 
+    def test_one_plan_per_suite(self, monkeypatch):
+        import subnyq.experiments as ex_mod
+
+        built = []
+        real = ex_mod.subset_plan
+        monkeypatch.setattr(ex_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
+        landau_achievability_trial(TrialConfig(n=10, k=3, m=3, trials=4, master_seed=2), workers=2)
+        assert built == [math.comb(10, 3)]
+
     def test_requires_k_equal_m(self):
         with pytest.raises(ValueError):
             landau_achievability_trial(TrialConfig(n=16, k=3, m=4))

@@ -26,6 +26,7 @@ from subnyq.numerics import (
     rect_logdet_limit,
     spectral_decomp,
     subset_logdet,
+    subset_plan,
     whiten,
 )
 from subnyq.samplers import EnsembleSpec, make_flat_sampler
@@ -463,6 +464,157 @@ class TestSubsetLogdet:
         for runs, want in zip(results, serial):
             for got in runs:
                 assert np.array_equal(got, want)
+
+
+@st.composite
+def plan_problems(draw):
+    """n, m, k with k <= m: the unweighted calls that run on a `SubsetPlan`."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(1, m))
+    return n, m, k
+
+
+def arrange(idx, layout, rng):
+    """The colex block idx as given, shuffled (rows and the columns within
+    them), or with repeated rows."""
+    if layout == "shuffled":
+        rows = idx[rng.permutation(len(idx))]
+        return np.take_along_axis(rows, rng.permuted(np.tile(np.arange(idx.shape[1]), (len(idx), 1)), axis=1), axis=1)
+    if layout == "repeats":
+        return idx[np.sort(rng.integers(0, len(idx), len(idx) + 3))]
+    return idx
+
+
+class TestSubsetPlan:
+    @given(
+        dims=plan_problems(),
+        p=st.integers(1, 3),
+        layout=st.sampled_from(["colex", "shuffled", "repeats"]),
+        shift=st.sampled_from([0.0, 0.05, 1.0]),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(6, 4, 1), p=1, layout="colex", shift=0.05, duplicate=False, seed=1)  # k = 1
+    @example(dims=(7, 3, 2), p=2, layout="shuffled", shift=1.0, duplicate=False, seed=2)  # k = 2
+    @example(dims=(8, 5, 5), p=1, layout="repeats", shift=0.05, duplicate=False, seed=3)  # k = m
+    @example(dims=(6, 6, 3), p=3, layout="colex", shift=0.05, duplicate=False, seed=4)  # m = n
+    @example(dims=(7, 4, 3), p=1, layout="colex", shift=0.0, duplicate=True, seed=5)  # singular
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_slogdet(self, dims, p, layout, shift, duplicate, seed):
+        n, m, k = dims
+        duplicate = duplicate and n >= 2
+        rng = np.random.default_rng(seed)
+        panels = rng.standard_normal((p, m, n))
+        if duplicate:
+            panels[:, :, 1] = panels[:, :, 0]
+        idx = arrange(colex_indices(n, k), layout, rng)
+        ones = np.ones((len(idx), k, p))
+        got = subset_logdet(panels if p > 1 else panels[0], idx, shift=shift)
+        want = naive_subset_logdet(panels, idx, ones, shift)
+        for s, g, w in zip(idx, got, want):
+            if shift == 0.0 and duplicate and {0, 1} <= set(s.tolist()):
+                # exactly singular: both sides are rounding noise below the bound
+                bound = singular_logdet_bound(panels, np.sort(s), ones[0])
+                assert g <= bound and w <= bound
+            elif g < SINGULAR_LOGDET or w < SINGULAR_LOGDET:
+                assert g < SINGULAR_LOGDET and w < SINGULAR_LOGDET
+            else:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("n, m, k", [(9, 4, 1), (9, 4, 2), (9, 4, 4), (7, 7, 3), (10, 6, 5)])
+    def test_values_depend_on_the_state_only(self, monkeypatch, n, m, k):
+        rng = np.random.default_rng(n * 100 + k)
+        b = rng.standard_normal((2, m, n))
+        idx = colex_indices(n, k)
+        whole = subset_logdet(b, idx, shift=0.05)
+        alone = [subset_logdet(b, idx[s : s + 1], shift=0.05)[0] for s in range(len(idx))]
+        assert np.array_equal(alone, whole)
+        perm = rng.permutation(len(idx))
+        assert np.array_equal(subset_logdet(b, idx[perm], shift=0.05), whole[perm])
+        assert np.array_equal(subset_logdet(b, idx[:, ::-1], shift=0.05), whole)
+        repeats = np.sort(rng.integers(0, len(idx), 2 * len(idx)))
+        assert np.array_equal(subset_logdet(b, idx[repeats], shift=0.05), whole[repeats])
+        for budget in (1, 64, 700):  # one state per slice, and slices cutting nodes
+            monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
+            assert np.array_equal(subset_logdet(b, idx, shift=0.05), whole)
+
+    def test_one_plan_for_many_matrices_and_shifts(self):
+        rng = np.random.default_rng(18)
+        idx = colex_indices(12, 4)
+        plan = subset_plan(idx)
+        assert plan.indices is idx  # a read-only block is kept, not copied
+        for shift in (0.0, 0.05, 1.0):
+            b = whiten(rng.standard_normal((5, 12)))
+            assert np.array_equal(subset_logdet(b, plan, shift=shift), subset_logdet(b, idx, shift=shift))
+
+    def test_plan_serves_the_weighted_and_column_paths(self):
+        rng = np.random.default_rng(19)
+        panels = rng.standard_normal((2, 4, 8))
+        for k in (3, 6):  # gathered weighted Grams, and k > m
+            idx = colex_indices(8, k)
+            plan = subset_plan(idx)
+            weights = rng.uniform(0.5, 2.0, (len(idx), k, 2))
+            assert np.array_equal(subset_logdet(panels, plan, weights), subset_logdet(panels, idx, weights))
+            assert np.array_equal(subset_logdet(panels[0], plan), subset_logdet(panels[0], idx))
+
+    def test_plan_shared_by_two_threads_gives_serial_bits(self):
+        rng = np.random.default_rng(20)
+        panels = [whiten(rng.standard_normal((6, 16))) for _ in range(2)]
+        plan = subset_plan(colex_indices(16, 6))
+        serial = [subset_logdet(b, plan, shift=0.05) for b in panels]
+        barrier = threading.Barrier(2)
+
+        def work(b):
+            barrier.wait(timeout=30)
+            return [subset_logdet(b, plan, shift=0.05) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(work, b) for b in panels]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for runs, want in zip(results, serial):
+            for got in runs:
+                assert np.array_equal(got, want)
+
+    def test_sparse_block_stores_no_more_than_its_states_alone(self):
+        # a colex-sorted sample shares top columns but few lower ones; the
+        # slices that would store more than their states one by one are halved
+        rng = np.random.default_rng(21)
+        n, m, k = 120, 6, 5
+        idx = np.unique(np.sort(rng.random((3000, n)).argsort(axis=1)[:, :k], axis=1), axis=0)
+        idx = idx[np.lexsort(idx.T)]
+        plan = subset_plan(idx)
+        stored = sum(len(lev.ab) for lev in plan.levels)
+        assert stored <= len(idx) * (k - 1) * k * (k + 1) // 6
+        b = rng.standard_normal((m, n))
+        pick = rng.integers(0, len(idx), 40)
+        got = subset_logdet(b, plan, shift=0.05)[pick]
+        want = naive_subset_logdet(b[None], idx[pick], np.ones((len(pick), k, 1)), 0.05)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_index_checks(self):
+        with pytest.raises(ValueError):
+            subset_plan([[0, 2, 2]])  # a repeated column
+        with pytest.raises(ValueError):
+            subset_plan([[-1, 2]])
+        with pytest.raises(ValueError):
+            subset_plan(np.zeros((3, 0), dtype=int))
+        with pytest.raises(ValueError):
+            subset_plan([[0.0, 1.0]])
+        with pytest.raises(ValueError):
+            subset_logdet(np.eye(3), subset_plan([[0, 3]]))  # beyond n
+        with pytest.raises(ValueError):
+            subset_logdet(np.eye(3), [[1, 1]])
+
+    def test_empty_block(self):
+        for k in (1, 3):
+            got = subset_logdet(np.eye(3), np.empty((0, k), dtype=np.intp), shift=0.05)
+            assert got.shape == (0,)
 
 
 class TestRankFloor:

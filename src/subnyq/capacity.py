@@ -109,21 +109,23 @@ def loss_csv_lines(
     """The lines of `loss_csv_rows` from columns, one entry per state.
 
     labels holds each state's 1-based active-subband indices and the other
-    columns its values, so a caller holding an index block and the batched
-    capacities need not build a LossReport per state.
+    columns (sequences or arrays) its values, so a caller holding an index
+    block and the batched capacities need not build a LossReport per state.
+    Each row is one `%`-format of a template built per label width:
+    ``"%d|...|%d"`` for the label, then ``";%.12g"`` per value, which gives
+    the bytes of ``"|".join(map(str, label))`` and ``format(float(x), ".12g")``.
     """
-    header = LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")
-    lines = [header]
-    ln2 = np.log(2.0)
-    extra = ([v / ln2 for v in loss_eq],) if bits else ()
-    for label, *values in zip(labels, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu, *extra):
-        cells = ["|".join(str(i) for i in label)] + [_fmt(v) for v in values]
-        lines.append(";".join(cells))
-    return lines
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    labels = list(labels)  # iterated twice
+    columns = (c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu)
+    values = [np.asarray(col, dtype=float) for col in columns]
+    if bits:
+        values.append(values[3] / np.log(2.0))
+    cells = ";%.12g" * len(values)
+    templates = {w: "|".join(["%d"] * w) + cells for w in set(map(len, labels))}
+    rows = zip(*(col.tolist() for col in values))
+    return [LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")] + [
+        templates[len(label)] % (*label, *row) for label, row in zip(labels, rows)
+    ]
 
 
 def _check_state(channel: CompoundChannel, state: ChannelState) -> np.ndarray:

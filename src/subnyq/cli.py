@@ -58,7 +58,6 @@ DEFAULTS: dict = {
     "ensemble": "gaussian",
     "workers": 1,
     "power": 10.0,
-    "tau": 0.02,
     "bits": False,
     "perturb": 0.0,
     "betas": None,
@@ -100,7 +99,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--workers", type=int)
     p.add_argument("--power", type=float, help="transmit power for the discrete channel")
-    p.add_argument("--tau", type=float, help="concentration parameter")
     p.add_argument("--channel", type=str, help="channel JSON path (capacity command)")
     p.add_argument("--betas", type=str, help="comma-separated sparsity grid (sweep)")
     p.add_argument("--alphas", type=str, help="comma-separated undersampling grid (sweep)")
@@ -172,11 +170,9 @@ def _write_text(path: str | None, text: str) -> None:
 def _result_payload(result: experiments.ExperimentResult, fmt: str | None) -> str:
     if fmt == "csv":
         keys = sorted(result.per_trial)
-        lines = ["trial;" + ";".join(keys)]
-        for t in range(result.trials):
-            cells = [str(t)] + [format(result.per_trial[key][t], ".12g") for key in keys]
-            lines.append(";".join(cells))
-        return "\n".join(lines) + "\n"
+        template = "%d" + ";%.12g" * len(keys)
+        rows = zip(range(result.trials), *(result.per_trial[key] for key in keys))
+        return "\n".join(["trial;" + ";".join(keys)] + [template % row for row in rows]) + "\n"
     return result.to_json() + "\n"
 
 
@@ -337,7 +333,6 @@ def cmd_achievability(params: dict) -> int:
         trials=int(params["trials"]),
         master_seed=int(params["seed"]),
         state_cap=int(params["state_cap"]),
-        tau=float(params["tau"]),
     )
     workers = int(params["workers"])
     if cfg.k == cfg.m:
@@ -370,25 +365,25 @@ def cmd_concentration(params: dict) -> int:
 # --------------------------------------------------------------- capacity
 
 
-def _loss_columns(capacities) -> dict[str, list]:
+def _loss_columns(capacities) -> dict[str, np.ndarray]:
     """The output columns of the batched (c_sampled, c_eq, c_opt, nu) arrays.
 
     The losses are the Nyquist-rate capacities less c_sampled.
     """
     c_sampled, c_eq, c_opt, nu = capacities
     return {
-        "c_sampled": c_sampled.tolist(),
-        "c_eq": c_eq.tolist(),
-        "c_opt": c_opt.tolist(),
-        "loss_eq": (c_eq - c_sampled).tolist(),
-        "loss_opt": (c_opt - c_sampled).tolist(),
-        "nu": nu.tolist(),
+        "c_sampled": c_sampled,
+        "c_eq": c_eq,
+        "c_opt": c_opt,
+        "loss_eq": c_eq - c_sampled,
+        "loss_opt": c_opt - c_sampled,
+        "nu": nu,
     }
 
 
-def _print_loss_summary(command: str, loss_eq, unit: str, sampled: bool) -> None:
+def _print_loss_summary(command: str, loss_eq: np.ndarray, unit: str, sampled: bool) -> None:
     print(
-        f"{command}: {len(loss_eq)} states, max loss_eq {max(loss_eq):.6f} {unit}"
+        f"{command}: {len(loss_eq)} states, max loss_eq {loss_eq.max():.6f} {unit}"
         + (", sampled state set" if sampled else "")
     )
 
@@ -411,27 +406,20 @@ def cmd_capacity(params: dict) -> int:
     labels = (states.indices + 1).tolist()
     cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
     gap_bound = cap.waterfill_gap_bound(channel)
-    bad = any(
-        loss < -1e-9 or (c_opt - c_eq) > gap_bound + 1e-9
-        for loss, c_eq, c_opt in zip(cols["loss_eq"], cols["c_eq"], cols["c_opt"])
+    bad = bool(
+        np.any(cols["loss_eq"] < -1e-9) or np.any(cols["c_opt"] - cols["c_eq"] > gap_bound + 1e-9)
     )
     if params["format"] == "json":
-        payload = json.dumps(
-            {
-                "channel": channel.to_dict(),
-                "sampler": spec.to_dict(),
-                "reports": [
-                    {"state": label, "c_sampled": c_sampled, "c_eq": c_eq, "c_opt": c_opt,
-                     "loss_eq": loss_eq, "loss_opt": loss_opt, "nu": nu}
-                    for label, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu in zip(
-                        labels, cols["c_sampled"], cols["c_eq"], cols["c_opt"],
-                        cols["loss_eq"], cols["loss_opt"], cols["nu"],
-                    )
-                ],
-            },
+        # The encoder writes the document around a null placeholder.  Only a
+        # top-level key follows a newline and exactly two spaces, and strings
+        # hold no raw newline, so the partition finds that key and no other.
+        key = '\n  "reports": '
+        head, _, tail = json.dumps(
+            {"channel": channel.to_dict(), "reports": None, "sampler": spec.to_dict()},
             sort_keys=True,
             indent=2,
-        ) + "\n"
+        ).partition(key + "null")
+        payload = head + key + _json_records(labels, cols, 1) + tail + "\n"
     else:
         payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
@@ -439,25 +427,56 @@ def cmd_capacity(params: dict) -> int:
     return 0 if not bad else 2
 
 
-def _json_number(x: float) -> str:
-    """A float as `json.dumps` writes it."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+class _JsonConstant(str):
+    """A bare JSON token (NaN, Infinity, -Infinity) whose `%r` is itself."""
+
+    __repr__ = str.__str__
+
+
+def _json_floats(values) -> list:
+    """values as Python floats, each of whose `%r` is what `json.dumps` writes.
+
+    Finite floats stay floats (`%r` is `float.__repr__`, the encoder's own
+    formatting; never a numpy scalar, whose repr differs); the non-finite
+    ones become the encoder's NaN, Infinity and -Infinity tokens.
+    """
+    values = np.asarray(values, dtype=float)
+    out = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        x = out[i]
+        out[i] = _JsonConstant("NaN" if x != x else ("Infinity" if x > 0 else "-Infinity"))
+    return out
+
+
+def _json_records(labels, columns: dict, level: int) -> str:
+    """The bytes of ``json.dumps(records, sort_keys=True, indent=2)`` for the
+    list of records ``{"state": label, key: columns[key][i], ...}``, nested
+    ``level`` levels deep in an enclosing document.
+
+    Each record is one `%`-format of a template built per label width, fed
+    from the columns, instead of the encoder, which falls back to pure Python
+    under `indent`.  Every key of columns sorts before "state".
+    """
+    keys = sorted(columns)
+    if not keys or keys[-1] >= "state":
+        raise ValueError(f"record keys must sort before 'state', got {keys}")
+    pad = "  " * level
+    fields = "".join(f'{pad}    "{key}": %r,\n' for key in keys)
+    templates = {
+        w: f'{pad}  {{\n{fields}{pad}    "state": [\n{pad}      '
+        + f",\n{pad}      ".join(["%d"] * w)
+        + f"\n{pad}    ]\n{pad}  }}"
+        for w in set(map(len, labels))
+    }
+    rows = zip(*(_json_floats(columns[key]) for key in keys))
+    records = [templates[len(label)] % (*row, *label) for label, row in zip(labels, rows)]
+    return "[\n" + ",\n".join(records) + f"\n{pad}]"
 
 
 def _discrete_json(labels, loss_eq, loss_opt) -> str:
     """The bytes of ``json.dumps([{"state", "loss_eq", "loss_opt"}, ...],
-    sort_keys=True, indent=2) + "\\n"`` for one or more records, written
-    record by record: about 3x faster than the encoder, which falls back to
-    pure Python under `indent`."""
-    sep = ",\n      "
-    records = [
-        f'  {{\n    "loss_eq": {_json_number(eq)},\n    "loss_opt": {_json_number(opt)},\n'
-        f'    "state": [\n      {sep.join(map(str, state))}\n    ]\n  }}'
-        for state, eq, opt in zip(labels, loss_eq, loss_opt)
-    ]
-    return "[\n" + ",\n".join(records) + "\n]\n"
+    sort_keys=True, indent=2) + "\\n"`` for one or more records."""
+    return _json_records(labels, {"loss_eq": loss_eq, "loss_opt": loss_opt}, 0) + "\n"
 
 
 def cmd_discrete(params: dict) -> int:
@@ -481,8 +500,7 @@ def cmd_discrete(params: dict) -> int:
         payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
     _print_loss_summary("discrete", cols["loss_eq"], "nats per use", states.sampled)
-    bad = any(loss < -1e-9 for loss in cols["loss_eq"])
-    return 0 if not bad else 2
+    return 0 if not np.any(cols["loss_eq"] < -1e-9) else 2
 
 
 _DISPATCH = {

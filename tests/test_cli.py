@@ -5,8 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from subnyq import cli
-from subnyq.capacity import LossReport, batched_losses, discrete_losses, loss_csv_rows
+from subnyq import cli, experiments
+from subnyq.capacity import (
+    LossReport, batched_losses, discrete_losses, loss_csv_lines, loss_csv_rows
+)
 from subnyq.channel import enumerate_states, load_channel
 from subnyq.cli import main
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
@@ -54,6 +56,16 @@ class TestArgumentErrors:
         capsys.readouterr()
         assert code == 1
         assert not out.exists()
+
+    def test_tau_flag_removed(self, capsys):
+        assert run(["--command", "achievability", "--tau", "0.1"]) == 1
+        capsys.readouterr()
+
+    def test_tau_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 0.02}))
+        assert run(["--command", "achievability", "--config", str(cfg)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_missing_sweep_grid(self, capsys):
         assert run(["--command", "sweep", "--alphas", "0.5"]) == 1
@@ -309,6 +321,172 @@ class TestDiscreteJson:
         labels = (states.indices + 1).tolist()
         want = self.encoded(labels, (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist())
         assert out.read_text() == want
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 1 / 3]
+LOSS_KEYS = ("c_sampled", "c_eq", "c_opt", "loss_eq", "loss_opt", "nu")
+
+
+def loss_table(seed: int, count: int):
+    """Labels of mixed widths and six value columns, the special floats first."""
+    gen = np.random.default_rng(seed)
+    labels = [sorted(int(i) + 1 for i in gen.choice(40, w, replace=False))
+              for w in gen.integers(1, 7, count)]
+    columns = {}
+    for j, key in enumerate(LOSS_KEYS):
+        values = (gen.standard_normal(count) * 10.0 ** gen.integers(-20, 20, count)).tolist()
+        values[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[j:] + SPECIAL_FLOATS[:j]
+        columns[key] = values
+    return labels, columns
+
+
+def by_line(text: str) -> list[str]:
+    """text split after each newline: equal lists mean equal bytes, and a
+    failing comparison reports the first differing line quickly."""
+    return text.splitlines(keepends=True)
+
+
+def as_numpy(columns, kind: str):
+    """The columns as Python floats, float64 arrays, or lists of numpy scalars."""
+    if kind == "array":
+        return {key: np.asarray(col) for key, col in columns.items()}
+    if kind == "scalars":
+        return {key: list(np.asarray(col)) for key, col in columns.items()}
+    return columns
+
+
+class TestLossCsvTemplate:
+    """loss_csv_lines against a cell-by-cell reference, not through loss_csv_rows."""
+
+    @staticmethod
+    def reference(labels, columns, bits):
+        lines = ["state;c_sampled;c_eq;c_opt;loss_eq;loss_opt;nu" + (";loss_eq_bits" if bits else "")]
+        for i, label in enumerate(labels):
+            values = [float(columns[key][i]) for key in LOSS_KEYS]
+            if bits:
+                values.append(values[3] / math.log(2.0))
+            lines.append(";".join(["|".join(str(j) for j in label)]
+                                  + [format(v, ".12g") for v in values]))
+        return lines
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # max double in bits
+    @pytest.mark.parametrize("kind", ["list", "array", "scalars"])
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_bytes_equal_per_cell_format(self, bits, kind):
+        labels, columns = loss_table(7, 400)
+        got = loss_csv_lines(labels, **as_numpy(columns, kind), bits=bits)
+        assert got == self.reference(labels, columns, bits)
+        assert not any("np." in line or "float64" in line for line in got)
+
+    def test_index_block_labels(self):
+        idx = enumerate_states(9, 3, 10**6).indices + 1
+        _, columns = loss_table(8, len(idx))
+        want = self.reference(idx.tolist(), columns, False)
+        assert loss_csv_lines(list(idx), **columns) == want  # rows of numpy ints
+
+
+class TestJsonRecords:
+    """The per-record JSON template against `json.dumps`, numpy inputs included."""
+
+    @pytest.mark.parametrize("kind", ["list", "array", "scalars"])
+    def test_discrete_json_numpy_inputs(self, kind):
+        labels, columns = loss_table(9, 300)
+        cols = as_numpy(columns, kind)
+        records = [{"state": label, "loss_eq": eq, "loss_opt": opt}
+                   for label, eq, opt in zip(labels, columns["loss_eq"], columns["loss_opt"])]
+        want = json.dumps(records, sort_keys=True, indent=2) + "\n"
+        assert by_line(cli._discrete_json(labels, cols["loss_eq"], cols["loss_opt"])) == by_line(want)
+
+    @pytest.mark.parametrize("kind", ["list", "array"])
+    def test_nested_records(self, kind):
+        labels, columns = loss_table(10, 300)
+        records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
+                   for i, label in enumerate(labels)]
+        want = json.dumps({"reports": records}, sort_keys=True, indent=2)
+        got = cli._json_records(labels, as_numpy(columns, kind), 1)
+        assert by_line('{\n  "reports": ' + got + "\n}") == by_line(want)
+
+    def test_keys_must_sort_before_state(self):
+        with pytest.raises(ValueError):
+            cli._json_records([[1]], {"zeta": [1.0]}, 0)
+
+    @pytest.mark.parametrize("channel", [None, "census"])
+    def test_capacity_json_bytes_equal_json_dumps(self, tmp_path, capsys, channel):
+        argv = ["--command", "capacity", "--m", "4", "--seed", "11", "--format", "json"]
+        if channel:
+            doc = {"W": 8.0, "n": 10, "k": 4, "P": 30.0, "q": 3,
+                   "gains": np.random.default_rng(4).lognormal(0.0, 0.5, (10, 3)).tolist()}
+            path = tmp_path / "channel.json"
+            path.write_text(json.dumps(doc))
+            argv += ["--channel", str(path)]
+        else:
+            path = resources.files("subnyq").joinpath("data/example_channel.json")
+        out = tmp_path / "cap.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        channel = load_channel(path)
+        spec = EnsembleSpec("gaussian", 4, channel.n_subbands, 11)
+        states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
+        c_sampled, c_eq, c_opt, nu = batched_losses(
+            channel, make_flat_sampler(draw_matrix(spec)), states.indices
+        )
+        values = zip(c_sampled.tolist(), c_eq.tolist(), c_opt.tolist(),
+                     (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist(), nu.tolist())
+        reports = [dict(zip(("state",) + LOSS_KEYS, (label, *row)))
+                   for label, row in zip((states.indices + 1).tolist(), values)]
+        want = json.dumps({"channel": channel.to_dict(), "sampler": spec.to_dict(),
+                           "reports": reports}, sort_keys=True, indent=2) + "\n"
+        assert by_line(out.read_text()) == by_line(want)
+
+
+class TestTrialCsv:
+    def test_bytes_equal_per_cell_format(self):
+        gen = np.random.default_rng(2)
+        stat = tuple(SPECIAL_FLOATS + gen.standard_normal(12).tolist())
+        counts = tuple(range(len(stat)))
+        result = experiments.ExperimentResult(
+            name="t", trials=len(stat), reference=0.0, bound=None, bound_violations=0,
+            violation_budget=0, summary={}, per_trial={"stat": stat, "count": counts},
+        )
+        want = ["trial;count;stat"] + [
+            f"{t};{format(counts[t], '.12g')};{format(stat[t], '.12g')}" for t in range(len(stat))
+        ]
+        assert by_line(cli._result_payload(result, "csv")) == by_line("\n".join(want) + "\n")
+
+
+class TestLossExitCodes:
+    """Exit 2 when a loss is negative or the power-control gain beats its bound."""
+
+    @staticmethod
+    def patched(monkeypatch, name, negative_loss, gap):
+        """Make the last state's loss_eq -1e-6 and/or add gap to its c_opt."""
+        original = getattr(cli.cap, name)
+
+        def losses(*args, **kwargs):
+            c_sampled, c_eq, c_opt, nu = (col.copy() for col in original(*args, **kwargs))
+            if negative_loss:
+                c_sampled[-1] = c_eq[-1] + 1e-6
+            c_opt[-1] += gap
+            return c_sampled, c_eq, c_opt, nu
+
+        monkeypatch.setattr(cli.cap, name, losses)
+
+    @pytest.mark.parametrize("negative_loss, gap, code", [
+        (False, 0.0, 0), (True, 0.0, 2), (False, 1e6, 2),
+    ])
+    def test_capacity(self, tmp_path, capsys, monkeypatch, negative_loss, gap, code):
+        self.patched(monkeypatch, "batched_losses", negative_loss, gap)
+        argv = ["--command", "capacity", "--m", "4", "--seed", "11", "--out", str(tmp_path / "c")]
+        assert run(argv) == code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("negative_loss, code", [(False, 0), (True, 2)])
+    def test_discrete(self, tmp_path, capsys, monkeypatch, negative_loss, code):
+        self.patched(monkeypatch, "discrete_losses", negative_loss, 0.0)
+        argv = ["--command", "discrete", "--n", "9", "--k", "3", "--m", "4",
+                "--seed", "3", "--out", str(tmp_path / "d")]
+        assert run(argv) == code
+        capsys.readouterr()
 
 
 class TestConfigPrecedence:

@@ -90,7 +90,8 @@ def colex_plans(n: int, k: int, workers: int = 1) -> list[SubsetPlan]:
 
     One run of states per worker.  Build them once per instance and pass
     them to `subset_det_sums_unchecked` and `per_instance_sandwich`, which
-    build their own otherwise; no value depends on the split.
+    build their own otherwise; each of them maps over the plans once, for
+    its whole eps grid.  No value depends on the split.
     """
     idx = colex_indices(n, k)
     size = -(-len(idx) // max(1, workers))
@@ -106,12 +107,10 @@ def _enumerated_logdets(b, k, eps_grid, workers, plans) -> list[np.ndarray]:
         plan.indices.shape[1] != k or plan.ncols > n for plan in plans
     ):
         raise ValueError(f"the plans do not hold the C({n},{k}) states")
-    return [
-        np.concatenate(
-            map_ordered(lambda plan: subset_logdet(b, plan, shift=eps), plans, workers=workers)
-        )
-        for eps in eps_grid
-    ]
+    per_plan = map_ordered(
+        lambda plan: [subset_logdet(b, plan, shift=eps) for eps in eps_grid], plans, workers=workers
+    )
+    return [np.concatenate(vals) for vals in zip(*per_plan)]
 
 
 def subset_det_sums_unchecked(

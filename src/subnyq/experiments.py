@@ -12,6 +12,19 @@ Two kinds of checks coexist here and must not be confused:
 Statistics are bit-reproducible given the master seed: trial t reads its
 own Philox stream keyed by master_seed XOR t, and every reduction runs in
 a fixed order regardless of worker count.
+
+Workers are forked processes (`parallel.map_ordered`), used by the
+achievability suites, whose trials run the subset kernel's many short
+numpy calls.  Each worker takes a run of states, not of trials: the
+caller draws and whitens every trial's matrix, and each worker builds the
+elimination plan of its own run of whole STATE_CHUNK-state chunks and
+evaluates every trial on it, so both the plan and the kernel are spread.
+The suites whose trial is one LAPACK call on a dense matrix (concentration,
+rect log-det, small-eigenvalue count, Wishart minor) run their trials in
+the calling process and take `workers` only for the common signature:
+OpenBLAS already threads those calls, and forked workers on top of its
+thread pools oversubscribe the cores.  On 2 cores, 200 concentration
+trials at k = 100 took 0.11 s in one process and 0.65-0.81 s on two.
 """
 
 from __future__ import annotations
@@ -61,6 +74,11 @@ __all__ = [
     "wishart_minor_limit",
     "wishart_minor_trial",
 ]
+
+# States per chunk of an achievability suite.  Each chunk is summed with
+# np.sum and the chunk sums with math.fsum; the size is fixed, so that the
+# means (and with them every output bit) never depend on the worker count.
+STATE_CHUNK = 1 << 12
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -162,23 +180,39 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         raise ValueError(
             f"C({cfg.n},{cfg.k}) exceeds state_cap={cfg.state_cap}; full enumeration required"
         )
-    # one elimination plan for every trial: it depends on the states alone
-    plan = subset_plan(enumerate_states(cfg.n, cfg.k, cfg.state_cap).indices)
+    idx = enumerate_states(cfg.n, cfg.k, cfg.state_cap).indices
     alpha = cfg.m / cfg.n
     beta = cfg.k / cfg.n
     target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
     bound = min_state_logdet_bound(cfg.n, cfg.k, cfg.m, cfg.eps)["exact"]
+    mats = [
+        whiten(_draw_full_rank(
+            EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
+        ))
+        for t in range(cfg.trials)
+    ]
+    # whole chunks per worker, so that the chunk sums never depend on workers
+    chunks = range(0, len(idx), STATE_CHUNK)
+    runs = max(1, min(workers, len(chunks)))
+    cuts = [chunks[len(chunks) * r // runs] for r in range(runs)] + [len(idx)]
 
-    def one_trial(t: int) -> tuple[float, float, float]:
-        spec = EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
-        b = whiten(_draw_full_rank(spec))
-        vals = subset_logdet(b, plan, shift=cfg.eps) / cfg.n
-        return float(np.min(vals)), float(np.max(vals)), float(np.mean(vals))
+    def one_run(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per trial: min, max and chunk sums over the states of run r."""
+        lo, hi = cuts[r], cuts[r + 1]
+        plan = subset_plan(idx[lo:hi])  # one elimination plan for every trial
+        mins, maxs, sums = [], [], []
+        for b in mats:
+            vals = subset_logdet(b, plan, shift=cfg.eps) / cfg.n
+            mins.append(np.min(vals))
+            maxs.append(np.max(vals))
+            sums.append([np.sum(vals[a : a + STATE_CHUNK]) for a in range(0, hi - lo, STATE_CHUNK)])
+        return np.array(mins), np.array(maxs), np.array(sums)
 
-    stats = map_ordered(one_trial, range(cfg.trials), workers=workers)
-    mins = tuple(s[0] for s in stats)
-    maxs = tuple(s[1] for s in stats)
-    means = tuple(s[2] for s in stats)
+    stats = map_ordered(one_run, range(runs), workers=workers)
+    mins = tuple(np.min([s[0] for s in stats], axis=0).tolist())
+    maxs = tuple(np.max([s[1] for s in stats], axis=0).tolist())
+    sums = np.concatenate([s[2] for s in stats], axis=1)
+    means = tuple(math.fsum(row) / len(idx) for row in sums.tolist())
     violations = sum(1 for v in mins if v > bound)
     max_violations = sum(1 for v in maxs if v > bound)
     return ExperimentResult(
@@ -205,7 +239,11 @@ def landau_achievability_trial(cfg: TrialConfig, workers: int = 1) -> Experiment
 
     The min over states is compared against the target -H(beta) and the
     deterministic cap (1/n)[log C(m,k) - log C(n,k)] + 2 sqrt(eps), which
-    no draw may ever exceed (budget 0).
+    no draw may ever exceed (budget 0).  Per trial, min and max run over
+    all S = C(n, k) states.  The mean is math.fsum of the np.sum of each
+    consecutive chunk of STATE_CHUNK states in colex order, divided by S:
+    it is the same for every worker count and within a few ulps of the
+    exactly rounded mean.
     """
     if cfg.k != cfg.m:
         raise ValueError(f"Landau-rate trials need k = m, got k={cfg.k}, m={cfg.m}")
@@ -253,7 +291,7 @@ def logdet_concentration_trial(cfg: TrialConfig, workers: int = 1) -> Experiment
             raise NumericalError(f"log-determinant sign {sign} in concentration trial {t}")
         return float(val) / k
 
-    vals = np.asarray(map_ordered(one_trial, range(cfg.trials), workers=workers))
+    vals = np.asarray([one_trial(t) for t in range(cfg.trials)])
     mean = float(np.mean(vals))
     std = float(np.std(vals))
     slack = 3.0 * std / math.sqrt(cfg.trials)
@@ -316,7 +354,7 @@ def rect_logdet_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
         sign, val = np.linalg.slogdet((a @ a.T) / cfg.n)
         return float(val) / cfg.n if sign > 0 else -np.inf
 
-    vals = np.asarray(map_ordered(one_trial, range(cfg.trials), workers=workers))
+    vals = np.asarray([one_trial(t) for t in range(cfg.trials)])
     devs = np.abs(vals - limit)
     outside = int(np.sum(devs > radius))
     return ExperimentResult(
@@ -361,7 +399,7 @@ def small_eigenvalue_count_trial(cfg: TrialConfig, workers: int = 1) -> Experime
         lam = np.linalg.eigvalsh((a @ a.T) / cfg.n)
         return float(np.sum(lam < cfg.eps)) / cfg.n
 
-    fracs = np.asarray(map_ordered(one_trial, range(cfg.trials), workers=workers))
+    fracs = np.asarray([one_trial(t) for t in range(cfg.trials)])
     violations = int(np.sum(fracs >= bound))
     return ExperimentResult(
         name="small_eigenvalue_count",
@@ -425,7 +463,7 @@ def wishart_minor_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
             return float(val) / cfg.n
         raise NumericalError("singular Wishart draw twice in a row")
 
-    vals = np.asarray(map_ordered(one_trial, range(cfg.trials), workers=workers))
+    vals = np.asarray([one_trial(t) for t in range(cfg.trials)])
     devs = vals - limit
     return ExperimentResult(
         name="wishart_minor",

@@ -11,9 +11,10 @@ Unweighted, it eliminates along a `SubsetPlan`, the trie of the states'
 shared top columns, built once from the index block, so that states
 sharing columns share their elimination; weighted, it gathers each state's
 Gram from the panel's n x n Gram and factors all of them in one vectorized
-elimination.  Both run numpy gathers and elementwise loops over arrays of
-many states, which release the interpreter lock; the Python steps between
-them do not, so threads calling the kernel overlap only in part.
+elimination.  Both run many short numpy gathers and elementwise loops
+whose Python steps hold the interpreter lock, so the callers spread the
+kernel over forked worker processes (`parallel.map_ordered`), each with a
+run of states or of trials, never over threads.
 """
 
 from __future__ import annotations

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,3 +28,28 @@ def random_channel(gen: np.random.Generator, flat: bool = False) -> CompoundChan
 @pytest.fixture
 def gen():
     return np.random.default_rng(20230517)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def cli_process():
+    """Run `subnyq.cli.main(args)` in a fresh interpreter, after `setup` code.
+
+    Commands that fork workers run this way, under a timeout, so that a
+    hung worker fails the test instead of stalling the suite.
+    """
+
+    def run(args, setup: str = "", timeout: float = 120) -> subprocess.CompletedProcess:
+        code = f"import sys\nfrom subnyq import cli\n{setup}\nsys.exit(cli.main(sys.argv[1:]))\n"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+
+    return run

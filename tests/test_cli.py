@@ -165,6 +165,42 @@ class TestAchievability:
         assert len(lines) == 6
 
 
+class TestWorkersByteIdentity:
+    """Outputs of the commands that take --workers, for 1 to 3 workers.
+
+    The CLI runs in a subprocess (`cli_process`), and achievability with
+    64-state chunks, so that every worker count splits the states.
+    """
+
+    CHUNK = "from subnyq import experiments\nexperiments.STATE_CHUNK = 64\n"
+
+    def outputs(self, cli_process, tmp_path, args, workers, setup=""):
+        files = []
+        for w in workers:
+            out = tmp_path / f"w{w}.out"
+            result = cli_process(args + ["--workers", w, "--out", out], setup=setup)
+            assert result.returncode == 0, result.stderr
+            files.append(out.read_bytes())
+        return files
+
+    @pytest.mark.parametrize("nkm", [(14, 4, 4), (14, 3, 6)], ids=["k=m", "k<m"])
+    def test_achievability(self, cli_process, tmp_path, nkm):
+        n, k, m = nkm
+        args = ["--command", "achievability", "--n", n, "--k", k, "--m", m,
+                "--trials", "6", "--seed", "4", "--format", "json"]
+        one, two, three = self.outputs(cli_process, tmp_path, args, (1, 2, 3), self.CHUNK)
+        assert one == two == three
+        assert json.loads(one)["trials"] == 6
+
+    @pytest.mark.parametrize("args", [
+        ["--command", "verify", "--seed", "7"],
+        ["--command", "concentration", "--k", "20", "--trials", "30", "--seed", "2"],
+    ], ids=["verify", "concentration"])
+    def test_verify_and_concentration(self, cli_process, tmp_path, args):
+        one, two = self.outputs(cli_process, tmp_path, args, (1, 2))
+        assert one == two
+
+
 class TestConcentration:
     def test_bracket_pass(self, tmp_path, capsys):
         out = tmp_path / "conc.json"

@@ -88,13 +88,18 @@ class TestSubsetDetSum:
     def test_grid_shares_one_plan_per_worker(self, monkeypatch, workers):
         import subnyq.converse as converse_mod
 
-        built = []
+        built, maps = [], []
         real = converse_mod.subset_plan
         monkeypatch.setattr(converse_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
+        real_map = converse_mod.map_ordered
+        monkeypatch.setattr(
+            converse_mod, "map_ordered", lambda *args, **kw: maps.append(1) or real_map(*args, **kw)
+        )
         b = whitened("gaussian", 5, 11, 7)
         grid = (0.0, 0.01, 0.5, 1.0)
         sums = subset_det_sums_unchecked(b, 3, grid, workers=workers)
         assert len(built) == workers and sum(built) == math.comb(11, 3)
+        assert len(maps) == 1  # one fork round for the whole grid
         assert sums == [subset_det_sum(b, 3, eps) for eps in grid]
 
     def test_plans_must_hold_the_instance_states(self):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from subnyq.channel import CompoundChannel
+from subnyq import experiments
+from subnyq.channel import CompoundChannel, enumerate_states
 from subnyq.experiments import (
     TrialConfig,
     inverse_wishart_trace_trial,
@@ -17,7 +18,8 @@ from subnyq.experiments import (
     wishart_minor_limit,
     wishart_minor_trial,
 )
-from subnyq.numerics import binary_entropy
+from subnyq.numerics import binary_entropy, subset_logdet, subset_plan, whiten
+from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
 
 
 def flat_unit_channel(n, k, snr):
@@ -84,6 +86,34 @@ class TestLandauAchievability:
                 TrialConfig(n=16, k=4, m=4, state_cap=100, trials=1)
             )
 
+
+
+class TestAchievabilityStatistics:
+    """Per-trial min, max and mean against one whole-block plan."""
+
+    @pytest.mark.parametrize("n, k, m, chunk, workers", [
+        (14, 4, 4, 64, 3),
+        (14, 3, 6, 64, 2),
+        (18, 5, 5, None, 2),  # the default chunk: 8,568 states in 3 chunks
+    ])
+    def test_against_whole_block(self, monkeypatch, n, k, m, chunk, workers):
+        if chunk is not None:
+            monkeypatch.setattr(experiments, "STATE_CHUNK", chunk)
+        chunk = experiments.STATE_CHUNK
+        cfg = TrialConfig(n=n, k=k, m=m, trials=4, master_seed=9)
+        trial = landau_achievability_trial if k == m else superlandau_achievability_trial
+        res = trial(cfg, workers=workers)
+        plan = subset_plan(enumerate_states(n, k, cfg.state_cap).indices)
+        count = math.comb(n, k)
+        for t in range(cfg.trials):
+            spec = EnsembleSpec(cfg.ensemble, m, n, derive_trial_seed(cfg.master_seed, t))
+            vals = subset_logdet(whiten(draw_matrix(spec)), plan, shift=cfg.eps) / n
+            assert res.per_trial["min"][t] == float(np.min(vals))
+            assert res.per_trial["max"][t] == float(np.max(vals))
+            sums = [float(np.sum(vals[a : a + chunk])) for a in range(0, count, chunk)]
+            assert res.per_trial["mean"][t] == math.fsum(sums) / count
+            exact = math.fsum(vals.tolist()) / count
+            assert abs(res.per_trial["mean"][t] - exact) <= 1e-15 * abs(exact)
 
 class TestSuperLandauAchievability:
     CFG = TrialConfig(n=16, k=4, m=8, ensemble="gaussian", eps=0.05, trials=50, master_seed=7)

@@ -103,19 +103,29 @@ def test_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy.random is imported with the package, not lazily by the first draw
-    probe = (
-        "import sys, subnyq.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print('numpy.random' in sys.modules)\n"
-    )
+def cli_import_probe(probe: str) -> list[str]:
+    """The words `probe` prints after `import sys, subnyq.cli` in a fresh interpreter."""
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", "import sys, subnyq.cli\n" + probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert result.stdout.split() == ["[]", "True"]
+    return result.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy.random is imported with the package, not lazily by the first draw
+    probe = (
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert cli_import_probe(probe) == ["[]", "True"]
+
+
+def test_cli_import_loads_no_concurrent():
+    # the workers are forked processes; concurrent.futures costs about 10 ms to import
+    probe = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
+    assert cli_import_probe(probe) == ["[]"]

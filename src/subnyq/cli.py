@@ -37,6 +37,7 @@ from .numerics import (
     log_binomial,
     logdet_shifted,
     minimax_limit,
+    subset_plan,
     whiten,
 )
 from .samplers import (
@@ -404,7 +405,12 @@ def cmd_capacity(params: dict) -> int:
     sampler = make_flat_sampler(draw_matrix(spec))
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
     labels = (states.indices + 1).tolist()
-    cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
+    # a census shares its columns along one elimination plan, freed before
+    # the output is formatted; a sparse sample shares almost none, and its
+    # states are cheaper one by one
+    block = states.indices if states.sampled else subset_plan(states.indices)
+    cols = _loss_columns(cap.batched_losses(channel, sampler, block))
+    del block
     gap_bound = cap.waterfill_gap_bound(channel)
     bad = bool(
         np.any(cols["loss_eq"] < -1e-9) or np.any(cols["c_opt"] - cols["c_eq"] > gap_bound + 1e-9)

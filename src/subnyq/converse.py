@@ -25,6 +25,7 @@ from .parallel import map_ordered
 __all__ = [
     "ConverseCheck",
     "ENUMERATION_CAP",
+    "PLAN_RUN_STATES",
     "colex_plans",
     "min_state_logdet_bound",
     "minimax_lower_bound",
@@ -36,6 +37,9 @@ __all__ = [
 
 # Exhaustive identity checks refuse to run beyond this many subsets.
 ENUMERATION_CAP = 10**6
+# Fewest states per worker's run in `colex_plans`; fixed, so that the split
+# (and with it every output bit) depends on the sizes only.
+PLAN_RUN_STATES = 1 << 15
 ORTHONORMAL_ATOL = 1e-8
 
 
@@ -88,13 +92,16 @@ def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
 def colex_plans(n: int, k: int, workers: int = 1) -> list[SubsetPlan]:
     """Elimination plans of all k-subsets of n columns in colex order.
 
-    One run of states per worker.  Build them once per instance and pass
-    them to `subset_det_sums_unchecked` and `per_instance_sandwich`, which
-    build their own otherwise; each of them maps over the plans once, for
-    its whole eps grid.  No value depends on the split.
+    One run of states per worker, but no more runs than whole runs of
+    PLAN_RUN_STATES states: a smaller run costs less than the fork of its
+    worker.  Build them once per instance and pass them to
+    `subset_det_sums_unchecked` and `per_instance_sandwich`, which build
+    their own otherwise; each of them maps over the plans once, for its
+    whole eps grid.  No value depends on the split.
     """
     idx = colex_indices(n, k)
-    size = -(-len(idx) // max(1, workers))
+    runs = max(1, min(workers, len(idx) // PLAN_RUN_STATES))
+    size = -(-len(idx) // runs)
     return [subset_plan(idx[start : start + size]) for start in range(0, len(idx), size)]
 
 

@@ -6,15 +6,19 @@ symmetric eigendecomposition backend (LAPACK, through ``numpy.linalg``)
 serves whitening, the rank-floor check and the single-matrix log-dets
 `logdet_shifted` and `det_floor`.  `subset_logdet` is the one batched
 kernel behind every per-state quantity: the converse sums, the Landau
-statistics and the sampled capacities.  It makes no LAPACK call.
-Unweighted, it eliminates along a `SubsetPlan`, the trie of the states'
-shared top columns, built once from the index block, so that states
-sharing columns share their elimination; weighted, it gathers each state's
-Gram from the panel's n x n Gram and factors all of them in one vectorized
-elimination.  Both run many short numpy gathers and elementwise loops
-whose Python steps hold the interpreter lock, so the callers spread the
-kernel over forked worker processes (`parallel.map_ordered`), each with a
-run of states or of trials, never over threads.
+statistics and the sampled capacities.  It makes no LAPACK call.  It
+eliminates along a `SubsetPlan`, the trie of the states' shared top
+columns, built once from the index block, so that states sharing columns
+share their elimination.  Weights that belong to the columns (one gain per
+subband and grid point, as in a `capacity` census) scale the panel's n x n
+Gram once per grid point and take the same plan.  Weights that belong to
+the states (a sparse sample, for which a plan does not pay, or states with
+gains of their own) have each state's Gram gathered from the n x n Gram,
+and all of them factored in one vectorized elimination.  Both paths run
+many short numpy gathers and elementwise loops whose Python steps hold the
+interpreter lock, so the callers spread the kernel over forked worker
+processes (`parallel.map_ordered`), each with a run of states or of
+trials, never over threads.
 """
 
 from __future__ import annotations
@@ -327,6 +331,14 @@ def subset_plan(idx) -> SubsetPlan:
     more entries than its states factored one by one is halved, so the plan
     never stores more than (k - 1) k (k + 1) / 6 entries per state.
 
+    A plan pays when its states share columns and when it serves many
+    matrices.  A sparse sample does neither: for the `discrete` command's
+    5,000 of the C(40, 8) states, building the plan took 25-28 ms and
+    stored 77% of the entries of its states factored alone, one pass along
+    it 2.2-2.6 ms, and the per-state path 3.1-3.7 ms (2 cores, Python
+    3.11.7, numpy 2.4.6).  So sampled state sets, evaluated once per
+    sampler, are passed to `subset_logdet` as a block.
+
     Raises:
         ValueError: for a row with a negative or repeated column index.
     """
@@ -444,10 +456,11 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     b is an m x n matrix or a (p, m, n) stack of panels; idx is an (S, k)
     integer block of zero-based column indices, one state per row, or a
     `SubsetPlan` built from one by `subset_plan`, which repeated calls on
-    the same states can share.  weights, if given, is an (S, k, q) array:
-    the column scales at each of q grid points, where grid point j uses
-    panel j (or the one panel when p = 1).  The log-determinants of the q
-    grid points are summed per state.
+    the same states can share.  weights, if given, holds the column scales
+    at each of q grid points, where grid point j uses panel j (or the one
+    panel when p = 1): an (n, q) array, one row per column and shared by
+    every state, or an (S, k, q) array, each state's own.  The
+    log-determinants of the q grid points are summed per state.
 
     Each determinant comes from the smaller Gram: A^T A (k x k) when
     k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
@@ -455,17 +468,25 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     B^T B fit a fixed budget (n up to 362 for one panel), B^T B is formed
     once per call, whole, so that no entry depends on the states:
 
-    * unweighted, the states are factored along their `subset_plan`, which
-      shares the elimination of common top columns;
-    * weighted, each k x k Gram is gathered from B^T B and scaled.
+    * unweighted or with per-column weights, the states are factored along
+      their `subset_plan` (built here if idx is a block), which shares the
+      elimination of common top columns.  Per-column weights make one
+      weighted Gram D B^T B D per grid point, D = diag(w), whose principal
+      minors are exactly the states' weighted Grams D_s B_s^T B_s D_s;
+    * with per-state weights, each k x k Gram is gathered from B^T B and
+      scaled, which is the faster path for a sparse sample of the states
+      evaluated once (see `subset_plan`).
 
     Beyond the budget, and for k > m, the Grams come from the columns.
     Gathered and column Grams are factored in blocks of a fixed element
     budget by elimination without pivoting (`_pivot_logdet`).  The path
-    depends on p, m, n, k and the presence of weights only.  A pivot <= 0
-    (shift = 0 with a singular minor) gives -inf.  Every value depends on
-    its own state only, never on S, the order of the states or the block
-    split.
+    depends on p, m, n, k and the shape of the weights only.  A pivot <= 0
+    (shift = 0 with a singular minor) gives -inf.  Weights as small as
+    float64 allows are fine (their entries underflow toward the shift); a
+    weighted Gram entry that overflows, for a weight beyond about 1e154 on
+    unit-norm columns, gives a value that is not finite.  Every value
+    depends on its own state only, never on S, the order of the states or
+    the block split.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -482,12 +503,23 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     elif idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"column indices must lie in [0, {n})")
     gathered = k <= m and p * n * n <= _GRAM_ELEMENTS
-    if weights is None and gathered:
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim == 2:  # one row per column
+            if weights.shape[0] != n or p not in (1, weights.shape[1]):
+                raise ValueError(f"column weights must have shape ({n}, q), q = {p} or p = 1")
+            if not gathered:
+                weights = weights[idx]  # (S, k, q): the column path takes each state's own
+    if gathered and (weights is None or weights.ndim == 2):
         if plan is None:
             plan = subset_plan(idx)
+        grams = np.swapaxes(panels, 1, 2) @ panels
         out = None
         with np.errstate(all="ignore"):
-            for gram in np.swapaxes(panels, 1, 2) @ panels:
+            for j in range(p if weights is None else weights.shape[1]):
+                gram = grams[j % p]
+                if weights is not None:  # scaled as the gathered path scales its entries
+                    gram = gram * weights[:, j, None] * weights[None, :, j]
                 vals = _plan_logdet(plan, gram, shift)
                 out = vals if out is None else out + vals
         out[np.isnan(out)] = -np.inf

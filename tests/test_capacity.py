@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,9 +23,16 @@ from subnyq.capacity import (
     waterfill_level,
     worst_case_loss,
 )
-from subnyq.channel import ChannelState, CompoundChannel, enumerate_states, snr_summary
+from subnyq.channel import (
+    ChannelState,
+    CompoundChannel,
+    colex_indices,
+    enumerate_states,
+    snr_summary,
+)
 from subnyq.cli import main as cli_main
-from subnyq.numerics import SingularityError, binary_entropy
+from subnyq.experiments import TrialConfig, loss_uniformity_report
+from subnyq.numerics import NumericalError, SingularityError, binary_entropy, subset_plan
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler, make_gridded_sampler
 
 
@@ -522,6 +530,169 @@ class TestBatchedPath:
                 [rep.c_sampled, rep.c_nyquist_eq, rep.c_nyquist_opt, rep.water_level],
                 rel=1e-13,
             )
+
+
+def naive_c_sampled(gains, panels, idx, scale, df):
+    """c_sampled of one state from its k x k matrices I_k + A^T A, A the
+    SVD-whitened columns times sqrt(scale) H; unlike the m x m form of
+    `reference_losses`, accurate for gains far from 1."""
+    g = gains[idx, :]
+    total = 0.0
+    for j in range(g.shape[1]):
+        u, _, vt = np.linalg.svd(panels[0 if len(panels) == 1 else j], full_matrices=False)
+        a = (u @ vt)[:, idx] * (math.sqrt(scale) * g[:, j])
+        total += np.linalg.slogdet(np.eye(len(idx)) + a.T @ a)[1]
+    return 0.5 * df * total
+
+
+def census_case(seed, n, k, m, q, gridded, overrides, decades=0.2):
+    """A channel with log-uniform gains and `overrides` states with their own
+    gains, its sampler and panels, and all of its states."""
+    rng = np.random.default_rng(seed)
+    idx = colex_indices(n, k)
+    picked = rng.choice(len(idx), min(overrides, len(idx)), replace=False)
+    state_gains = {tuple((idx[r] + 1).tolist()): 10.0 ** rng.uniform(-decades, decades, (n, q))
+                   for r in picked}
+    ch = CompoundChannel(
+        bandwidth=4.0, n_subbands=n, k_active=k, power=4.0 * k / n,  # P/(beta W) = 1
+        gain_grid=10.0 ** rng.uniform(-decades, decades, (n, q)), state_gains=state_gains or None,
+    )
+    panels = [draw_matrix(EnsembleSpec("gaussian", m, n, seed + j)) for j in range(q if gridded else 1)]
+    sampler = make_gridded_sampler(panels) if gridded else make_flat_sampler(panels[0])
+    return ch, sampler, panels, idx, np.isin(np.arange(len(idx)), picked)
+
+
+class TestPlanPath:
+    """A census along one elimination plan: per-column gains scale each grid
+    point's Gram, and rows with their own gains are gathered per state."""
+
+    @given(
+        n=st.integers(3, 8), k=st.integers(1, 7), m=st.integers(1, 8), q=st.integers(1, 3),
+        gridded=st.booleans(), overrides=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_slogdet(self, n, k, m, q, gridded, overrides, seed):
+        k, m = min(k, n - 1), min(m, n)  # k > m takes the column path, which has no plan
+        ch, sampler, panels, idx, own = census_case(seed, n, k, m, q, gridded, overrides)
+        along = np.stack(batched_losses(ch, sampler, subset_plan(idx)))
+        per_state = np.stack(batched_losses(ch, sampler, idx))
+        assert np.array_equal(along[1:], per_state[1:])  # the Nyquist side is the same
+        assert np.array_equal(along[0, own], per_state[0, own])
+        for r, s in enumerate(idx):
+            gains = ch.gains_for(ChannelState(tuple((s + 1).tolist())))
+            want = naive_c_sampled(gains, panels, s, 1.0, ch.grid_df)
+            assert along[0, r] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("gridded, overrides", [(False, 0), (True, 2)])
+    def test_gains_from_1e_minus150_to_1e150(self, gridded, overrides):
+        ch, sampler, panels, idx, _ = census_case(41, 8, 3, 4, 2, gridded, overrides, decades=150)
+        with np.errstate(over="ignore"):  # the water levels invert gains near 1e-150
+            got = np.stack(batched_losses(ch, sampler, subset_plan(idx), tol=None))
+        assert np.all(np.isfinite(got))
+        for r, s in enumerate(idx):
+            gains = ch.gains_for(ChannelState(tuple((s + 1).tolist())))
+            want = naive_c_sampled(gains, panels, s, 1.0, ch.grid_df)
+            assert got[0, r] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_beyond_the_gain_range(self, tmp_path, capsys):
+        # a squared gain that overflows is a NumericalError on either path and
+        # exit 3 from the command, never a NaN row; tiny gains stay finite
+        ch, sampler, _, idx, _ = census_case(42, 7, 3, 4, 1, False, 0)
+        for gain, finite in ((1e160, False), (1e-160, True)):
+            grid = np.array(ch.gain_grid)
+            grid[2] = gain
+            bad = CompoundChannel(bandwidth=4.0, n_subbands=7, k_active=3, power=4.0 * 3 / 7,
+                                  gain_grid=grid)
+            for states in (idx, subset_plan(idx)):
+                with np.errstate(all="ignore"):
+                    if finite:
+                        assert np.all(np.isfinite(batched_losses(bad, sampler, states, tol=None)))
+                    else:
+                        with pytest.raises(NumericalError):
+                            batched_losses(bad, sampler, states, tol=None)
+        path, out = tmp_path / "ch.json", tmp_path / "cap.csv"
+        path.write_text(json.dumps({"W": 4.0, "n": 7, "k": 3, "P": 1.0, "q": 1,
+                                    "gains": [[1.0]] * 6 + [[1e160]]}))
+        with np.errstate(all="ignore"):
+            assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
+                             "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_do_not_depend_on_blocking_or_order(self, monkeypatch):
+        ch, sampler, _, idx, _ = census_case(43, 9, 4, 5, 3, True, 3)
+        whole = np.stack(batched_losses(ch, sampler, subset_plan(idx)))
+        perm = np.random.default_rng(43).permutation(len(idx))
+        assert np.array_equal(np.stack(batched_losses(ch, sampler, subset_plan(idx[perm]))),
+                              whole[:, perm])
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block and slice
+        assert np.array_equal(np.stack(batched_losses(ch, sampler, subset_plan(idx))), whole)
+
+    def test_plan_validation(self):
+        ch = flat_channel(n=4, k=2)
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, 4, 1)))
+        for bad in ([[1, 0]], [[0, 4]], [[0, 1, 2]]):
+            with pytest.raises(ValueError):
+                batched_losses(ch, samp, subset_plan(bad))
+
+
+def spy(monkeypatch, func) -> list:
+    """The argument tuples of every call of func, from any subnyq module
+    that binds it, so that a call moved to another module still counts."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "subnyq" or name.startswith("subnyq."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestLossPaths:
+    """Which kernel path each workload takes: a census along one plan, with
+    no per-state Gram gather but for rows with their own gains; a sample
+    state by state, with no plan."""
+
+    @pytest.mark.parametrize("overrides", [0, 3])
+    def test_capacity_census_runs_along_one_plan(self, tmp_path, capsys, monkeypatch, overrides):
+        gen = np.random.default_rng(12)
+        n, k, q = 7, 3, 2
+        doc = {"W": 7.0, "n": n, "k": k, "P": 12.0, "q": q,
+               "gains": gen.uniform(0.4, 2.5, (n, q)).tolist()}
+        if overrides:
+            doc["state_gains"] = {key: gen.uniform(0.4, 2.5, (n, q)).tolist()
+                                  for key in ("1,2,3", "2,5,7", "5,6,7")}
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        plans = spy(monkeypatch, numerics.subset_plan)
+        gathers = spy(monkeypatch, numerics._subset_grams)
+        assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
+                         "--out", str(tmp_path / "cap.csv")]) == 0
+        capsys.readouterr()
+        assert [len(args[0]) for args in plans] == [math.comb(n, k)]
+        assert sum(len(args[2]) for args in gathers) == overrides  # rows with their own gains
+
+    def test_loss_uniformity_runs_along_one_plan(self, monkeypatch):
+        ch = flat_channel(n=8, k=2, q=2)
+        plans = spy(monkeypatch, numerics.subset_plan)
+        gathers = spy(monkeypatch, numerics._subset_grams)
+        loss_uniformity_report(ch, TrialConfig(n=8, k=2, m=3, trials=1))
+        assert [len(args[0]) for args in plans] == [math.comb(8, 2)]
+        assert gathers == []
+
+    def test_discrete_sample_runs_state_by_state(self, tmp_path, capsys, monkeypatch):
+        plans = spy(monkeypatch, numerics.subset_plan)
+        gathers = spy(monkeypatch, numerics._subset_grams)
+        assert cli_main(["--command", "discrete", "--n", "12", "--k", "3", "--m", "4",
+                         "--state-cap", "30", "--out", str(tmp_path / "disc.csv")]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("sampled state set")
+        assert plans == []
+        assert sum(len(args[2]) for args in gathers) == 30
 
 
 class TestDiscreteLoss:

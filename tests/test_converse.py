@@ -84,8 +84,9 @@ class TestSubsetDetSum:
         c = subset_det_sum(b, 3, 0.1, workers=4)
         assert a == c  # identical reduction order -> identical floats
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 3, 4])
     def test_grid_shares_one_plan_per_worker(self, monkeypatch, workers):
+        # one plan per worker's run, and no run shorter than PLAN_RUN_STATES
         import subnyq.converse as converse_mod
 
         built, maps = [], []
@@ -97,14 +98,26 @@ class TestSubsetDetSum:
         )
         b = whitened("gaussian", 5, 11, 7)
         grid = (0.0, 0.01, 0.5, 1.0)
-        sums = subset_det_sums_unchecked(b, 3, grid, workers=workers)
-        assert len(built) == workers and sum(built) == math.comb(11, 3)
-        assert len(maps) == 1  # one fork round for the whole grid
-        assert sums == [subset_det_sum(b, 3, eps) for eps in grid]
+        want = [subset_det_sum(b, 3, eps) for eps in grid]
+        built.clear()
+        maps.clear()
+        assert subset_det_sums_unchecked(b, 3, grid, workers=workers) == want
+        assert built == [math.comb(11, 3)]  # 165 states: one run, which forks no worker
+        assert len(maps) == 1  # one map for the whole grid
+        built.clear()
+        maps.clear()
+        monkeypatch.setattr(converse_mod, "PLAN_RUN_STATES", 50)  # 165 states: at most 3 runs
+        assert subset_det_sums_unchecked(b, 3, grid, workers=workers) == want
+        assert built == {1: [165], 3: [55, 55, 55], 4: [55, 55, 55]}[workers]
+        assert len(maps) == 1
 
-    def test_plans_must_hold_the_instance_states(self):
+    def test_plans_must_hold_the_instance_states(self, monkeypatch):
+        import subnyq.converse as converse_mod
+
         b = whitened("gaussian", 5, 11, 7)
+        monkeypatch.setattr(converse_mod, "PLAN_RUN_STATES", 50)
         plans = colex_plans(11, 3, workers=2)
+        assert len(plans) == 2
         assert subset_det_sums_unchecked(b, 3, [0.1], plans=plans) == [subset_det_sum(b, 3, 0.1)]
         for wrong in (colex_plans(11, 2), colex_plans(10, 3), plans[:1]):
             with pytest.raises(ValueError):

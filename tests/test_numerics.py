@@ -617,6 +617,170 @@ class TestSubsetPlan:
             assert got.shape == (0,)
 
 
+def conditioning_slack(panels, s, weights, shift):
+    """sum over grid points of k (k + 1) eps cond(shift I + A^T A): how far
+    two backward-stable log-determinants of the state s may differ."""
+    total = 0.0
+    for j in range(weights.shape[1]):
+        a = panels[j % len(panels)][:, s] * weights[:, j]
+        total += len(s) * (len(s) + 1) * np.finfo(float).eps * np.linalg.cond(shift * np.eye(len(s)) + a.T @ a)
+    return total
+
+
+def column_weights(rng, n, q, decades):
+    """(n, q) column weights, log-uniform over 10^-decades .. 10^decades."""
+    return 10.0 ** rng.uniform(-decades, decades, (n, q))
+
+
+class TestWeightedPlan:
+    """Per-column weights along a `SubsetPlan`: one weighted Gram per grid point."""
+
+    @given(
+        dims=plan_problems(),
+        grid=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 3)]),  # (panels, q)
+        layout=st.sampled_from(["colex", "shuffled", "repeats"]),
+        shift=st.sampled_from([0.0, 0.05, 1.0]),
+        decades=st.sampled_from([0.3, 3.0]),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(6, 4, 1), grid=(1, 3), layout="colex", shift=0.05, decades=3.0, duplicate=False, seed=1)  # k = 1
+    @example(dims=(8, 5, 5), grid=(2, 2), layout="repeats", shift=1.0, decades=3.0, duplicate=False, seed=2)  # k = m
+    @example(dims=(6, 6, 3), grid=(3, 3), layout="shuffled", shift=0.0, decades=0.3, duplicate=False, seed=3)  # m = n
+    @example(dims=(7, 4, 3), grid=(1, 1), layout="colex", shift=0.0, decades=0.3, duplicate=True, seed=4)  # singular
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_slogdet(self, dims, grid, layout, shift, decades, duplicate, seed):
+        n, m, k = dims
+        # a repeated column with weights far from 1 leaves a pivot that is
+        # all cancellation, in every elimination order: no digits to compare
+        duplicate = duplicate and n >= 2 and decades < 1
+        rng = np.random.default_rng(seed)
+        p, q = grid
+        panels = rng.standard_normal((p, m, n))
+        if duplicate:
+            panels[:, :, 1] = panels[:, :, 0]
+        idx = arrange(colex_indices(n, k), layout, rng)
+        weights = column_weights(rng, n, q, decades)
+        got = subset_logdet(panels, subset_plan(idx), weights, shift=shift)
+        want = naive_subset_logdet(panels, idx, weights[idx], shift)
+        for s, g, w in zip(idx, got, want):
+            s = np.sort(s)
+            if shift == 0.0 and duplicate and {0, 1} <= set(s.tolist()):
+                # exactly singular: both sides are rounding noise below the bound
+                bound = singular_logdet_bound(panels, s, weights[s])
+                assert g <= bound and w <= bound
+                continue
+            # 1e-9 where the minors are well conditioned; an ill-conditioned
+            # one keeps only the digits its backward error allows
+            slack = conditioning_slack(panels, s, weights[s], shift)
+            assert abs(g - w) <= 1e-9 * max(abs(w), 1.0) + slack
+
+    @given(
+        dims=plan_problems(),
+        grid=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+        shift=st.sampled_from([0.0, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(8, 6, 6), grid=(2, 2), shift=1.0, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_weights_from_1e_minus150_to_1e150(self, dims, grid, shift, seed):
+        n, m, k = dims
+        rng = np.random.default_rng(seed)
+        p, q = grid
+        panels = rng.standard_normal((p, m, n))
+        idx = colex_indices(n, k)
+        weights = column_weights(rng, n, q, 150.0)
+        weights[rng.integers(0, n), 0] = 1e150
+        weights[rng.integers(0, n), -1] = 1e-150
+        got = subset_logdet(panels, subset_plan(idx), weights, shift=shift)
+        assert np.all(np.isfinite(got))
+        want = naive_subset_logdet(panels, idx, weights[idx], shift)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_beyond_the_range(self):
+        # below: the weighted entries underflow and the shift alone is left;
+        # above: an entry overflows and no value is finite, on either path
+        rng = np.random.default_rng(30)
+        panels = rng.standard_normal((2, 5, 9))
+        idx = colex_indices(9, 3)
+        plan = subset_plan(idx)
+        tiny = np.full((9, 2), 1e-200)
+        assert np.array_equal(subset_logdet(panels, plan, tiny), np.zeros(len(idx)))
+        assert np.array_equal(subset_logdet(panels, idx, tiny[idx]), np.zeros(len(idx)))
+        for k in (1, 3):
+            huge = np.full((9, 2), 1.0)
+            huge[4] = 1e160
+            idx = colex_indices(9, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                along = subset_logdet(panels, subset_plan(idx), huge)
+            with np.errstate(over="ignore"):  # the gathered path scales its Grams unguarded
+                per_state = subset_logdet(panels, idx, huge[idx])
+            for got in (along, per_state):
+                assert np.array_equal(np.isfinite(got), ~np.any(idx == 4, axis=1))
+
+    @pytest.mark.parametrize("n, m, k", [(7, 4, 2), (7, 4, 4), (8, 3, 5)])
+    def test_zero_column_at_zero_shift(self, n, m, k):
+        # structurally singular minors give -inf exactly where the per-state
+        # path gives it; k > m takes the column path, -inf everywhere
+        rng = np.random.default_rng(31)
+        panels = rng.standard_normal((2, m, n))
+        panels[:, :, 3] = 0.0
+        idx = colex_indices(n, k)
+        weights = column_weights(rng, n, 2, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = subset_logdet(panels, subset_plan(idx), weights, shift=0.0)
+            per_state = subset_logdet(panels, idx, weights[idx], shift=0.0)
+        singular = np.any(idx == 3, axis=1) | (k > m)
+        assert np.array_equal(np.isneginf(got), singular)
+        assert np.array_equal(np.isneginf(per_state), singular)
+        assert not np.any(np.isnan(got))
+
+    @pytest.mark.parametrize("n, m, k", [(9, 4, 1), (9, 4, 3), (10, 6, 5)])
+    def test_values_depend_on_the_state_only(self, monkeypatch, n, m, k):
+        rng = np.random.default_rng(n * 100 + k)
+        b = rng.standard_normal((3, m, n))
+        weights = column_weights(rng, n, 3, 2.0)
+        idx = colex_indices(n, k)
+
+        def along(rows):
+            return subset_logdet(b, subset_plan(rows), weights, shift=0.05)
+
+        whole = along(idx)
+        assert np.array_equal([along(idx[s : s + 1])[0] for s in range(len(idx))], whole)
+        perm = rng.permutation(len(idx))
+        assert np.array_equal(along(idx[perm]), whole[perm])
+        assert np.array_equal(along(idx[:, ::-1]), whole)
+        repeats = np.sort(rng.integers(0, len(idx), 2 * len(idx)))
+        assert np.array_equal(along(idx[repeats]), whole[repeats])
+        for budget in (1, 64, 700):  # one state per slice, and slices cutting nodes
+            monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
+            assert np.array_equal(along(idx), whole)
+
+    def test_column_weights_on_a_block(self):
+        # a block builds its plan, as unweighted; k > m gathers from the columns
+        rng = np.random.default_rng(32)
+        panels = rng.standard_normal((2, 4, 8))
+        weights = column_weights(rng, 8, 2, 1.0)
+        for k in (3, 6):
+            idx = colex_indices(8, k)
+            got = subset_logdet(panels, idx, weights)
+            assert np.array_equal(got, subset_logdet(panels, subset_plan(idx), weights))
+            if k > 4:
+                assert np.array_equal(got, subset_logdet(panels, idx, weights[idx]))
+
+    def test_column_weight_shapes(self):
+        b = np.ones((2, 3, 6))
+        idx = colex_indices(6, 2)
+        for bad in (np.ones((5, 2)), np.ones((7, 2)), np.ones((6, 3))):
+            with pytest.raises(ValueError):
+                subset_logdet(b, subset_plan(idx), bad)
+            with pytest.raises(ValueError):
+                subset_logdet(b, idx, bad)
+        assert subset_logdet(b[0], subset_plan(idx), np.ones((6, 4))).shape == (len(idx),)
+
+
 class TestRankFloor:
     """whiten, SamplerSpec and the experiments' draw share one rank floor."""
 

@@ -16,22 +16,24 @@ Every per-state quantity comes from one batched path (`batched_losses`,
 and `discrete_losses` for the discrete channel): the sampler is whitened
 once per call, the states go through the shared kernel
 `numerics.subset_logdet`, and the water levels of a block of states come
-from one exact sort-and-threshold pass.  Given a `SubsetPlan` in place of
-an index block, c_sampled of every state comes from one pass along the
-plan, the channel's gains scaling each grid point's Gram column by column;
-only the states with their own gains (state_gains) are gathered state by
-state.  Given a block, every state is gathered, which is the faster path
-for a sparse sample of the states.  The single-state functions wrap it.
+from one exact sort-and-threshold pass.  For a census, a block of all
+C(n, k) states, c_sampled of every state comes from one pass along the
+states' `SubsetPlan`, the channel's gains scaling each grid point's Gram
+column by column; only the states with their own gains (state_gains) are
+gathered state by state.  Any smaller block, such as a sparse sample of
+the states, is gathered state by state, which is faster there.  The
+single-state functions wrap it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import NumericalError, SubsetPlan, subset_block_rows, subset_logdet, whiten
+from .numerics import NumericalError, subset_block_rows, subset_logdet, whiten
 from .samplers import SamplerSpec
 
 __all__ = [
@@ -214,24 +216,27 @@ def _nyquist_at(channel: CompoundChannel, state: ChannelState, tol: float | None
     return float(c_eq[0]), float(c_opt[0]), float(nu[0])
 
 
-def _blocked_losses(whitened, idx, plan, gain_grid, state_gains, scale, power, df, tol):
+def _blocked_losses(whitened, idx, census, gain_grid, state_gains, scale, power, df, tol):
     """(c_sampled, c_eq, c_opt, nu) for the states idx, in fixed-size blocks.
 
     Row s takes its (k, q) gains from state_gains when that map holds its
-    1-based index tuple, else from gain_grid.  With plan, the `SubsetPlan`
-    of idx, one pass along it with per-column weights gives c_sampled of
-    every state, and only the rows with their own gains are gathered state
-    by state and patched in; without, every state is gathered.
+    1-based index tuple, else from gain_grid.  With census, one pass along
+    the `SubsetPlan` of idx with per-column weights gives c_sampled of every
+    state, and only the rows with their own gains are gathered state by
+    state and patched in; without, every state is gathered.
 
     Raises:
-        NumericalError: if a value is not finite, which happens only when a
-            squared gain times scale overflows float64.
+        NumericalError: if a value is not finite.  That happens for a gain
+            above about 1e154, whose square times scale overflows float64,
+            and for a state whose active gains all lie below about 1e-154,
+            whose inverse squares, and with them its water level and
+            c_opt, overflow.
     """
     m, k, q = whitened.shape[1], idx.shape[1], gain_grid.shape[1]
     block = subset_block_rows(m, k, q)
     out = np.empty((4, len(idx)))
-    if plan is not None:
-        out[0] = 0.5 * df * subset_logdet(whitened, plan, np.sqrt(scale) * gain_grid)
+    if census:  # (n, q) column weights: subset_logdet runs them along the plan of idx
+        out[0] = 0.5 * df * subset_logdet(whitened, idx, np.sqrt(scale) * gain_grid)
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
         gains = gain_grid[rows]  # (S, k, q)
@@ -244,14 +249,17 @@ def _blocked_losses(whitened, idx, plan, gain_grid, state_gains, scale, power, d
                     own.append(r)
         h2 = (gains**2).reshape(len(rows), -1)  # subband-major, as gains[idx, :]
         out[1:, start : start + block] = _nyquist_block(h2, scale, power, df, tol)
-        if plan is None:
+        if not census:
             own = slice(None)  # every row is gathered
         elif not own:
             continue
         logdets = subset_logdet(whitened, rows[own], np.sqrt(scale) * gains[own])
         out[0, start : start + block][own] = 0.5 * df * logdets
     if not np.all(np.isfinite(out)):
-        raise NumericalError("non-finite capacity or water level: a squared gain overflows")
+        raise NumericalError(
+            "non-finite capacity or water level: a gain above about 1e154, "
+            "or a state whose active gains all lie below about 1e-154"
+        )
     return out[0], out[1], out[2], out[3]
 
 
@@ -264,27 +272,31 @@ def batched_losses(
     """Capacities of many states under one sampler, as arrays.
 
     idx is an (S, k) integer block of zero-based active-subband indices, one
-    state per row, or a `numerics.SubsetPlan` of one, which a census should
-    pass: its states then share their elimination (c_sampled moves at
-    rounding level, about 4e-16 relative, against the block).  Returns
-    (c_sampled, c_eq, c_opt, nu), each of length S:
+    state per row.  Returns (c_sampled, c_eq, c_opt, nu), each of length S:
     the sampled capacity, the Nyquist-rate capacities with equal power and
     with water-filling (nats/s), and the water level.  Per-state gains
     (channel.state_gains) and gridded samplers are honoured.  The sampler is
     whitened once, and states are processed in blocks sized by a fixed
     element budget, so memory stays bounded for any S.
 
+    A census, S = C(n, k) rows such as the `capacity` command's, shares its
+    elimination along one `numerics.subset_plan`, built once per call; any
+    smaller block, such as a sparse sample, is factored state by state,
+    which is faster there (see `subset_plan`).  The two paths agree to
+    rounding: c_sampled of one state differs between them by about 4e-16
+    relative.
+
     tol bounds the water-filling power residual relative to P
     (NumericalError beyond it); None skips that check, for callers that use
     equal power only.
     """
-    plan = idx if isinstance(idx, SubsetPlan) else None
-    idx = _check_index_block(idx if plan is None else plan.indices, channel.n_subbands)
-    if idx.shape[1] != channel.k_active:
-        raise ValueError(f"states have {idx.shape[1]} indices, channel expects {channel.k_active}")
+    n, k = channel.n_subbands, channel.k_active
+    idx = _check_index_block(idx, n)
+    if idx.shape[1] != k:
+        raise ValueError(f"states have {idx.shape[1]} indices, channel expects {k}")
     return _blocked_losses(
-        _whitened_panels(channel, sampler), idx, plan, channel.gain_grid, channel.state_gains,
-        _equal_power_scale(channel), channel.power, channel.grid_df, tol,
+        _whitened_panels(channel, sampler), idx, len(idx) == math.comb(n, k), channel.gain_grid,
+        channel.state_gains, _equal_power_scale(channel), channel.power, channel.grid_df, tol,
     )
 
 
@@ -420,7 +432,7 @@ def discrete_losses(
         raise ValueError(f"sensing matrix must be m x {n}, got {q.shape}")
     idx = _check_index_block(idx, n)
     return _blocked_losses(
-        whiten(q)[None], idx, None, gains[:, None], None, power / idx.shape[1], power, 1.0, tol
+        whiten(q)[None], idx, False, gains[:, None], None, power / idx.shape[1], power, 1.0, tol
     )
 
 

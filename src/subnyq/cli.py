@@ -37,7 +37,6 @@ from .numerics import (
     log_binomial,
     logdet_shifted,
     minimax_limit,
-    subset_plan,
     whiten,
 )
 from .samplers import (
@@ -205,7 +204,7 @@ def cmd_verify(params: dict) -> int:
         if perturb:
             b = b.copy()
             b[0, 0] += perturb
-        plans = converse.colex_plans(n, k, workers)  # one elimination plan per instance
+        plans = converse.colex_plans(n, k)  # one elimination plan per instance
         sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID, workers, plans)
         for eps, lhs in zip(VERIFY_EPS_GRID, sums):
             rhs = converse.subset_det_sum_closed(n, k, m, eps)
@@ -405,12 +404,7 @@ def cmd_capacity(params: dict) -> int:
     sampler = make_flat_sampler(draw_matrix(spec))
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
     labels = (states.indices + 1).tolist()
-    # a census shares its columns along one elimination plan, freed before
-    # the output is formatted; a sparse sample shares almost none, and its
-    # states are cheaper one by one
-    block = states.indices if states.sampled else subset_plan(states.indices)
-    cols = _loss_columns(cap.batched_losses(channel, sampler, block))
-    del block
+    cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
     gap_bound = cap.waterfill_gap_bound(channel)
     bad = bool(
         np.any(cols["loss_eq"] < -1e-9) or np.any(cols["c_opt"] - cols["c_eq"] > gap_bound + 1e-9)

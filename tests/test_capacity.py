@@ -32,7 +32,7 @@ from subnyq.channel import (
 )
 from subnyq.cli import main as cli_main
 from subnyq.experiments import TrialConfig, loss_uniformity_report
-from subnyq.numerics import NumericalError, SingularityError, binary_entropy, subset_plan
+from subnyq.numerics import NumericalError, SingularityError, binary_entropy
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler, make_gridded_sampler
 
 
@@ -562,6 +562,14 @@ def census_case(seed, n, k, m, q, gridded, overrides, decades=0.2):
     return ch, sampler, panels, idx, np.isin(np.arange(len(idx)), picked)
 
 
+def state_by_state(ch, sampler, idx, **kwargs):
+    """batched_losses of a census through the per-state path: each half of
+    it is a smaller block, and no per-state value depends on the blocks."""
+    half = len(idx) // 2
+    return np.concatenate([np.stack(batched_losses(ch, sampler, part, **kwargs))
+                           for part in (idx[:half], idx[half:])], axis=1)
+
+
 class TestPlanPath:
     """A census along one elimination plan: per-column gains scale each grid
     point's Gram, and rows with their own gains are gathered per state."""
@@ -574,66 +582,63 @@ class TestPlanPath:
     def test_matches_naive_slogdet(self, n, k, m, q, gridded, overrides, seed):
         k, m = min(k, n - 1), min(m, n)  # k > m takes the column path, which has no plan
         ch, sampler, panels, idx, own = census_case(seed, n, k, m, q, gridded, overrides)
-        along = np.stack(batched_losses(ch, sampler, subset_plan(idx)))
-        per_state = np.stack(batched_losses(ch, sampler, idx))
+        along = np.stack(batched_losses(ch, sampler, idx))
+        per_state = state_by_state(ch, sampler, idx)
         assert np.array_equal(along[1:], per_state[1:])  # the Nyquist side is the same
         assert np.array_equal(along[0, own], per_state[0, own])
         for r, s in enumerate(idx):
             gains = ch.gains_for(ChannelState(tuple((s + 1).tolist())))
             want = naive_c_sampled(gains, panels, s, 1.0, ch.grid_df)
             assert along[0, r] == pytest.approx(want, rel=1e-9)
+            assert per_state[0, r] == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("gridded, overrides", [(False, 0), (True, 2)])
     def test_gains_from_1e_minus150_to_1e150(self, gridded, overrides):
         ch, sampler, panels, idx, _ = census_case(41, 8, 3, 4, 2, gridded, overrides, decades=150)
         with np.errstate(over="ignore"):  # the water levels invert gains near 1e-150
-            got = np.stack(batched_losses(ch, sampler, subset_plan(idx), tol=None))
+            got = np.stack(batched_losses(ch, sampler, idx, tol=None))
         assert np.all(np.isfinite(got))
         for r, s in enumerate(idx):
             gains = ch.gains_for(ChannelState(tuple((s + 1).tolist())))
             want = naive_c_sampled(gains, panels, s, 1.0, ch.grid_df)
             assert got[0, r] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
-    def test_beyond_the_gain_range(self, tmp_path, capsys):
-        # a squared gain that overflows is a NumericalError on either path and
-        # exit 3 from the command, never a NaN row; tiny gains stay finite
-        ch, sampler, _, idx, _ = census_case(42, 7, 3, 4, 1, False, 0)
-        for gain, finite in ((1e160, False), (1e-160, True)):
-            grid = np.array(ch.gain_grid)
-            grid[2] = gain
-            bad = CompoundChannel(bandwidth=4.0, n_subbands=7, k_active=3, power=4.0 * 3 / 7,
-                                  gain_grid=grid)
-            for states in (idx, subset_plan(idx)):
-                with np.errstate(all="ignore"):
-                    if finite:
-                        assert np.all(np.isfinite(batched_losses(bad, sampler, states, tol=None)))
-                    else:
-                        with pytest.raises(NumericalError):
-                            batched_losses(bad, sampler, states, tol=None)
+    @pytest.mark.parametrize("gains, finite", [
+        ([1.0] * 6 + [1e160], False),  # its square overflows
+        ([1e-160] * 3 + [1.0] * 4, False),  # state 1|2|3: every inverse square overflows
+        ([1e-160] * 2 + [1.0] * 5, True),  # every state keeps a finite water level
+    ])
+    def test_beyond_the_gain_range(self, tmp_path, capsys, gains, finite):
+        # beyond the range a NumericalError on either path and exit 3 from
+        # the command, never a NaN or inf row
+        _, sampler, _, idx, _ = census_case(42, 7, 3, 4, 1, False, 0)
+        ch = CompoundChannel(bandwidth=4.0, n_subbands=7, k_active=3, power=4.0 * 3 / 7,
+                             gain_grid=np.array(gains)[:, None])
+        for got in (lambda: np.stack(batched_losses(ch, sampler, idx, tol=None)),
+                    lambda: state_by_state(ch, sampler, idx, tol=None)):
+            with np.errstate(all="ignore"):
+                if finite:
+                    assert np.all(np.isfinite(got()))
+                else:
+                    with pytest.raises(NumericalError, match="1e154"):
+                        got()
         path, out = tmp_path / "ch.json", tmp_path / "cap.csv"
         path.write_text(json.dumps({"W": 4.0, "n": 7, "k": 3, "P": 1.0, "q": 1,
-                                    "gains": [[1.0]] * 6 + [[1e160]]}))
+                                    "gains": [[g] for g in gains]}))
         with np.errstate(all="ignore"):
-            assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
-                             "--out", str(out)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
-        assert not out.exists()
+            status = cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
+                               "--out", str(out)])
+        assert status == (0 if finite else 3)
+        assert ("numerical failure" in capsys.readouterr().err) != finite
+        assert out.exists() == finite
 
     def test_values_do_not_depend_on_blocking_or_order(self, monkeypatch):
         ch, sampler, _, idx, _ = census_case(43, 9, 4, 5, 3, True, 3)
-        whole = np.stack(batched_losses(ch, sampler, subset_plan(idx)))
+        whole = np.stack(batched_losses(ch, sampler, idx))
         perm = np.random.default_rng(43).permutation(len(idx))
-        assert np.array_equal(np.stack(batched_losses(ch, sampler, subset_plan(idx[perm]))),
-                              whole[:, perm])
+        assert np.array_equal(np.stack(batched_losses(ch, sampler, idx[perm])), whole[:, perm])
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block and slice
-        assert np.array_equal(np.stack(batched_losses(ch, sampler, subset_plan(idx))), whole)
-
-    def test_plan_validation(self):
-        ch = flat_channel(n=4, k=2)
-        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, 4, 1)))
-        for bad in ([[1, 0]], [[0, 4]], [[0, 1, 2]]):
-            with pytest.raises(ValueError):
-                batched_losses(ch, samp, subset_plan(bad))
+        assert np.array_equal(np.stack(batched_losses(ch, sampler, idx)), whole)
 
 
 def spy(monkeypatch, func) -> list:
@@ -684,6 +689,17 @@ class TestLossPaths:
         loss_uniformity_report(ch, TrialConfig(n=8, k=2, m=3, trials=1))
         assert [len(args[0]) for args in plans] == [math.comb(8, 2)]
         assert gathers == []
+
+    def test_only_a_census_builds_a_plan(self, monkeypatch):
+        ch, sampler, _, idx, _ = census_case(44, 8, 3, 4, 2, False, 0)
+        plans = spy(monkeypatch, numerics.subset_plan)
+        gathers = spy(monkeypatch, numerics._subset_grams)
+        states = [ChannelState(tuple((s + 1).tolist())) for s in idx]
+        equal_power_losses(ch, sampler, states)
+        assert [len(args[0]) for args in plans] == [len(idx)] and gathers == []
+        plans.clear()
+        equal_power_losses(ch, sampler, states[1:])
+        assert plans == [] and sum(len(args[2]) for args in gathers) == len(idx) - 1
 
     def test_discrete_sample_runs_state_by_state(self, tmp_path, capsys, monkeypatch):
         plans = spy(monkeypatch, numerics.subset_plan)

@@ -11,7 +11,6 @@ from subnyq.capacity import (
 )
 from subnyq.channel import enumerate_states, load_channel
 from subnyq.cli import main
-from subnyq.numerics import subset_plan
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
 
 
@@ -291,8 +290,7 @@ class TestLossRowFormatting:
             draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
         )
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        # a census runs along its elimination plan, as the command runs it
-        reports = self.reports(states, batched_losses(channel, sampler, subset_plan(states.indices)))
+        reports = self.reports(states, batched_losses(channel, sampler, states.indices))
         assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=bits)) + "\n"
 
     def test_capacity_json_fields(self, tmp_path, capsys):
@@ -305,8 +303,7 @@ class TestLossRowFormatting:
             draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
         )
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        # a census runs along its elimination plan, as the command runs it
-        reports = self.reports(states, batched_losses(channel, sampler, subset_plan(states.indices)))
+        reports = self.reports(states, batched_losses(channel, sampler, states.indices))
         want = [
             {"state": list(rep.state.indices), "c_sampled": rep.c_sampled,
              "c_eq": rep.c_nyquist_eq, "c_opt": rep.c_nyquist_opt, "loss_eq": rep.loss_eq,
@@ -466,8 +463,8 @@ class TestJsonRecords:
         channel = load_channel(path)
         spec = EnsembleSpec("gaussian", 4, channel.n_subbands, 11)
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        c_sampled, c_eq, c_opt, nu = batched_losses(  # along the census's plan, as the command
-            channel, make_flat_sampler(draw_matrix(spec)), subset_plan(states.indices)
+        c_sampled, c_eq, c_opt, nu = batched_losses(
+            channel, make_flat_sampler(draw_matrix(spec)), states.indices
         )
         values = zip(c_sampled.tolist(), c_eq.tolist(), c_opt.tolist(),
                      (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist(), nu.tolist())

@@ -13,7 +13,8 @@ from subnyq.converse import (
     subset_det_sum_closed,
     subset_det_sums_unchecked,
 )
-from subnyq.numerics import binary_entropy, whiten
+from subnyq.channel import colex_indices
+from subnyq.numerics import binary_entropy, subset_plan, whiten
 from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
 
 
@@ -86,7 +87,8 @@ class TestSubsetDetSum:
 
     @pytest.mark.parametrize("workers", [1, 3, 4])
     def test_grid_shares_one_plan_per_worker(self, monkeypatch, workers):
-        # one plan per worker's run, and no run shorter than PLAN_RUN_STATES
+        # whatever the workers, one plan for the instance and one map for
+        # the whole grid, which forks no worker
         import subnyq.converse as converse_mod
 
         built, maps = [], []
@@ -102,23 +104,16 @@ class TestSubsetDetSum:
         built.clear()
         maps.clear()
         assert subset_det_sums_unchecked(b, 3, grid, workers=workers) == want
-        assert built == [math.comb(11, 3)]  # 165 states: one run, which forks no worker
-        assert len(maps) == 1  # one map for the whole grid
-        built.clear()
-        maps.clear()
-        monkeypatch.setattr(converse_mod, "PLAN_RUN_STATES", 50)  # 165 states: at most 3 runs
-        assert subset_det_sums_unchecked(b, 3, grid, workers=workers) == want
-        assert built == {1: [165], 3: [55, 55, 55], 4: [55, 55, 55]}[workers]
+        assert built == [math.comb(11, 3)]
         assert len(maps) == 1
 
-    def test_plans_must_hold_the_instance_states(self, monkeypatch):
-        import subnyq.converse as converse_mod
-
+    def test_plans_must_hold_the_instance_states(self):
         b = whitened("gaussian", 5, 11, 7)
-        monkeypatch.setattr(converse_mod, "PLAN_RUN_STATES", 50)
-        plans = colex_plans(11, 3, workers=2)
-        assert len(plans) == 2
-        assert subset_det_sums_unchecked(b, 3, [0.1], plans=plans) == [subset_det_sum(b, 3, 0.1)]
+        idx = colex_indices(11, 3)
+        plans = [subset_plan(idx[:80]), subset_plan(idx[80:])]  # a caller's own split
+        want = [subset_det_sum(b, 3, 0.1)]
+        assert subset_det_sums_unchecked(b, 3, [0.1], 2, plans) == want
+        assert subset_det_sums_unchecked(b, 3, [0.1], plans=colex_plans(11, 3)) == want
         for wrong in (colex_plans(11, 2), colex_plans(10, 3), plans[:1]):
             with pytest.raises(ValueError):
                 subset_det_sums_unchecked(b, 3, [0.1], plans=wrong)

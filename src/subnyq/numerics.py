@@ -336,8 +336,8 @@ def subset_plan(idx) -> SubsetPlan:
     5,000 of the C(40, 8) states, building the plan took 25-28 ms and
     stored 77% of the entries of its states factored alone, one pass along
     it 2.2-2.6 ms, and the per-state path 3.1-3.7 ms (2 cores, Python
-    3.11.7, numpy 2.4.6).  So sampled state sets, evaluated once per
-    sampler, are passed to `subset_logdet` as a block.
+    3.11.7, numpy 2.4.6).  So `capacity.batched_losses` plans a census
+    only, and factors any smaller block, such as a sample, state by state.
 
     Raises:
         ValueError: for a row with a negative or repeated column index.

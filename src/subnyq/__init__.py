@@ -49,6 +49,7 @@ from .samplers import (
     EnsembleSpec,
     SamplerSpec,
     derive_trial_seed,
+    draw_matrices,
     draw_matrix,
     make_flat_sampler,
     make_gridded_sampler,

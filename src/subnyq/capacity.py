@@ -200,7 +200,9 @@ def _water_levels(inv_snr: np.ndarray, power: float, df: float, tol: float | Non
 
 def _nyquist_block(h2: np.ndarray, scale: float, power: float, df: float, tol: float | None):
     """Nyquist-rate (c_eq, c_opt, nu) per row of active-cell squared gains h2."""
-    nu = _water_levels(1.0 / h2, power, df, tol)
+    with np.errstate(over="ignore"):  # a gain below about 1e-154: its cell stays dry
+        inv_snr = 1.0 / h2
+    nu = _water_levels(inv_snr, power, df, tol)
     c_eq = 0.5 * df * np.log1p(scale * h2).sum(axis=1)
     # log+ (x) = log max(x, 1)
     c_opt = 0.5 * df * np.log(np.maximum(nu[:, None] * h2, 1.0)).sum(axis=1)

@@ -15,8 +15,10 @@ a fixed order regardless of worker count.
 
 Workers are forked processes (`parallel.map_ordered`), used by the
 achievability suites, whose trials run the subset kernel's many short
-numpy calls.  Each worker takes a run of states, not of trials: the
-caller draws and whitens every trial's matrix, and each worker builds the
+numpy calls.  Each worker takes a run of states, not of trials: before
+the fork, the caller draws every trial's matrix in one pass
+(`samplers.draw_matrices`, each trial on its own stream) and whitens it,
+which checks the rank floor once per accepted draw; each worker builds the
 elimination plan of its own run of whole STATE_CHUNK-state chunks and
 evaluates every trial on it, so both the plan and the kernel are spread.
 The suites whose trial is one LAPACK call on a dense matrix (concentration,
@@ -55,6 +57,7 @@ from .samplers import (
     RESAMPLE_KEY_FLIP,
     EnsembleSpec,
     derive_trial_seed,
+    draw_matrices,
     draw_matrix,
     gaussian_batches,
     make_flat_sampler,
@@ -160,18 +163,34 @@ class ExperimentResult:
         return "\n".join(f"{key.ljust(width)}  {val}" for key, val in rows)
 
 
-def _draw_full_rank(spec: EnsembleSpec) -> np.ndarray:
-    """Draw a matrix, resampling once (flipped key) if it fails the rank floor."""
-    for seed in (spec.seed, spec.seed ^ RESAMPLE_KEY_FLIP):
-        mat = draw_matrix(spec.with_seed(seed))
-        try:
-            full_rank_gram(mat)
-        except SingularityError:
-            continue
-        return mat
-    raise NumericalError(
-        f"degenerate draw twice in a row for {spec}; check dimensions or the RNG"
-    )
+def _full_rank(mat: np.ndarray) -> np.ndarray:
+    """mat, once it passes the rank floor of `full_rank_gram`."""
+    full_rank_gram(mat)
+    return mat
+
+
+def _draw_full_rank(spec: EnsembleSpec, accept=_full_rank, first: np.ndarray | None = None):
+    """accept(draw) of spec's matrix, resampling once (flipped key) if it
+    fails the rank floor.
+
+    accept applies the rank floor of `full_rank_gram`, which raises
+    SingularityError, as `whiten` and `make_flat_sampler` do; passing one of
+    them checks the floor once per accepted draw.  first, if given, is
+    spec's own draw, already made.
+
+    Raises:
+        NumericalError: if the resampled matrix fails the floor too.
+    """
+    try:
+        return accept(draw_matrix(spec) if first is None else first)
+    except SingularityError:
+        pass
+    try:
+        return accept(draw_matrix(spec.with_seed(spec.seed ^ RESAMPLE_KEY_FLIP)))
+    except SingularityError:
+        raise NumericalError(
+            f"degenerate draw twice in a row for {spec}; check dimensions or the RNG"
+        ) from None
 
 
 def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResult:
@@ -185,12 +204,12 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     beta = cfg.k / cfg.n
     target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
     bound = min_state_logdet_bound(cfg.n, cfg.k, cfg.m, cfg.eps)["exact"]
-    mats = [
-        whiten(_draw_full_rank(
-            EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
-        ))
+    specs = [
+        EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
         for t in range(cfg.trials)
     ]
+    # every trial's matrix in one draw pass, whitened before the fork
+    mats = [_draw_full_rank(spec, whiten, first) for spec, first in zip(specs, draw_matrices(specs))]
     # whole chunks per worker, so that the chunk sums never depend on workers
     chunks = range(0, len(idx), STATE_CHUNK)
     runs = max(1, min(workers, len(chunks)))
@@ -516,7 +535,7 @@ def loss_uniformity_report(
         raise ValueError("full state enumeration required; raise state_cap or shrink n")
     idx = enumerate_states(n, k, cfg.state_cap).indices
     spec = EnsembleSpec(cfg.ensemble, cfg.m, n, cfg.master_seed)
-    sampler = make_flat_sampler(_draw_full_rank(spec))
+    sampler = _draw_full_rank(spec, make_flat_sampler)
     c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)
     losses = c_eq - c_sampled
     mean = float(np.mean(losses))

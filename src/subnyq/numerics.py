@@ -9,16 +9,17 @@ kernel behind every per-state quantity: the converse sums, the Landau
 statistics and the sampled capacities.  It makes no LAPACK call.  It
 eliminates along a `SubsetPlan`, the trie of the states' shared top
 columns, built once from the index block, so that states sharing columns
-share their elimination.  Weights that belong to the columns (one gain per
-subband and grid point, as in a `capacity` census) scale the panel's n x n
-Gram once per grid point and take the same plan.  Weights that belong to
-the states (a sparse sample, for which a plan does not pay, or states with
-gains of their own) have each state's Gram gathered from the n x n Gram,
-and all of them factored in one vectorized elimination.  Both paths run
-many short numpy gathers and elementwise loops whose Python steps hold the
-interpreter lock, so the callers spread the kernel over forked worker
-processes (`parallel.map_ordered`), each with a run of states or of
-trials, never over threads.
+share their elimination.  The plan's gather maps are native integers, so
+a walk along it converts no index.  Weights that belong to the columns
+(one gain per subband and grid point, as in a `capacity` census) scale
+the panel's n x n Gram once per grid point and take the same plan.
+Weights that belong to the states (a sparse sample, for which a plan does
+not pay, or states with gains of their own) have each state's Gram
+gathered from the n x n Gram, and all of them factored in one vectorized
+elimination.  Both paths run many short numpy gathers and elementwise
+loops whose Python steps hold the interpreter lock, so the callers spread
+the kernel over forked worker processes (`parallel.map_ordered`), each
+with a run of states or of trials, never over threads.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ class SubsetPlan:
     """Read-only elimination plan of `subset_logdet` for one block of states.
 
     Built by `subset_plan` from the index block alone; it holds no matrix
-    values, so one plan serves every matrix, shift and thread.
+    values, so one plan serves every matrix, shift and thread.  Its maps
+    are native integers (``np.intp``), gathered with as stored.
     """
 
     indices: np.ndarray  # the (S, k) block the plan was built from
@@ -210,28 +212,17 @@ class SubsetPlan:
     leaf: np.ndarray | None  # last-level entry of each state; None for the identity
 
 
-def _narrow(index: np.ndarray | None, small: bool) -> np.ndarray | None:
-    """index as int32 when small, which halves the memory a plan holds."""
-    return index.astype(np.int32) if small and index is not None else index
-
-
 def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
     if len(arrays) == 1:
         return arrays[0]
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int32)
-
-
-def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """values[index]; numpy gathers with native integers several times
-    faster than with int32 ones, so a narrowed index is widened first."""
-    return values[index.astype(np.intp, copy=False)]
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.intp)
 
 
 def _descending(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's columns in descending order, and per row the first
     position where it differs from the row before (k for a repeat, -1 for
     the first row)."""
-    desc = np.ascontiguousarray(rows[:, ::-1])
+    desc = rows[:, ::-1]
     diff = desc[1:] != desc[:-1]
     first = np.where(diff.any(axis=1), diff.argmax(axis=1), desc.shape[1])
     return desc, np.concatenate(([-1], first))
@@ -248,16 +239,16 @@ def _level_marks(desc, new_at, j, ncols):
     return node, starts, mark.reshape(-1, ncols)
 
 
-def _slice_levels(desc, new_at, ncols, offsets, limit, small):
+def _slice_levels(rows, ncols, offsets, limit):
     """The levels of one slice of states, each state's leaf entry and
     the nodes, rows and entries per level; None if it would store more than
     limit entries.
 
-    desc holds each state's columns in descending order, new_at comes from
-    `_descending`, and offsets[j] counts the nodes, rows and entries of
-    level j in the slices before this one.  With small, every map is kept
-    as int32 as soon as its level is done.
+    rows holds the slice's states, each sorted ascending, and offsets[j]
+    counts the nodes, rows and entries of level j in the slices before this
+    one.
     """
+    desc, new_at = _descending(rows)
     k = desc.shape[1]
     levels, counts = [], [(0, 0, 0)]
     stored = 0
@@ -270,7 +261,10 @@ def _slice_levels(desc, new_at, ncols, offsets, limit, small):
         stored += int(size.sum())
         if stored > limit:
             return None
-        pos = (np.cumsum(mark, axis=1) - 1).reshape(-1)  # each column's row in its node
+        # each column's row in its node; int32, since this (nodes x ncols)
+        # array is the build's largest and no walk reads it
+        pos = np.cumsum(mark, axis=1, dtype=np.int32).reshape(-1)
+        pos -= 1
         rnode, rcol = np.nonzero(mark)
         rx = pos[rnode * ncols + rcol]
         base = np.cumsum(size) - size + offsets[j][2]
@@ -287,7 +281,7 @@ def _slice_levels(desc, new_at, ncols, offsets, limit, small):
             parent_ids = parent + pfirst
 
             def entry(p, a, b):  # (a, b), a <= b, of node p's upper triangle
-                pb = ppos[p * ncols + b]
+                pb = ppos[p * ncols + b].astype(np.intp)
                 return pbase[p] + pb * (pb + 1) // 2 + ppos[p * ncols + a]
 
         rparent = parent[rnode]
@@ -295,20 +289,25 @@ def _slice_levels(desc, new_at, ncols, offsets, limit, small):
         if last:
             ab, ra, reps = entry(rparent, rcol, rcol), None, None
         else:
-            reps = rx + 1
+            reps = rx.astype(np.intp) + 1
             rb = np.repeat(np.arange(len(rnode)), reps)  # the row of b
-            ra = rb - rx[rb] + np.arange(len(rb)) - np.repeat(np.cumsum(reps) - reps, reps)
+            # the row of a: rb - rx[rb] plus the entry's place in its column,
+            # in place, since this runs over the level's entries
+            ra = np.arange(len(rb))
+            ra -= np.repeat(np.cumsum(reps) - reps, reps)
+            ra -= rx[rb]
+            ra += rb
             ab = entry(rparent[rb], rcol[ra], rcol[rb])
+            del rb
             ra += offsets[j][1]
         pivot = entry(parent, c, c)
-        level = _Level(parent_ids, pivot, width, column, ab, ra, reps)
-        levels.append(_Level(*(_narrow(a, small) for a in level)))
+        levels.append([parent_ids, pivot, width, column, ab, ra, reps])  # a `_Level`'s fields
         counts.append((len(starts), len(rnode), int(size.sum())))
         prev = (node, pos, base, offsets[j][0])
     if prev is None:  # k = 1: the single pivot is the Gram's diagonal entry
-        return levels, _narrow(desc[:, 0] * (ncols + 1), small), counts
+        return levels, desc[:, 0] * (ncols + 1), counts
     node, pos, base, _ = prev
-    return levels, _narrow(base[node] + pos[node * ncols + desc[:, -1]], small), counts
+    return levels, base[node] + pos[node * ncols + desc[:, -1]], counts
 
 
 def subset_plan(idx) -> SubsetPlan:
@@ -330,6 +329,13 @@ def subset_plan(idx) -> SubsetPlan:
     whose bookkeeping fits the block budget, and a slice that would store
     more entries than its states factored one by one is halved, so the plan
     never stores more than (k - 1) k (k + 1) / 6 entries per state.
+
+    Every map is a native integer (``np.intp``) array, which a walk gathers
+    with as stored: numpy widens a narrower index on every gather, and a
+    plan serves every trial, grid point and shift of its caller.  The maps
+    take 8 bytes per entry: 2.5 MB for the first 36,864 states of C(22, 6)
+    (1.3 MB as int32), 72 MB for all of C(28, 7).  The build's own
+    temporaries stay narrower where no walk reads them.
 
     A plan pays when its states share columns and when it serves many
     matrices.  A sparse sample does neither: for the `discrete` command's
@@ -353,6 +359,7 @@ def subset_plan(idx) -> SubsetPlan:
             raise ValueError("the column indices of a state must be distinct")
     if count and rows[:, 0].min() < 0:
         raise ValueError("column indices must be nonnegative")
+    rows = rows.astype(np.intp, copy=False)  # the maps are native integers
     ncols = int(rows[:, -1].max()) + 1 if count else 0
     rows_per_slice = max(1, _BLOCK_ELEMENTS // (k + ncols))
     alone = (k - 1) * k * (k + 1) // 6  # entries of one state factored alone
@@ -361,11 +368,8 @@ def subset_plan(idx) -> SubsetPlan:
     parts, leaves = [], []
     while todo:
         lo, hi = todo.pop()
-        desc, new_at = _descending(rows[lo:hi])
         limit = (hi - lo) * alone
-        # every index lies below ncols^2 or the entry count of its level
-        small = max(ncols * ncols, *(entries + limit for _, _, entries in offsets)) < 2**31
-        built = _slice_levels(desc, new_at, ncols, offsets, limit, small)
+        built = _slice_levels(rows[lo:hi], ncols, offsets, limit)
         if built is None:
             mid = (lo + hi) // 2
             todo += [(mid, hi), (lo, mid)]
@@ -373,13 +377,17 @@ def subset_plan(idx) -> SubsetPlan:
         parts.append(built[0])
         leaves.append(built[1])
         offsets = [tuple(map(sum, zip(a, b))) for a, b in zip(offsets, built[2])]
-    built = desc = new_at = None  # free the last slice before joining the parts
+    built = None  # free the last slice before joining the parts
     levels = []
     for j in range(k - 1):
         kept = len(_Level._fields) - (2 if j == k - 2 else 0)  # no ra, reps at the last
-        fields = [_concatenate([part[j][f] for part in parts]) for f in range(kept)]
-        for part in parts:
-            part[j] = None  # keep the peak near the size of the plan
+        fields = []
+        for f in range(kept):
+            arrays = [part[j][f] for part in parts]
+            for part in parts:
+                part[j][f] = None  # free each map once joined: the peak stays near the plan's size
+            fields.append(_concatenate(arrays))
+            del arrays
         levels.append(_Level(*fields, *[None] * (len(_Level._fields) - kept)))
     leaf = _concatenate(leaves)
     if k > 1 and np.array_equal(leaf, np.arange(count)):
@@ -404,27 +412,27 @@ def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray
     e = np.array(gram[:d, :d]).reshape(-1)
     e[:: d + 1] += shift
     if not plan.levels:
-        return np.log(_at(e, plan.leaf))
+        return np.log(e[plan.leaf])
     # in place where possible, which keeps the peak memory of a call low
     logs = np.zeros(1)
     for lev in plan.levels:
-        piv = _at(e, lev.pivot)
-        logs = _at(logs, lev.parent) + np.log(piv)
-        col = _at(e, lev.column)
+        piv = e[lev.pivot]
+        logs = logs[lev.parent] + np.log(piv)
+        col = e[lev.column]
         ratio = np.repeat(piv, lev.width)
         np.divide(col, ratio, out=ratio)
         if lev.ra is None:  # the last level: one diagonal entry per row
             ratio *= col
         else:
-            ratio = _at(ratio, lev.ra)
+            ratio = ratio[lev.ra]
             ratio *= np.repeat(col, lev.reps)
         del col, piv
-        e = _at(e, lev.ab)
+        e = e[lev.ab]
         e -= ratio
         del ratio
     out = np.repeat(logs, plan.levels[-1].width)
     out += np.log(e, out=e)
-    return out if plan.leaf is None else _at(out, plan.leaf)
+    return out if plan.leaf is None else out[plan.leaf]
 
 
 def _subset_grams(panels, grams, rows, weights) -> np.ndarray:

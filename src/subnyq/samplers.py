@@ -29,6 +29,7 @@ __all__ = [
     "EnsembleSpec",
     "SamplerSpec",
     "derive_trial_seed",
+    "draw_matrices",
     "draw_matrix",
     "gaussian_batches",
     "make_flat_sampler",
@@ -184,26 +185,40 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gaussian(gen: Generator, shape) -> np.ndarray:
-    return _normal_quantile(_uniform_open(gen, shape))
-
-
-def draw_matrix(spec: EnsembleSpec) -> np.ndarray:
-    """Draw the (rows x cols) matrix determined by `spec`.
+def draw_matrices(specs) -> list[np.ndarray]:
+    """Draw the (rows x cols) matrix determined by each spec, in order.
 
     gaussian: inverse normal CDF (AS241) of open-interval uniforms.
     rademacher: +-1 from the low bit of the raw stream.
     uniform_sym: uniform on [-sqrt(3), sqrt(3)] (unit variance).
+
+    Each spec reads its own Philox stream.  The uniforms of all gaussian
+    specs go through one quantile call, whose arithmetic is elementwise, so
+    every matrix has the bits of its own `draw_matrix` call.
     """
-    gen = philox_generator(spec.seed)
-    shape = (spec.rows, spec.cols)
-    if spec.kind == "gaussian":
-        return _gaussian(gen, shape)
-    if spec.kind == "rademacher":
-        bits = _raw_uint64(gen, shape) & np.uint64(1)
-        return np.where(bits == 1, 1.0, -1.0)
-    # uniform_sym
-    return (2.0 * _uniform_open(gen, shape) - 1.0) * math.sqrt(3.0)
+    mats, uniforms = [], {}
+    for i, spec in enumerate(specs):
+        gen = philox_generator(spec.seed)
+        shape = (spec.rows, spec.cols)
+        if spec.kind == "gaussian":
+            uniforms[i] = _uniform_open(gen, shape)
+            mats.append(None)  # filled in below
+        elif spec.kind == "rademacher":
+            bits = _raw_uint64(gen, shape) & np.uint64(1)
+            mats.append(np.where(bits == 1, 1.0, -1.0))
+        else:  # uniform_sym
+            mats.append((2.0 * _uniform_open(gen, shape) - 1.0) * math.sqrt(3.0))
+    if uniforms:
+        flat = _normal_quantile(np.concatenate([u.reshape(-1) for u in uniforms.values()]))
+        cuts = np.cumsum([u.size for u in uniforms.values()])[:-1]
+        for (i, u), x in zip(uniforms.items(), np.split(flat, cuts)):
+            mats[i] = x.reshape(u.shape)
+    return mats
+
+
+def draw_matrix(spec: EnsembleSpec) -> np.ndarray:
+    """Draw the (rows x cols) matrix determined by `spec` (see `draw_matrices`)."""
+    return draw_matrices([spec])[0]
 
 
 def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
@@ -216,7 +231,7 @@ def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
     done = 0
     while done < total:
         c = min(chunk, total - done)
-        yield _gaussian(gen, (c, *shape_per_draw))
+        yield _normal_quantile(_uniform_open(gen, (c, *shape_per_draw)))
         done += c
 
 

@@ -25,6 +25,23 @@ def random_channel(gen: np.random.Generator, flat: bool = False) -> CompoundChan
     )
 
 
+def spy(monkeypatch, func) -> list:
+    """The argument tuples of every call of func, from any subnyq module
+    that binds it, so that a call moved to another module still counts."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "subnyq" or name.startswith("subnyq."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @pytest.fixture
 def gen():
     return np.random.default_rng(20230517)

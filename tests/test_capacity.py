@@ -1,10 +1,10 @@
 import json
 import math
-import sys
+import warnings
 
 import numpy as np
 import pytest
-from conftest import random_channel
+from conftest import random_channel, spy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -625,11 +625,18 @@ class TestPlanPath:
         path, out = tmp_path / "ch.json", tmp_path / "cap.csv"
         path.write_text(json.dumps({"W": 4.0, "n": 7, "k": 3, "P": 1.0, "q": 1,
                                     "gains": [[g] for g in gains]}))
-        with np.errstate(all="ignore"):
-            status = cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
-                               "--out", str(out)])
+        argv = ["--command", "capacity", "--channel", str(path), "--m", "4", "--out", str(out)]
+        if finite:  # a successful run prints no floating-point warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                status = cli_main(argv)
+        else:
+            with np.errstate(all="ignore"):
+                status = cli_main(argv)
+        err = capsys.readouterr().err
         assert status == (0 if finite else 3)
-        assert ("numerical failure" in capsys.readouterr().err) != finite
+        assert ("numerical failure" in err) != finite
+        assert "Warning" not in err
         assert out.exists() == finite
 
     def test_values_do_not_depend_on_blocking_or_order(self, monkeypatch):
@@ -639,23 +646,6 @@ class TestPlanPath:
         assert np.array_equal(np.stack(batched_losses(ch, sampler, idx[perm])), whole[:, perm])
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block and slice
         assert np.array_equal(np.stack(batched_losses(ch, sampler, idx)), whole)
-
-
-def spy(monkeypatch, func) -> list:
-    """The argument tuples of every call of func, from any subnyq module
-    that binds it, so that a call moved to another module still counts."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return func(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "subnyq" or name.startswith("subnyq."):
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 class TestLossPaths:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import spy
 
-from subnyq import experiments
+from subnyq import experiments, numerics
+from subnyq.cli import main as cli_main
 from subnyq.channel import CompoundChannel, enumerate_states
 from subnyq.experiments import (
     TrialConfig,
@@ -18,8 +20,8 @@ from subnyq.experiments import (
     wishart_minor_limit,
     wishart_minor_trial,
 )
-from subnyq.numerics import binary_entropy, subset_logdet, subset_plan, whiten
-from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
+from subnyq.numerics import NumericalError, binary_entropy, subset_logdet, subset_plan, whiten
+from subnyq.samplers import RESAMPLE_KEY_FLIP, EnsembleSpec, derive_trial_seed, draw_matrix
 
 
 def flat_unit_channel(n, k, snr):
@@ -114,6 +116,59 @@ class TestAchievabilityStatistics:
             assert res.per_trial["mean"][t] == math.fsum(sums) / count
             exact = math.fsum(vals.tolist()) / count
             assert abs(res.per_trial["mean"][t] - exact) <= 1e-15 * abs(exact)
+
+
+class TestAchievabilityDraws:
+    """Every trial's matrix comes from one batched draw, and the rank floor
+    runs once per accepted draw, under `_draw_full_rank`'s resample rule."""
+
+    CFG = TrialConfig(n=10, k=3, m=3, trials=4, master_seed=5)
+    SINGULAR = 2  # the trial whose first draw is made singular
+
+    def singular_first(self, monkeypatch):
+        real = experiments.draw_matrices
+
+        def draws(specs):
+            mats = real(specs)
+            mats[self.SINGULAR] = np.zeros_like(mats[self.SINGULAR])
+            return mats
+
+        monkeypatch.setattr(experiments, "draw_matrices", draws)
+
+    def test_singular_first_draw_is_resampled(self, monkeypatch):
+        plain = landau_achievability_trial(self.CFG, workers=2)
+        self.singular_first(monkeypatch)
+        res = landau_achievability_trial(self.CFG, workers=2)
+        n, k, m = self.CFG.n, self.CFG.k, self.CFG.m
+        seed = derive_trial_seed(self.CFG.master_seed, self.SINGULAR) ^ RESAMPLE_KEY_FLIP
+        b = whiten(draw_matrix(EnsembleSpec("gaussian", m, n, seed)))
+        vals = subset_logdet(b, enumerate_states(n, k, 10**6).indices, shift=self.CFG.eps) / n
+        # one chunk of states: the mean is its np.sum over the state count
+        want = {"min": float(np.min(vals)), "max": float(np.max(vals)),
+                "mean": float(np.sum(vals)) / math.comb(n, k)}
+        for key, series in res.per_trial.items():
+            for t, (got, was) in enumerate(zip(series, plain.per_trial[key])):
+                assert got == (want[key] if t == self.SINGULAR else was)
+
+    def test_two_singular_draws_fail(self, monkeypatch, capsys, tmp_path):
+        self.singular_first(monkeypatch)
+        monkeypatch.setattr(experiments, "draw_matrix", lambda spec: np.zeros((spec.rows, spec.cols)))
+        with pytest.raises(NumericalError):
+            landau_achievability_trial(self.CFG, workers=2)
+        status = cli_main(["--command", "achievability", "--n", "10", "--k", "3", "--m", "3",
+                           "--trials", "4", "--seed", "5", "--out", str(tmp_path / "out.json")])
+        assert status == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trial", [landau_achievability_trial, superlandau_achievability_trial])
+    def test_rank_floor_once_per_trial(self, monkeypatch, trial):
+        cfg = TrialConfig(n=14, k=3, m=3 if trial is landau_achievability_trial else 6, trials=5)
+        checks = spy(monkeypatch, numerics.full_rank_gram)
+        draws = spy(monkeypatch, experiments.draw_matrices)
+        trial(cfg, workers=2)
+        assert len(checks) == cfg.trials
+        assert len(draws) == 1
+
 
 class TestSuperLandauAchievability:
     CFG = TrialConfig(n=16, k=4, m=8, ensemble="gaussian", eps=0.05, trials=50, master_seed=7)

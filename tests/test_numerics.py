@@ -539,6 +539,19 @@ class TestSubsetPlan:
             monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
             assert np.array_equal(subset_logdet(b, idx, shift=0.05), whole)
 
+    @pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint8])
+    @pytest.mark.parametrize("n, k, layout", [(9, 1, "colex"), (10, 3, "colex"), (10, 4, "shuffled"),
+                                              (8, 5, "repeats")])
+    def test_maps_are_native_integers(self, n, k, layout, dtype):
+        # a walk gathers with the maps as stored, so none may need widening
+        idx = arrange(colex_indices(n, k), layout, np.random.default_rng(n + k)).astype(dtype)
+        plan = subset_plan(idx)
+        maps = [plan.leaf, *(a for lev in plan.levels for a in lev)]
+        assert {a.dtype for a in maps if a is not None} == {np.dtype(np.intp)}
+        b = whiten(np.random.default_rng(k).standard_normal((k, n)))
+        assert np.array_equal(subset_logdet(b, plan, shift=0.05),
+                              subset_logdet(b, idx.astype(np.intp), shift=0.05))
+
     def test_one_plan_for_many_matrices_and_shifts(self):
         rng = np.random.default_rng(18)
         idx = colex_indices(12, 4)

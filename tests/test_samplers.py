@@ -10,6 +10,7 @@ from subnyq.samplers import (
     ENSEMBLE_BOUNDS,
     EnsembleSpec,
     derive_trial_seed,
+    draw_matrices,
     draw_matrix,
     gaussian_batches,
     make_flat_sampler,
@@ -69,6 +70,41 @@ class TestDrawMatrix:
         for kind, bound in ENSEMBLE_BOUNDS.items():
             m = draw_matrix(EnsembleSpec(kind, 20, 40, 11))
             assert float(np.max(np.abs(m))) <= bound + 1e-12
+
+
+class TestDrawMatrices:
+    SEEDS = (0, 7, 2**64 - 1, derive_trial_seed(31337, 5), 123 ^ samplers.RESAMPLE_KEY_FLIP)
+
+    @staticmethod
+    def one_spec(spec):
+        """The matrix of spec from its own stream alone, entry map by entry map."""
+        gen, shape = philox_generator(spec.seed), (spec.rows, spec.cols)
+        if spec.kind == "gaussian":
+            return samplers._normal_quantile(samplers._uniform_open(gen, shape))
+        if spec.kind == "rademacher":
+            return np.where(samplers._raw_uint64(gen, shape) & np.uint64(1) == 1, 1.0, -1.0)
+        return (2.0 * samplers._uniform_open(gen, shape) - 1.0) * math.sqrt(3.0)
+
+    @pytest.mark.parametrize("kind", samplers.ENSEMBLE_KINDS)
+    def test_equals_one_draw_per_spec(self, kind):
+        specs = [EnsembleSpec(kind, 1 + s % 5, 9 + s % 4, s) for s in self.SEEDS]
+        for spec, mat in zip(specs, draw_matrices(specs)):
+            for want in (draw_matrix(spec), self.one_spec(spec)):
+                assert mat.shape == want.shape and mat.dtype == want.dtype
+                assert mat.tobytes() == want.tobytes()
+
+    def test_mixed_kinds_keep_their_order(self):
+        specs = [EnsembleSpec(kind, 3, 7, seed) for seed in self.SEEDS for kind in samplers.ENSEMBLE_KINDS]
+        got = draw_matrices(specs)
+        assert [m.tobytes() for m in got] == [draw_matrix(spec).tobytes() for spec in specs]
+        assert draw_matrices([]) == []
+
+    def test_one_quantile_call(self, monkeypatch):
+        calls = []
+        real = samplers._normal_quantile
+        monkeypatch.setattr(samplers, "_normal_quantile", lambda p: calls.append(p.size) or real(p))
+        draw_matrices([EnsembleSpec("gaussian", 2, 5, s) for s in range(4)])
+        assert calls == [40]
 
 
 class TestUniformOpen:

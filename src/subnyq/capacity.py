@@ -18,11 +18,11 @@ once per call, the states go through the shared kernel
 `numerics.subset_logdet`, and the water levels of a block of states come
 from one exact sort-and-threshold pass.  For a census, a block of all
 C(n, k) states, c_sampled of every state comes from one pass along the
-states' `SubsetPlan`, the channel's gains scaling each grid point's Gram
-column by column; only the states with their own gains (state_gains) are
-gathered state by state.  Any smaller block, such as a sparse sample of
-the states, is gathered state by state, which is faster there.  The
-single-state functions wrap it.
+states' `SubsetPlan`; any smaller block, such as a sparse sample of the
+states, gathers each state's Gram, which is faster there.  On both paths
+the channel's gains scale each grid point's Gram once, column by column,
+and only the states with their own gains (state_gains) are gathered with
+weights of their own.  The single-state functions wrap it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import NumericalError, subset_block_rows, subset_logdet, whiten
+from .numerics import (
+    NumericalError, SubsetPlan, subset_block_rows, subset_logdet, subset_plan, whiten
+)
 from .samplers import SamplerSpec
 
 __all__ = [
@@ -218,14 +220,15 @@ def _nyquist_at(channel: CompoundChannel, state: ChannelState, tol: float | None
     return float(c_eq[0]), float(c_opt[0]), float(nu[0])
 
 
-def _blocked_losses(whitened, idx, census, gain_grid, state_gains, scale, power, df, tol):
-    """(c_sampled, c_eq, c_opt, nu) for the states idx, in fixed-size blocks.
+def _blocked_losses(whitened, states, gain_grid, state_gains, scale, power, df, tol):
+    """(c_sampled, c_eq, c_opt, nu) for states, in fixed-size blocks.
 
-    Row s takes its (k, q) gains from state_gains when that map holds its
-    1-based index tuple, else from gain_grid.  With census, one pass along
-    the `SubsetPlan` of idx with per-column weights gives c_sampled of every
-    state, and only the rows with their own gains are gathered state by
-    state and patched in; without, every state is gathered.
+    states is an (S, k) index block or its `SubsetPlan`.  Row s takes its
+    (k, q) gains from state_gains when that map holds its 1-based index
+    tuple, else from gain_grid.  One `subset_logdet` call with the (n, q)
+    column weights gives c_sampled of every state, along the plan if one is
+    given; only the rows with their own gains are gathered again, with
+    their own weights, and patched in.
 
     Raises:
         NumericalError: if a value is not finite.  That happens for a gain
@@ -234,11 +237,11 @@ def _blocked_losses(whitened, idx, census, gain_grid, state_gains, scale, power,
             whose inverse squares, and with them its water level and
             c_opt, overflow.
     """
+    idx = states.indices if isinstance(states, SubsetPlan) else states
     m, k, q = whitened.shape[1], idx.shape[1], gain_grid.shape[1]
     block = subset_block_rows(m, k, q)
     out = np.empty((4, len(idx)))
-    if census:  # (n, q) column weights: subset_logdet runs them along the plan of idx
-        out[0] = 0.5 * df * subset_logdet(whitened, idx, np.sqrt(scale) * gain_grid)
+    out[0] = 0.5 * df * subset_logdet(whitened, states, np.sqrt(scale) * gain_grid)
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
         gains = gain_grid[rows]  # (S, k, q)
@@ -251,12 +254,9 @@ def _blocked_losses(whitened, idx, census, gain_grid, state_gains, scale, power,
                     own.append(r)
         h2 = (gains**2).reshape(len(rows), -1)  # subband-major, as gains[idx, :]
         out[1:, start : start + block] = _nyquist_block(h2, scale, power, df, tol)
-        if not census:
-            own = slice(None)  # every row is gathered
-        elif not own:
-            continue
-        logdets = subset_logdet(whitened, rows[own], np.sqrt(scale) * gains[own])
-        out[0, start : start + block][own] = 0.5 * df * logdets
+        if own:
+            logdets = subset_logdet(whitened, rows[own], np.sqrt(scale) * gains[own])
+            out[0, start : start + block][own] = 0.5 * df * logdets
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             "non-finite capacity or water level: a gain above about 1e154, "
@@ -281,12 +281,14 @@ def batched_losses(
     whitened once, and states are processed in blocks sized by a fixed
     element budget, so memory stays bounded for any S.
 
-    A census, S = C(n, k) rows such as the `capacity` command's, shares its
-    elimination along one `numerics.subset_plan`, built once per call; any
-    smaller block, such as a sparse sample, is factored state by state,
-    which is faster there (see `subset_plan`).  The two paths agree to
-    rounding: c_sampled of one state differs between them by about 4e-16
-    relative.
+    The channel's gains weigh the columns, so `numerics.subset_logdet`
+    scales each grid point's Gram once.  A census, S = C(n, k) rows such as
+    the `capacity` command's, shares its elimination along one
+    `numerics.subset_plan`, built here once per call; any smaller block,
+    such as a sparse sample, gathers each state's Gram and factors it on
+    its own, which is faster there (see `subset_plan`).  The two paths
+    agree to rounding: c_sampled of one state differs between them by about
+    4e-16 relative.
 
     tol bounds the water-filling power residual relative to P
     (NumericalError beyond it); None skips that check, for callers that use
@@ -296,9 +298,11 @@ def batched_losses(
     idx = _check_index_block(idx, n)
     if idx.shape[1] != k:
         raise ValueError(f"states have {idx.shape[1]} indices, channel expects {k}")
+    whitened = _whitened_panels(channel, sampler)
+    states = subset_plan(idx) if len(idx) == math.comb(n, k) else idx  # a census: one plan
     return _blocked_losses(
-        _whitened_panels(channel, sampler), idx, len(idx) == math.comb(n, k), channel.gain_grid,
-        channel.state_gains, _equal_power_scale(channel), channel.power, channel.grid_df, tol,
+        whitened, states, channel.gain_grid, channel.state_gains, _equal_power_scale(channel),
+        channel.power, channel.grid_df, tol,
     )
 
 
@@ -434,7 +438,7 @@ def discrete_losses(
         raise ValueError(f"sensing matrix must be m x {n}, got {q.shape}")
     idx = _check_index_block(idx, n)
     return _blocked_losses(
-        whiten(q)[None], idx, False, gains[:, None], None, power / idx.shape[1], power, 1.0, tol
+        whiten(q)[None], idx, gains[:, None], None, power / idx.shape[1], power, 1.0, tol
     )
 
 

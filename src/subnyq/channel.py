@@ -281,11 +281,13 @@ class EnumeratedStates:
         return ChannelState(tuple((self.indices[item] + 1).tolist()))
 
 
-def _colex_sorted(block: np.ndarray) -> np.ndarray:
-    """Rows of an (S, k) block of increasing subsets in colexicographic order."""
+def _colex_unique(block: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (S, k) block of increasing subsets, in
+    colexicographic order."""
     out = block[np.lexsort(block.T)]  # the last column is the primary key
-    out.flags.writeable = False
-    return out
+    fresh = np.ones(len(out), dtype=bool)
+    fresh[1:] = np.any(out[1:] != out[:-1], axis=1)  # equal rows are adjacent now
+    return out[fresh]
 
 
 def colex_indices(n: int, k: int) -> np.ndarray:
@@ -336,7 +338,10 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
     If C(n, k) <= cap, returns every state in colexicographic order and the
     result is exhaustive.  Otherwise draws `cap` distinct states from a
     dedicated fixed-seed stream (independent of any user seed), returns
-    them in colexicographic order and flags the result as sampled.
+    them in colexicographic order and flags the result as sampled.  Each
+    round draws the missing count with Floyd's algorithm (Bentley & Floyd,
+    CACM 1987) and keeps the distinct rows of the union so far, sorted and
+    deduplicated as rows, so that no row is ranked and any n works.
     """
     if int(n) != n or int(k) != k or not 1 <= k < n:
         raise ValueError(f"need integers 1 <= k < n, got k={k}, n={n}")
@@ -346,15 +351,16 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
     if math.comb(n, k) <= cap:
         return EnumeratedStates(indices=colex_indices(n, k), sampled=False)
     gen = philox_generator(_STATE_SAMPLING_KEY)
-    picked: set[tuple[int, ...]] = set()
+    picked = np.empty((0, k), dtype=np.intp)
     attempts = 0
     while len(picked) < cap:
         # a batch of exactly the missing count: the set stops growing at the
         # same draw as a one-at-a-time loop would
         need = cap - len(picked)
-        picked.update(map(tuple, _floyd_samples(n, k, need, gen).tolist()))
+        picked = _colex_unique(np.concatenate([picked, _floyd_samples(n, k, need, gen)]))
         attempts += need
         if attempts > 100 * cap:  # pragma: no cover - cap is well below C(n, k) here
             raise NumericalError("state sampling failed to collect distinct subsets")
-    block = np.array(list(picked), dtype=np.intp).reshape(cap, k) - 1
-    return EnumeratedStates(indices=_colex_sorted(block), sampled=True)
+    picked -= 1
+    picked.flags.writeable = False
+    return EnumeratedStates(indices=picked, sampled=True)

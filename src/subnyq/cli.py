@@ -195,7 +195,6 @@ def _verify_instances(seed: int):
 
 def cmd_verify(params: dict) -> int:
     seed = int(params["seed"])
-    workers = int(params["workers"])
     perturb = float(params["perturb"] or 0.0)
     checks: list[converse.ConverseCheck] = []
     failures: list[str] = []
@@ -204,15 +203,15 @@ def cmd_verify(params: dict) -> int:
         if perturb:
             b = b.copy()
             b[0, 0] += perturb
-        plans = converse.colex_plans(n, k)  # one elimination plan per instance
-        sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID, workers, plans)
+        plan = converse.colex_plan(n, k)  # one elimination plan per instance
+        sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID, plan)
         for eps, lhs in zip(VERIFY_EPS_GRID, sums):
             rhs = converse.subset_det_sum_closed(n, k, m, eps)
             checks.append(
                 converse.ConverseCheck(n=n, k=k, m=m, eps=eps, lhs_sum=lhs, rhs_closed=rhs)
             )
         if not perturb:
-            sandwich = converse.per_instance_sandwich(b, k, 0.04, workers, plans)
+            sandwich = converse.per_instance_sandwich(b, k, 0.04, plan)
             if sandwich["min_state_value"] > sandwich["deterministic_upper"]:
                 failures.append(f"per-instance sandwich violated at (n={n}, k={k}, m={m})")
             again = whiten(b)

@@ -20,12 +20,11 @@ import numpy as np
 
 from .channel import colex_indices
 from .numerics import SubsetPlan, binary_entropy, log_binomial, subset_logdet, subset_plan
-from .parallel import map_ordered
 
 __all__ = [
     "ConverseCheck",
     "ENUMERATION_CAP",
-    "colex_plans",
+    "colex_plan",
     "min_state_logdet_bound",
     "minimax_lower_bound",
     "per_instance_sandwich",
@@ -85,63 +84,54 @@ def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
     return b
 
 
-def colex_plans(n: int, k: int) -> list[SubsetPlan]:
-    """The elimination plan of all k-subsets of n columns in colex order, as
-    the list of plans that `subset_det_sums_unchecked` and
-    `per_instance_sandwich` take.
+def colex_plan(n: int, k: int) -> SubsetPlan:
+    """The elimination plan of all k-subsets of n columns in colex order,
+    which `subset_det_sums_unchecked` and `per_instance_sandwich` take.
 
-    One plan per instance: two half plans on two forked workers were slower
-    than the one plan in the calling process at every size measured, from
-    C(12, 6) = 924 to C(26, 6) = 230,230 states (verify's 4 eps: 0.4 against
-    3.0 ms, 16.1 against 19.7 ms at C(22, 6), 48.8 against 57.6 ms; 2-core
-    VM, Python 3.11.7, numpy 2.4.6, where a forked worker mostly shared
-    its parent's core).  Build it once per instance and pass
-    it to both functions, which build their own otherwise; each of them
-    maps over the plans once, for its whole eps grid, so a caller that
-    splits the states into plans of its own spreads them over its workers.
-    No value depends on the split.
+    One plan per instance, in the calling process: two half plans on two
+    forked workers were slower at every size measured, from C(12, 6) = 924
+    to C(26, 6) = 230,230 states (verify's 4 eps: 0.4 against 3.0 ms, 16.1
+    against 19.7 ms at C(22, 6), 48.8 against 57.6 ms; 2-core VM, Python
+    3.11.7, numpy 2.4.6, where a forked worker mostly shared its parent's
+    core).  Build it once per instance and pass it to both functions,
+    which build their own otherwise.
     """
-    return [subset_plan(colex_indices(n, k))]
+    return subset_plan(colex_indices(n, k))
 
 
-def _enumerated_logdets(b, k, eps_grid, workers, plans) -> list[np.ndarray]:
+def _enumerated_logdets(b, k, eps_grid, plan) -> list[np.ndarray]:
     """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order, per eps."""
     n = b.shape[1]
-    if plans is None:
-        plans = colex_plans(n, k)
-    elif sum(len(plan.indices) for plan in plans) != math.comb(n, k) or any(
-        plan.indices.shape[1] != k or plan.ncols > n for plan in plans
-    ):
-        raise ValueError(f"the plans do not hold the C({n},{k}) states")
-    per_plan = map_ordered(
-        lambda plan: [subset_logdet(b, plan, shift=eps) for eps in eps_grid], plans, workers=workers
-    )
-    return [np.concatenate(vals) for vals in zip(*per_plan)]
+    if plan is None:
+        plan = colex_plan(n, k)
+    elif len(plan.indices) != math.comb(n, k) or plan.indices.shape[1] != k or plan.ncols > n:
+        raise ValueError(f"the plan does not hold the C({n},{k}) states")
+    return [subset_logdet(b, plan, shift=eps) for eps in eps_grid]
 
 
 def subset_det_sums_unchecked(
-    b: np.ndarray, k: int, eps_grid, workers: int = 1, plans: list[SubsetPlan] | None = None
+    b: np.ndarray, k: int, eps_grid, plan: SubsetPlan | None = None
 ) -> list[float]:
     """The enumerated sums of `subset_det_sum` at each eps of eps_grid,
     without its preconditions.
 
     Any m x n matrix with 1 <= k <= n is accepted (rows need not be
     orthonormal), which lets a fault-injection run corrupt B on purpose.
-    plans, if given, come from `colex_plans(n, k)`.  Each sum is exactly
-    rounded (math.fsum), so it does not depend on workers.
+    plan, if given, comes from `colex_plan(n, k)`.  Each sum is exactly
+    rounded (math.fsum).
     """
     b = np.asarray(b, dtype=float)
-    logdets = _enumerated_logdets(b, k, eps_grid, workers, plans)
+    logdets = _enumerated_logdets(b, k, eps_grid, plan)
     return [math.fsum(np.exp(vals).tolist()) for vals in logdets]
 
 
-def subset_det_sum(b: np.ndarray, k: int, eps: float, workers: int = 1) -> float:
+def subset_det_sum(b: np.ndarray, k: int, eps: float) -> float:
     """sum over all k-subsets s of det(eps I_k + B_s^T B_s), by enumeration.
 
     Requires orthonormal rows (within 1e-8), k <= m, eps >= 0 and
     C(n, k) <= ENUMERATION_CAP subsets.
     """
-    return subset_det_sums_unchecked(_check_instance(b, k, eps), k, [eps], workers)[0]
+    return subset_det_sums_unchecked(_check_instance(b, k, eps), k, [eps])[0]
 
 
 def subset_det_sum_closed(n: int, k: int, m: int, eps: float) -> float:
@@ -206,18 +196,18 @@ def minimax_lower_bound(n: int, k: int, m: int, snr_min: float, bandwidth: float
 
 
 def per_instance_sandwich(
-    b: np.ndarray, k: int, eps: float, workers: int = 1, plans: list[SubsetPlan] | None = None
+    b: np.ndarray, k: int, eps: float, plan: SubsetPlan | None = None
 ) -> dict[str, float]:
     """Enumerated min of (1/n) log det(eps I + B_s^T B_s) and its certified cap.
 
     Returns {"min_state_value", "deterministic_upper"}; the min can never
     exceed the cap for any orthonormal-rows B, so a violation here is an
-    internal-consistency failure, not statistical noise.  plans, if given,
-    come from `colex_plans(n, k)`.
+    internal-consistency failure, not statistical noise.  plan, if given,
+    comes from `colex_plan(n, k)`.
     """
     b = _check_instance(b, k, eps)
     m, n = b.shape
-    logdets = _enumerated_logdets(b, k, [eps], workers, plans)[0]
+    logdets = _enumerated_logdets(b, k, [eps], plan)[0]
     return {
         "min_state_value": float(np.min(logdets)) / n,
         "deterministic_upper": min_state_logdet_bound(n, k, m, eps)["exact"],

@@ -6,17 +6,18 @@ symmetric eigendecomposition backend (LAPACK, through ``numpy.linalg``)
 serves whitening, the rank-floor check and the single-matrix log-dets
 `logdet_shifted` and `det_floor`.  `subset_logdet` is the one batched
 kernel behind every per-state quantity: the converse sums, the Landau
-statistics and the sampled capacities.  It makes no LAPACK call.  It
-eliminates along a `SubsetPlan`, the trie of the states' shared top
-columns, built once from the index block, so that states sharing columns
-share their elimination.  The plan's gather maps are native integers, so
-a walk along it converts no index.  Weights that belong to the columns
-(one gain per subband and grid point, as in a `capacity` census) scale
-the panel's n x n Gram once per grid point and take the same plan.
-Weights that belong to the states (a sparse sample, for which a plan does
-not pay, or states with gains of their own) have each state's Gram
-gathered from the n x n Gram, and all of them factored in one vectorized
-elimination.  Both paths run many short numpy gathers and elementwise
+statistics and the sampled capacities.  It makes no LAPACK call.  Given
+a `SubsetPlan`, the trie of the states' shared top columns that the
+caller builds once from the index block, it eliminates along the plan,
+so that states sharing columns share their elimination; the plan's gather
+maps are native integers, so a walk along it converts no index.  Given an
+index block (a sparse sample, for which a plan does not pay), it gathers
+each state's Gram from the panel's n x n Gram, and factors all of them in
+one vectorized elimination.  Weights that belong to the columns (one gain
+per subband and grid point, as in `capacity` and `discrete`) scale the
+n x n Gram once per grid point, on either path; weights that belong to
+the states (states with gains of their own) scale each gathered Gram.
+Both paths run many short numpy gathers and elementwise
 loops whose Python steps hold the interpreter lock, so the callers spread
 the kernel over forked worker processes (`parallel.map_ordered`), each
 with a run of states or of trials, never over threads.
@@ -228,17 +229,6 @@ def _descending(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return desc, np.concatenate(([-1], first))
 
 
-def _level_marks(desc, new_at, j, ncols):
-    """Level-j nodes of a slice: the node of each state, each node's first
-    state, and the (nodes, ncols) mask of the columns left below its prefix."""
-    first = new_at < j
-    node = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    mark = np.zeros(len(starts) * ncols, dtype=bool)
-    mark[(node[:, None] * ncols + desc[:, j:]).reshape(-1)] = True
-    return node, starts, mark.reshape(-1, ncols)
-
-
 def _slice_levels(rows, ncols, offsets, limit):
     """The levels of one slice of states, each state's leaf entry and
     the nodes, rows and entries per level; None if it would store more than
@@ -250,24 +240,31 @@ def _slice_levels(rows, ncols, offsets, limit):
     """
     desc, new_at = _descending(rows)
     k = desc.shape[1]
+    if k == 1:  # the single pivot is the Gram's diagonal entry
+        return [], desc[:, 0] * (ncols + 1), [(0, 0, 0)]
     levels, counts = [], [(0, 0, 0)]
     stored = 0
     prev = None  # (node, flat pos, base, first node) of the previous level
     for j in range(1, k):
-        node, starts, mark = _level_marks(desc, new_at, j, ncols)
-        width = np.count_nonzero(mark, axis=1)
+        first = new_at < j  # the level-j nodes: runs of states sharing their top j columns
+        node = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
         last = j == k - 1
-        size = width if last else width * (width + 1) // 2
+        if last:
+            # one row, and one entry, per distinct (node, smallest column)
+            # pair, so no (nodes x ncols) mask is needed
+            keys, leaf = np.unique(node * ncols + desc[:, -1], return_inverse=True)
+            rnode, rcol = np.divmod(keys, ncols)
+            width = size = np.bincount(rnode, minlength=len(starts))
+        else:
+            mark = np.zeros(len(starts) * ncols, dtype=bool)
+            mark[(node[:, None] * ncols + desc[:, j:]).reshape(-1)] = True
+            mark = mark.reshape(-1, ncols)  # the columns left below each node's prefix
+            width = np.count_nonzero(mark, axis=1)
+            size = width * (width + 1) // 2
         stored += int(size.sum())
         if stored > limit:
             return None
-        # each column's row in its node; int32, since this (nodes x ncols)
-        # array is the build's largest and no walk reads it
-        pos = np.cumsum(mark, axis=1, dtype=np.int32).reshape(-1)
-        pos -= 1
-        rnode, rcol = np.nonzero(mark)
-        rx = pos[rnode * ncols + rcol]
-        base = np.cumsum(size) - size + offsets[j][2]
         c = desc[starts, j - 1]  # the pivot column, the smallest of the prefix
         if prev is None:  # the first level reads the Gram, row-major
             parent = parent_ids = np.zeros(len(starts), dtype=np.intp)
@@ -284,6 +281,14 @@ def _slice_levels(rows, ncols, offsets, limit):
                 pb = ppos[p * ncols + b].astype(np.intp)
                 return pbase[p] + pb * (pb + 1) // 2 + ppos[p * ncols + a]
 
+        if not last:
+            # each column's row in its node; int32, since this (nodes x ncols)
+            # array is the build's largest and no walk reads it
+            pos = np.cumsum(mark, axis=1, dtype=np.int32).reshape(-1)
+            pos -= 1
+            rnode, rcol = np.nonzero(mark)
+            del mark
+            rx = pos[rnode * ncols + rcol]
         rparent = parent[rnode]
         column = entry(rparent, rcol, c[rnode])
         if last:
@@ -303,11 +308,25 @@ def _slice_levels(rows, ncols, offsets, limit):
         pivot = entry(parent, c, c)
         levels.append([parent_ids, pivot, width, column, ab, ra, reps])  # a `_Level`'s fields
         counts.append((len(starts), len(rnode), int(size.sum())))
-        prev = (node, pos, base, offsets[j][0])
-    if prev is None:  # k = 1: the single pivot is the Gram's diagonal entry
-        return levels, desc[:, 0] * (ncols + 1), counts
-    node, pos, base, _ = prev
-    return levels, base[node] + pos[node * ncols + desc[:, -1]], counts
+        if not last:
+            prev = (node, pos, np.cumsum(size) - size + offsets[j][2], offsets[j][0])
+    leaf += offsets[k - 1][2]  # the last level holds one entry per row
+    return levels, leaf, counts
+
+
+def _ascending(idx: np.ndarray) -> np.ndarray:
+    """The rows of an (S, k) index block each sorted ascending (the block
+    itself when they are).
+
+    Raises:
+        ValueError: for a row with a repeated column index.
+    """
+    if not np.any(idx[:, 1:] <= idx[:, :-1]):
+        return idx
+    rows = np.sort(idx, axis=1)
+    if np.any(rows[:, 1:] == rows[:, :-1]):
+        raise ValueError("the column indices of a state must be distinct")
+    return rows
 
 
 def subset_plan(idx) -> SubsetPlan:
@@ -339,11 +358,12 @@ def subset_plan(idx) -> SubsetPlan:
 
     A plan pays when its states share columns and when it serves many
     matrices.  A sparse sample does neither: for the `discrete` command's
-    5,000 of the C(40, 8) states, building the plan took 25-28 ms and
+    5,000 of the C(40, 8) states, building the plan took 16-21 ms and
     stored 77% of the entries of its states factored alone, one pass along
-    it 2.2-2.6 ms, and the per-state path 3.1-3.7 ms (2 cores, Python
-    3.11.7, numpy 2.4.6).  So `capacity.batched_losses` plans a census
-    only, and factors any smaller block, such as a sample, state by state.
+    it 1.8-2.9 ms, and the gathered pass of the block with its column
+    weights 2.1-2.3 ms (2 cores, Python 3.11.7, numpy 2.4.6).  So
+    `subset_logdet` runs along a plan only when its caller passes one, and
+    `capacity.batched_losses` builds one for a census only.
 
     Raises:
         ValueError: for a row with a negative or repeated column index.
@@ -352,11 +372,7 @@ def subset_plan(idx) -> SubsetPlan:
     if idx.ndim != 2 or idx.shape[1] < 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise ValueError(f"expected an (S, k) integer index block, got shape {idx.shape}")
     count, k = idx.shape
-    rows = idx
-    if np.any(idx[:, 1:] <= idx[:, :-1]):
-        rows = np.sort(idx, axis=1)
-        if np.any(rows[:, 1:] == rows[:, :-1]):
-            raise ValueError("the column indices of a state must be distinct")
+    rows = _ascending(idx)
     if count and rows[:, 0].min() < 0:
         raise ValueError("column indices must be nonnegative")
     rows = rows.astype(np.intp, copy=False)  # the maps are native integers
@@ -435,19 +451,29 @@ def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray
     return out if plan.leaf is None else out[plan.leaf]
 
 
+def _scaled_gram(grams, weights, j) -> np.ndarray:
+    """Grid point j's n x n Gram, entry (a, b) scaled as (g_ab w_a) w_b, the
+    order in which `_subset_grams` scales a gathered entry."""
+    gram = grams[j % len(grams)]
+    return gram * weights[:, j, None] * weights[None, :, j]
+
+
 def _subset_grams(panels, grams, rows, weights) -> np.ndarray:
     """The smaller weighted Gram of every state in rows, as a (d, d, q, S) stack.
 
-    With grams (the flattened n x n Grams B^T B of the panels) each k x k
-    Gram is gathered entry by entry, once per panel, and scaled by w_a w_b
-    per grid point; otherwise the Grams are formed from the columns.
+    With grams, a (g, n, n) stack of Grams (B^T B of each panel, or one
+    weighted Gram per grid point), each k x k Gram is gathered entry by
+    entry from every one of them, and scaled by w_a w_b per grid point when
+    weights are given; otherwise the Grams are formed from the columns.
     """
     p, m, n = panels.shape
     if grams is not None:
         cols = np.ascontiguousarray(rows.T)  # (k, S)
-        offsets = np.arange(p)[:, None] * (n * n)  # panel j starts at j n^2
+        offsets = np.arange(len(grams))[:, None] * (n * n)  # Gram j starts at j n^2
         flat = (cols * n)[:, None, None, :] + (cols[:, None, :] + offsets)[None]
-        mats = np.take(grams, flat)  # (k, k, p, S)
+        mats = np.take(grams, flat)  # (k, k, g, S)
+        if weights is None:
+            return mats
         w = np.ascontiguousarray(np.transpose(weights, (1, 2, 0)))  # (k, q, S)
         return mats * w[:, None] * w[None, :]
     a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
@@ -458,43 +484,69 @@ def _subset_grams(panels, grams, rows, weights) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(small, (2, 3, 1, 0)))
 
 
+def _blocked_logdet(panels, grams, idx, weights, q, shift) -> np.ndarray:
+    """Summed log-determinants of the Grams of `_subset_grams` over its q
+    grid points, per state, in blocks of a fixed element budget."""
+    m, k = panels.shape[1], idx.shape[1]
+    d = min(m, k)
+    block = subset_block_rows(m, k, q)
+    out = np.empty(len(idx))
+    for start in range(0, len(idx), block):
+        rows = idx[start : start + block]
+        w = None if weights is None else weights[start : start + block]
+        # (d, d, q, S); contiguous, so that the reshapes below are views
+        mats = np.ascontiguousarray(_subset_grams(panels, grams, rows, w))
+        mats.reshape(d * d, -1)[:: d + 1] += shift
+        logdets = _pivot_logdet(mats.reshape(d, d, -1)).reshape(q, len(rows))
+        out[start : start + block] = logdets.sum(axis=0)
+    if k > m:
+        out += q * (k - m) * math.log(shift) if shift > 0 else -np.inf
+    return out
+
+
 def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     """log det(shift I_k + A_s^T A_s) per state s, with A_s = B[:, s] diag(w_s).
 
     b is an m x n matrix or a (p, m, n) stack of panels; idx is an (S, k)
     integer block of zero-based column indices, one state per row, or a
-    `SubsetPlan` built from one by `subset_plan`, which repeated calls on
-    the same states can share.  weights, if given, holds the column scales
-    at each of q grid points, where grid point j uses panel j (or the one
-    panel when p = 1): an (n, q) array, one row per column and shared by
-    every state, or an (S, k, q) array, each state's own.  The
-    log-determinants of the q grid points are summed per state.
+    `SubsetPlan` built from one by `subset_plan`.  weights, if given, holds
+    the column scales at each of q grid points, where grid point j uses
+    panel j (or the one panel when p = 1): an (n, q) array, one row per
+    column and shared by every state, or an (S, k, q) array, each state's
+    own.  The log-determinants of the q grid points are summed per state.
 
     Each determinant comes from the smaller Gram: A^T A (k x k) when
     k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
     per grid point.  For k <= m, as long as the panels' p n^2 entries of
     B^T B fit a fixed budget (n up to 362 for one panel), B^T B is formed
-    once per call, whole, so that no entry depends on the states:
+    once per call, whole, so that no entry depends on the states.  Then
+    the path follows what the caller passes:
 
-    * unweighted or with per-column weights, the states are factored along
-      their `subset_plan` (built here if idx is a block), which shares the
-      elimination of common top columns.  Per-column weights make one
-      weighted Gram D B^T B D per grid point, D = diag(w), whose principal
-      minors are exactly the states' weighted Grams D_s B_s^T B_s D_s;
-    * with per-state weights, each k x k Gram is gathered from B^T B and
-      scaled, which is the faster path for a sparse sample of the states
-      evaluated once (see `subset_plan`).
+    * a `SubsetPlan`, unweighted or with per-column weights: the states are
+      factored along the plan, which shares the elimination of common top
+      columns.  Per-column weights make one weighted Gram D B^T B D per
+      grid point, D = diag(w), whose principal minors are exactly the
+      states' weighted Grams D_s B_s^T B_s D_s.  A plan pays when its
+      states share columns and it serves many matrices (see
+      `subset_plan`), so only the caller can tell, and builds it;
+    * an index block: each state's k x k Gram is gathered from B^T B and
+      factored on its own.  Per-column weights scale each grid point's
+      n x n Gram once (the scaled Grams are held whole while they fit the
+      budget, else one grid point at a time), so every gathered entry has
+      the bits of the per-state weights w[idx], and so has every value;
+    * per-state weights, with an index block or a plan: each gathered
+      k x k Gram is scaled by its state's weights.
 
-    Beyond the budget, and for k > m, the Grams come from the columns.
-    Gathered and column Grams are factored in blocks of a fixed element
-    budget by elimination without pivoting (`_pivot_logdet`).  The path
-    depends on p, m, n, k and the shape of the weights only.  A pivot <= 0
-    (shift = 0 with a singular minor) gives -inf.  Weights as small as
-    float64 allows are fine (their entries underflow toward the shift); a
-    weighted Gram entry that overflows, for a weight beyond about 1e154 on
-    unit-norm columns, gives a value that is not finite.  Every value
-    depends on its own state only, never on S, the order of the states or
-    the block split.
+    Beyond the budget, and for k > m, the Grams come from the columns, with
+    per-column weights taken per state.  Gathered and column Grams are
+    factored in blocks of a fixed element budget by elimination without
+    pivoting (`_pivot_logdet`).  The path depends on p, m, n, k, the kind
+    of idx and the shape of the weights only.  A pivot <= 0 (shift = 0
+    with a singular minor) gives -inf.  Weights as small as float64 allows
+    are fine (their entries underflow toward the shift); a weighted Gram
+    entry that overflows, for a weight beyond about 1e154 on unit-norm
+    columns, gives a value that is not finite.  Every value depends on its
+    own state only, never on S, the order of the states or the block split.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -510,43 +562,40 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
             raise ValueError(f"column indices must lie in [0, {n})")
     elif idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"column indices must lie in [0, {n})")
+    else:
+        _ascending(idx)
     gathered = k <= m and p * n * n <= _GRAM_ELEMENTS
+    columns = False  # per-column weights on gathered Grams
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim == 2:  # one row per column
             if weights.shape[0] != n or p not in (1, weights.shape[1]):
                 raise ValueError(f"column weights must have shape ({n}, q), q = {p} or p = 1")
+            columns = gathered
             if not gathered:
                 weights = weights[idx]  # (S, k, q): the column path takes each state's own
-    if gathered and (weights is None or weights.ndim == 2):
-        if plan is None:
-            plan = subset_plan(idx)
-        grams = np.swapaxes(panels, 1, 2) @ panels
+    q = p if weights is None else weights.shape[-1]
+    if not gathered:
+        return _blocked_logdet(panels, None, idx, weights, q, shift)
+    grams = np.swapaxes(panels, 1, 2) @ panels  # (p, n, n)
+    if plan is not None and (weights is None or columns):
         out = None
         with np.errstate(all="ignore"):
-            for j in range(p if weights is None else weights.shape[1]):
-                gram = grams[j % p]
-                if weights is not None:  # scaled as the gathered path scales its entries
-                    gram = gram * weights[:, j, None] * weights[None, :, j]
+            for j in range(q):
+                gram = grams[j] if weights is None else _scaled_gram(grams, weights, j)
                 vals = _plan_logdet(plan, gram, shift)
                 out = vals if out is None else out + vals
         out[np.isnan(out)] = -np.inf
         return out
-    q = p if weights is None else weights.shape[2]
-    d = min(m, k)
-    block = subset_block_rows(m, k, q)
-    grams = (np.swapaxes(panels, 1, 2) @ panels).reshape(-1) if gathered else None
-    out = np.empty(len(idx))
-    for start in range(0, len(idx), block):
-        rows = idx[start : start + block]
-        w = None if weights is None else weights[start : start + block]
-        # (d, d, q, S); contiguous, so that the reshapes below are views
-        mats = np.ascontiguousarray(_subset_grams(panels, grams, rows, w))
-        mats.reshape(d * d, -1)[:: d + 1] += shift
-        logdets = _pivot_logdet(mats.reshape(d, d, -1)).reshape(q, len(rows))
-        out[start : start + block] = logdets.sum(axis=0)
-    if k > m:
-        out += q * (k - m) * math.log(shift) if shift > 0 else -np.inf
+    if not columns:
+        return _blocked_logdet(panels, grams, idx, weights, q, shift)
+    step = q if q * n * n <= _GRAM_ELEMENTS else 1  # grid points per pass
+    out = None
+    for j0 in range(0, q, step):
+        with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
+            scaled = np.stack([_scaled_gram(grams, weights, j) for j in range(j0, j0 + step)])
+        vals = _blocked_logdet(panels, scaled, idx, None, step, shift)
+        out = vals if out is None else out + vals  # the order of a sum over grid points
     return out
 
 

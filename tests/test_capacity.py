@@ -649,9 +649,10 @@ class TestPlanPath:
 
 
 class TestLossPaths:
-    """Which kernel path each workload takes: a census along one plan, with
-    no per-state Gram gather but for rows with their own gains; a sample
-    state by state, with no plan."""
+    """Which kernel path each workload takes: a census along one plan, a
+    sample gathered state by state from the Grams that the channel's gains
+    scale once, with no plan; only rows with their own gains are gathered
+    with weights of their own."""
 
     @pytest.mark.parametrize("overrides", [0, 3])
     def test_capacity_census_runs_along_one_plan(self, tmp_path, capsys, monkeypatch, overrides):
@@ -690,6 +691,8 @@ class TestLossPaths:
         plans.clear()
         equal_power_losses(ch, sampler, states[1:])
         assert plans == [] and sum(len(args[2]) for args in gathers) == len(idx) - 1
+        # one scaled Gram per grid point, and no per-state weights
+        assert all(len(args[1]) == ch.q and args[3] is None for args in gathers)
 
     def test_discrete_sample_runs_state_by_state(self, tmp_path, capsys, monkeypatch):
         plans = spy(monkeypatch, numerics.subset_plan)
@@ -699,6 +702,31 @@ class TestLossPaths:
         assert capsys.readouterr().out.rstrip().endswith("sampled state set")
         assert plans == []
         assert sum(len(args[2]) for args in gathers) == 30
+        assert all(len(args[1]) == 1 and args[3] is None for args in gathers)
+
+    @pytest.mark.parametrize("overrides", [0, 2])
+    def test_sampled_capacity_weighs_only_its_overrides(self, tmp_path, capsys, monkeypatch,
+                                                        overrides):
+        gen = np.random.default_rng(13)
+        n, k, q, cap = 12, 4, 3, 40
+        sample = enumerate_states(n, k, cap).indices
+        doc = {"W": 12.0, "n": n, "k": k, "P": 20.0, "q": q,
+               "gains": gen.uniform(0.4, 2.5, (n, q)).tolist()}
+        if overrides:
+            doc["state_gains"] = {",".join(map(str, sample[r] + 1)):
+                                  gen.uniform(0.4, 2.5, (n, q)).tolist() for r in (0, 17)}
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        plans = spy(monkeypatch, numerics.subset_plan)
+        gathers = spy(monkeypatch, numerics._subset_grams)
+        assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "6",
+                         "--state-cap", str(cap), "--out", str(tmp_path / "cap.csv")]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("sampled state set")
+        assert plans == []
+        weighted = [args for args in gathers if args[3] is not None]
+        assert sum(len(args[2]) for args in gathers if args[3] is None) == cap
+        assert sum(len(args[2]) for args in weighted) == overrides
+        assert all(args[3].shape == (len(args[2]), k, q) for args in weighted)
 
 
 class TestDiscreteLoss:

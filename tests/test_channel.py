@@ -5,7 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from subnyq import channel
 from subnyq.channel import (
     ChannelState,
     CompoundChannel,
@@ -14,6 +17,27 @@ from subnyq.channel import (
     load_channel,
     snr_summary,
 )
+from subnyq.samplers import philox_generator
+
+
+def set_of_tuples_sample(n, k, cap):
+    """The sampled branch of `enumerate_states` as a set of tuples: Floyd
+    batches of the missing count until cap distinct states, colex-sorted."""
+    gen = philox_generator(channel._STATE_SAMPLING_KEY)
+    picked = set()
+    while len(picked) < cap:
+        picked.update(map(tuple, channel._floyd_samples(n, k, cap - len(picked), gen).tolist()))
+    block = np.array(list(picked), dtype=np.intp).reshape(cap, k) - 1
+    return block[np.lexsort(block.T)]
+
+
+@st.composite
+def sampled_problems(draw):
+    """n, k and a cap below C(n, k), so that the states are sampled."""
+    n = draw(st.integers(2, 90))
+    k = draw(st.integers(1, n - 1))
+    cap = draw(st.integers(1, min(math.comb(n, k) - 1, 400)))
+    return n, k, cap
 
 
 class TestChannelState:
@@ -82,6 +106,8 @@ class TestEnumerateStates:
             (30, 10, 100, "e2ad7c6607150e06b5f2be122f48fa5274d81f32821f33e347c726887f2c9e63"),
             # the discrete-sampled benchmark shape
             (40, 8, 5000, "d6022d66c0fc15aed36a6e5778616d176dc6cf3f144d62698bb9be45492bdd3f"),
+            # the first batch holds 131 distinct states of 200: the resample loop
+            (12, 3, 200, "9ffa7fedb211895e597ffffc7398654df83f28f00d51d44a95dcb7b2160cd9d4"),
         ],
     )
     def test_sampled_set_pinned(self, n, k, cap, digest):
@@ -90,6 +116,19 @@ class TestEnumerateStates:
         assert out.sampled
         one_based = np.array([s.indices for s in out], dtype=np.int64)
         assert hashlib.sha256(one_based.tobytes()).hexdigest() == digest
+
+    @given(dims=sampled_problems())
+    @example(dims=(12, 3, 200))  # the first batch repeats 69 states
+    @example(dims=(12, 3, 219))  # all but one of C(12, 3)
+    @example(dims=(80, 40, 50))  # beyond any 64-bit rank of a state
+    @example(dims=(2, 1, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_set_matches_a_set_of_tuples(self, dims):
+        n, k, cap = dims
+        out = enumerate_states(n, k, cap)
+        assert out.sampled
+        assert out.indices.dtype == np.intp and not out.indices.flags.writeable
+        assert np.array_equal(out.indices, set_of_tuples_sample(n, k, cap))
 
     @pytest.mark.parametrize("n, k, cap", [(9, 4, 10**6), (40, 8, 300)])
     def test_index_block(self, n, k, cap):

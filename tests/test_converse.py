@@ -5,7 +5,7 @@ import pytest
 
 from subnyq.converse import (
     ConverseCheck,
-    colex_plans,
+    colex_plan,
     min_state_logdet_bound,
     minimax_lower_bound,
     per_instance_sandwich,
@@ -79,46 +79,31 @@ class TestSubsetDetSum:
             b = whitened("gaussian", 4, 9, seed)
             assert subset_det_sum(b, 2, 0.0) >= math.comb(4, 2) * (1 - 1e-9)
 
-    def test_workers_equivalent(self):
-        b = whitened("gaussian", 5, 12, 99)
-        a = subset_det_sum(b, 3, 0.1, workers=1)
-        c = subset_det_sum(b, 3, 0.1, workers=4)
-        assert a == c  # identical reduction order -> identical floats
-
-    @pytest.mark.parametrize("workers", [1, 3, 4])
-    def test_grid_shares_one_plan_per_worker(self, monkeypatch, workers):
-        # whatever the workers, one plan for the instance and one map for
-        # the whole grid, which forks no worker
+    def test_grid_shares_one_plan(self, monkeypatch):
+        # one plan for the instance, shared by the whole grid
         import subnyq.converse as converse_mod
 
-        built, maps = [], []
+        built = []
         real = converse_mod.subset_plan
         monkeypatch.setattr(converse_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
-        real_map = converse_mod.map_ordered
-        monkeypatch.setattr(
-            converse_mod, "map_ordered", lambda *args, **kw: maps.append(1) or real_map(*args, **kw)
-        )
         b = whitened("gaussian", 5, 11, 7)
         grid = (0.0, 0.01, 0.5, 1.0)
         want = [subset_det_sum(b, 3, eps) for eps in grid]
         built.clear()
-        maps.clear()
-        assert subset_det_sums_unchecked(b, 3, grid, workers=workers) == want
+        assert subset_det_sums_unchecked(b, 3, grid) == want
         assert built == [math.comb(11, 3)]
-        assert len(maps) == 1
 
     def test_plans_must_hold_the_instance_states(self):
         b = whitened("gaussian", 5, 11, 7)
         idx = colex_indices(11, 3)
-        plans = [subset_plan(idx[:80]), subset_plan(idx[80:])]  # a caller's own split
         want = [subset_det_sum(b, 3, 0.1)]
-        assert subset_det_sums_unchecked(b, 3, [0.1], 2, plans) == want
-        assert subset_det_sums_unchecked(b, 3, [0.1], plans=colex_plans(11, 3)) == want
-        for wrong in (colex_plans(11, 2), colex_plans(10, 3), plans[:1]):
+        assert subset_det_sums_unchecked(b, 3, [0.1], colex_plan(11, 3)) == want
+        assert subset_det_sums_unchecked(b, 3, [0.1], plan=subset_plan(idx[::-1])) == want
+        for wrong in (colex_plan(11, 2), colex_plan(10, 3), subset_plan(idx[:80])):
             with pytest.raises(ValueError):
-                subset_det_sums_unchecked(b, 3, [0.1], plans=wrong)
+                subset_det_sums_unchecked(b, 3, [0.1], plan=wrong)
             with pytest.raises(ValueError):
-                per_instance_sandwich(b, 3, 0.1, plans=wrong)
+                per_instance_sandwich(b, 3, 0.1, plan=wrong)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import spy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -510,7 +511,7 @@ class TestSubsetPlan:
             panels[:, :, 1] = panels[:, :, 0]
         idx = arrange(colex_indices(n, k), layout, rng)
         ones = np.ones((len(idx), k, p))
-        got = subset_logdet(panels if p > 1 else panels[0], idx, shift=shift)
+        got = subset_logdet(panels if p > 1 else panels[0], subset_plan(idx), shift=shift)
         want = naive_subset_logdet(panels, idx, ones, shift)
         for s, g, w in zip(idx, got, want):
             if shift == 0.0 and duplicate and {0, 1} <= set(s.tolist()):
@@ -527,17 +528,21 @@ class TestSubsetPlan:
         rng = np.random.default_rng(n * 100 + k)
         b = rng.standard_normal((2, m, n))
         idx = colex_indices(n, k)
-        whole = subset_logdet(b, idx, shift=0.05)
-        alone = [subset_logdet(b, idx[s : s + 1], shift=0.05)[0] for s in range(len(idx))]
+
+        def along(rows):
+            return subset_logdet(b, subset_plan(rows), shift=0.05)
+
+        whole = along(idx)
+        alone = [along(idx[s : s + 1])[0] for s in range(len(idx))]
         assert np.array_equal(alone, whole)
         perm = rng.permutation(len(idx))
-        assert np.array_equal(subset_logdet(b, idx[perm], shift=0.05), whole[perm])
-        assert np.array_equal(subset_logdet(b, idx[:, ::-1], shift=0.05), whole)
+        assert np.array_equal(along(idx[perm]), whole[perm])
+        assert np.array_equal(along(idx[:, ::-1]), whole)
         repeats = np.sort(rng.integers(0, len(idx), 2 * len(idx)))
-        assert np.array_equal(subset_logdet(b, idx[repeats], shift=0.05), whole[repeats])
+        assert np.array_equal(along(idx[repeats]), whole[repeats])
         for budget in (1, 64, 700):  # one state per slice, and slices cutting nodes
             monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
-            assert np.array_equal(subset_logdet(b, idx, shift=0.05), whole)
+            assert np.array_equal(along(idx), whole)
 
     @pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint8])
     @pytest.mark.parametrize("n, k, layout", [(9, 1, "colex"), (10, 3, "colex"), (10, 4, "shuffled"),
@@ -550,7 +555,7 @@ class TestSubsetPlan:
         assert {a.dtype for a in maps if a is not None} == {np.dtype(np.intp)}
         b = whiten(np.random.default_rng(k).standard_normal((k, n)))
         assert np.array_equal(subset_logdet(b, plan, shift=0.05),
-                              subset_logdet(b, idx.astype(np.intp), shift=0.05))
+                              subset_logdet(b, subset_plan(idx.astype(np.intp)), shift=0.05))
 
     def test_one_plan_for_many_matrices_and_shifts(self):
         rng = np.random.default_rng(18)
@@ -559,9 +564,13 @@ class TestSubsetPlan:
         assert plan.indices is idx  # a read-only block is kept, not copied
         for shift in (0.0, 0.05, 1.0):
             b = whiten(rng.standard_normal((5, 12)))
-            assert np.array_equal(subset_logdet(b, plan, shift=shift), subset_logdet(b, idx, shift=shift))
+            assert np.array_equal(subset_logdet(b, plan, shift=shift),
+                                  subset_logdet(b, subset_plan(idx), shift=shift))
 
     def test_plan_serves_the_weighted_and_column_paths(self):
+        # per-state weights gather, and k > m forms the Grams from the
+        # columns, whether idx is a plan or its block; unweighted at k <= m,
+        # only the plan runs along it, and agrees to rounding
         rng = np.random.default_rng(19)
         panels = rng.standard_normal((2, 4, 8))
         for k in (3, 6):  # gathered weighted Grams, and k > m
@@ -569,7 +578,11 @@ class TestSubsetPlan:
             plan = subset_plan(idx)
             weights = rng.uniform(0.5, 2.0, (len(idx), k, 2))
             assert np.array_equal(subset_logdet(panels, plan, weights), subset_logdet(panels, idx, weights))
-            assert np.array_equal(subset_logdet(panels[0], plan), subset_logdet(panels[0], idx))
+            along, alone = subset_logdet(panels[0], plan), subset_logdet(panels[0], idx)
+            if k > 4:
+                assert np.array_equal(along, alone)
+            else:
+                np.testing.assert_allclose(along, alone, rtol=1e-13)
 
     def test_plan_shared_by_two_threads_gives_serial_bits(self):
         rng = np.random.default_rng(20)
@@ -771,17 +784,59 @@ class TestWeightedPlan:
             monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
             assert np.array_equal(along(idx), whole)
 
-    def test_column_weights_on_a_block(self):
-        # a block builds its plan, as unweighted; k > m gathers from the columns
+    def test_column_weights_on_a_block(self, monkeypatch):
+        # a block builds no plan: it gathers from the scaled Grams, with the
+        # bits of its states' own weights; only a plan runs along the plan
         rng = np.random.default_rng(32)
         panels = rng.standard_normal((2, 4, 8))
         weights = column_weights(rng, 8, 2, 1.0)
-        for k in (3, 6):
+        for k in (3, 6):  # gathered Grams, and k > m from the columns
             idx = colex_indices(8, k)
+            along = subset_logdet(panels, subset_plan(idx), weights)
+            plans = spy(monkeypatch, numerics.subset_plan)
             got = subset_logdet(panels, idx, weights)
-            assert np.array_equal(got, subset_logdet(panels, subset_plan(idx), weights))
+            assert plans == []
+            assert np.array_equal(got, subset_logdet(panels, idx, weights[idx]))
             if k > 4:
-                assert np.array_equal(got, subset_logdet(panels, idx, weights[idx]))
+                assert np.array_equal(got, along)
+            else:
+                np.testing.assert_allclose(got, along, rtol=1e-13)
+            monkeypatch.undo()
+
+    @given(
+        dims=subset_problems(),
+        grid=st.sampled_from([(1, 1), (1, 3), (3, 3)]),  # (panels, q): p = 1 and p = q
+        layout=st.sampled_from(["colex", "shuffled", "repeats"]),
+        shift=st.sampled_from([0.0, 0.05, 1.0]),
+        decades=st.sampled_from([0.3, 150.0]),
+        one_at_a_time=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(6, 2, 4), grid=(1, 3), layout="colex", shift=0.05, decades=150.0,
+             one_at_a_time=False, seed=1)  # k > m
+    @example(dims=(6, 4, 3), grid=(1, 3), layout="shuffled", shift=0.0, decades=150.0,
+             one_at_a_time=True, seed=2)  # one scaled Gram at a time
+    @settings(max_examples=150, deadline=None)
+    def test_block_with_column_weights_is_bit_identical_to_its_states_own(
+        self, dims, grid, layout, shift, decades, one_at_a_time, seed
+    ):
+        # column weights on a block scale each grid point's Gram once, whole
+        # or (beyond the Gram budget) one grid point at a time; each state's
+        # own weights w[idx] scale its gathered entries: the same bits
+        n, m, k = dims
+        rng = np.random.default_rng(seed)
+        p, q = grid
+        panels = rng.standard_normal((p, m, n))
+        idx = arrange(colex_indices(n, k), layout, rng)
+        weights = column_weights(rng, n, q, decades)
+        weights[rng.integers(0, n), 0] = 10.0**decades
+        weights[rng.integers(0, n), -1] = 10.0**-decades
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            if one_at_a_time:
+                mp.setattr(numerics, "_GRAM_ELEMENTS", p * n * n)
+            got = subset_logdet(panels, idx, weights, shift=shift)
+            want = subset_logdet(panels, idx, weights[idx], shift=shift)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_column_weight_shapes(self):
         b = np.ones((2, 3, 6))

@@ -93,6 +93,20 @@ class TestSubsetDetSum:
         assert subset_det_sums_unchecked(b, 3, grid) == want
         assert built == [math.comb(11, 3)]
 
+    @pytest.mark.parametrize("workers", [1, 3, 4])
+    def test_grid_shares_one_plan_per_worker(self, monkeypatch, capsys, workers):
+        # whatever --workers says, verify builds one plan per instance and
+        # shares it between the eps grid's sums and the sandwich
+        import subnyq.converse as converse_mod
+        from subnyq import cli
+
+        built = []
+        real = converse_mod.subset_plan
+        monkeypatch.setattr(converse_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
+        assert cli.main(["--command", "verify", "--seed", "7", "--workers", str(workers)]) == 0
+        assert "-> pass" in capsys.readouterr().out
+        assert built == [math.comb(n, k) for n, k, _, _ in cli._verify_instances(7)]
+
     def test_plans_must_hold_the_instance_states(self):
         b = whitened("gaussian", 5, 11, 7)
         idx = colex_indices(11, 3)

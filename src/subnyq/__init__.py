@@ -36,13 +36,13 @@ from .numerics import (
     SingularityError,
     SubsetPlan,
     binary_entropy,
+    colex_plan,
     det_floor,
     log_binomial,
     logdet_shifted,
     minimax_limit,
     rect_logdet_limit,
     subset_logdet,
-    subset_plan,
     whiten,
 )
 from .samplers import (

@@ -16,9 +16,9 @@ Every per-state quantity comes from one batched path (`batched_losses`,
 and `discrete_losses` for the discrete channel): the sampler is whitened
 once per call, the states go through the shared kernel
 `numerics.subset_logdet`, and the water levels of a block of states come
-from one exact sort-and-threshold pass.  For a census, a block of all
-C(n, k) states, c_sampled of every state comes from one pass along the
-states' `SubsetPlan`; any smaller block, such as a sparse sample of the
+from one exact sort-and-threshold pass.  For a census, all C(n, k)
+states in colex order, c_sampled of every state comes from one pass along
+their `SubsetPlan`; any other block, such as a sparse sample of the
 states, gathers each state's Gram, which is faster there.  On both paths
 the channel's gains scale each grid point's Gram once, column by column,
 and only the states with their own gains (state_gains) are gathered with
@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
 from .numerics import (
-    NumericalError, SubsetPlan, subset_block_rows, subset_logdet, subset_plan, whiten
+    NumericalError, colex_indices, colex_plan, subset_block_rows, subset_logdet, whiten
 )
 from .samplers import SamplerSpec
 
@@ -220,15 +220,15 @@ def _nyquist_at(channel: CompoundChannel, state: ChannelState, tol: float | None
     return float(c_eq[0]), float(c_opt[0]), float(nu[0])
 
 
-def _blocked_losses(whitened, states, gain_grid, state_gains, scale, power, df, tol):
-    """(c_sampled, c_eq, c_opt, nu) for states, in fixed-size blocks.
+def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol, plan=None):
+    """(c_sampled, c_eq, c_opt, nu) for the states of an (S, k) index block,
+    in fixed-size blocks.
 
-    states is an (S, k) index block or its `SubsetPlan`.  Row s takes its
-    (k, q) gains from state_gains when that map holds its 1-based index
-    tuple, else from gain_grid.  One `subset_logdet` call with the (n, q)
-    column weights gives c_sampled of every state, along the plan if one is
-    given; only the rows with their own gains are gathered again, with
-    their own weights, and patched in.
+    Row s takes its (k, q) gains from state_gains when that map holds its
+    1-based index tuple, else from gain_grid.  One `subset_logdet` call with
+    the (n, q) column weights gives c_sampled of every state, along plan
+    (the `SubsetPlan` of idx) if one is given; only the rows with their own
+    gains are gathered again, with their own weights, and patched in.
 
     Raises:
         NumericalError: if a value is not finite.  That happens for a gain
@@ -237,10 +237,10 @@ def _blocked_losses(whitened, states, gain_grid, state_gains, scale, power, df, 
             whose inverse squares, and with them its water level and
             c_opt, overflow.
     """
-    idx = states.indices if isinstance(states, SubsetPlan) else states
     m, k, q = whitened.shape[1], idx.shape[1], gain_grid.shape[1]
     block = subset_block_rows(m, k, q)
     out = np.empty((4, len(idx)))
+    states = idx if plan is None else plan
     out[0] = 0.5 * df * subset_logdet(whitened, states, np.sqrt(scale) * gain_grid)
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
@@ -282,13 +282,13 @@ def batched_losses(
     element budget, so memory stays bounded for any S.
 
     The channel's gains weigh the columns, so `numerics.subset_logdet`
-    scales each grid point's Gram once.  A census, S = C(n, k) rows such as
-    the `capacity` command's, shares its elimination along one
-    `numerics.subset_plan`, built here once per call; any smaller block,
-    such as a sparse sample, gathers each state's Gram and factors it on
-    its own, which is faster there (see `subset_plan`).  The two paths
-    agree to rounding: c_sampled of one state differs between them by about
-    4e-16 relative.
+    scales each grid point's Gram once.  A census, idx equal to
+    `numerics.colex_indices(n, k)` as the `capacity` command passes it,
+    shares its elimination along one `numerics.colex_plan(n, k)`, built here
+    once per call.  Any other block, a sparse sample or the census in
+    another order, gathers each state's Gram and factors it on its own.
+    The two paths agree to rounding: c_sampled of one state differs
+    between them by about 4e-16 relative.
 
     tol bounds the water-filling power residual relative to P
     (NumericalError beyond it); None skips that check, for callers that use
@@ -299,10 +299,10 @@ def batched_losses(
     if idx.shape[1] != k:
         raise ValueError(f"states have {idx.shape[1]} indices, channel expects {k}")
     whitened = _whitened_panels(channel, sampler)
-    states = subset_plan(idx) if len(idx) == math.comb(n, k) else idx  # a census: one plan
+    census = len(idx) == math.comb(n, k) and np.array_equal(idx, colex_indices(n, k))
     return _blocked_losses(
-        whitened, states, channel.gain_grid, channel.state_gains, _equal_power_scale(channel),
-        channel.power, channel.grid_df, tol,
+        whitened, idx, channel.gain_grid, channel.state_gains, _equal_power_scale(channel),
+        channel.power, channel.grid_df, tol, plan=colex_plan(n, k) if census else None,
     )
 
 

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .numerics import NumericalError
+from .numerics import NumericalError, colex_indices
 from .samplers import philox_generator
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "CompoundChannel",
     "EnumeratedStates",
     "SnrSummary",
-    "colex_indices",
     "enumerate_states",
     "load_channel",
     "snr_summary",
@@ -288,30 +287,6 @@ def _colex_unique(block: np.ndarray) -> np.ndarray:
     fresh = np.ones(len(out), dtype=bool)
     fresh[1:] = np.any(out[1:] != out[:-1], axis=1)  # equal rows are adjacent now
     return out[fresh]
-
-
-def colex_indices(n: int, k: int) -> np.ndarray:
-    """All k-subsets of {0..n-1} as a read-only (C(n, k), k) block, colex order.
-
-    Colex order has the prefix property: the first C(c, r) rows of any
-    colex(n', r) block with n' >= c are colex(c, r).  So colex(c', r) is
-    colex(c, r - 1) with column c appended, for c = r - 1 .. c' - 1 in turn,
-    and the block grows one column at a time without a sort.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    block = np.arange(n - k + 1, dtype=np.intp)[:, None]  # colex(n - k + 1, 1)
-    for r in range(2, k + 1):  # colex(n - k + r, r) from colex(n - k + r - 1, r - 1)
-        grown = np.empty((math.comb(n - k + r, r), r), dtype=np.intp)
-        start = 0
-        for c in range(r - 1, n - k + r):
-            count = math.comb(c, r - 1)
-            grown[start : start + count, :-1] = block[:count]
-            grown[start : start + count, -1] = c
-            start += count
-        block = grown
-    block.flags.writeable = False
-    return block
 
 
 def _floyd_samples(n: int, k: int, count: int, gen: np.random.Generator) -> np.ndarray:

@@ -34,6 +34,7 @@ from .numerics import (
     NumericalError,
     SingularityError,
     binary_entropy,
+    colex_plan,
     log_binomial,
     logdet_shifted,
     minimax_limit,
@@ -203,7 +204,7 @@ def cmd_verify(params: dict) -> int:
         if perturb:
             b = b.copy()
             b[0, 0] += perturb
-        plan = converse.colex_plan(n, k)  # one elimination plan per instance
+        plan = colex_plan(n, k)  # one elimination plan per instance
         sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID, plan)
         for eps, lhs in zip(VERIFY_EPS_GRID, sums):
             rhs = converse.subset_det_sum_closed(n, k, m, eps)
@@ -354,7 +355,7 @@ def cmd_concentration(params: dict) -> int:
         trials=int(params["trials"]),
         master_seed=int(params["seed"]),
     )
-    result = experiments.logdet_concentration_trial(cfg, workers=int(params["workers"]))
+    result = experiments.logdet_concentration_trial(cfg)
     print(result.to_text())
     if params["out"]:
         _write_text(params["out"], _result_payload(result, params["format"]))

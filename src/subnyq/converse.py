@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import colex_indices
-from .numerics import SubsetPlan, binary_entropy, log_binomial, subset_logdet, subset_plan
+from .numerics import SubsetPlan, binary_entropy, colex_plan, log_binomial, subset_logdet
 
 __all__ = [
     "ConverseCheck",
     "ENUMERATION_CAP",
-    "colex_plan",
     "min_state_logdet_bound",
     "minimax_lower_bound",
     "per_instance_sandwich",
@@ -84,27 +82,20 @@ def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
     return b
 
 
-def colex_plan(n: int, k: int) -> SubsetPlan:
-    """The elimination plan of all k-subsets of n columns in colex order,
-    which `subset_det_sums_unchecked` and `per_instance_sandwich` take.
+def _enumerated_logdets(b, k, eps_grid, plan) -> list[np.ndarray]:
+    """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order, per eps.
 
     One plan per instance, in the calling process: two half plans on two
     forked workers were slower at every size measured, from C(12, 6) = 924
     to C(26, 6) = 230,230 states (verify's 4 eps: 0.4 against 3.0 ms, 16.1
     against 19.7 ms at C(22, 6), 48.8 against 57.6 ms; 2-core VM, Python
     3.11.7, numpy 2.4.6, where a forked worker mostly shared its parent's
-    core).  Build it once per instance and pass it to both functions,
-    which build their own otherwise.
+    core).
     """
-    return subset_plan(colex_indices(n, k))
-
-
-def _enumerated_logdets(b, k, eps_grid, plan) -> list[np.ndarray]:
-    """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order, per eps."""
     n = b.shape[1]
     if plan is None:
         plan = colex_plan(n, k)
-    elif len(plan.indices) != math.comb(n, k) or plan.indices.shape[1] != k or plan.ncols > n:
+    elif (plan.n, plan.k, plan.lo, plan.hi) != (n, k, 0, math.comb(n, k)):
         raise ValueError(f"the plan does not hold the C({n},{k}) states")
     return [subset_logdet(b, plan, shift=eps) for eps in eps_grid]
 
@@ -117,8 +108,9 @@ def subset_det_sums_unchecked(
 
     Any m x n matrix with 1 <= k <= n is accepted (rows need not be
     orthonormal), which lets a fault-injection run corrupt B on purpose.
-    plan, if given, comes from `colex_plan(n, k)`.  Each sum is exactly
-    rounded (math.fsum).
+    plan, if given, is `numerics.colex_plan(n, k)`, which a caller builds
+    once per instance and shares with `per_instance_sandwich`; it is built
+    here otherwise.  Each sum is exactly rounded (math.fsum).
     """
     b = np.asarray(b, dtype=float)
     logdets = _enumerated_logdets(b, k, eps_grid, plan)
@@ -203,7 +195,7 @@ def per_instance_sandwich(
     Returns {"min_state_value", "deterministic_upper"}; the min can never
     exceed the cap for any orthonormal-rows B, so a violation here is an
     internal-consistency failure, not statistical noise.  plan, if given,
-    comes from `colex_plan(n, k)`.
+    is `numerics.colex_plan(n, k)`.
     """
     b = _check_instance(b, k, eps)
     m, n = b.shape

@@ -19,14 +19,15 @@ numpy calls.  Each worker takes a run of states, not of trials: before
 the fork, the caller draws every trial's matrix in one pass
 (`samplers.draw_matrices`, each trial on its own stream) and whitens it,
 which checks the rank floor once per accepted draw; each worker builds the
-elimination plan of its own run of whole STATE_CHUNK-state chunks and
-evaluates every trial on it, so both the plan and the kernel are spread.
-The suites whose trial is one LAPACK call on a dense matrix (concentration,
-rect log-det, small-eigenvalue count, Wishart minor) run their trials in
-the calling process and take `workers` only for the common signature:
-OpenBLAS already threads those calls, and forked workers on top of its
-thread pools oversubscribe the cores.  On 2 cores, 200 concentration
-trials at k = 100 took 0.11 s in one process and 0.65-0.81 s on two.
+elimination plan of its own run of whole STATE_CHUNK-state chunks, a range
+of colex ranks, and evaluates every trial on it, so both the plan and the
+kernel are spread.  No index block of the states is formed.  The suites
+whose trial is one LAPACK call on a dense matrix (concentration, rect
+log-det, small-eigenvalue count, Wishart minor) run their trials in the
+calling process and take no `workers`: OpenBLAS already threads those
+calls, and forked workers on top of its thread pools oversubscribe the
+cores.  On 2 cores, 200 concentration trials at k = 100 took 0.11 s in
+one process and 0.65-0.81 s on two.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .numerics import (
     NumericalError,
     SingularityError,
     binary_entropy,
+    colex_plan,
     full_rank_gram,
     minimax_limit,
     rect_logdet_limit,
     subset_logdet,
-    subset_plan,
     whiten,
 )
 from .parallel import map_ordered
@@ -199,7 +200,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         raise ValueError(
             f"C({cfg.n},{cfg.k}) exceeds state_cap={cfg.state_cap}; full enumeration required"
         )
-    idx = enumerate_states(cfg.n, cfg.k, cfg.state_cap).indices
+    count = math.comb(cfg.n, cfg.k)
     alpha = cfg.m / cfg.n
     beta = cfg.k / cfg.n
     target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
@@ -211,14 +212,14 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     # every trial's matrix in one draw pass, whitened before the fork
     mats = [_draw_full_rank(spec, whiten, first) for spec, first in zip(specs, draw_matrices(specs))]
     # whole chunks per worker, so that the chunk sums never depend on workers
-    chunks = range(0, len(idx), STATE_CHUNK)
+    chunks = range(0, count, STATE_CHUNK)
     runs = max(1, min(workers, len(chunks)))
-    cuts = [chunks[len(chunks) * r // runs] for r in range(runs)] + [len(idx)]
+    cuts = [chunks[len(chunks) * r // runs] for r in range(runs)] + [count]
 
     def one_run(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per trial: min, max and chunk sums over the states of run r."""
         lo, hi = cuts[r], cuts[r + 1]
-        plan = subset_plan(idx[lo:hi])  # one elimination plan for every trial
+        plan = colex_plan(cfg.n, cfg.k, lo, hi)  # one elimination plan for every trial
         mins, maxs, sums = [], [], []
         for b in mats:
             vals = subset_logdet(b, plan, shift=cfg.eps) / cfg.n
@@ -231,7 +232,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     mins = tuple(np.min([s[0] for s in stats], axis=0).tolist())
     maxs = tuple(np.max([s[1] for s in stats], axis=0).tolist())
     sums = np.concatenate([s[2] for s in stats], axis=1)
-    means = tuple(math.fsum(row) / len(idx) for row in sums.tolist())
+    means = tuple(math.fsum(row) / count for row in sums.tolist())
     violations = sum(1 for v in mins if v > bound)
     max_violations = sum(1 for v in maxs if v > bound)
     return ExperimentResult(
@@ -290,7 +291,7 @@ def superlandau_achievability_trial(
     return _achievability(cfg, name="superlandau_achievability", workers=workers)
 
 
-def logdet_concentration_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
+def logdet_concentration_trial(cfg: TrialConfig) -> ExperimentResult:
     """Concentration of (1/k) log det(eps I + (1/k) A A^T) for square k x k draws.
 
     The empirical mean must land in the expectation bracket
@@ -354,7 +355,7 @@ def wishart_det_expectation(k: int, trials: int, seed: int) -> float:
     return math.fsum(partials) / trials / math.factorial(k)
 
 
-def rect_logdet_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
+def rect_logdet_trial(cfg: TrialConfig) -> ExperimentResult:
     """How often (1/n) log det((1/n) A A^T) lands within 1/sqrt(n) of its limit.
 
     A is m x n from the configured ensemble, alpha = m/n in [0.1, 0.9]; the
@@ -393,7 +394,7 @@ def rect_logdet_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
     )
 
 
-def small_eigenvalue_count_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
+def small_eigenvalue_count_trial(cfg: TrialConfig) -> ExperimentResult:
     """Counting bound on eigenvalues of (1/n) A A^T below eps, gaussian only:
 
     card{lambda_i < eps}/n < alpha eps / (1 - alpha - 1/n) + 4 sqrt(alpha tau) / sqrt(n eps),
@@ -449,7 +450,7 @@ def wishart_minor_limit(alpha: float, beta: float) -> float:
     )
 
 
-def wishart_minor_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
+def wishart_minor_trial(cfg: TrialConfig) -> ExperimentResult:
     """Empirical (1/n) log det(eps I_k + A^T B^{-1} A) against its closed form.
 
     A is m x k gaussian, B ~ W_m(n-k, I) drawn independently; requires
@@ -520,9 +521,7 @@ def inverse_wishart_trace_trial(m: int, n: int, trials: int, seed: int) -> float
     return mean_trace * (n - m - 1) / m
 
 
-def loss_uniformity_report(
-    channel: CompoundChannel, cfg: TrialConfig, workers: int = 1
-) -> ExperimentResult:
+def loss_uniformity_report(channel: CompoundChannel, cfg: TrialConfig) -> ExperimentResult:
     """Per-state equal-power losses of one drawn sampler and their spread.
 
     spread = (max - min) / mean over all states (0 when every loss is 0);

@@ -7,20 +7,22 @@ serves whitening, the rank-floor check and the single-matrix log-dets
 `logdet_shifted` and `det_floor`.  `subset_logdet` is the one batched
 kernel behind every per-state quantity: the converse sums, the Landau
 statistics and the sampled capacities.  It makes no LAPACK call.  Given
-a `SubsetPlan`, the trie of the states' shared top columns that the
-caller builds once from the index block, it eliminates along the plan,
-so that states sharing columns share their elimination; the plan's gather
-maps are native integers, so a walk along it converts no index.  Given an
-index block (a sparse sample, for which a plan does not pay), it gathers
-each state's Gram from the panel's n x n Gram, and factors all of them in
-one vectorized elimination.  Weights that belong to the columns (one gain
-per subband and grid point, as in `capacity` and `discrete`) scale the
-n x n Gram once per grid point, on either path; weights that belong to
-the states (states with gains of their own) scale each gathered Gram.
-Both paths run many short numpy gathers and elementwise
-loops whose Python steps hold the interpreter lock, so the callers spread
-the kernel over forked worker processes (`parallel.map_ordered`), each
-with a run of states or of trials, never over threads.
+a `SubsetPlan`, the trie of the shared top columns of a range of colex
+ranks, which `colex_plan` computes from the ranks alone (the
+combinatorial number system) and the caller builds once, it eliminates
+along the plan, so that states sharing columns share their elimination;
+the plan's gather maps are native integers, so a walk along it converts
+no index.  Given an index block (a sparse sample, for which a plan does
+not pay), it gathers each state's Gram from the panel's n x n Gram, and
+factors all of them in one vectorized elimination.  Weights that belong
+to the columns (one gain per subband and grid point, as in `capacity`
+and `discrete`) scale the n x n Gram once per grid point, on either
+path; weights that belong to the states (states with gains of their own)
+scale each gathered Gram.  Both paths run many short numpy gathers and
+elementwise loops whose Python steps hold the interpreter lock, so the
+callers spread the kernel over forked worker processes
+(`parallel.map_ordered`), each with a run of states or of trials, never
+over threads.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
     "SpectralDecomp",
     "SubsetPlan",
     "binary_entropy",
+    "colex_indices",
+    "colex_plan",
     "det_floor",
     "full_rank_gram",
     "log_binomial",
@@ -46,7 +50,6 @@ __all__ = [
     "spectral_decomp",
     "subset_block_rows",
     "subset_logdet",
-    "subset_plan",
     "whiten",
 ]
 
@@ -200,221 +203,156 @@ class _Level(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SubsetPlan:
-    """Read-only elimination plan of `subset_logdet` for one block of states.
+    """Read-only elimination plan of `subset_logdet` for the states of colex
+    ranks lo .. hi - 1 of colex(n, k), as `colex_plan` builds it.
 
-    Built by `subset_plan` from the index block alone; it holds no matrix
-    values, so one plan serves every matrix, shift and thread.  Its maps
-    are native integers (``np.intp``), gathered with as stored.
+    It holds no matrix values, so one plan serves every matrix, shift and
+    thread.  Its maps are native integers (``np.intp``), gathered with as
+    stored.
     """
 
-    indices: np.ndarray  # the (S, k) block the plan was built from
+    n: int
+    k: int
+    lo: int  # the colex rank of the first state
+    hi: int  # one more than the colex rank of the last state
     ncols: int  # one more than the largest column index
     levels: tuple[_Level, ...]  # k - 1 levels, largest columns first
     leaf: np.ndarray | None  # last-level entry of each state; None for the identity
 
 
-def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
-    if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.intp)
+def colex_indices(n: int, k: int) -> np.ndarray:
+    """All k-subsets of {0..n-1} as a read-only (C(n, k), k) block, colex order.
 
-
-def _descending(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's columns in descending order, and per row the first
-    position where it differs from the row before (k for a repeat, -1 for
-    the first row)."""
-    desc = rows[:, ::-1]
-    diff = desc[1:] != desc[:-1]
-    first = np.where(diff.any(axis=1), diff.argmax(axis=1), desc.shape[1])
-    return desc, np.concatenate(([-1], first))
-
-
-def _slice_levels(rows, ncols, offsets, limit):
-    """The levels of one slice of states, each state's leaf entry and
-    the nodes, rows and entries per level; None if it would store more than
-    limit entries.
-
-    rows holds the slice's states, each sorted ascending, and offsets[j]
-    counts the nodes, rows and entries of level j in the slices before this
-    one.
+    Colex order has the prefix property: the first C(c, r) rows of any
+    colex(n', r) block with n' >= c are colex(c, r).  So colex(c', r) is
+    colex(c, r - 1) with column c appended, for c = r - 1 .. c' - 1 in turn,
+    and the block grows one column at a time without a sort.
     """
-    desc, new_at = _descending(rows)
-    k = desc.shape[1]
-    if k == 1:  # the single pivot is the Gram's diagonal entry
-        return [], desc[:, 0] * (ncols + 1), [(0, 0, 0)]
-    levels, counts = [], [(0, 0, 0)]
-    stored = 0
-    prev = None  # (node, flat pos, base, first node) of the previous level
-    for j in range(1, k):
-        first = new_at < j  # the level-j nodes: runs of states sharing their top j columns
-        node = np.cumsum(first) - 1
-        starts = np.flatnonzero(first)
-        last = j == k - 1
-        if last:
-            # one row, and one entry, per distinct (node, smallest column)
-            # pair, so no (nodes x ncols) mask is needed
-            keys, leaf = np.unique(node * ncols + desc[:, -1], return_inverse=True)
-            rnode, rcol = np.divmod(keys, ncols)
-            width = size = np.bincount(rnode, minlength=len(starts))
-        else:
-            mark = np.zeros(len(starts) * ncols, dtype=bool)
-            mark[(node[:, None] * ncols + desc[:, j:]).reshape(-1)] = True
-            mark = mark.reshape(-1, ncols)  # the columns left below each node's prefix
-            width = np.count_nonzero(mark, axis=1)
-            size = width * (width + 1) // 2
-        stored += int(size.sum())
-        if stored > limit:
-            return None
-        c = desc[starts, j - 1]  # the pivot column, the smallest of the prefix
-        if prev is None:  # the first level reads the Gram, row-major
-            parent = parent_ids = np.zeros(len(starts), dtype=np.intp)
-
-            def entry(p, a, b):
-                return a * ncols + b
-
-        else:
-            pnode, ppos, pbase, pfirst = prev
-            parent = pnode[starts]
-            parent_ids = parent + pfirst
-
-            def entry(p, a, b):  # (a, b), a <= b, of node p's upper triangle
-                pb = ppos[p * ncols + b].astype(np.intp)
-                return pbase[p] + pb * (pb + 1) // 2 + ppos[p * ncols + a]
-
-        if not last:
-            # each column's row in its node; int32, since this (nodes x ncols)
-            # array is the build's largest and no walk reads it
-            pos = np.cumsum(mark, axis=1, dtype=np.int32).reshape(-1)
-            pos -= 1
-            rnode, rcol = np.nonzero(mark)
-            del mark
-            rx = pos[rnode * ncols + rcol]
-        rparent = parent[rnode]
-        column = entry(rparent, rcol, c[rnode])
-        if last:
-            ab, ra, reps = entry(rparent, rcol, rcol), None, None
-        else:
-            reps = rx.astype(np.intp) + 1
-            rb = np.repeat(np.arange(len(rnode)), reps)  # the row of b
-            # the row of a: rb - rx[rb] plus the entry's place in its column,
-            # in place, since this runs over the level's entries
-            ra = np.arange(len(rb))
-            ra -= np.repeat(np.cumsum(reps) - reps, reps)
-            ra -= rx[rb]
-            ra += rb
-            ab = entry(rparent[rb], rcol[ra], rcol[rb])
-            del rb
-            ra += offsets[j][1]
-        pivot = entry(parent, c, c)
-        levels.append([parent_ids, pivot, width, column, ab, ra, reps])  # a `_Level`'s fields
-        counts.append((len(starts), len(rnode), int(size.sum())))
-        if not last:
-            prev = (node, pos, np.cumsum(size) - size + offsets[j][2], offsets[j][0])
-    leaf += offsets[k - 1][2]  # the last level holds one entry per row
-    return levels, leaf, counts
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    block = np.arange(n - k + 1, dtype=np.intp)[:, None]  # colex(n - k + 1, 1)
+    for r in range(2, k + 1):  # colex(n - k + r, r) from colex(n - k + r - 1, r - 1)
+        grown = np.empty((math.comb(n - k + r, r), r), dtype=np.intp)
+        start = 0
+        for c in range(r - 1, n - k + r):
+            count = math.comb(c, r - 1)
+            grown[start : start + count, :-1] = block[:count]
+            grown[start : start + count, -1] = c
+            start += count
+        block = grown
+    block.flags.writeable = False
+    return block
 
 
-def _ascending(idx: np.ndarray) -> np.ndarray:
-    """The rows of an (S, k) index block each sorted ascending (the block
-    itself when they are).
-
-    Raises:
-        ValueError: for a row with a repeated column index.
-    """
-    if not np.any(idx[:, 1:] <= idx[:, :-1]):
-        return idx
-    rows = np.sort(idx, axis=1)
-    if np.any(rows[:, 1:] == rows[:, :-1]):
-        raise ValueError("the column indices of a state must be distinct")
-    return rows
+def _places(counts: np.ndarray) -> np.ndarray:
+    """Each element's place in its run, for runs of the given lengths laid
+    end to end."""
+    places = np.arange(counts.sum())
+    places -= np.repeat(np.cumsum(counts) - counts, counts)
+    return places
 
 
-def subset_plan(idx) -> SubsetPlan:
-    """The elimination plan of `subset_logdet` for an (S, k) block of states.
+def colex_plan(n: int, k: int, lo: int = 0, hi: int | None = None) -> SubsetPlan:
+    """The elimination plan of `subset_logdet` for the states of colex ranks
+    lo .. hi - 1 of colex(n, k) (all of them by default).
 
     Each state eliminates its columns from the largest down.  States that
     share their top j columns share the Schur complement left after those j
     steps, so the plan is a trie of shared prefixes: one level per step,
     each storing, per node, the upper triangle of the complement over the
     columns its states still hold, with gather maps into the level above.
-    The last step keeps one entry per distinct state.  The maps depend on
-    the index block alone.  A state's arithmetic is the same whatever it
-    shares, so its value never depends on the rest of the block, its order
-    or its split.
+    A state's arithmetic is the same whatever it shares, so its value never
+    depends on the range it is planned in.
 
-    States keep their order: a node is a run of consecutive states with
-    the same top columns, so a block in colex order (as `colex_indices` and
-    `enumerate_states` give it) shares the most.  They are taken in slices
-    whose bookkeeping fits the block budget, and a slice that would store
-    more entries than its states factored one by one is halved, so the plan
-    never stores more than (k - 1) k (k + 1) / 6 entries per state.
+    In colex order the maps follow from the combinatorial number system
+    (Knuth, TAOCP 4A, 7.2.1.3), with no sort: the state c_0 < ... < c_{k-1}
+    has rank sum_i C(c_i, i + 1), so a level-j node, the prefix
+    c_{k-1} > ... > c_{k-j} with pivot c = c_{k-j}, holds the ranks from
+    sum_{i >= k-j} C(c_i, i + 1) on, C(c, k - j) of them, and its states hold
+    exactly the columns 0 .. c - 1 below it.  Its children are the new
+    pivots a = k - j - 1 .. c - 1, and it stores the triangle over rows
+    0 .. c - 1, entry (a, b) at b (b + 1) / 2 + a; the last level stores the
+    diagonal, one entry per state.  A node is kept when its ranks meet
+    [lo, hi), so a range stores the whole nodes it cuts at either end.
 
     Every map is a native integer (``np.intp``) array, which a walk gathers
     with as stored: numpy widens a narrower index on every gather, and a
     plan serves every trial, grid point and shift of its caller.  The maps
-    take 8 bytes per entry: 2.5 MB for the first 36,864 states of C(22, 6)
-    (1.3 MB as int32), 72 MB for all of C(28, 7).  The build's own
-    temporaries stay narrower where no walk reads them.
-
-    A plan pays when its states share columns and when it serves many
-    matrices.  A sparse sample does neither: for the `discrete` command's
-    5,000 of the C(40, 8) states, building the plan took 16-21 ms and
-    stored 77% of the entries of its states factored alone, one pass along
-    it 1.8-2.9 ms, and the gathered pass of the block with its column
-    weights 2.1-2.3 ms (2 cores, Python 3.11.7, numpy 2.4.6).  So
-    `subset_logdet` runs along a plan only when its caller passes one, and
-    `capacity.batched_losses` builds one for a census only.
+    of all of C(28, 7) take 67 MiB, and its build peaks 37 MiB above them.
 
     Raises:
-        ValueError: for a row with a negative or repeated column index.
+        ValueError: unless 1 <= k <= n and 0 <= lo < hi <= C(n, k) < 2^63.
     """
-    idx = np.asarray(idx)
-    if idx.ndim != 2 or idx.shape[1] < 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise ValueError(f"expected an (S, k) integer index block, got shape {idx.shape}")
-    count, k = idx.shape
-    rows = _ascending(idx)
-    if count and rows[:, 0].min() < 0:
-        raise ValueError("column indices must be nonnegative")
-    rows = rows.astype(np.intp, copy=False)  # the maps are native integers
-    ncols = int(rows[:, -1].max()) + 1 if count else 0
-    rows_per_slice = max(1, _BLOCK_ELEMENTS // (k + ncols))
-    alone = (k - 1) * k * (k + 1) // 6  # entries of one state factored alone
-    todo = [(lo, min(lo + rows_per_slice, count)) for lo in range(0, count, rows_per_slice)][::-1]
-    offsets = [(0, 0, 0)] * k
-    parts, leaves = [], []
-    while todo:
-        lo, hi = todo.pop()
-        limit = (hi - lo) * alone
-        built = _slice_levels(rows[lo:hi], ncols, offsets, limit)
-        if built is None:
-            mid = (lo + hi) // 2
-            todo += [(mid, hi), (lo, mid)]
-            continue
-        parts.append(built[0])
-        leaves.append(built[1])
-        offsets = [tuple(map(sum, zip(a, b))) for a, b in zip(offsets, built[2])]
-    built = None  # free the last slice before joining the parts
+    n, k = int(n), int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    total = math.comb(n, k)
+    lo, hi = int(lo), total if hi is None else int(hi)
+    if not 0 <= lo < hi <= total:
+        raise ValueError(f"need 0 <= lo < hi <= C({n},{k}) = {total}, got lo={lo}, hi={hi}")
+    if total > np.iinfo(np.intp).max:
+        raise ValueError(f"C({n},{k}) = {total} exceeds the native integer range")
+    # binom[r, c] = C(c, r); a rank or run length the build uses never
+    # exceeds C(n, k), so the clipped entries are never read
+    binom = np.array([[min(math.comb(c, r), total) for c in range(n)] for r in range(k + 1)],
+                     dtype=np.intp)
+    c = np.arange(k - 1, n)  # the level-1 nodes: the top column
+    first = binom[k, c]  # the rank of each node's first state
+    keep = (first < hi) & (first + binom[k - 1, c] > lo)
+    c, first = c[keep], first[keep]
+    ncols = int(c[-1]) + 1
+    pbase = None  # per node, its parent's first entry; None at level 1, which reads the Gram
+    parent = np.zeros(len(c), dtype=np.intp)
     levels = []
-    for j in range(k - 1):
-        kept = len(_Level._fields) - (2 if j == k - 2 else 0)  # no ra, reps at the last
-        fields = []
-        for f in range(kept):
-            arrays = [part[j][f] for part in parts]
-            for part in parts:
-                part[j][f] = None  # free each map once joined: the peak stays near the plan's size
-            fields.append(_concatenate(arrays))
-            del arrays
-        levels.append(_Level(*fields, *[None] * (len(_Level._fields) - kept)))
-    leaf = _concatenate(leaves)
-    if k > 1 and np.array_equal(leaf, np.arange(count)):
-        leaf = None  # one entry per state, in order, as for a colex block without repeats
+    for j in range(1, k):
+        last = j == k - 1
+
+        def entry(node, x, y):  # entry (x, y), x <= y, of node's parent
+            if pbase is None:
+                return x * ncols + y
+            return pbase[node] + y * (y + 1) // 2 + x
+
+        rnode = np.repeat(np.arange(len(c)), c)  # each row's node
+        a = _places(c)  # each row's column, 0 .. c - 1
+        column = entry(rnode, a, c[rnode])
+        if last:
+            ab, ra, reps = entry(rnode, a, a), None, None
+        else:
+            reps = a + 1  # the entries in which the row's column plays b
+            size = c * (c + 1) // 2
+            rb = np.repeat(np.arange(len(a)), reps)  # each entry's row of b
+            ra = _places(reps)  # each entry's column a
+            bcol = a[rb]  # each entry's column b
+            if pbase is None:
+                ab = ra * ncols + bcol
+            else:  # entry (a, b) has the same place b (b + 1) / 2 + a in the parent's triangle
+                ab = _places(size)
+                ab += np.repeat(pbase, size)
+            # the row of a, in place, since this runs over the level's entries
+            ra += rb
+            ra -= bcol
+            del rb, bcol
+        pivot = entry(np.arange(len(c)), c, c)
+        levels.append(_Level(parent, pivot, c, column, ab, ra, reps))
+        if not last:
+            r = k - j  # the columns left to choose below each node
+            kids = c - r + 1  # the children: new pivots r - 1 .. c - 1
+            node = np.repeat(np.arange(len(c)), kids)
+            a = _places(kids) + (r - 1)
+            kid = first[node] + binom[r, a]
+            keep = (kid < hi) & (kid + binom[r - 1, a] > lo)
+            parent, c, first = node[keep], a[keep], kid[keep]
+            pbase = (np.cumsum(size) - size)[parent]
+    if k == 1:  # the single pivot is the Gram's diagonal entry
+        leaf = c * (ncols + 1)
+    elif lo == first[0] and hi == first[-1] + c[-1]:
+        leaf = None  # one last-level entry per state, in order
+    else:  # the last level holds the ranks first[0] .. on, one entry each
+        leaf = np.arange(lo - first[0], hi - first[0])
     for arr in [leaf, *(a for lev in levels for a in lev)]:
         if arr is not None:
             arr.flags.writeable = False
-    if idx.flags.writeable:
-        idx = idx.copy()
-        idx.flags.writeable = False
-    return SubsetPlan(indices=idx, ncols=ncols, levels=tuple(levels), leaf=leaf)
+    return SubsetPlan(n=n, k=k, lo=lo, hi=hi, ncols=ncols, levels=tuple(levels), leaf=leaf)
 
 
 def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray:
@@ -508,8 +446,9 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     """log det(shift I_k + A_s^T A_s) per state s, with A_s = B[:, s] diag(w_s).
 
     b is an m x n matrix or a (p, m, n) stack of panels; idx is an (S, k)
-    integer block of zero-based column indices, one state per row, or a
-    `SubsetPlan` built from one by `subset_plan`.  weights, if given, holds
+    integer block of zero-based column indices, one state per row, or the
+    `SubsetPlan` of a range of colex ranks from `colex_plan`, whose states
+    it takes in colex order.  weights, if given, holds
     the column scales at each of q grid points, where grid point j uses
     panel j (or the one panel when p = 1): an (n, q) array, one row per
     column and shared by every state, or an (S, k, q) array, each state's
@@ -526,9 +465,9 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
       factored along the plan, which shares the elimination of common top
       columns.  Per-column weights make one weighted Gram D B^T B D per
       grid point, D = diag(w), whose principal minors are exactly the
-      states' weighted Grams D_s B_s^T B_s D_s.  A plan pays when its
-      states share columns and it serves many matrices (see
-      `subset_plan`), so only the caller can tell, and builds it;
+      states' weighted Grams D_s B_s^T B_s D_s.  A plan pays when it
+      serves many matrices, or a census, so only the caller can tell, and
+      builds it;
     * an index block: each state's k x k Gram is gathered from B^T B and
       factored on its own.  Per-column weights scale each grid point's
       n x n Gram once (the scaled Grams are held whole while they fit the
@@ -536,6 +475,9 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
       the bits of the per-state weights w[idx], and so has every value;
     * per-state weights, with an index block or a plan: each gathered
       k x k Gram is scaled by its state's weights.
+
+    Off the plan path, a plan's states are gathered from their index block,
+    `colex_indices(n, k)[lo:hi]`.
 
     Beyond the budget, and for k > m, the Grams come from the columns, with
     per-column weights taken per state.  Gathered and column Grams are
@@ -554,16 +496,18 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     if panels.ndim == 2:
         panels = panels[None]
     plan = idx if isinstance(idx, SubsetPlan) else None
-    idx = plan.indices if plan is not None else np.asarray(idx)
     p, m, n = panels.shape
-    k = idx.shape[1]
     if plan is not None:
+        k = plan.k
         if plan.ncols > n:
             raise ValueError(f"column indices must lie in [0, {n})")
-    elif idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"column indices must lie in [0, {n})")
     else:
-        _ascending(idx)
+        idx = np.asarray(idx)
+        k = idx.shape[1]
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"column indices must lie in [0, {n})")
+        if np.any(idx[:, 1:] <= idx[:, :-1]) and np.any(np.diff(np.sort(idx, axis=1)) == 0):
+            raise ValueError("the column indices of a state must be distinct")
     gathered = k <= m and p * n * n <= _GRAM_ELEMENTS
     columns = False  # per-column weights on gathered Grams
     if weights is not None:
@@ -572,13 +516,15 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
             if weights.shape[0] != n or p not in (1, weights.shape[1]):
                 raise ValueError(f"column weights must have shape ({n}, q), q = {p} or p = 1")
             columns = gathered
-            if not gathered:
-                weights = weights[idx]  # (S, k, q): the column path takes each state's own
+    if plan is not None and not (gathered and (weights is None or columns)):
+        idx, plan = colex_indices(plan.n, k)[plan.lo : plan.hi], None  # off the plan
+    if weights is not None and weights.ndim == 2 and not gathered:
+        weights = weights[idx]  # (S, k, q): the column path takes each state's own
     q = p if weights is None else weights.shape[-1]
     if not gathered:
         return _blocked_logdet(panels, None, idx, weights, q, shift)
     grams = np.swapaxes(panels, 1, 2) @ panels  # (p, n, n)
-    if plan is not None and (weights is None or columns):
+    if plan is not None:
         out = None
         with np.errstate(all="ignore"):
             for j in range(q):

@@ -144,7 +144,7 @@ def test_05_wishart_determinant():
 def test_06_rect_logdet_law():
     cfg = TrialConfig(n=400, k=200, m=200, ensemble="gaussian", trials=100,
                       master_seed=11)
-    res = rect_logdet_trial(cfg, workers=2)
+    res = rect_logdet_trial(cfg)
     within = res.trials - res.bound_violations
     ok = within >= 95
     report(6, "rect-logdet-law", ok,

@@ -26,13 +26,12 @@ from subnyq.capacity import (
 from subnyq.channel import (
     ChannelState,
     CompoundChannel,
-    colex_indices,
     enumerate_states,
     snr_summary,
 )
 from subnyq.cli import main as cli_main
 from subnyq.experiments import TrialConfig, loss_uniformity_report
-from subnyq.numerics import NumericalError, SingularityError, binary_entropy
+from subnyq.numerics import NumericalError, SingularityError, binary_entropy, colex_indices
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler, make_gridded_sampler
 
 
@@ -640,11 +639,13 @@ class TestPlanPath:
         assert out.exists() == finite
 
     def test_values_do_not_depend_on_blocking_or_order(self, monkeypatch):
+        # a permuted census is gathered, like the halves of `state_by_state`
         ch, sampler, _, idx, _ = census_case(43, 9, 4, 5, 3, True, 3)
         whole = np.stack(batched_losses(ch, sampler, idx))
         perm = np.random.default_rng(43).permutation(len(idx))
-        assert np.array_equal(np.stack(batched_losses(ch, sampler, idx[perm])), whole[:, perm])
-        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block and slice
+        assert np.array_equal(np.stack(batched_losses(ch, sampler, idx[perm])),
+                              state_by_state(ch, sampler, idx)[:, perm])
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block
         assert np.array_equal(np.stack(batched_losses(ch, sampler, idx)), whole)
 
 
@@ -665,37 +666,50 @@ class TestLossPaths:
                                   for key in ("1,2,3", "2,5,7", "5,6,7")}
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(doc))
-        plans = spy(monkeypatch, numerics.subset_plan)
+        plans = spy(monkeypatch, numerics.colex_plan)
         gathers = spy(monkeypatch, numerics._subset_grams)
         assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
                          "--out", str(tmp_path / "cap.csv")]) == 0
         capsys.readouterr()
-        assert [len(args[0]) for args in plans] == [math.comb(n, k)]
+        assert plans == [(n, k)]
         assert sum(len(args[2]) for args in gathers) == overrides  # rows with their own gains
 
     def test_loss_uniformity_runs_along_one_plan(self, monkeypatch):
         ch = flat_channel(n=8, k=2, q=2)
-        plans = spy(monkeypatch, numerics.subset_plan)
+        plans = spy(monkeypatch, numerics.colex_plan)
         gathers = spy(monkeypatch, numerics._subset_grams)
         loss_uniformity_report(ch, TrialConfig(n=8, k=2, m=3, trials=1))
-        assert [len(args[0]) for args in plans] == [math.comb(8, 2)]
+        assert plans == [(8, 2)]
         assert gathers == []
 
     def test_only_a_census_builds_a_plan(self, monkeypatch):
         ch, sampler, _, idx, _ = census_case(44, 8, 3, 4, 2, False, 0)
-        plans = spy(monkeypatch, numerics.subset_plan)
+        plans = spy(monkeypatch, numerics.colex_plan)
         gathers = spy(monkeypatch, numerics._subset_grams)
         states = [ChannelState(tuple((s + 1).tolist())) for s in idx]
         equal_power_losses(ch, sampler, states)
-        assert [len(args[0]) for args in plans] == [len(idx)] and gathers == []
+        assert plans == [(8, 3)] and gathers == []
         plans.clear()
         equal_power_losses(ch, sampler, states[1:])
         assert plans == [] and sum(len(args[2]) for args in gathers) == len(idx) - 1
         # one scaled Gram per grid point, and no per-state weights
         assert all(len(args[1]) == ch.q and args[3] is None for args in gathers)
 
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_a_permuted_census_is_gathered_in_its_order(self, monkeypatch, gridded):
+        # a census is detected by its states, not by its length: all C(n, k)
+        # states in another order are gathered, in the caller's order
+        ch, sampler, _, idx, _ = census_case(45, 9, 4, 5, 3, gridded, 2)
+        along = np.stack(batched_losses(ch, sampler, idx))
+        perm = np.random.default_rng(45).permutation(len(idx))
+        plans = spy(monkeypatch, numerics.colex_plan)
+        got = np.stack(batched_losses(ch, sampler, idx[perm]))
+        assert plans == []
+        assert np.array_equal(got[1:], along[1:, perm])  # c_eq, c_opt and nu
+        np.testing.assert_allclose(got[0], along[0, perm], rtol=1e-13, atol=0)
+
     def test_discrete_sample_runs_state_by_state(self, tmp_path, capsys, monkeypatch):
-        plans = spy(monkeypatch, numerics.subset_plan)
+        plans = spy(monkeypatch, numerics.colex_plan)
         gathers = spy(monkeypatch, numerics._subset_grams)
         assert cli_main(["--command", "discrete", "--n", "12", "--k", "3", "--m", "4",
                          "--state-cap", "30", "--out", str(tmp_path / "disc.csv")]) == 0
@@ -717,7 +731,7 @@ class TestLossPaths:
                                   gen.uniform(0.4, 2.5, (n, q)).tolist() for r in (0, 17)}
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(doc))
-        plans = spy(monkeypatch, numerics.subset_plan)
+        plans = spy(monkeypatch, numerics.colex_plan)
         gathers = spy(monkeypatch, numerics._subset_grams)
         assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "6",
                          "--state-cap", str(cap), "--out", str(tmp_path / "cap.csv")]) == 0

@@ -12,11 +12,11 @@ from subnyq import channel
 from subnyq.channel import (
     ChannelState,
     CompoundChannel,
-    colex_indices,
     enumerate_states,
     load_channel,
     snr_summary,
 )
+from subnyq.numerics import colex_indices
 from subnyq.samplers import philox_generator
 
 

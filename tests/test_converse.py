@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import spy
 
+from subnyq import numerics
 from subnyq.converse import (
     ConverseCheck,
-    colex_plan,
     min_state_logdet_bound,
     minimax_lower_bound,
     per_instance_sandwich,
@@ -13,8 +14,7 @@ from subnyq.converse import (
     subset_det_sum_closed,
     subset_det_sums_unchecked,
 )
-from subnyq.channel import colex_indices
-from subnyq.numerics import binary_entropy, subset_plan, whiten
+from subnyq.numerics import binary_entropy, colex_plan, whiten
 from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
 
 
@@ -81,39 +81,31 @@ class TestSubsetDetSum:
 
     def test_grid_shares_one_plan(self, monkeypatch):
         # one plan for the instance, shared by the whole grid
-        import subnyq.converse as converse_mod
-
-        built = []
-        real = converse_mod.subset_plan
-        monkeypatch.setattr(converse_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
         b = whitened("gaussian", 5, 11, 7)
         grid = (0.0, 0.01, 0.5, 1.0)
         want = [subset_det_sum(b, 3, eps) for eps in grid]
-        built.clear()
+        built = spy(monkeypatch, numerics.colex_plan)
         assert subset_det_sums_unchecked(b, 3, grid) == want
-        assert built == [math.comb(11, 3)]
+        assert built == [(11, 3)]
 
     @pytest.mark.parametrize("workers", [1, 3, 4])
     def test_grid_shares_one_plan_per_worker(self, monkeypatch, capsys, workers):
         # whatever --workers says, verify builds one plan per instance and
         # shares it between the eps grid's sums and the sandwich
-        import subnyq.converse as converse_mod
         from subnyq import cli
 
-        built = []
-        real = converse_mod.subset_plan
-        monkeypatch.setattr(converse_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
+        built = spy(monkeypatch, numerics.colex_plan)
         assert cli.main(["--command", "verify", "--seed", "7", "--workers", str(workers)]) == 0
         assert "-> pass" in capsys.readouterr().out
-        assert built == [math.comb(n, k) for n, k, _, _ in cli._verify_instances(7)]
+        assert built == [(n, k) for n, k, _, _ in cli._verify_instances(7)]
 
     def test_plans_must_hold_the_instance_states(self):
+        # another (n, k), or a partial range of the instance's states
         b = whitened("gaussian", 5, 11, 7)
-        idx = colex_indices(11, 3)
         want = [subset_det_sum(b, 3, 0.1)]
         assert subset_det_sums_unchecked(b, 3, [0.1], colex_plan(11, 3)) == want
-        assert subset_det_sums_unchecked(b, 3, [0.1], plan=subset_plan(idx[::-1])) == want
-        for wrong in (colex_plan(11, 2), colex_plan(10, 3), subset_plan(idx[:80])):
+        for wrong in (colex_plan(11, 2), colex_plan(10, 3), colex_plan(11, 3, 0, 80),
+                      colex_plan(11, 3, 1)):
             with pytest.raises(ValueError):
                 subset_det_sums_unchecked(b, 3, [0.1], plan=wrong)
             with pytest.raises(ValueError):

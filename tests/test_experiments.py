@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import spy
 
-from subnyq import experiments, numerics
+from subnyq import channel, experiments, numerics
 from subnyq.cli import main as cli_main
 from subnyq.channel import CompoundChannel, enumerate_states
 from subnyq.experiments import (
@@ -20,7 +20,7 @@ from subnyq.experiments import (
     wishart_minor_limit,
     wishart_minor_trial,
 )
-from subnyq.numerics import NumericalError, binary_entropy, subset_logdet, subset_plan, whiten
+from subnyq.numerics import NumericalError, binary_entropy, colex_plan, subset_logdet, whiten
 from subnyq.samplers import RESAMPLE_KEY_FLIP, EnsembleSpec, derive_trial_seed, draw_matrix
 
 
@@ -70,13 +70,12 @@ class TestLandauAchievability:
         assert a.per_trial == b.per_trial
 
     def test_one_plan_per_suite(self, monkeypatch):
-        import subnyq.experiments as ex_mod
-
-        built = []
-        real = ex_mod.subset_plan
-        monkeypatch.setattr(ex_mod, "subset_plan", lambda idx: built.append(len(idx)) or real(idx))
+        # one colex range of 120 states, and no index block
+        built = spy(monkeypatch, numerics.colex_plan)
+        blocks = spy(monkeypatch, channel.enumerate_states)
         landau_achievability_trial(TrialConfig(n=10, k=3, m=3, trials=4, master_seed=2), workers=2)
-        assert built == [math.comb(10, 3)]
+        assert built == [(10, 3, 0, math.comb(10, 3))]
+        assert blocks == []
 
     def test_requires_k_equal_m(self):
         with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ class TestAchievabilityStatistics:
         cfg = TrialConfig(n=n, k=k, m=m, trials=4, master_seed=9)
         trial = landau_achievability_trial if k == m else superlandau_achievability_trial
         res = trial(cfg, workers=workers)
-        plan = subset_plan(enumerate_states(n, k, cfg.state_cap).indices)
+        plan = colex_plan(n, k)
         count = math.comb(n, k)
         for t in range(cfg.trials):
             spec = EnsembleSpec(cfg.ensemble, m, n, derive_trial_seed(cfg.master_seed, t))
@@ -206,7 +205,7 @@ class TestLogdetConcentration:
     def test_gaussian_bracket(self):
         cfg = TrialConfig(n=100, k=100, m=100, ensemble="gaussian", eps=0.1,
                           trials=200, master_seed=5)
-        res = logdet_concentration_trial(cfg, workers=2)
+        res = logdet_concentration_trial(cfg)
         lo = res.summary["bracket_lower"] - res.summary["slack"]
         hi = res.summary["bracket_upper"] + res.summary["slack"]
         assert lo <= res.summary["mean"] <= hi
@@ -222,14 +221,14 @@ class TestLogdetConcentration:
     def test_rademacher_same_bracket(self):
         cfg = TrialConfig(n=100, k=100, m=100, ensemble="rademacher", eps=0.1,
                           trials=200, master_seed=5)
-        assert logdet_concentration_trial(cfg, workers=2).passed
+        assert logdet_concentration_trial(cfg).passed
 
     def test_spread_shrinks_with_k(self):
         spreads = {}
         for k in (50, 200):
             cfg = TrialConfig(n=k, k=k, m=k, ensemble="gaussian", eps=0.1,
                               trials=150, master_seed=5)
-            spreads[k] = logdet_concentration_trial(cfg, workers=2).summary["spread"]
+            spreads[k] = logdet_concentration_trial(cfg).summary["spread"]
         assert spreads[200] < spreads[50]
 
     def test_eps_range(self):
@@ -327,7 +326,7 @@ class TestRectLogdet:
     def test_high_probability_band(self):
         cfg = TrialConfig(n=400, k=200, m=200, ensemble="gaussian", trials=100,
                           master_seed=11, failure_budget=5)
-        res = rect_logdet_trial(cfg, workers=2)
+        res = rect_logdet_trial(cfg)
         assert res.summary["fraction_within"] >= 0.95
         assert res.reference == pytest.approx(0.5 * math.log(2.0) - 0.5)
         assert res.reference == pytest.approx(-0.153426, abs=1e-6)
@@ -337,7 +336,7 @@ class TestRectLogdet:
         for n in (100, 400):
             cfg = TrialConfig(n=n, k=n // 2, m=n // 2, ensemble="gaussian",
                               trials=50, master_seed=13)
-            medians[n] = rect_logdet_trial(cfg, workers=2).summary["median_abs_dev"]
+            medians[n] = rect_logdet_trial(cfg).summary["median_abs_dev"]
         assert medians[400] < medians[100]
 
     def test_alpha_range(self):
@@ -349,13 +348,13 @@ class TestSmallEigenvalueCount:
     def test_no_violations(self):
         cfg = TrialConfig(n=300, k=150, m=150, ensemble="gaussian", eps=0.05,
                           trials=100, master_seed=13, tau=0.02)
-        res = small_eigenvalue_count_trial(cfg, workers=2)
+        res = small_eigenvalue_count_trial(cfg)
         assert res.bound_violations == 0
 
     def test_tiny_eps_vacuous(self):
         cfg = TrialConfig(n=100, k=50, m=50, ensemble="gaussian", eps=1e-9,
                           trials=10, master_seed=3, tau=0.02)
-        res = small_eigenvalue_count_trial(cfg, workers=2)
+        res = small_eigenvalue_count_trial(cfg)
         assert res.bound > 1.0  # the bound exceeds the whole spectrum fraction
         assert res.bound_violations == 0
 
@@ -391,7 +390,7 @@ class TestWishartMinor:
     def test_median_above_limit_minus_slack(self):
         cfg = TrialConfig(n=200, k=40, m=100, ensemble="gaussian", eps=0.01,
                           trials=50, master_seed=17)
-        res = wishart_minor_trial(cfg, workers=2)
+        res = wishart_minor_trial(cfg)
         assert res.summary["median_stat"] >= res.reference - 0.15
 
     def test_ratio_preconditions(self):

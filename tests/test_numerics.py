@@ -12,13 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subnyq import experiments, numerics
-from subnyq.channel import colex_indices
 from subnyq.converse import subset_det_sum_closed
 from subnyq.numerics import (
     RANK_FLOOR_FACTOR,
     NumericalError,
     SingularityError,
     binary_entropy,
+    colex_indices,
+    colex_plan,
     det_floor,
     full_rank_gram,
     log_binomial,
@@ -27,7 +28,6 @@ from subnyq.numerics import (
     rect_logdet_limit,
     spectral_decomp,
     subset_logdet,
-    subset_plan,
     whiten,
 )
 from subnyq.samplers import EnsembleSpec, make_flat_sampler
@@ -469,11 +469,16 @@ class TestSubsetLogdet:
 
 @st.composite
 def plan_problems(draw):
-    """n, m, k with k <= m: the unweighted calls that run on a `SubsetPlan`."""
+    """n, m, k with k <= m: the unweighted calls that run on a `SubsetPlan`,
+    and a colex range lo .. hi - 1 of the C(n, k) states, often all of them."""
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, n))
     k = draw(st.integers(1, m))
-    return n, m, k
+    total = math.comb(n, k)
+    if draw(st.booleans()):
+        return n, m, k, 0, total
+    lo = draw(st.integers(0, total - 1))
+    return n, m, k, lo, draw(st.integers(lo + 1, total))
 
 
 def arrange(idx, layout, rng):
@@ -487,85 +492,199 @@ def arrange(idx, layout, rng):
     return idx
 
 
+def colex_ranks(idx):
+    """The colex rank sum_i C(c_i, i + 1) of each state, c_0 < c_1 < ... its columns."""
+    return np.array([sum(math.comb(c, i + 1) for i, c in enumerate(row))
+                     for row in np.sort(idx, axis=1).tolist()], dtype=np.intp)
+
+
+def trie_plan(idx):
+    """The reference for `colex_plan`: the trie of an (S, k) block of
+    ascending rows, built state by state in the `SubsetPlan` layout.
+
+    Returns (ncols, levels, leaf): each level a tuple of lists (parent,
+    pivot, width, column, ab, ra, reps) with ra and reps None at the last
+    level, and leaf each state's last-level entry (its Gram diagonal entry
+    for k = 1).  A level-j node is a run of states sharing their top j
+    columns; its rows are the columns its states hold below them.
+    """
+    rows = [tuple(reversed(r)) for r in idx.tolist()]  # each state's columns, descending
+    k = len(rows[0])
+    ncols = max(r[0] for r in rows) + 1
+    if k == 1:
+        return ncols, [], [r[0] * (ncols + 1) for r in rows]
+    levels = []
+    above = {(): (0, None, 0, 0)}  # prefix -> (node, row place of each column, first entry, first row)
+    for j in range(1, k):
+        last = j == k - 1
+        below = {}  # each j-prefix, in order of first appearance, and its columns below
+        for r in rows:
+            below.setdefault(r[:j], set()).update(r[j:])
+
+        def entry(up, x, y):  # entry (x, y), x <= y, of the node up at the level above
+            if j == 1:
+                return x * ncols + y
+            _, place, first, _ = above[up]
+            return first + place[y] * (place[y] + 1) // 2 + place[x]
+
+        parent, pivot, width, column, ab, ra, reps = ([] for _ in range(7))
+        nodes, stored = {}, 0
+        for node, (prefix, cols) in enumerate(below.items()):
+            up, c, cols = prefix[:-1], prefix[-1], sorted(cols)
+            nodes[prefix] = (node, {a: x for x, a in enumerate(cols)}, stored, len(column))
+            parent.append(above[up][0])
+            pivot.append(entry(up, c, c))
+            width.append(len(cols))
+            for y, b in enumerate(cols):
+                column.append(entry(up, b, c))
+                if last:
+                    ab.append(entry(up, b, b))
+                    continue
+                reps.append(y + 1)
+                for x, a in enumerate(cols[: y + 1]):
+                    ab.append(entry(up, a, b))
+                    ra.append(nodes[prefix][3] + x)
+            stored += len(cols) if last else len(cols) * (len(cols) + 1) // 2
+        levels.append((parent, pivot, width, column, ab, None if last else ra, None if last else reps))
+        above = nodes
+    leaf = []
+    for r in rows:
+        _, place, _, row0 = above[r[:-1]]
+        leaf.append(row0 + place[r[-1]])
+    return ncols, levels, leaf
+
+
+def stored_entries(n, k):
+    """The entries of the plan of all of colex(n, k), in closed form: for
+    c >= k - j, C(n - 1 - c, j - 1) level-j nodes have pivot c, and each
+    stores the triangle of its c rows (their diagonal at the last level)."""
+    return sum(math.comb(n - 1 - c, j - 1) * (c if j == k - 1 else c * (c + 1) // 2)
+               for j in range(1, k) for c in range(k - j, n))
+
+
 class TestSubsetPlan:
     @given(
         dims=plan_problems(),
         p=st.integers(1, 3),
-        layout=st.sampled_from(["colex", "shuffled", "repeats"]),
         shift=st.sampled_from([0.0, 0.05, 1.0]),
         duplicate=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dims=(6, 4, 1), p=1, layout="colex", shift=0.05, duplicate=False, seed=1)  # k = 1
-    @example(dims=(7, 3, 2), p=2, layout="shuffled", shift=1.0, duplicate=False, seed=2)  # k = 2
-    @example(dims=(8, 5, 5), p=1, layout="repeats", shift=0.05, duplicate=False, seed=3)  # k = m
-    @example(dims=(6, 6, 3), p=3, layout="colex", shift=0.05, duplicate=False, seed=4)  # m = n
-    @example(dims=(7, 4, 3), p=1, layout="colex", shift=0.0, duplicate=True, seed=5)  # singular
+    @example(dims=(6, 4, 1, 2, 5), p=1, shift=0.05, duplicate=False, seed=1)  # k = 1
+    @example(dims=(7, 3, 2, 4, 17), p=2, shift=1.0, duplicate=False, seed=2)  # k = 2, cut at both ends
+    @example(dims=(8, 5, 5, 0, 56), p=1, shift=0.05, duplicate=False, seed=3)  # k = m
+    @example(dims=(6, 6, 3, 0, 20), p=3, shift=0.05, duplicate=False, seed=4)  # m = n
+    @example(dims=(7, 4, 3, 0, 35), p=1, shift=0.0, duplicate=True, seed=5)  # singular
+    @example(dims=(5, 5, 5, 0, 1), p=2, shift=0.05, duplicate=False, seed=6)  # k = n
+    @example(dims=(8, 4, 4, 33, 34), p=1, shift=0.05, duplicate=False, seed=7)  # one state
     @settings(max_examples=150, deadline=None)
-    def test_matches_naive_slogdet(self, dims, p, layout, shift, duplicate, seed):
-        n, m, k = dims
+    def test_matches_naive_slogdet(self, dims, p, shift, duplicate, seed):
+        n, m, k, lo, hi = dims
         duplicate = duplicate and n >= 2
         rng = np.random.default_rng(seed)
         panels = rng.standard_normal((p, m, n))
         if duplicate:
             panels[:, :, 1] = panels[:, :, 0]
-        idx = arrange(colex_indices(n, k), layout, rng)
+        idx = colex_indices(n, k)[lo:hi]
         ones = np.ones((len(idx), k, p))
-        got = subset_logdet(panels if p > 1 else panels[0], subset_plan(idx), shift=shift)
+        got = subset_logdet(panels if p > 1 else panels[0], colex_plan(n, k, lo, hi), shift=shift)
         want = naive_subset_logdet(panels, idx, ones, shift)
         for s, g, w in zip(idx, got, want):
             if shift == 0.0 and duplicate and {0, 1} <= set(s.tolist()):
                 # exactly singular: both sides are rounding noise below the bound
-                bound = singular_logdet_bound(panels, np.sort(s), ones[0])
+                bound = singular_logdet_bound(panels, s, ones[0])
                 assert g <= bound and w <= bound
             elif g < SINGULAR_LOGDET or w < SINGULAR_LOGDET:
                 assert g < SINGULAR_LOGDET and w < SINGULAR_LOGDET
             else:
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
+    def test_maps_equal_the_reference_trie(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                plan = colex_plan(n, k)
+                ncols, levels, leaf = trie_plan(colex_indices(n, k))
+                assert plan.ncols == ncols and len(plan.levels) == len(levels)
+                for lev, want in zip(plan.levels, levels):
+                    for got, ref in zip(lev, want):
+                        assert (got is None) == (ref is None), (n, k)
+                        assert ref is None or np.array_equal(got, ref), (n, k)
+                if plan.leaf is None:
+                    assert k > 1 and leaf == list(range(len(leaf)))
+                else:
+                    assert np.array_equal(plan.leaf, leaf), (n, k)
+
+    @given(
+        n=st.integers(1, 10),
+        k=st.integers(1, 10),
+        cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=9, k=1, cut=(0.2, 0.7), weighted=False, seed=1)  # k = 1
+    @example(n=9, k=2, cut=(0.3, 0.6), weighted=True, seed=2)  # k = 2
+    @example(n=7, k=7, cut=(0.0, 1.0), weighted=False, seed=3)  # k = n
+    @example(n=10, k=4, cut=(0.41, 0.41), weighted=True, seed=4)  # hi - lo = 1
+    @example(n=10, k=5, cut=(0.13, 0.87), weighted=False, seed=5)  # cut at both ends
+    @settings(max_examples=100, deadline=None)
+    def test_ranges_are_bit_identical_to_the_whole(self, n, k, cut, weighted, seed):
+        # a state's arithmetic does not depend on the range it is planned in
+        k = min(k, n)
+        total = math.comb(n, k)
+        lo = min(int(min(cut) * total), total - 1)
+        hi = max(int(max(cut) * total), lo + 1)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((2, k, n))
+        weights = column_weights(rng, n, 2, 2.0) if weighted else None
+        whole = subset_logdet(b, colex_plan(n, k), weights, shift=0.05)
+        assert np.array_equal(subset_logdet(b, colex_plan(n, k, lo, hi), weights, shift=0.05),
+                              whole[lo:hi])
+
     @pytest.mark.parametrize("n, m, k", [(9, 4, 1), (9, 4, 2), (9, 4, 4), (7, 7, 3), (10, 6, 5)])
-    def test_values_depend_on_the_state_only(self, monkeypatch, n, m, k):
+    def test_values_depend_on_the_state_only(self, n, m, k):
         rng = np.random.default_rng(n * 100 + k)
         b = rng.standard_normal((2, m, n))
-        idx = colex_indices(n, k)
+        total = math.comb(n, k)
 
-        def along(rows):
-            return subset_logdet(b, subset_plan(rows), shift=0.05)
+        def along(lo, hi):
+            return subset_logdet(b, colex_plan(n, k, lo, hi), shift=0.05)
 
-        whole = along(idx)
-        alone = [along(idx[s : s + 1])[0] for s in range(len(idx))]
+        whole = along(0, total)
+        alone = [along(s, s + 1)[0] for s in range(total)]
         assert np.array_equal(alone, whole)
-        perm = rng.permutation(len(idx))
-        assert np.array_equal(along(idx[perm]), whole[perm])
-        assert np.array_equal(along(idx[:, ::-1]), whole)
-        repeats = np.sort(rng.integers(0, len(idx), 2 * len(idx)))
-        assert np.array_equal(along(idx[repeats]), whole[repeats])
-        for budget in (1, 64, 700):  # one state per slice, and slices cutting nodes
-            monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
-            assert np.array_equal(along(idx), whole)
+        for cut in range(1, total):  # two runs, as the achievability workers split a block
+            assert np.array_equal(np.concatenate([along(0, cut), along(cut, total)]), whole)
+        for lo, hi in np.sort(rng.integers(0, total + 1, (20, 2)), axis=1):
+            if lo < hi:
+                assert np.array_equal(along(lo, hi), whole[lo:hi])
 
     @pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint8])
     @pytest.mark.parametrize("n, k, layout", [(9, 1, "colex"), (10, 3, "colex"), (10, 4, "shuffled"),
                                               (8, 5, "repeats")])
     def test_maps_are_native_integers(self, n, k, layout, dtype):
-        # a walk gathers with the maps as stored, so none may need widening
+        # a walk gathers with the maps as stored, so none may need widening,
+        # whatever integer type the bounds come in; the plan's values at the
+        # colex ranks of a block, in any layout, are the block's to rounding
         idx = arrange(colex_indices(n, k), layout, np.random.default_rng(n + k)).astype(dtype)
-        plan = subset_plan(idx)
+        ranks = colex_ranks(idx)
+        lo, hi = ranks.min(), ranks.max() + 1
+        plan = colex_plan(*(dtype(v) for v in (n, k, lo, hi)))
+        assert (plan.n, plan.k, plan.lo, plan.hi) == (n, k, lo, hi)
+        assert all(type(v) is int for v in (plan.n, plan.k, plan.lo, plan.hi, plan.ncols))
         maps = [plan.leaf, *(a for lev in plan.levels for a in lev)]
         assert {a.dtype for a in maps if a is not None} == {np.dtype(np.intp)}
         b = whiten(np.random.default_rng(k).standard_normal((k, n)))
-        assert np.array_equal(subset_logdet(b, plan, shift=0.05),
-                              subset_logdet(b, subset_plan(idx.astype(np.intp)), shift=0.05))
+        np.testing.assert_allclose(subset_logdet(b, plan, shift=0.05)[ranks - lo],
+                                   subset_logdet(b, idx, shift=0.05), rtol=1e-13)
 
     def test_one_plan_for_many_matrices_and_shifts(self):
         rng = np.random.default_rng(18)
-        idx = colex_indices(12, 4)
-        plan = subset_plan(idx)
-        assert plan.indices is idx  # a read-only block is kept, not copied
+        plan = colex_plan(12, 4)
+        assert (plan.n, plan.k, plan.lo, plan.hi, plan.ncols) == (12, 4, 0, 495, 12)
         for shift in (0.0, 0.05, 1.0):
             b = whiten(rng.standard_normal((5, 12)))
             assert np.array_equal(subset_logdet(b, plan, shift=shift),
-                                  subset_logdet(b, subset_plan(idx), shift=shift))
+                                  subset_logdet(b, colex_plan(12, 4), shift=shift))
 
     def test_plan_serves_the_weighted_and_column_paths(self):
         # per-state weights gather, and k > m forms the Grams from the
@@ -575,19 +694,21 @@ class TestSubsetPlan:
         panels = rng.standard_normal((2, 4, 8))
         for k in (3, 6):  # gathered weighted Grams, and k > m
             idx = colex_indices(8, k)
-            plan = subset_plan(idx)
-            weights = rng.uniform(0.5, 2.0, (len(idx), k, 2))
-            assert np.array_equal(subset_logdet(panels, plan, weights), subset_logdet(panels, idx, weights))
-            along, alone = subset_logdet(panels[0], plan), subset_logdet(panels[0], idx)
-            if k > 4:
-                assert np.array_equal(along, alone)
-            else:
-                np.testing.assert_allclose(along, alone, rtol=1e-13)
+            for lo, hi in ((0, len(idx)), (5, len(idx) - 7)):
+                plan = colex_plan(8, k, lo, hi)
+                weights = rng.uniform(0.5, 2.0, (hi - lo, k, 2))
+                assert np.array_equal(subset_logdet(panels, plan, weights),
+                                      subset_logdet(panels, idx[lo:hi], weights))
+                along, alone = subset_logdet(panels[0], plan), subset_logdet(panels[0], idx[lo:hi])
+                if k > 4:
+                    assert np.array_equal(along, alone)
+                else:
+                    np.testing.assert_allclose(along, alone, rtol=1e-13)
 
     def test_plan_shared_by_two_threads_gives_serial_bits(self):
         rng = np.random.default_rng(20)
         panels = [whiten(rng.standard_normal((6, 16))) for _ in range(2)]
-        plan = subset_plan(colex_indices(16, 6))
+        plan = colex_plan(16, 6)
         serial = [subset_logdet(b, plan, shift=0.05) for b in panels]
         barrier = threading.Barrier(2)
 
@@ -607,33 +728,23 @@ class TestSubsetPlan:
             for got in runs:
                 assert np.array_equal(got, want)
 
-    def test_sparse_block_stores_no_more_than_its_states_alone(self):
-        # a colex-sorted sample shares top columns but few lower ones; the
-        # slices that would store more than their states one by one are halved
-        rng = np.random.default_rng(21)
-        n, m, k = 120, 6, 5
-        idx = np.unique(np.sort(rng.random((3000, n)).argsort(axis=1)[:, :k], axis=1), axis=0)
-        idx = idx[np.lexsort(idx.T)]
-        plan = subset_plan(idx)
-        stored = sum(len(lev.ab) for lev in plan.levels)
-        assert stored <= len(idx) * (k - 1) * k * (k + 1) // 6
-        b = rng.standard_normal((m, n))
-        pick = rng.integers(0, len(idx), 40)
-        got = subset_logdet(b, plan, shift=0.05)[pick]
-        want = naive_subset_logdet(b[None], idx[pick], np.ones((len(pick), k, 1)), 0.05)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    def test_stored_entries_follow_the_closed_form(self):
+        # all of C(16, 6) in 28,798 entries; a range stores the whole nodes
+        # it cuts, so one state stores one node per level
+        assert stored_entries(16, 6) == 28_798
+        for n, k in [(16, 6), (12, 1), (12, 2), (11, 5), (9, 9)]:
+            plan = colex_plan(n, k)
+            assert sum(len(lev.ab) for lev in plan.levels) == stored_entries(n, k)
+        plan = colex_plan(16, 6, 4321, 4322)
+        assert [len(lev.parent) for lev in plan.levels] == [1] * 5
+        assert plan.leaf is not None and len(plan.leaf) == 1
 
     def test_index_checks(self):
+        for args in [(4, 0), (3, 4), (5, 2, -1, 3), (5, 2, 3, 3), (5, 2, 0, 11), (100, 50)]:
+            with pytest.raises(ValueError):
+                colex_plan(*args)  # k out of range, an empty or outside range, beyond int64
         with pytest.raises(ValueError):
-            subset_plan([[0, 2, 2]])  # a repeated column
-        with pytest.raises(ValueError):
-            subset_plan([[-1, 2]])
-        with pytest.raises(ValueError):
-            subset_plan(np.zeros((3, 0), dtype=int))
-        with pytest.raises(ValueError):
-            subset_plan([[0.0, 1.0]])
-        with pytest.raises(ValueError):
-            subset_logdet(np.eye(3), subset_plan([[0, 3]]))  # beyond n
+            subset_logdet(np.eye(3), colex_plan(4, 2))  # beyond n
         with pytest.raises(ValueError):
             subset_logdet(np.eye(3), [[1, 1]])
 
@@ -664,19 +775,18 @@ class TestWeightedPlan:
     @given(
         dims=plan_problems(),
         grid=st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 3)]),  # (panels, q)
-        layout=st.sampled_from(["colex", "shuffled", "repeats"]),
         shift=st.sampled_from([0.0, 0.05, 1.0]),
         decades=st.sampled_from([0.3, 3.0]),
         duplicate=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dims=(6, 4, 1), grid=(1, 3), layout="colex", shift=0.05, decades=3.0, duplicate=False, seed=1)  # k = 1
-    @example(dims=(8, 5, 5), grid=(2, 2), layout="repeats", shift=1.0, decades=3.0, duplicate=False, seed=2)  # k = m
-    @example(dims=(6, 6, 3), grid=(3, 3), layout="shuffled", shift=0.0, decades=0.3, duplicate=False, seed=3)  # m = n
-    @example(dims=(7, 4, 3), grid=(1, 1), layout="colex", shift=0.0, decades=0.3, duplicate=True, seed=4)  # singular
+    @example(dims=(6, 4, 1, 0, 6), grid=(1, 3), shift=0.05, decades=3.0, duplicate=False, seed=1)  # k = 1
+    @example(dims=(8, 5, 5, 3, 50), grid=(2, 2), shift=1.0, decades=3.0, duplicate=False, seed=2)  # k = m, cut
+    @example(dims=(6, 6, 3, 0, 20), grid=(3, 3), shift=0.0, decades=0.3, duplicate=False, seed=3)  # m = n
+    @example(dims=(7, 4, 3, 0, 35), grid=(1, 1), shift=0.0, decades=0.3, duplicate=True, seed=4)  # singular
     @settings(max_examples=150, deadline=None)
-    def test_matches_naive_slogdet(self, dims, grid, layout, shift, decades, duplicate, seed):
-        n, m, k = dims
+    def test_matches_naive_slogdet(self, dims, grid, shift, decades, duplicate, seed):
+        n, m, k, lo, hi = dims
         # a repeated column with weights far from 1 leaves a pivot that is
         # all cancellation, in every elimination order: no digits to compare
         duplicate = duplicate and n >= 2 and decades < 1
@@ -685,12 +795,11 @@ class TestWeightedPlan:
         panels = rng.standard_normal((p, m, n))
         if duplicate:
             panels[:, :, 1] = panels[:, :, 0]
-        idx = arrange(colex_indices(n, k), layout, rng)
+        idx = colex_indices(n, k)[lo:hi]
         weights = column_weights(rng, n, q, decades)
-        got = subset_logdet(panels, subset_plan(idx), weights, shift=shift)
+        got = subset_logdet(panels, colex_plan(n, k, lo, hi), weights, shift=shift)
         want = naive_subset_logdet(panels, idx, weights[idx], shift)
         for s, g, w in zip(idx, got, want):
-            s = np.sort(s)
             if shift == 0.0 and duplicate and {0, 1} <= set(s.tolist()):
                 # exactly singular: both sides are rounding noise below the bound
                 bound = singular_logdet_bound(panels, s, weights[s])
@@ -707,18 +816,18 @@ class TestWeightedPlan:
         shift=st.sampled_from([0.0, 0.05, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dims=(8, 6, 6), grid=(2, 2), shift=1.0, seed=1)
+    @example(dims=(8, 6, 6, 0, 28), grid=(2, 2), shift=1.0, seed=1)
     @settings(max_examples=80, deadline=None)
     def test_weights_from_1e_minus150_to_1e150(self, dims, grid, shift, seed):
-        n, m, k = dims
+        n, m, k, lo, hi = dims
         rng = np.random.default_rng(seed)
         p, q = grid
         panels = rng.standard_normal((p, m, n))
-        idx = colex_indices(n, k)
+        idx = colex_indices(n, k)[lo:hi]
         weights = column_weights(rng, n, q, 150.0)
         weights[rng.integers(0, n), 0] = 1e150
         weights[rng.integers(0, n), -1] = 1e-150
-        got = subset_logdet(panels, subset_plan(idx), weights, shift=shift)
+        got = subset_logdet(panels, colex_plan(n, k, lo, hi), weights, shift=shift)
         assert np.all(np.isfinite(got))
         want = naive_subset_logdet(panels, idx, weights[idx], shift)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -729,7 +838,7 @@ class TestWeightedPlan:
         rng = np.random.default_rng(30)
         panels = rng.standard_normal((2, 5, 9))
         idx = colex_indices(9, 3)
-        plan = subset_plan(idx)
+        plan = colex_plan(9, 3)
         tiny = np.full((9, 2), 1e-200)
         assert np.array_equal(subset_logdet(panels, plan, tiny), np.zeros(len(idx)))
         assert np.array_equal(subset_logdet(panels, idx, tiny[idx]), np.zeros(len(idx)))
@@ -739,7 +848,7 @@ class TestWeightedPlan:
             idx = colex_indices(9, k)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                along = subset_logdet(panels, subset_plan(idx), huge)
+                along = subset_logdet(panels, colex_plan(9, k), huge)
             with np.errstate(over="ignore"):  # the gathered path scales its Grams unguarded
                 per_state = subset_logdet(panels, idx, huge[idx])
             for got in (along, per_state):
@@ -756,7 +865,7 @@ class TestWeightedPlan:
         weights = column_weights(rng, n, 2, 3.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = subset_logdet(panels, subset_plan(idx), weights, shift=0.0)
+            got = subset_logdet(panels, colex_plan(n, k), weights, shift=0.0)
             per_state = subset_logdet(panels, idx, weights[idx], shift=0.0)
         singular = np.any(idx == 3, axis=1) | (k > m)
         assert np.array_equal(np.isneginf(got), singular)
@@ -764,25 +873,22 @@ class TestWeightedPlan:
         assert not np.any(np.isnan(got))
 
     @pytest.mark.parametrize("n, m, k", [(9, 4, 1), (9, 4, 3), (10, 6, 5)])
-    def test_values_depend_on_the_state_only(self, monkeypatch, n, m, k):
+    def test_values_depend_on_the_state_only(self, n, m, k):
         rng = np.random.default_rng(n * 100 + k)
         b = rng.standard_normal((3, m, n))
         weights = column_weights(rng, n, 3, 2.0)
-        idx = colex_indices(n, k)
+        total = math.comb(n, k)
 
-        def along(rows):
-            return subset_logdet(b, subset_plan(rows), weights, shift=0.05)
+        def along(lo, hi):
+            return subset_logdet(b, colex_plan(n, k, lo, hi), weights, shift=0.05)
 
-        whole = along(idx)
-        assert np.array_equal([along(idx[s : s + 1])[0] for s in range(len(idx))], whole)
-        perm = rng.permutation(len(idx))
-        assert np.array_equal(along(idx[perm]), whole[perm])
-        assert np.array_equal(along(idx[:, ::-1]), whole)
-        repeats = np.sort(rng.integers(0, len(idx), 2 * len(idx)))
-        assert np.array_equal(along(idx[repeats]), whole[repeats])
-        for budget in (1, 64, 700):  # one state per slice, and slices cutting nodes
-            monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", budget)
-            assert np.array_equal(along(idx), whole)
+        whole = along(0, total)
+        assert np.array_equal([along(s, s + 1)[0] for s in range(total)], whole)
+        for cut in range(1, total):
+            assert np.array_equal(np.concatenate([along(0, cut), along(cut, total)]), whole)
+        for lo, hi in np.sort(rng.integers(0, total + 1, (20, 2)), axis=1):
+            if lo < hi:
+                assert np.array_equal(along(lo, hi), whole[lo:hi])
 
     def test_column_weights_on_a_block(self, monkeypatch):
         # a block builds no plan: it gathers from the scaled Grams, with the
@@ -792,8 +898,8 @@ class TestWeightedPlan:
         weights = column_weights(rng, 8, 2, 1.0)
         for k in (3, 6):  # gathered Grams, and k > m from the columns
             idx = colex_indices(8, k)
-            along = subset_logdet(panels, subset_plan(idx), weights)
-            plans = spy(monkeypatch, numerics.subset_plan)
+            along = subset_logdet(panels, colex_plan(8, k), weights)
+            plans = spy(monkeypatch, numerics.colex_plan)
             got = subset_logdet(panels, idx, weights)
             assert plans == []
             assert np.array_equal(got, subset_logdet(panels, idx, weights[idx]))
@@ -843,10 +949,10 @@ class TestWeightedPlan:
         idx = colex_indices(6, 2)
         for bad in (np.ones((5, 2)), np.ones((7, 2)), np.ones((6, 3))):
             with pytest.raises(ValueError):
-                subset_logdet(b, subset_plan(idx), bad)
+                subset_logdet(b, colex_plan(6, 2), bad)
             with pytest.raises(ValueError):
                 subset_logdet(b, idx, bad)
-        assert subset_logdet(b[0], subset_plan(idx), np.ones((6, 4))).shape == (len(idx),)
+        assert subset_logdet(b[0], colex_plan(6, 2), np.ones((6, 4))).shape == (len(idx),)
 
 
 class TestRankFloor:

@@ -13,16 +13,27 @@ P/(beta W) per active Hz is the default; water-filling variants carry the
 power constraint explicitly through the water level nu.
 
 Every per-state quantity comes from one batched path (`batched_losses`,
-and `discrete_losses` for the discrete channel): the sampler is whitened
-once per call, the states go through the shared kernel
-`numerics.subset_logdet`, and the water levels of a block of states come
-from one exact sort-and-threshold pass.  For a census, all C(n, k)
-states in colex order, c_sampled of every state comes from one pass along
-their `SubsetPlan`; any other block, such as a sparse sample of the
-states, gathers each state's Gram, which is faster there.  On both paths
-the channel's gains scale each grid point's Gram once, column by column,
-and only the states with their own gains (state_gains) are gathered with
-weights of their own.  The single-state functions wrap it.
+and `discrete_losses` for the discrete channel) in two passes over an
+(S, k) index block of states.
+
+* The sampled pass: the sampler is whitened once per call and the states
+  go through the shared kernel `numerics.subset_logdet`.  For a census,
+  all C(n, k) states in colex order, c_sampled of every state comes from
+  one pass along their `SubsetPlan`; any other block, such as a sparse
+  sample of the states, gathers each state's Gram, which is faster there.
+  On both paths the channel's gains scale each grid point's Gram once,
+  column by column, and only the states with their own gains
+  (state_gains) are gathered with weights of their own.
+* The Nyquist pass (c_eq, c_opt and the water level nu), which does not
+  depend on the sampler: h^2, 1/h^2 and log1p(scale h^2) are tabled once
+  per call on the (n, q) grid, and on the grids of the states with gains
+  of their own.  Blocks of states gather their cells from these tables
+  into buffers allocated once per call, where an in-place sort, a
+  cumulative sum and row sums give the exact water levels and the
+  capacities.
+
+The single-state functions are one-row calls of the same passes, and the
+CSV writer labels each state once from the index block (`state_labels`).
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ __all__ = [
     "nyquist_capacity_equal",
     "nyquist_capacity_waterfill",
     "sampled_capacity",
+    "state_labels",
     "waterfill_gap_bound",
     "waterfill_level",
     "worst_case_loss",
@@ -95,7 +107,7 @@ LOSS_CSV_HEADER = "state;c_sampled;c_eq;c_opt;loss_eq;loss_opt;nu"
 
 
 def loss_csv_rows(reports, bits: bool = False) -> list[str]:
-    """Semicolon-delimited CSV lines for LossReports (header first).
+    """Semicolon-delimited CSV lines for LossReports of one k (header first).
 
     With bits=True a trailing loss_eq_bits column (loss_eq / log 2) is added.
     """
@@ -112,29 +124,45 @@ def loss_csv_rows(reports, bits: bool = False) -> list[str]:
     )
 
 
+def state_labels(block, sep: str = "|") -> list[str]:
+    """Each row of an (S, k) block of nonnegative integers as text: its
+    entries in decimal, joined by sep.
+
+    The decimal strings of 0..max(block) are made once per call, and each
+    label is one `str.join` of its row of an object array of them, which
+    gives the bytes of ``sep.join(map(str, row))``.
+    """
+    block = np.asarray(block)
+    if block.size == 0:
+        return [""] * len(block)
+    if block.ndim != 2 or not np.issubdtype(block.dtype, np.integer):
+        raise ValueError(f"labels need an (S, k) integer block, got {block.dtype} {block.shape}")
+    if block.min() < 0:
+        raise ValueError("labels need nonnegative integers")
+    digits = np.array([str(i) for i in range(int(block.max()) + 1)], dtype=object)
+    return list(map(sep.join, digits[block].tolist()))
+
+
 def loss_csv_lines(
-    labels, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu, bits: bool = False
+    block, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu, bits: bool = False
 ) -> list[str]:
     """The lines of `loss_csv_rows` from columns, one entry per state.
 
-    labels holds each state's 1-based active-subband indices and the other
-    columns (sequences or arrays) its values, so a caller holding an index
-    block and the batched capacities need not build a LossReport per state.
-    Each row is one `%`-format of a template built per label width:
-    ``"%d|...|%d"`` for the label, then ``";%.12g"`` per value, which gives
-    the bytes of ``"|".join(map(str, label))`` and ``format(float(x), ".12g")``.
+    block is the (S, k) integer block of each state's 1-based active-subband
+    indices, and the other columns (sequences or arrays) hold its values,
+    so a caller holding an index block and the batched capacities need not
+    build a LossReport per state.  Each row is one `%`-format of
+    ``"%s;%.12g;..."`` over its `state_labels` label and its values, which
+    gives the bytes of ``"|".join(map(str, label))`` and
+    ``format(float(x), ".12g")``.
     """
-    labels = list(labels)  # iterated twice
     columns = (c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu)
     values = [np.asarray(col, dtype=float) for col in columns]
     if bits:
         values.append(values[3] / np.log(2.0))
-    cells = ";%.12g" * len(values)
-    templates = {w: "|".join(["%d"] * w) + cells for w in set(map(len, labels))}
-    rows = zip(*(col.tolist() for col in values))
-    return [LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")] + [
-        templates[len(label)] % (*label, *row) for label, row in zip(labels, rows)
-    ]
+    template = "%s" + ";%.12g" * len(values)
+    rows = zip(state_labels(block), *(col.tolist() for col in values))
+    return [LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")] + [template % row for row in rows]
 
 
 def _check_state(channel: CompoundChannel, state: ChannelState) -> np.ndarray:
@@ -146,12 +174,14 @@ def _check_state(channel: CompoundChannel, state: ChannelState) -> np.ndarray:
 
 
 def _check_index_block(idx, n: int) -> np.ndarray:
-    """Validate an (S, k) block of zero-based states: rows increasing within 0..n-1."""
+    """Validate an (S, k) block of zero-based states, rows increasing within
+    0..n-1, and return it as native integers (``np.intp``)."""
     idx = np.asarray(idx)
     if idx.ndim != 2 or idx.shape[0] == 0 or idx.shape[1] == 0:
         raise ValueError(f"index block must have shape (S, k) with S, k >= 1, got {idx.shape}")
     if not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"index block must hold integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if np.any(idx[:, 0] < 0) or np.any(idx[:, -1] >= n) or np.any(np.diff(idx, axis=1) <= 0):
         raise ValueError(f"every row must be a strictly increasing subset of 0..{n - 1}")
     return idx
@@ -174,61 +204,132 @@ def _equal_power_scale(channel: CompoundChannel) -> float:
     return channel.power / (channel.beta * channel.bandwidth)
 
 
-def _water_levels(inv_snr: np.ndarray, power: float, df: float, tol: float | None) -> np.ndarray:
-    """Exact water level nu of each row: df * sum_i (nu - inv_snr_i)^+ = power.
+# Cells (states x k q) per block of the Nyquist pass: each of its float
+# buffers then takes about 128 KiB.
+_NYQUIST_BLOCK_CELLS = 1 << 14
 
-    Sort each row ascending.  With the c smallest cells under water the level
-    is (power/df + their sum) / c, and the cells under water are exactly
-    those lying below their own candidate level (Palomar & Fonollosa,
-    "Practical algorithms for a family of waterfilling solutions", IEEE TSP
-    2005).  tol, unless None, bounds the allocated-power residual relative
-    to power; NumericalError beyond it.
+
+def _own_gains(idx, gain_grid, state_gains):
+    """The rows of the (S, k) index block idx whose 1-based index tuple
+    state_gains holds, ascending, and their (k, q) active gains."""
+    own, gains = [], []
+    if state_gains:
+        for r, key in enumerate((idx + 1).tolist()):
+            grid = state_gains.get(tuple(key))
+            if grid is not None:
+                own.append(r)
+                gains.append(grid[idx[r]])
+    k, q = idx.shape[1], gain_grid.shape[1]
+    return np.array(own, dtype=np.intp), np.array(gains, dtype=float).reshape(len(own), k, q)
+
+
+def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) -> None:
+    """Nyquist-rate c_eq, c_opt and water level nu of every row of the (S, k)
+    index block idx, written to out[0], out[1] and out[2].
+
+    The per-cell values h^2, 1/h^2 and log1p(scale h^2) are tabled once per
+    call on the (n, q) grid, and on the (k, q) gains of the rows `own`, which
+    have gains of their own (`_own_gains`).  Each block of rows gathers its
+    k q cells per row, subband-major, with one flat cell index, into buffers
+    allocated once per call.  The water level of a row is exact: sort its
+    1/h^2 ascending; with the c smallest cells under water the level is
+    (power/df + their sum) / c, and the cells under water are exactly those
+    lying below their own candidate level (Palomar & Fonollosa, "Practical
+    algorithms for a family of waterfilling solutions", IEEE TSP 2005).
+    tol, unless None, bounds the allocated-power residual relative to
+    power; NumericalError beyond it.  Every row's values depend on that row
+    only, never on S or the block split.
     """
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
-    ordered = np.sort(inv_snr, axis=1)
-    levels = (power / df + np.cumsum(ordered, axis=1)) / np.arange(1, ordered.shape[1] + 1)
-    wet = np.maximum(np.count_nonzero(ordered < levels, axis=1), 1)
-    nu = levels[np.arange(len(levels)), wet - 1]
-    if tol is not None:
-        allocated = df * np.maximum(nu[:, None] - inv_snr, 0.0).sum(axis=1)
-        residual = float(np.max(np.abs(allocated - power)))
-        if residual > tol * power:
-            raise NumericalError(
-                f"water-filling power residual {residual:.3e} exceeds tol={tol} x P"
-            )
-    return nu
-
-
-def _nyquist_block(h2: np.ndarray, scale: float, power: float, df: float, tol: float | None):
-    """Nyquist-rate (c_eq, c_opt, nu) per row of active-cell squared gains h2."""
-    with np.errstate(over="ignore"):  # a gain below about 1e-154: its cell stays dry
-        inv_snr = 1.0 / h2
-    nu = _water_levels(inv_snr, power, df, tol)
-    c_eq = 0.5 * df * np.log1p(scale * h2).sum(axis=1)
-    # log+ (x) = log max(x, 1)
-    c_opt = 0.5 * df * np.log(np.maximum(nu[:, None] * h2, 1.0)).sum(axis=1)
-    return c_eq, c_opt, nu
+    k, q = idx.shape[1], gain_grid.shape[1]
+    cells = k * q
+    # Beyond about 1e+-154 a square or an inverse square overflows; the
+    # value of every state that uses such a cell is then not finite, which
+    # the caller reports, and a cell no state uses changes nothing.
+    with np.errstate(over="ignore"):
+        h2 = gain_grid**2
+        inv = 1.0 / h2
+        log_eq = np.log1p(scale * h2)
+        own_h2 = (own_gains**2).reshape(len(own), cells)
+        own_inv = 1.0 / own_h2
+        own_log_eq = np.log1p(scale * own_h2)
+    h2, inv, log_eq = h2.ravel(), inv.ravel(), log_eq.ravel()
+    rows_per_block = min(len(idx), max(1, _NYQUIST_BLOCK_CELLS // cells))
+    cell = np.empty((rows_per_block, k, q), dtype=np.intp)
+    gathered, ordered, levels, work = np.empty((4, rows_per_block, cells))
+    under = np.empty((rows_per_block, cells), dtype=bool)
+    wet = np.empty(rows_per_block, dtype=np.intp)
+    residual = np.empty(rows_per_block)
+    subbands = np.arange(q, dtype=np.intp)
+    counts = np.arange(1, cells + 1, dtype=float)
+    row_ends = np.arange(rows_per_block, dtype=np.intp) * cells - 1
+    half_df = 0.5 * df
+    for start in range(0, len(idx), rows_per_block):
+        rows = idx[start : start + rows_per_block]
+        s, stop = len(rows), start + len(rows)
+        flat = cell[:s].reshape(s, cells)
+        np.multiply(rows[:, :, None], q, out=cell[:s])
+        cell[:s] += subbands
+        h, o, lv, w, u = gathered[:s], ordered[:s], levels[:s], work[:s], under[:s]
+        np.take(h2, flat, out=h, mode="clip")
+        np.take(inv, flat, out=o, mode="clip")
+        np.take(log_eq, flat, out=w, mode="clip")
+        if len(own):
+            lo, hi = np.searchsorted(own, (start, stop))
+            mine = own[lo:hi] - start
+            h[mine], o[mine], w[mine] = own_h2[lo:hi], own_inv[lo:hi], own_log_eq[lo:hi]
+        c_eq, c_opt, nu = out[0, start:stop], out[1, start:stop], out[2, start:stop]
+        w.sum(axis=1, out=c_eq)
+        c_eq *= half_df
+        if tol is not None:
+            np.negative(o, out=w)  # -1/h^2, unsorted, for the residual below
+        o.sort(axis=1)
+        np.cumsum(o, axis=1, out=lv)
+        lv += power / df
+        lv /= counts
+        np.less(o, lv, out=u)
+        np.sum(u, axis=1, out=wet[:s])
+        np.maximum(wet[:s], 1, out=wet[:s])
+        wet[:s] += row_ends[:s]
+        np.take(lv, wet[:s], out=nu, mode="clip")
+        if tol is not None:
+            w += nu[:, None]
+            np.maximum(w, 0.0, out=w)
+            w.sum(axis=1, out=residual[:s])
+            residual[:s] *= df
+            residual[:s] -= power
+            worst = float(np.max(np.abs(residual[:s], out=residual[:s])))
+            if worst > tol * power:
+                raise NumericalError(
+                    f"water-filling power residual {worst:.3e} exceeds tol={tol} x P"
+                )
+        np.multiply(h, nu[:, None], out=w)
+        np.maximum(w, 1.0, out=w)  # log+ (x) = log max(x, 1)
+        np.log(w, out=w)
+        w.sum(axis=1, out=c_opt)
+        c_opt *= half_df
 
 
 def _nyquist_at(channel: CompoundChannel, state: ChannelState, tol: float | None):
-    idx = _check_state(channel, state)
-    h2 = channel.gains_for(state)[idx, :].reshape(1, -1) ** 2
-    c_eq, c_opt, nu = _nyquist_block(
-        h2, _equal_power_scale(channel), channel.power, channel.grid_df, tol
+    idx = _check_state(channel, state)[None]
+    out = np.empty((3, 1))
+    _nyquist_pass(
+        idx, channel.gain_grid, *_own_gains(idx, channel.gain_grid, channel.state_gains),
+        _equal_power_scale(channel), channel.power, channel.grid_df, tol, out,
     )
-    return float(c_eq[0]), float(c_opt[0]), float(nu[0])
+    return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
 
 
 def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol, plan=None):
-    """(c_sampled, c_eq, c_opt, nu) for the states of an (S, k) index block,
-    in fixed-size blocks.
+    """(c_sampled, c_eq, c_opt, nu) for the states of an (S, k) index block.
 
     Row s takes its (k, q) gains from state_gains when that map holds its
     1-based index tuple, else from gain_grid.  One `subset_logdet` call with
     the (n, q) column weights gives c_sampled of every state, along plan
     (the `SubsetPlan` of idx) if one is given; only the rows with their own
-    gains are gathered again, with their own weights, and patched in.
+    gains are gathered again, with their own weights, and patched in.  The
+    Nyquist side is one `_nyquist_pass` and does not depend on the sampler.
 
     Raises:
         NumericalError: if a value is not finite.  That happens for a gain
@@ -237,26 +338,13 @@ def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol
             whose inverse squares, and with them its water level and
             c_opt, overflow.
     """
-    m, k, q = whitened.shape[1], idx.shape[1], gain_grid.shape[1]
-    block = subset_block_rows(m, k, q)
+    own, own_gains = _own_gains(idx, gain_grid, state_gains)
     out = np.empty((4, len(idx)))
     states = idx if plan is None else plan
     out[0] = 0.5 * df * subset_logdet(whitened, states, np.sqrt(scale) * gain_grid)
-    for start in range(0, len(idx), block):
-        rows = idx[start : start + block]
-        gains = gain_grid[rows]  # (S, k, q)
-        own = []  # the rows with their own gains
-        if state_gains:
-            for r, key in enumerate((rows + 1).tolist()):
-                grid = state_gains.get(tuple(key))
-                if grid is not None:
-                    gains[r] = grid[rows[r]]
-                    own.append(r)
-        h2 = (gains**2).reshape(len(rows), -1)  # subband-major, as gains[idx, :]
-        out[1:, start : start + block] = _nyquist_block(h2, scale, power, df, tol)
-        if own:
-            logdets = subset_logdet(whitened, rows[own], np.sqrt(scale) * gains[own])
-            out[0, start : start + block][own] = 0.5 * df * logdets
+    if len(own):
+        out[0, own] = 0.5 * df * subset_logdet(whitened, idx[own], np.sqrt(scale) * own_gains)
+    _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out[1:])
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             "non-finite capacity or water level: a gain above about 1e154, "

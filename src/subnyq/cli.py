@@ -403,7 +403,7 @@ def cmd_capacity(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, channel.n_subbands, int(params["seed"]))
     sampler = make_flat_sampler(draw_matrix(spec))
     states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
-    labels = (states.indices + 1).tolist()
+    block = states.indices + 1  # 1-based labels
     cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
     gap_bound = cap.waterfill_gap_bound(channel)
     bad = bool(
@@ -419,9 +419,9 @@ def cmd_capacity(params: dict) -> int:
             sort_keys=True,
             indent=2,
         ).partition(key + "null")
-        payload = head + key + _json_records(labels, cols, 1) + tail + "\n"
+        payload = head + key + _json_records(block, cols, 1) + tail + "\n"
     else:
-        payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
+        payload = "\n".join(cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
     _print_loss_summary("capacity", cols["loss_eq"], "nats/s", states.sampled)
     return 0 if not bad else 2
@@ -448,35 +448,32 @@ def _json_floats(values) -> list:
     return out
 
 
-def _json_records(labels, columns: dict, level: int) -> str:
+def _json_records(block, columns: dict, level: int) -> str:
     """The bytes of ``json.dumps(records, sort_keys=True, indent=2)`` for the
-    list of records ``{"state": label, key: columns[key][i], ...}``, nested
-    ``level`` levels deep in an enclosing document.
+    list of records ``{"state": list(block[i]), key: columns[key][i], ...}``,
+    nested ``level`` levels deep in an enclosing document.
 
-    Each record is one `%`-format of a template built per label width, fed
-    from the columns, instead of the encoder, which falls back to pure Python
-    under `indent`.  Every key of columns sorts before "state".
+    block is an (S, k) integer block.  Each record is one `%`-format of one
+    template, fed from the columns and the state's label string, which
+    `capacity.state_labels` joins once per state, instead of the encoder,
+    which falls back to pure Python under `indent`.  Every key of columns
+    sorts before "state".
     """
     keys = sorted(columns)
     if not keys or keys[-1] >= "state":
         raise ValueError(f"record keys must sort before 'state', got {keys}")
     pad = "  " * level
     fields = "".join(f'{pad}    "{key}": %r,\n' for key in keys)
-    templates = {
-        w: f'{pad}  {{\n{fields}{pad}    "state": [\n{pad}      '
-        + f",\n{pad}      ".join(["%d"] * w)
-        + f"\n{pad}    ]\n{pad}  }}"
-        for w in set(map(len, labels))
-    }
-    rows = zip(*(_json_floats(columns[key]) for key in keys))
-    records = [templates[len(label)] % (*row, *label) for label, row in zip(labels, rows)]
-    return "[\n" + ",\n".join(records) + f"\n{pad}]"
+    template = f'{pad}  {{\n{fields}{pad}    "state": [\n{pad}      %s\n{pad}    ]\n{pad}  }}'
+    labels = cap.state_labels(block, f",\n{pad}      ")
+    rows = zip(*(_json_floats(columns[key]) for key in keys), labels)
+    return "[\n" + ",\n".join([template % row for row in rows]) + f"\n{pad}]"
 
 
-def _discrete_json(labels, loss_eq, loss_opt) -> str:
+def _discrete_json(block, loss_eq, loss_opt) -> str:
     """The bytes of ``json.dumps([{"state", "loss_eq", "loss_opt"}, ...],
     sort_keys=True, indent=2) + "\\n"`` for one or more records."""
-    return _json_records(labels, {"loss_eq": loss_eq, "loss_opt": loss_opt}, 0) + "\n"
+    return _json_records(block, {"loss_eq": loss_eq, "loss_opt": loss_opt}, 0) + "\n"
 
 
 def cmd_discrete(params: dict) -> int:
@@ -492,12 +489,12 @@ def cmd_discrete(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, n, int(params["seed"]))
     q = draw_matrix(spec)
     states = enumerate_states(n, k, int(params["state_cap"]))
-    labels = (states.indices + 1).tolist()
+    block = states.indices + 1  # 1-based labels
     cols = _loss_columns(cap.discrete_losses(gains, q, states.indices, power))
     if params["format"] == "json":
-        payload = _discrete_json(labels, cols["loss_eq"], cols["loss_opt"])
+        payload = _discrete_json(block, cols["loss_eq"], cols["loss_opt"])
     else:
-        payload = "\n".join(cap.loss_csv_lines(labels, **cols, bits=bool(params["bits"]))) + "\n"
+        payload = "\n".join(cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
     _print_loss_summary("discrete", cols["loss_eq"], "nats per use", states.sampled)
     return 0 if not np.any(cols["loss_eq"] < -1e-9) else 2

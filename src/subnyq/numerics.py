@@ -446,10 +446,11 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     """log det(shift I_k + A_s^T A_s) per state s, with A_s = B[:, s] diag(w_s).
 
     b is an m x n matrix or a (p, m, n) stack of panels; idx is an (S, k)
-    integer block of zero-based column indices, one state per row, or the
-    `SubsetPlan` of a range of colex ranks from `colex_plan`, whose states
-    it takes in colex order.  weights, if given, holds
-    the column scales at each of q grid points, where grid point j uses
+    integer block of zero-based column indices, one state per row, of any
+    integer dtype (it is cast to ``np.intp`` once), or the `SubsetPlan` of
+    a range of colex ranks from `colex_plan`, whose states it takes in
+    colex order.  weights, if given, holds the column scales at each of q
+    grid points, where grid point j uses
     panel j (or the one panel when p = 1): an (n, q) array, one row per
     column and shared by every state, or an (S, k, q) array, each state's
     own.  The log-determinants of the q grid points are summed per state.
@@ -503,6 +504,8 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
             raise ValueError(f"column indices must lie in [0, {n})")
     else:
         idx = np.asarray(idx)
+        if idx.dtype.kind in "iu":  # gather offsets such as cols * n overflow a narrow dtype
+            idx = idx.astype(np.intp, copy=False)
         k = idx.shape[1]
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"column indices must lie in [0, {n})")

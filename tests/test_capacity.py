@@ -8,7 +8,7 @@ from conftest import random_channel, spy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnyq import numerics
+from subnyq import capacity, numerics
 from subnyq.capacity import (
     batched_losses,
     capacity_loss,
@@ -453,6 +453,7 @@ class TestBatchedPath:
         idx = np.array([s.indices for s in enumerate_states(ch.n_subbands, ch.k_active, 100)]) - 1
         whole = np.stack(batched_losses(ch, samp, idx))
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block
+        monkeypatch.setattr(capacity, "_NYQUIST_BLOCK_CELLS", 1)
         assert np.stack(batched_losses(ch, samp, idx)) == pytest.approx(whole, rel=1e-13)
 
     def test_index_block_validation(self):
@@ -646,6 +647,7 @@ class TestPlanPath:
         assert np.array_equal(np.stack(batched_losses(ch, sampler, idx[perm])),
                               state_by_state(ch, sampler, idx)[:, perm])
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block
+        monkeypatch.setattr(capacity, "_NYQUIST_BLOCK_CELLS", 1)
         assert np.array_equal(np.stack(batched_losses(ch, sampler, idx)), whole)
 
 
@@ -741,6 +743,119 @@ class TestLossPaths:
         assert sum(len(args[2]) for args in gathers if args[3] is None) == cap
         assert sum(len(args[2]) for args in weighted) == overrides
         assert all(args[3].shape == (len(args[2]), k, q) for args in weighted)
+
+
+def nyquist_reference(gains, scale, power, df):
+    """(c_eq, c_opt, nu) of one state from its (k, q) active gains, formula by
+    formula on its one row of k q cells, subband-major: the exact water
+    level from a sort and a cumulative sum, the capacities from row sums."""
+    h2 = (gains**2).reshape(1, -1)
+    with np.errstate(over="ignore"):
+        inv = 1.0 / h2
+    ordered = np.sort(inv, axis=1)
+    levels = (power / df + np.cumsum(ordered, axis=1)) / np.arange(1, h2.size + 1)
+    wet = max(int(np.count_nonzero(ordered < levels)), 1)
+    nu = levels[0, wet - 1]
+    c_eq = 0.5 * df * np.log1p(scale * h2).sum(axis=1)[0]
+    c_opt = 0.5 * df * np.log(np.maximum(nu * h2, 1.0)).sum(axis=1)[0]
+    return c_eq, c_opt, nu
+
+
+@st.composite
+def nyquist_cases(draw):
+    """A channel with q in {1, 3, 4} and some states with their own gains, a
+    flat or gridded sampler, a census or a sample of its states, and a block
+    size of the Nyquist pass below, equal to or not dividing S."""
+    seed = draw(st.integers(0, 2**31))
+    q = draw(st.sampled_from([1, 3, 4]))
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    m = draw(st.integers(1, n))
+    ch, sampler, _, idx, _ = census_case(seed, n, k, m, q, draw(st.booleans()),
+                                         draw(st.sampled_from([0, 1, 4])), decades=1.0)
+    if draw(st.booleans()):  # a sample in random order
+        rng = np.random.default_rng(seed)
+        idx = idx[rng.choice(len(idx), draw(st.integers(1, len(idx))), replace=False)]
+    rows = draw(st.sampled_from(["below", "equal", "remainder", "one"]))
+    block = {"below": len(idx) + 1, "equal": len(idx), "one": 1,
+             "remainder": max(1, len(idx) // 2 + (len(idx) % 2 == 0 and len(idx) > 2))}[rows]
+    return ch, sampler, idx, block
+
+
+class TestNyquistPass:
+    """The Nyquist side of `batched_losses`: per-cell tables gathered into
+    block buffers, bit for bit the formulas of one state at a time."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=nyquist_cases())
+    def test_bit_identical_to_the_per_state_reference(self, case):
+        ch, sampler, idx, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(capacity, "_NYQUIST_BLOCK_CELLS", block * idx.shape[1] * ch.q)
+            got = np.stack(batched_losses(ch, sampler, idx)[1:])
+        scale = ch.power / (ch.beta * ch.bandwidth)
+        want = np.array([
+            nyquist_reference(ch.gains_for(ChannelState(tuple((s + 1).tolist())))[s], scale,
+                              ch.power, ch.grid_df)
+            for s in idx
+        ]).T
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_state_wrappers_are_one_row_of_the_pass(self, gen):
+        for _ in range(10):
+            ch = random_channel(gen)
+            idx = colex_indices(ch.n_subbands, ch.k_active)
+            samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, ch.n_subbands, 3)))
+            _, c_eq, c_opt, nu = batched_losses(ch, samp, idx)
+            for r, s in enumerate(idx):
+                state = ChannelState(tuple((s + 1).tolist()))
+                assert nyquist_capacity_equal(ch, state) == c_eq[r]
+                assert nyquist_capacity_waterfill(ch, state) == c_opt[r]
+                assert waterfill_level(ch, state) == nu[r]
+
+    @pytest.mark.parametrize("gain", [1e-160, 1e160])
+    @pytest.mark.parametrize("own", [False, True])
+    def test_gains_beyond_the_range_raise(self, gain, own):
+        # on the channel's grid, or only on the grid of a state of its own
+        grid = np.ones((6, 3))
+        grid[1:3] = gain
+        ch = CompoundChannel(
+            bandwidth=6.0, n_subbands=6, k_active=2, power=2.0,
+            gain_grid=np.ones((6, 3)) if own else grid,
+            state_gains={(2, 3): grid} if own else None,
+        )
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 3, 6, 1)))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="1e154"):
+            batched_losses(ch, samp, colex_indices(6, 2), tol=None)
+
+    def test_forced_residual_raises(self):
+        # P/df far below the 1/H^2 of every cell: float64 cannot place the level
+        ch = CompoundChannel(bandwidth=4.0, n_subbands=4, k_active=2, power=1e-3,
+                             gain_grid=np.full((4, 2), 1e-7))
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, 4, 1)))
+        for call in (lambda: batched_losses(ch, samp, colex_indices(4, 2)),
+                     lambda: waterfill_level(ch, ChannelState((1, 2)))):
+            with pytest.raises(NumericalError, match="power residual"):
+                call()
+        assert np.all(np.isfinite(batched_losses(ch, samp, colex_indices(4, 2), tol=None)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32])
+    def test_narrow_index_blocks(self, dtype):
+        # gather offsets such as cols * n must not wrap in the block's dtype
+        n, k = 20, 2
+        idx = colex_indices(n, k)
+        b = draw_matrix(EnsembleSpec("gaussian", 3, n, 4))
+        assert numerics.subset_logdet(b, idx.astype(dtype), shift=0.05).tobytes() == \
+            numerics.subset_logdet(b, idx, shift=0.05).tobytes()
+        ch = CompoundChannel(bandwidth=20.0, n_subbands=n, k_active=k, power=3.0,
+                             gain_grid=np.random.default_rng(4).uniform(0.5, 2.0, (n, 2)))
+        samp = make_flat_sampler(b)
+        for block in (idx, idx[::3]):  # a census, along its plan, and a sample
+            assert np.stack(batched_losses(ch, samp, block.astype(dtype))).tobytes() == \
+                np.stack(batched_losses(ch, samp, block)).tobytes()
+            gains = np.linspace(0.5, 2.0, n)
+            assert np.stack(discrete_losses(gains, b, block.astype(dtype), 3.0)).tobytes() == \
+                np.stack(discrete_losses(gains, b, block, 3.0)).tobytes()
 
 
 class TestDiscreteLoss:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from importlib import resources
@@ -7,7 +8,7 @@ import pytest
 
 from subnyq import cli, experiments
 from subnyq.capacity import (
-    LossReport, batched_losses, discrete_losses, loss_csv_lines, loss_csv_rows
+    LossReport, batched_losses, discrete_losses, loss_csv_lines, loss_csv_rows, state_labels
 )
 from subnyq.channel import enumerate_states, load_channel
 from subnyq.cli import main
@@ -328,10 +329,10 @@ class TestDiscreteJson:
     """The discrete JSON writer must give the bytes of `json.dumps`."""
 
     @staticmethod
-    def encoded(labels, loss_eq, loss_opt):
+    def encoded(block, loss_eq, loss_opt):
         records = [
             {"state": state, "loss_eq": eq, "loss_opt": opt}
-            for state, eq, opt in zip(labels, loss_eq, loss_opt)
+            for state, eq, opt in zip(np.asarray(block).tolist(), loss_eq, loss_opt)
         ]
         return json.dumps(records, sort_keys=True, indent=2) + "\n"
 
@@ -340,10 +341,9 @@ class TestDiscreteJson:
         special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3, -1e-17]
         values = special + (gen.standard_normal(300) * 10.0 ** gen.integers(-20, 20, 300)).tolist()
         loss_eq, loss_opt = values, values[::-1]
-        sizes = gen.integers(1, 6, len(values))
-        labels = [sorted(int(i) + 1 for i in gen.choice(40, k, replace=False)) for k in sizes]
-        labels[0], labels[-1] = [7], [1]
-        for args in ((labels, loss_eq, loss_opt), ([[3]], [-0.0], [math.nan])):
+        block = np.sort([gen.choice(40, 3, replace=False) + 1 for _ in values], axis=1)
+        block[0], block[-1] = [1, 2, 3], [38, 39, 40]
+        for args in ((block, loss_eq, loss_opt), ([[3]], [-0.0], [math.nan])):
             assert cli._discrete_json(*args) == self.encoded(*args)
 
     def test_cli_output_equals_json_dumps(self, tmp_path, capsys):
@@ -354,8 +354,8 @@ class TestDiscreteJson:
         states = enumerate_states(9, 3, 20)
         q = draw_matrix(EnsembleSpec("gaussian", 4, 9, 3))
         c_sampled, c_eq, c_opt, _ = discrete_losses(np.ones(9), q, states.indices, 5.0)
-        labels = (states.indices + 1).tolist()
-        want = self.encoded(labels, (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist())
+        block = states.indices + 1
+        want = self.encoded(block, (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist())
         assert out.read_text() == want
 
 
@@ -363,11 +363,11 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348
 LOSS_KEYS = ("c_sampled", "c_eq", "c_opt", "loss_eq", "loss_opt", "nu")
 
 
-def loss_table(seed: int, count: int):
-    """Labels of mixed widths and six value columns, the special floats first."""
+def loss_table(seed: int, count: int, width: int):
+    """An index block of `width` columns from 1..120 (labels of one to three
+    digits) and six value columns, the special floats first."""
     gen = np.random.default_rng(seed)
-    labels = [sorted(int(i) + 1 for i in gen.choice(40, w, replace=False))
-              for w in gen.integers(1, 7, count)]
+    labels = np.sort([gen.choice(120, width, replace=False) + 1 for _ in range(count)], axis=1)
     columns = {}
     for j, key in enumerate(LOSS_KEYS):
         values = (gen.standard_normal(count) * 10.0 ** gen.integers(-20, 20, count)).tolist()
@@ -397,7 +397,7 @@ class TestLossCsvTemplate:
     @staticmethod
     def reference(labels, columns, bits):
         lines = ["state;c_sampled;c_eq;c_opt;loss_eq;loss_opt;nu" + (";loss_eq_bits" if bits else "")]
-        for i, label in enumerate(labels):
+        for i, label in enumerate(np.asarray(labels).tolist()):
             values = [float(columns[key][i]) for key in LOSS_KEYS]
             if bits:
                 values.append(values[3] / math.log(2.0))
@@ -409,14 +409,14 @@ class TestLossCsvTemplate:
     @pytest.mark.parametrize("kind", ["list", "array", "scalars"])
     @pytest.mark.parametrize("bits", [False, True])
     def test_bytes_equal_per_cell_format(self, bits, kind):
-        labels, columns = loss_table(7, 400)
+        labels, columns = loss_table(7, 400, 1 + 2 * bits + ["list", "array", "scalars"].index(kind))
         got = loss_csv_lines(labels, **as_numpy(columns, kind), bits=bits)
         assert got == self.reference(labels, columns, bits)
         assert not any("np." in line or "float64" in line for line in got)
 
     def test_index_block_labels(self):
         idx = enumerate_states(9, 3, 10**6).indices + 1
-        _, columns = loss_table(8, len(idx))
+        _, columns = loss_table(8, len(idx), 3)
         want = self.reference(idx.tolist(), columns, False)
         assert loss_csv_lines(list(idx), **columns) == want  # rows of numpy ints
 
@@ -426,18 +426,18 @@ class TestJsonRecords:
 
     @pytest.mark.parametrize("kind", ["list", "array", "scalars"])
     def test_discrete_json_numpy_inputs(self, kind):
-        labels, columns = loss_table(9, 300)
+        labels, columns = loss_table(9, 300, 1 + ["list", "array", "scalars"].index(kind))
         cols = as_numpy(columns, kind)
         records = [{"state": label, "loss_eq": eq, "loss_opt": opt}
-                   for label, eq, opt in zip(labels, columns["loss_eq"], columns["loss_opt"])]
+                   for label, eq, opt in zip(labels.tolist(), columns["loss_eq"], columns["loss_opt"])]
         want = json.dumps(records, sort_keys=True, indent=2) + "\n"
         assert by_line(cli._discrete_json(labels, cols["loss_eq"], cols["loss_opt"])) == by_line(want)
 
     @pytest.mark.parametrize("kind", ["list", "array"])
     def test_nested_records(self, kind):
-        labels, columns = loss_table(10, 300)
+        labels, columns = loss_table(10, 300, 4 if kind == "list" else 6)
         records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
-                   for i, label in enumerate(labels)]
+                   for i, label in enumerate(labels.tolist())]
         want = json.dumps({"reports": records}, sort_keys=True, indent=2)
         got = cli._json_records(labels, as_numpy(columns, kind), 1)
         assert by_line('{\n  "reports": ' + got + "\n}") == by_line(want)
@@ -473,6 +473,107 @@ class TestJsonRecords:
         want = json.dumps({"channel": channel.to_dict(), "sampler": spec.to_dict(),
                            "reports": reports}, sort_keys=True, indent=2) + "\n"
         assert by_line(out.read_text()) == by_line(want)
+
+
+def pinned_channel(path):
+    """A q = 4 channel on n = 12 subbands (two-digit labels) with two states
+    of their own gains; rational gains, so no random stream is involved."""
+    n, q = 12, 4
+    doc = {"W": 12.0, "n": n, "k": 4, "P": 30.0, "q": q,
+           "gains": [[0.6 + ((7 * i + 5 * j) % 13) / 10 for j in range(q)] for i in range(n)],
+           "state_gains": {
+               "1,2,3,4": [[0.7 + ((3 * i + j) % 9) / 8 for j in range(q)] for i in range(n)],
+               "3,8,11,12": [[0.5 + ((5 * i + 2 * j) % 7) / 4 for j in range(q)] for i in range(n)],
+           }}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOutputPins:
+    """sha256 of whole output files at fixed seeds.  The bytes depend on the
+    machine's floating-point loops (README), so these pin one machine; any
+    change of the writers or of the batched path must leave them alone."""
+
+    PINS = {
+        "capacity-bundled-csv": (
+            ["--command", "capacity", "--m", "4", "--seed", "11"],
+            "f9ffedfa7459f945659b077e0bc5c65ce318d8756871d20f73ea7a2259f6a012",
+        ),
+        "capacity-generated-csv": (
+            ["--command", "capacity", "--m", "5", "--seed", "3", "--channel", None],
+            "8adabf0986a7780168a414a2f1433aa7079f4dab2cbb3dd033eecf79151c2003",
+        ),
+        "capacity-generated-json": (
+            ["--command", "capacity", "--m", "5", "--seed", "3", "--channel", None,
+             "--format", "json"],
+            "c5649ccc2aa4c13a62a0fa167f861718763998a941611d87289a9f31d755aa5f",
+        ),
+        "discrete-sampled-json": (
+            ["--command", "discrete", "--n", "14", "--k", "3", "--m", "4", "--power", "5",
+             "--seed", "3", "--state-cap", "200", "--format", "json"],
+            "66c504fd74b2bf49985aca07023a6d4232d7a9bd939509ca4d65d288fbf1a22f",
+        ),
+        "discrete-bits-csv": (
+            ["--command", "discrete", "--n", "12", "--k", "4", "--m", "5", "--power", "7",
+             "--seed", "5", "--bits"],
+            "b2ca106f9090eff15b0dfd7b8314c79f51de38d4ce8b64f5400b16fb154836b5",
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_output_sha256(self, tmp_path, capsys, name, workers):
+        argv, digest = self.PINS[name]
+        channel = pinned_channel(tmp_path / "channel.json")
+        out = tmp_path / "out"
+        argv = [channel if a is None else a for a in argv]
+        assert run(argv + ["--workers", workers, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+LABEL_BLOCKS = {  # (n, k, state cap): census and sampled blocks, one to three digits
+    "k=1": (9, 1, 10**6),
+    "k=1,n=120": (120, 1, 10**6),
+    "census": (16, 6, 10**6),
+    "sampled,n=12": (12, 4, 100),
+    "sampled,n=130": (130, 3, 500),
+}
+
+
+class TestStateLabels:
+    """Labels joined once per state from the index block, in both writers."""
+
+    @pytest.mark.parametrize("name", sorted(LABEL_BLOCKS))
+    def test_labels_equal_a_join_per_row(self, name):
+        states = enumerate_states(*LABEL_BLOCKS[name])
+        assert states.sampled == name.startswith("sampled")
+        block = states.indices + 1
+        for sep in ("|", ",\n      ", ",\n        "):
+            assert state_labels(block, sep) == [sep.join(map(str, row)) for row in block.tolist()]
+        _, columns = loss_table(11, len(block), 1)
+        assert loss_csv_lines(block, **columns) == TestLossCsvTemplate.reference(block, columns, False)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", sorted(LABEL_BLOCKS))
+    def test_json_records_at_each_level(self, name, level):
+        block = enumerate_states(*LABEL_BLOCKS[name]).indices + 1
+        _, columns = loss_table(12, len(block), 1)
+        records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
+                   for i, label in enumerate(block.tolist())]
+        got = cli._json_records(block, columns, level)
+        if level == 0:
+            assert by_line(got) == by_line(json.dumps(records, sort_keys=True, indent=2))
+        else:
+            want = json.dumps({"reports": records}, sort_keys=True, indent=2)
+            assert by_line('{\n  "reports": ' + got + "\n}") == by_line(want)
+
+    def test_block_checks(self):
+        assert state_labels(np.empty((0, 3), dtype=int)) == []
+        assert state_labels(np.array([[0, 10, 100]], dtype=np.uint8)) == ["0|10|100"]
+        for bad in ([[1, -2]], [[1.0, 2.0]], [1, 2]):
+            with pytest.raises(ValueError):
+                state_labels(bad)
 
 
 class TestTrialCsv:

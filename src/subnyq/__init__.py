@@ -8,12 +8,9 @@ from .capacity import (
     capacity_loss,
     discrete_loss,
     discrete_losses,
-    nyquist_capacity_equal,
-    nyquist_capacity_waterfill,
     sampled_capacity,
     waterfill_gap_bound,
     waterfill_level,
-    worst_case_loss,
 )
 from .channel import (
     ChannelState,
@@ -53,7 +50,6 @@ from .samplers import (
     draw_matrix,
     make_flat_sampler,
     make_gridded_sampler,
-    moment_report,
 )
 
 __version__ = "0.1.0"

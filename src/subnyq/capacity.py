@@ -32,8 +32,12 @@ and `discrete_losses` for the discrete channel) in two passes over an
   cumulative sum and row sums give the exact water levels and the
   capacities.
 
-The single-state functions are one-row calls of the same passes, and the
-CSV writer labels each state once from the index block (`state_labels`).
+The four single-state functions `sampled_capacity`, `waterfill_level`,
+`capacity_loss` and `discrete_loss` are one-row calls of the same passes.
+No command calls them, nor `loss_csv_rows`, the CSV writer of their
+`LossReport`s; they stay only as the benchmark's reference and traced
+entry points (bench/).  The commands' CSV writer, `loss_csv_lines`, labels
+each state once from the index block (`state_labels`).
 """
 
 from __future__ import annotations
@@ -44,9 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import (
-    NumericalError, colex_indices, colex_plan, subset_block_rows, subset_logdet, whiten
-)
+from .numerics import NumericalError, colex_indices, colex_plan, subset_logdet, whiten
 from .samplers import SamplerSpec
 
 __all__ = [
@@ -56,16 +58,12 @@ __all__ = [
     "capacity_loss",
     "discrete_loss",
     "discrete_losses",
-    "equal_power_losses",
     "loss_csv_lines",
     "loss_csv_rows",
-    "nyquist_capacity_equal",
-    "nyquist_capacity_waterfill",
     "sampled_capacity",
     "state_labels",
     "waterfill_gap_bound",
     "waterfill_level",
-    "worst_case_loss",
 ]
 
 WATERFILL_DEFAULT_TOL = 1e-11
@@ -211,16 +209,26 @@ _NYQUIST_BLOCK_CELLS = 1 << 14
 
 def _own_gains(idx, gain_grid, state_gains):
     """The rows of the (S, k) index block idx whose 1-based index tuple
-    state_gains holds, ascending, and their (k, q) active gains."""
-    own, gains = [], []
-    if state_gains:
-        for r, key in enumerate((idx + 1).tolist()):
-            grid = state_gains.get(tuple(key))
-            if grid is not None:
-                own.append(r)
-                gains.append(grid[idx[r]])
+    state_gains holds, ascending (a repeated state once per row), and their
+    (k, q) active gains.
+
+    Keys and rows are compared as whole rows of bytes: one sort of the keys
+    and one binary search per row, so the cost grows with S log K, never
+    with S times K, and no Python step is taken per state.
+    """
     k, q = idx.shape[1], gain_grid.shape[1]
-    return np.array(own, dtype=np.intp), np.array(gains, dtype=float).reshape(len(own), k, q)
+    if not state_gains:
+        return np.empty(0, dtype=np.intp), np.empty((0, k, q))
+    keys = np.array(list(state_gains), dtype=np.intp) - 1  # (K, k), zero-based
+    as_row = np.dtype((np.void, k * keys.itemsize))  # a row of k integers as one item
+    key_rows = keys.view(as_row).ravel()
+    block_rows = np.ascontiguousarray(idx, dtype=np.intp).view(as_row).ravel()
+    order = np.argsort(key_rows)
+    at = np.searchsorted(key_rows, block_rows, sorter=order)
+    nearest = order[np.minimum(at, len(keys) - 1)]
+    own = np.flatnonzero(key_rows[nearest] == block_rows)
+    grids = np.stack(list(state_gains.values()))  # (K, n, q)
+    return own, grids[nearest[own, None], idx[own]]
 
 
 def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) -> None:
@@ -311,16 +319,6 @@ def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) ->
         c_opt *= half_df
 
 
-def _nyquist_at(channel: CompoundChannel, state: ChannelState, tol: float | None):
-    idx = _check_state(channel, state)[None]
-    out = np.empty((3, 1))
-    _nyquist_pass(
-        idx, channel.gain_grid, *_own_gains(idx, channel.gain_grid, channel.state_gains),
-        _equal_power_scale(channel), channel.power, channel.grid_df, tol, out,
-    )
-    return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
-
-
 def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol, plan=None):
     """(c_sampled, c_eq, c_opt, nu) for the states of an (S, k) index block.
 
@@ -402,11 +400,6 @@ def sampled_capacity(
     return float(batched_losses(channel, sampler, idx[None], tol=None)[0][0])
 
 
-def nyquist_capacity_equal(channel: CompoundChannel, state: ChannelState) -> float:
-    """Nyquist-rate capacity with equal power allocation, nats/s."""
-    return _nyquist_at(channel, state, None)[0]
-
-
 def waterfill_level(
     channel: CompoundChannel,
     state: ChannelState,
@@ -422,16 +415,13 @@ def waterfill_level(
     residual; NumericalError if float64 cannot meet it (e.g. when P/df is
     negligible against 1/H^2).
     """
-    return _nyquist_at(channel, state, tol)[2]
-
-
-def nyquist_capacity_waterfill(
-    channel: CompoundChannel,
-    state: ChannelState,
-    tol: float = WATERFILL_DEFAULT_TOL,
-) -> float:
-    """Nyquist-rate capacity with optimal power control, nats/s."""
-    return _nyquist_at(channel, state, tol)[1]
+    idx = _check_state(channel, state)[None]
+    out = np.empty((3, 1))
+    _nyquist_pass(
+        idx, channel.gain_grid, *_own_gains(idx, channel.gain_grid, channel.state_gains),
+        _equal_power_scale(channel), channel.power, channel.grid_df, tol, out,
+    )
+    return float(out[2, 0])
 
 
 def waterfill_gap_bound(channel: CompoundChannel) -> float:
@@ -461,42 +451,6 @@ def capacity_loss(
     idx = _check_state(channel, state)
     values = batched_losses(channel, sampler, idx[None], tol=tol)
     return LossReport.from_capacities(state, *(float(v[0]) for v in values))
-
-
-def equal_power_losses(
-    channel: CompoundChannel, sampler: SamplerSpec, states
-) -> np.ndarray:
-    """loss_eq for many states at once (one whitening, one batched kernel call)."""
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    idx = np.stack([_check_state(channel, s) for s in states])  # (S, k)
-    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)
-    return c_eq - c_sampled
-
-
-def worst_case_loss(
-    channel: CompoundChannel, sampler: SamplerSpec, states
-) -> dict:
-    """Maximum equal-power loss over `states` and the achieving state.
-
-    Ties are broken toward the colexicographically smallest state.
-    Returns {"max_loss", "argmax_state", "per_state"}.
-    """
-    states = list(states)
-    losses = equal_power_losses(channel, sampler, states)
-    best = 0
-    for i in range(1, len(states)):
-        if losses[i] > losses[best] or (
-            losses[i] == losses[best]
-            and states[i].colex_key() < states[best].colex_key()
-        ):
-            best = i
-    return {
-        "max_loss": float(losses[best]),
-        "argmax_state": states[best],
-        "per_state": losses,
-    }
 
 
 def discrete_losses(

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class ChannelState:
 
     def zero_based(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int) - 1
-
-    def colex_key(self) -> tuple[int, ...]:
-        """Sort key realizing colexicographic order (compare largest first)."""
-        return tuple(reversed(self.indices))
-
 
 def _frozen_array(values, shape_hint: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -147,14 +142,6 @@ class CompoundChannel:
         """Width of one quadrature cell, (W/n)/q."""
         return self.bandwidth / (self.n_subbands * self.q)
 
-    def gains_for(self, state: ChannelState) -> np.ndarray:
-        """The (n, q) gain grid in effect at `state`."""
-        if self.state_gains is not None:
-            hit = self.state_gains.get(state.indices)
-            if hit is not None:
-                return hit
-        return self.gain_grid
-
     def _all_grids(self) -> list[np.ndarray]:
         grids = [self.gain_grid]
         if self.state_gains is not None:
@@ -230,11 +217,6 @@ class SnrSummary:
                 f"need 0 < snr_min <= snr_max, got {self.snr_min}, {self.snr_max}"
             )
 
-    @property
-    def high_snr_ok(self) -> bool:
-        """Whether snr_max >= 1; the capacity-loss bounds assume it (flag only)."""
-        return self.snr_max >= 1.0
-
 
 def snr_summary(channel: CompoundChannel) -> SnrSummary:
     """SNR extremes over the whole band and all supplied gain profiles."""
@@ -263,8 +245,7 @@ class EnumeratedStates:
     sample rather than a census.
 
     indices is a read-only (S, k) ``np.intp`` block of zero-based subband
-    indices in colexicographic order.  Iterating or indexing yields
-    `ChannelState` objects (1-based), built on demand.
+    indices in colexicographic order.
     """
 
     indices: np.ndarray
@@ -272,12 +253,6 @@ class EnumeratedStates:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __iter__(self) -> Iterator[ChannelState]:
-        return (ChannelState(tuple(row)) for row in (self.indices + 1).tolist())
-
-    def __getitem__(self, item: int) -> ChannelState:
-        return ChannelState(tuple((self.indices[item] + 1).tolist()))
 
 
 def _colex_unique(block: np.ndarray) -> np.ndarray:

@@ -130,8 +130,8 @@ class ExperimentResult:
     def passed(self) -> bool:
         return self.bound_violations <= self.violation_budget
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "trials": self.trials,
             "reference": self.reference,
@@ -142,12 +142,9 @@ class ExperimentResult:
             "summary": dict(sorted(self.summary.items())),
             "per_trial": {key: list(val) for key, val in sorted(self.per_trial.items())},
         }
-        if include_timing:
-            doc["wall_clock_s"] = self.wall_clock_s
-        return doc
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         rows = [

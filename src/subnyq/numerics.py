@@ -48,7 +48,6 @@ __all__ = [
     "minimax_limit",
     "rect_logdet_limit",
     "spectral_decomp",
-    "subset_block_rows",
     "subset_logdet",
     "whiten",
 ]
@@ -73,7 +72,10 @@ class SingularityError(ArithmeticError):
 
 
 class NumericalError(ArithmeticError):
-    """An iterative routine failed to converge."""
+    """A computation that cannot deliver its result: a non-finite capacity
+    or water level, a water-filling power residual beyond its tolerance, a
+    degenerate random draw twice in a row, a log-determinant whose sign is
+    not positive, or a state sample that stops growing."""
 
 
 def _as_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
@@ -95,10 +97,6 @@ class SpectralDecomp:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
 
 
 def spectral_decomp(mat: np.ndarray) -> SpectralDecomp:
@@ -154,7 +152,7 @@ def whiten(q: np.ndarray) -> np.ndarray:
     return _inv_sqrt(spectral_decomp(out @ out.T)) @ out
 
 
-def subset_block_rows(m: int, k: int, q: int = 1) -> int:
+def _subset_block_rows(m: int, k: int, q: int = 1) -> int:
     """States per block of `subset_logdet` for m x k subsets on q grid points."""
     return max(1, _BLOCK_ELEMENTS // (q * (m * k + min(m, k) ** 2)))
 
@@ -427,7 +425,7 @@ def _blocked_logdet(panels, grams, idx, weights, q, shift) -> np.ndarray:
     grid points, per state, in blocks of a fixed element budget."""
     m, k = panels.shape[1], idx.shape[1]
     d = min(m, k)
-    block = subset_block_rows(m, k, q)
+    block = _subset_block_rows(m, k, q)
     out = np.empty(len(idx))
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]

@@ -12,10 +12,8 @@ index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 # Every command draws from Philox; importing it here keeps numpy.random's
@@ -34,7 +32,6 @@ __all__ = [
     "gaussian_batches",
     "make_flat_sampler",
     "make_gridded_sampler",
-    "moment_report",
     "philox_generator",
 ]
 
@@ -75,20 +72,6 @@ class EnsembleSpec:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "m": self.rows, "n": self.cols, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnsembleSpec":
-        return cls(kind=doc["kind"], rows=int(doc["m"]), cols=int(doc["n"]), seed=int(doc["seed"]))
-
-    def to_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "EnsembleSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
@@ -233,33 +216,6 @@ def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
         c = min(chunk, total - done)
         yield _normal_quantile(_uniform_open(gen, (c, *shape_per_draw)))
         done += c
-
-
-def moment_report(mat: np.ndarray) -> dict[str, float]:
-    """Empirical entry moments: mean, raw second moment, max |entry|, skewness.
-
-    'variance' is the second moment about zero (the ensembles are zero-mean
-    by construction), so +-1 matrices report exactly 1.  Skewness is the
-    usual centered third moment over the centered std cubed, 0 for a
-    constant matrix.
-    """
-    arr = np.asarray(mat, dtype=float)
-    if arr.size == 0:
-        raise ValueError("moment report needs a nonempty matrix")
-    mean = float(np.mean(arr))
-    second = float(np.mean(arr**2))
-    centered = arr - mean
-    var_centered = float(np.mean(centered**2))
-    if var_centered > 0.0:
-        skew = float(np.mean(centered**3) / var_centered**1.5)
-    else:
-        skew = 0.0
-    return {
-        "mean": mean,
-        "variance": second,
-        "max_abs": float(np.max(np.abs(arr))),
-        "skewness": skew,
-    }
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subnyq import CompoundChannel
+from subnyq import CompoundChannel, batched_losses, make_flat_sampler
+from subnyq.capacity import WATERFILL_DEFAULT_TOL
 
 
 def random_channel(gen: np.random.Generator, flat: bool = False) -> CompoundChannel:
@@ -23,6 +24,21 @@ def random_channel(gen: np.random.Generator, flat: bool = False) -> CompoundChan
     return CompoundChannel(
         bandwidth=bandwidth, n_subbands=n, k_active=k, power=power, gain_grid=gains
     )
+
+
+def nyquist_row(channel: CompoundChannel, state, tol=WATERFILL_DEFAULT_TOL):
+    """(c_eq, c_opt, nu) of one state, a 1-based index tuple: a one-row
+    `batched_losses` call under the sampler [1, 0, ..., 0], since the
+    Nyquist side does not depend on the sampler."""
+    sampler = make_flat_sampler(np.eye(1, channel.n_subbands))
+    _, c_eq, c_opt, nu = batched_losses(channel, sampler, [np.subtract(state, 1)], tol=tol)
+    return float(c_eq[0]), float(c_opt[0]), float(nu[0])
+
+
+def state_grid(channel: CompoundChannel, row) -> np.ndarray:
+    """The (n, q) gain grid in effect at a state, a zero-based index row."""
+    key = tuple(int(i) + 1 for i in row)
+    return (channel.state_gains or {}).get(key, channel.gain_grid)
 
 
 def spy(monkeypatch, func) -> list:

@@ -10,7 +10,7 @@ from subnyq import cli, experiments
 from subnyq.capacity import (
     LossReport, batched_losses, discrete_losses, loss_csv_lines, loss_csv_rows, state_labels
 )
-from subnyq.channel import enumerate_states, load_channel
+from subnyq.channel import ChannelState, enumerate_states, load_channel
 from subnyq.cli import main
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
 
@@ -278,7 +278,8 @@ class TestLossRowFormatting:
     @staticmethod
     def reports(states, capacities):
         columns = zip(*(col.tolist() for col in capacities))
-        return [LossReport.from_capacities(s, *row) for s, row in zip(states, columns)]
+        return [LossReport.from_capacities(ChannelState(tuple(s)), *row)
+                for s, row in zip((states.indices + 1).tolist(), columns)]
 
     @pytest.mark.parametrize("bits", [False, True])
     def test_capacity_csv_equals_loss_csv_rows(self, tmp_path, capsys, bits):

@@ -1,7 +1,10 @@
 """No module of the package reaches into another module's private names,
-and the package imports nothing beyond the standard library and numpy."""
+imports a name it never uses, or imports anything beyond the standard
+library and numpy; and every library name the benchmark (bench/) binds
+exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -129,3 +132,77 @@ def test_cli_import_loads_no_concurrent():
     # the workers are forked processes; concurrent.futures costs about 10 ms to import
     probe = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
     assert cli_import_probe(probe) == ["[]"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that the source never reads (`__future__`
+    imports and names listed in `__all__` excepted)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_unused_import_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, numpy as np, os.path\n"
+        "from .numerics import whiten, colex_plan as plan\n"
+        "__all__ = ['whiten']\n"
+        "x = np.zeros(os.path.sep)\n"
+    )
+    assert unused_imports(source) == ["line 2: json", "line 3: plan"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+BENCH = SRC.parent / "bench"
+
+
+def bench_bindings() -> list[tuple[str, str]]:
+    """(module, name) of every library name the benchmark binds: the
+    `TRACED` table of bench/child.py and the `from subnyq... import` lines
+    of bench/workloads.py, read with `ast`, without running either file."""
+    found = []
+    child = ast.parse((BENCH / "child.py").read_text(encoding="utf-8"))
+    for node in ast.walk(child):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            found += ast.literal_eval(node.value).values()
+    workloads = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.ImportFrom) and _package_import(node):
+            found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_benchmark_binds_only_defined_names():
+    # a traced name the library no longer defines drops its per-layer
+    # metrics from the benchmark's result line, and a missing import fails
+    # every invocation's output check
+    bindings = bench_bindings()
+    assert ("subnyq.cli", "main") in bindings and ("subnyq.channel", "ChannelState") in bindings
+    missing = [
+        f"{module}.{name}"
+        for module, name in bindings
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []

@@ -15,7 +15,6 @@ from subnyq.samplers import (
     gaussian_batches,
     make_flat_sampler,
     make_gridded_sampler,
-    moment_report,
     philox_generator,
 )
 
@@ -29,12 +28,6 @@ class TestEnsembleSpec:
             EnsembleSpec("cauchy", 2, 4, 0)
         with pytest.raises(ValueError):
             EnsembleSpec("gaussian", 5, 4, 0)
-
-    def test_json_round_trip(self, tmp_path):
-        spec = EnsembleSpec("rademacher", 3, 9, 42)
-        path = tmp_path / "spec.json"
-        spec.to_json(path)
-        assert EnsembleSpec.from_json(path) == spec
 
     def test_trial_seed_is_xor(self):
         assert derive_trial_seed(0b1100, 0b1010) == 0b0110
@@ -178,26 +171,18 @@ class TestNormalQuantile:
 
 
 class TestMomentReport:
-    def test_zero_matrix(self):
-        rep = moment_report(np.zeros((3, 3)))
-        assert rep["mean"] == 0.0
-        assert rep["variance"] == 0.0
-        assert rep["max_abs"] == 0.0
-        assert rep["skewness"] == 0.0
+    """Empirical entry moments of drawn matrices."""
 
     def test_rademacher_second_moment_exact(self):
         m = draw_matrix(EnsembleSpec("rademacher", 30, 30, 3))
-        rep = moment_report(m)
-        assert rep["variance"] == 1.0  # raw second moment of +-1 entries
-        assert abs(rep["mean"]) <= 3.0 / math.sqrt(m.size)
+        assert float(np.mean(m**2)) == 1.0  # raw second moment of +-1 entries
+        assert abs(float(np.mean(m))) <= 3.0 / math.sqrt(m.size)
 
     def test_gaussian_skewness_small(self):
         m = draw_matrix(EnsembleSpec("gaussian", 100, 100, 17))
-        assert abs(moment_report(m)["skewness"]) <= 0.05
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            moment_report(np.zeros((0, 3)))
+        centered = m - np.mean(m)
+        skewness = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
+        assert abs(skewness) <= 0.05
 
 
 class TestSamplerSpec:

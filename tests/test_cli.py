@@ -519,6 +519,11 @@ class TestOutputPins:
              "--seed", "5", "--bits"],
             "b2ca106f9090eff15b0dfd7b8314c79f51de38d4ce8b64f5400b16fb154836b5",
         ),
+        "concentration-json": (
+            ["--command", "concentration", "--k", "20", "--trials", "30", "--seed", "2",
+             "--format", "json"],
+            "6546011711fd3573b0872bc206e8a21f24a413c32fd0716d28e577dc946cece4",
+        ),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])

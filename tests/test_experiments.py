@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -395,6 +397,78 @@ class TestWishartMinor:
     def test_ratio_preconditions(self):
         with pytest.raises(ValueError):
             wishart_minor_trial(TrialConfig(n=100, k=45, m=50, trials=1))
+
+
+LAW_SUITES = {
+    "square": logdet_concentration_trial,
+    "rect": rect_logdet_trial,
+    "small-eig": small_eigenvalue_count_trial,
+    "wishart-minor": wishart_minor_trial,
+}
+
+# law, configuration and sha256 of json.dumps([summary, per_trial], sort_keys=True)
+# at every configuration the dense-law tests run
+LAW_PINS = {
+    "square-gaussian": (
+        "square", dict(n=100, k=100, m=100, ensemble="gaussian", eps=0.1, trials=200,
+                       master_seed=5),
+        "258e70d281c36c527047bb4aa6f52ec8df9453a06fdf82c730617ebc1ed20696",
+    ),
+    "square-rademacher": (
+        "square", dict(n=100, k=100, m=100, ensemble="rademacher", eps=0.1, trials=200,
+                       master_seed=5),
+        "ff346466f770436204f0395d26820baed00e44364e7f07122d719b0c4d68a7f8",
+    ),
+    "square-k50": (
+        "square", dict(n=50, k=50, m=50, ensemble="gaussian", eps=0.1, trials=150,
+                       master_seed=5),
+        "3c7d84b0675eb1bbb6949a1ef946aff32580c551f1c4c80fe00e918baaa2f1fb",
+    ),
+    "square-k200": (
+        "square", dict(n=200, k=200, m=200, ensemble="gaussian", eps=0.1, trials=150,
+                       master_seed=5),
+        "0e6a4e7c3eb41ac53256fe058a181aa591a39c8375fdaa9fac690e97b1d2d32f",
+    ),
+    "rect-n400": (
+        "rect", dict(n=400, k=200, m=200, ensemble="gaussian", trials=100, master_seed=11,
+                     failure_budget=5),
+        "37d79c61a0f8e2e023e0f54f26f0e0624a4849c5d314989c95f460e041fbba11",
+    ),
+    "rect-n100-seed13": (
+        "rect", dict(n=100, k=50, m=50, ensemble="gaussian", trials=50, master_seed=13),
+        "1750b03efaa3149c03e89b5aa252ccf3bc5ed41d9b8487631ef45950e29c2539",
+    ),
+    "rect-n400-seed13": (
+        "rect", dict(n=400, k=200, m=200, ensemble="gaussian", trials=50, master_seed=13),
+        "a08f9b59bb5fd1697c34d4ed99cfad2e05d843980edbb1a711a7b96c33e38636",
+    ),
+    "small-eig": (
+        "small-eig", dict(n=300, k=150, m=150, ensemble="gaussian", eps=0.05, trials=100,
+                          master_seed=13, tau=0.02),
+        "cf3e1ec699250634d1ab404e720710a65f412de3097864162a33895ce085c70c",
+    ),
+    "small-eig-tiny-eps": (
+        "small-eig", dict(n=100, k=50, m=50, ensemble="gaussian", eps=1e-9, trials=10,
+                          master_seed=3, tau=0.02),
+        "ed69aff14e439a72d4cdc8044298c0da7c224f672a5e9e287d42d10b992715e5",
+    ),
+    "wishart-minor": (
+        "wishart-minor", dict(n=200, k=40, m=100, ensemble="gaussian", eps=0.01, trials=50,
+                              master_seed=17),
+        "ac5f7f43787658a23b54a13b49aad9420bb5a8d2bf9c328b01fb66fa751488b6",
+    ),
+}
+
+
+class TestLawPins:
+    """Every dense law's per-trial series and summary, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(LAW_PINS))
+    def test_summary_and_per_trial_sha256(self, name):
+        law, kwargs, digest = LAW_PINS[name]
+        res = LAW_SUITES[law](TrialConfig(**kwargs))
+        payload = json.dumps([res.summary, res.per_trial], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestInverseWishartTrace:

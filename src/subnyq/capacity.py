@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import NumericalError, colex_indices, colex_plan, subset_logdet, whiten
+from .numerics import NumericalError, colex_indices, colex_plan, real_matrix, subset_logdet, whiten
 from .samplers import SamplerSpec
 
 __all__ = [
@@ -475,7 +475,7 @@ def discrete_losses(
     if power <= 0:
         raise ValueError("power must be positive")
     n = gains.size
-    q = np.asarray(q, dtype=float)
+    q = real_matrix(q, "sensing matrix")
     if q.ndim != 2 or q.shape[1] != n:
         raise ValueError(f"sensing matrix must be m x {n}, got {q.shape}")
     idx = _check_index_block(idx, n)

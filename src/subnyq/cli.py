@@ -355,7 +355,7 @@ def cmd_concentration(params: dict) -> int:
         trials=int(params["trials"]),
         master_seed=int(params["seed"]),
     )
-    result = experiments.logdet_concentration_trial(cfg)
+    result = experiments.law_trial("square", cfg)
     print(result.to_text())
     if params["out"]:
         _write_text(params["out"], _result_payload(result, params["format"]))

@@ -21,13 +21,15 @@ the fork, the caller draws every trial's matrix in one pass
 which checks the rank floor once per accepted draw; each worker builds the
 elimination plan of its own run of whole STATE_CHUNK-state chunks, a range
 of colex ranks, and evaluates every trial on it, so both the plan and the
-kernel are spread.  No index block of the states is formed.  The suites
-whose trial is one LAPACK call on a dense matrix (concentration, rect
-log-det, small-eigenvalue count, Wishart minor) run their trials in the
-calling process and take no `workers`: OpenBLAS already threads those
-calls, and forked workers on top of its thread pools oversubscribe the
-cores.  On 2 cores, 200 concentration trials at k = 100 took 0.11 s in
-one process and 0.65-0.81 s on two.
+kernel are spread.  No index block of the states is formed.
+
+The dense log-det laws (square concentration, rect log-det,
+small-eigenvalue count, Wishart minor) are one table, `LAWS`, run by one
+runner, `law_trial`.  A trial is one LAPACK call on a dense matrix, so
+the runner works in the calling process and takes no `workers`: OpenBLAS
+already threads those calls, and forked workers on top of its thread
+pools oversubscribe the cores.  On 2 cores, 200 concentration trials at
+k = 100 took 0.11 s in one process and 0.65-0.81 s on two.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +58,7 @@ from .numerics import (
 )
 from .parallel import map_ordered
 from .samplers import (
+    ENSEMBLE_KINDS,
     RESAMPLE_KEY_FLIP,
     EnsembleSpec,
     derive_trial_seed,
@@ -65,18 +69,17 @@ from .samplers import (
 )
 
 __all__ = [
+    "LAWS",
     "ExperimentResult",
+    "Law",
     "TrialConfig",
     "inverse_wishart_trace_trial",
     "landau_achievability_trial",
-    "logdet_concentration_trial",
+    "law_trial",
     "loss_uniformity_report",
-    "rect_logdet_trial",
-    "small_eigenvalue_count_trial",
     "superlandau_achievability_trial",
     "wishart_det_expectation",
     "wishart_minor_limit",
-    "wishart_minor_trial",
 ]
 
 # States per chunk of an achievability suite.  Each chunk is summed with
@@ -161,20 +164,14 @@ class ExperimentResult:
         return "\n".join(f"{key.ljust(width)}  {val}" for key, val in rows)
 
 
-def _full_rank(mat: np.ndarray) -> np.ndarray:
-    """mat, once it passes the rank floor of `full_rank_gram`."""
-    full_rank_gram(mat)
-    return mat
-
-
-def _draw_full_rank(spec: EnsembleSpec, accept=_full_rank, first: np.ndarray | None = None):
+def _draw_full_rank(spec: EnsembleSpec, accept, first: np.ndarray | None = None):
     """accept(draw) of spec's matrix, resampling once (flipped key) if it
     fails the rank floor.
 
     accept applies the rank floor of `full_rank_gram`, which raises
-    SingularityError, as `whiten` and `make_flat_sampler` do; passing one of
-    them checks the floor once per accepted draw.  first, if given, is
-    spec's own draw, already made.
+    SingularityError, as `whiten`, `make_flat_sampler` and the Wishart-minor
+    statistic do; so the floor is checked once per accepted draw.  first,
+    if given, is spec's own draw, already made.
 
     Raises:
         NumericalError: if the resampled matrix fails the floor too.
@@ -288,149 +285,6 @@ def superlandau_achievability_trial(
     return _achievability(cfg, name="superlandau_achievability", workers=workers)
 
 
-def logdet_concentration_trial(cfg: TrialConfig) -> ExperimentResult:
-    """Concentration of (1/k) log det(eps I + (1/k) A A^T) for square k x k draws.
-
-    The empirical mean must land in the expectation bracket
-    [-1 + log(k)/(2k) - 2/(k eps),  -1 + 1.5 log(ek)/k + 2 sqrt(eps) log(1/eps)]
-    widened by 3 empirical-std / sqrt(trials).
-    """
-    if not 0.0 < cfg.eps <= 0.8:
-        raise ValueError(f"eps must lie in (0, 0.8], got {cfg.eps}")
-    k = cfg.k
-    start = time.perf_counter()
-
-    def one_trial(t: int) -> float:
-        spec = EnsembleSpec(cfg.ensemble, k, k, derive_trial_seed(cfg.master_seed, t))
-        a = draw_matrix(spec)
-        sign, val = np.linalg.slogdet(cfg.eps * np.eye(k) + (a @ a.T) / k)
-        if sign <= 0:  # eps I + PSD is positive definite; anything else is numerical
-            raise NumericalError(f"log-determinant sign {sign} in concentration trial {t}")
-        return float(val) / k
-
-    vals = np.asarray([one_trial(t) for t in range(cfg.trials)])
-    mean = float(np.mean(vals))
-    std = float(np.std(vals))
-    slack = 3.0 * std / math.sqrt(cfg.trials)
-    lower = -1.0 + math.log(k) / (2.0 * k) - 2.0 / (k * cfg.eps)
-    upper = -1.0 + 1.5 * math.log(math.e * k) / k + 2.0 * math.sqrt(cfg.eps) * math.log(1.0 / cfg.eps)
-    inside = (lower - slack) <= mean <= (upper + slack)
-    return ExperimentResult(
-        name="logdet_concentration",
-        trials=cfg.trials,
-        reference=-1.0,
-        bound=upper,
-        bound_violations=0 if inside else 1,
-        violation_budget=cfg.failure_budget,
-        summary={
-            "mean": mean,
-            "spread": std,
-            "bracket_lower": lower,
-            "bracket_upper": upper,
-            "slack": slack,
-        },
-        per_trial={"stat": tuple(vals.tolist())},
-        wall_clock_s=time.perf_counter() - start,
-    )
-
-
-def wishart_det_expectation(k: int, trials: int, seed: int) -> float:
-    """Monte Carlo estimate of E det(A A^T) for k x k gaussian A, divided by k!.
-
-    The expectation is exactly k! (expand det(A)^2 with the Leibniz formula;
-    only matching permutations survive independence).  Variance explodes in
-    k, hence the k <= 6 guard.
-    """
-    if not 1 <= k <= 6:
-        raise ValueError(f"k must lie in 1..6 (determinant variance explodes), got {k}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    partials = []
-    for batch in gaussian_batches(trials, (k, k), seed):
-        grams = batch @ np.swapaxes(batch, 1, 2)
-        partials.append(math.fsum(np.linalg.det(grams).tolist()))
-    return math.fsum(partials) / trials / math.factorial(k)
-
-
-def rect_logdet_trial(cfg: TrialConfig) -> ExperimentResult:
-    """How often (1/n) log det((1/n) A A^T) lands within 1/sqrt(n) of its limit.
-
-    A is m x n from the configured ensemble, alpha = m/n in [0.1, 0.9]; the
-    limit is (1-alpha) log(1/(1-alpha)) - alpha.
-    """
-    alpha = cfg.m / cfg.n
-    if not 0.1 <= alpha <= 0.9:
-        raise ValueError(f"alpha must lie in [0.1, 0.9], got {alpha:.3f}")
-    start = time.perf_counter()
-    limit = rect_logdet_limit(alpha)
-    radius = 1.0 / math.sqrt(cfg.n)
-
-    def one_trial(t: int) -> float:
-        spec = EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
-        a = draw_matrix(spec)
-        sign, val = np.linalg.slogdet((a @ a.T) / cfg.n)
-        return float(val) / cfg.n if sign > 0 else -np.inf
-
-    vals = np.asarray([one_trial(t) for t in range(cfg.trials)])
-    devs = np.abs(vals - limit)
-    outside = int(np.sum(devs > radius))
-    return ExperimentResult(
-        name="rect_logdet",
-        trials=cfg.trials,
-        reference=limit,
-        bound=radius,
-        bound_violations=outside,
-        violation_budget=cfg.failure_budget,
-        summary={
-            "fraction_within": 1.0 - outside / cfg.trials,
-            "median_abs_dev": float(np.median(devs)),
-            "mean_stat": float(np.mean(vals)),
-        },
-        per_trial={"stat": tuple(vals.tolist()), "abs_dev": tuple(devs.tolist())},
-        wall_clock_s=time.perf_counter() - start,
-    )
-
-
-def small_eigenvalue_count_trial(cfg: TrialConfig) -> ExperimentResult:
-    """Counting bound on eigenvalues of (1/n) A A^T below eps, gaussian only:
-
-    card{lambda_i < eps}/n < alpha eps / (1 - alpha - 1/n) + 4 sqrt(alpha tau) / sqrt(n eps),
-
-    an event of probability >= 1 - 2 exp(-tau n); violations should be ~0.
-    """
-    if cfg.ensemble != "gaussian":
-        raise ValueError("the eigenvalue counting bound is stated for gaussian draws")
-    alpha = cfg.m / cfg.n
-    if not 0.1 <= alpha <= 0.9:
-        raise ValueError(f"alpha must lie in [0.1, 0.9], got {alpha:.3f}")
-    if cfg.eps <= 0 or cfg.tau <= 0:
-        raise ValueError("eps and tau must be positive")
-    start = time.perf_counter()
-    bound = alpha * cfg.eps / (1.0 - alpha - 1.0 / cfg.n) + 4.0 * math.sqrt(
-        alpha * cfg.tau
-    ) / math.sqrt(cfg.n * cfg.eps)
-
-    def one_trial(t: int) -> float:
-        spec = EnsembleSpec("gaussian", cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
-        a = draw_matrix(spec)
-        lam = np.linalg.eigvalsh((a @ a.T) / cfg.n)
-        return float(np.sum(lam < cfg.eps)) / cfg.n
-
-    fracs = np.asarray([one_trial(t) for t in range(cfg.trials)])
-    violations = int(np.sum(fracs >= bound))
-    return ExperimentResult(
-        name="small_eigenvalue_count",
-        trials=cfg.trials,
-        reference=0.0,
-        bound=bound,
-        bound_violations=violations,
-        violation_budget=cfg.failure_budget,
-        summary={"max_fraction": float(np.max(fracs)), "mean_fraction": float(np.mean(fracs))},
-        per_trial={"fraction": tuple(fracs.tolist())},
-        wall_clock_s=time.perf_counter() - start,
-    )
-
-
 def wishart_minor_limit(alpha: float, beta: float) -> float:
     """Closed-form limit of (1/n) log det(eps I + A^T B^{-1} A) for gaussian A
     (m x k) independent of B ~ W_m(n-k, I):
@@ -447,57 +301,195 @@ def wishart_minor_limit(alpha: float, beta: float) -> float:
     )
 
 
-def wishart_minor_trial(cfg: TrialConfig) -> ExperimentResult:
-    """Empirical (1/n) log det(eps I_k + A^T B^{-1} A) against its closed form.
+def _check_square(cfg: TrialConfig) -> None:
+    if not 0.0 < cfg.eps <= 0.8:
+        raise ValueError(f"eps must lie in (0, 0.8], got {cfg.eps}")
 
-    A is m x k gaussian, B ~ W_m(n-k, I) drawn independently; requires
-    alpha - beta >= 0.1 and 1 - alpha - beta >= 0.1 so B is comfortably
-    invertible.  Reports the deviation distribution around the limit.
-    """
+
+def _check_alpha(cfg: TrialConfig) -> None:
     alpha = cfg.m / cfg.n
-    beta = cfg.k / cfg.n
+    if not 0.1 <= alpha <= 0.9:
+        raise ValueError(f"alpha must lie in [0.1, 0.9], got {alpha:.3f}")
+
+
+def _check_small_eig(cfg: TrialConfig) -> None:
+    _check_alpha(cfg)
+    if cfg.eps <= 0 or cfg.tau <= 0:
+        raise ValueError("eps and tau must be positive")
+
+
+def _check_wishart_minor(cfg: TrialConfig) -> None:
+    alpha, beta = cfg.m / cfg.n, cfg.k / cfg.n  # B must be comfortably invertible
     if alpha - beta < 0.1 or 1.0 - alpha - beta < 0.1:
         raise ValueError(
             f"need alpha - beta >= 0.1 and 1 - alpha - beta >= 0.1, got {alpha:.2f}, {beta:.2f}"
         )
+
+
+def _square_stat(a: np.ndarray, cfg: TrialConfig) -> float:
+    """(1/k) log det(eps I + (1/k) A A^T) of a k x k draw."""
+    sign, val = np.linalg.slogdet(cfg.eps * np.eye(cfg.k) + (a @ a.T) / cfg.k)
+    if sign <= 0:  # eps I + PSD is positive definite; anything else is numerical
+        raise NumericalError(f"log-determinant sign {sign} in a concentration trial")
+    return float(val) / cfg.k
+
+
+def _square_criterion(vals: np.ndarray, cfg: TrialConfig) -> dict:
+    """The mean must land in the expectation bracket
+    [-1 + log(k)/(2k) - 2/(k eps),  -1 + 1.5 log(ek)/k + 2 sqrt(eps) log(1/eps)]
+    widened by 3 empirical-std / sqrt(trials)."""
+    k, eps = cfg.k, cfg.eps
+    mean, std = float(np.mean(vals)), float(np.std(vals))
+    slack = 3.0 * std / math.sqrt(cfg.trials)
+    lower = -1.0 + math.log(k) / (2.0 * k) - 2.0 / (k * eps)
+    upper = -1.0 + 1.5 * math.log(math.e * k) / k + 2.0 * math.sqrt(eps) * math.log(1.0 / eps)
+    inside = (lower - slack) <= mean <= (upper + slack)
+    return dict(reference=-1.0, bound=upper, bound_violations=0 if inside else 1,
+                summary={"mean": mean, "spread": std, "bracket_lower": lower,
+                         "bracket_upper": upper, "slack": slack},
+                per_trial={"stat": tuple(vals.tolist())})
+
+
+def _rect_stat(a: np.ndarray, cfg: TrialConfig) -> float:
+    """(1/n) log det((1/n) A A^T) of an m x n draw."""
+    sign, val = np.linalg.slogdet((a @ a.T) / cfg.n)
+    return float(val) / cfg.n if sign > 0 else -np.inf
+
+
+def _rect_criterion(vals: np.ndarray, cfg: TrialConfig) -> dict:
+    """A trial is outside if farther than 1/sqrt(n) from the limit
+    (1-alpha) log(1/(1-alpha)) - alpha."""
+    limit = rect_logdet_limit(cfg.m / cfg.n)
+    devs = np.abs(vals - limit)
+    outside = int(np.sum(devs > 1.0 / math.sqrt(cfg.n)))
+    return dict(reference=limit, bound=1.0 / math.sqrt(cfg.n), bound_violations=outside,
+                summary={"fraction_within": 1.0 - outside / cfg.trials,
+                         "median_abs_dev": float(np.median(devs)),
+                         "mean_stat": float(np.mean(vals))},
+                per_trial={"stat": tuple(vals.tolist()), "abs_dev": tuple(devs.tolist())})
+
+
+def _small_eig_stat(a: np.ndarray, cfg: TrialConfig) -> float:
+    """card{lambda_i < eps}/n over the eigenvalues of (1/n) A A^T."""
+    return float(np.sum(np.linalg.eigvalsh((a @ a.T) / cfg.n) < cfg.eps)) / cfg.n
+
+
+def _small_eig_criterion(fracs: np.ndarray, cfg: TrialConfig) -> dict:
+    """A trial violates the counting bound, an event of probability
+    >= 1 - 2 exp(-tau n), when it reaches
+    alpha eps / (1 - alpha - 1/n) + 4 sqrt(alpha tau) / sqrt(n eps)."""
+    alpha = cfg.m / cfg.n
+    bound = alpha * cfg.eps / (1.0 - alpha - 1.0 / cfg.n) + 4.0 * math.sqrt(
+        alpha * cfg.tau
+    ) / math.sqrt(cfg.n * cfg.eps)
+    return dict(reference=0.0, bound=bound, bound_violations=int(np.sum(fracs >= bound)),
+                summary={"max_fraction": float(np.max(fracs)),
+                         "mean_fraction": float(np.mean(fracs))},
+                per_trial={"fraction": tuple(fracs.tolist())})
+
+
+def _wishart_minor_stat(draw: np.ndarray, cfg: TrialConfig) -> float:
+    """(1/n) log det(eps I_k + A^T B^{-1} A), where the first k columns of the
+    m x n draw form A and the rest G, with B = G G^T ~ W_m(n-k, I).
+
+    Raises:
+        SingularityError: if G fails the rank floor of `full_rank_gram`.
+    """
+    a, g = draw[:, : cfg.k], draw[:, cfg.k :]
+    full_rank_gram(g, "Wishart factor")
+    gram = a.T @ np.linalg.solve(g @ g.T, a)
+    _, val = np.linalg.slogdet(cfg.eps * np.eye(cfg.k) + 0.5 * (gram + gram.T))
+    return float(val) / cfg.n
+
+
+def _wishart_minor_criterion(vals: np.ndarray, cfg: TrialConfig) -> dict:
+    """A trial is outside if farther than 1/sqrt(n), the rect law's radius,
+    from `wishart_minor_limit`."""
+    limit = wishart_minor_limit(cfg.m / cfg.n, cfg.k / cfg.n)
+    devs = vals - limit
+    outside = int(np.sum(np.abs(devs) > 1.0 / math.sqrt(cfg.n)))
+    return dict(reference=limit, bound=1.0 / math.sqrt(cfg.n), bound_violations=outside,
+                summary={"median_stat": float(np.median(vals)), "mean_stat": float(np.mean(vals)),
+                         "median_dev": float(np.median(devs)), "min_dev": float(np.min(devs))},
+                per_trial={"stat": tuple(vals.tolist())})
+
+
+@dataclass(frozen=True)
+class Law:
+    """A dense log-det law: result name, draw shape, allowed ensembles,
+    preconditions (check raises ValueError), per-draw statistic, and the
+    criterion giving the result's reference, bound, violations, summary
+    and per_trial."""
+
+    name: str
+    shape: Callable[[TrialConfig], tuple[int, int]]
+    ensembles: tuple[str, ...]
+    check: Callable[[TrialConfig], None]
+    stat: Callable[[np.ndarray, TrialConfig], float]
+    criterion: Callable[[np.ndarray, TrialConfig], dict]
+
+
+LAWS = {
+    "square": Law("logdet_concentration", lambda cfg: (cfg.k, cfg.k), ENSEMBLE_KINDS,
+                  _check_square, _square_stat, _square_criterion),
+    "rect": Law("rect_logdet", lambda cfg: (cfg.m, cfg.n), ENSEMBLE_KINDS,
+                _check_alpha, _rect_stat, _rect_criterion),
+    "small-eig": Law("small_eigenvalue_count", lambda cfg: (cfg.m, cfg.n), ("gaussian",),
+                     _check_small_eig, _small_eig_stat, _small_eig_criterion),
+    "wishart-minor": Law("wishart_minor", lambda cfg: (cfg.m, cfg.n), ("gaussian",),
+                         _check_wishart_minor, _wishart_minor_stat, _wishart_minor_criterion),
+}
+
+
+def law_trial(law: str, cfg: TrialConfig) -> ExperimentResult:
+    """Run LAWS[law] on cfg, with the budget cfg.failure_budget.
+
+    Trial t is the statistic of the `draw_matrix` draw on the stream
+    derive_trial_seed(master_seed, t), under `_draw_full_rank`'s resample
+    rule.  (One `draw_matrices` pass measured slower at these sizes.)
+    An unknown law, ensemble or precondition raises ValueError.
+    """
+    if law not in LAWS:
+        raise ValueError(f"unknown law {law!r}; use one of {tuple(LAWS)}")
+    entry = LAWS[law]
+    if cfg.ensemble not in entry.ensembles:
+        raise ValueError(f"the {law} law is stated for {', '.join(entry.ensembles)} draws only, "
+                         f"got {cfg.ensemble!r}")
+    entry.check(cfg)
     start = time.perf_counter()
-    limit = wishart_minor_limit(alpha, beta)
+    rows, cols = entry.shape(cfg)
 
     def one_trial(t: int) -> float:
-        seed = derive_trial_seed(cfg.master_seed, t)
-        for attempt_seed in (seed, seed ^ RESAMPLE_KEY_FLIP):
-            # one (m, n) draw: the first k columns form A, the rest build B
-            draw = draw_matrix(EnsembleSpec("gaussian", cfg.m, cfg.n, attempt_seed))
-            a = draw[:, : cfg.k]
-            g = draw[:, cfg.k :]
-            bwish = g @ g.T
-            lam_min = float(np.linalg.eigvalsh(bwish)[0])
-            if lam_min <= 0.0:
-                continue
-            x = np.linalg.solve(bwish, a)
-            gram = a.T @ x
-            sign, val = np.linalg.slogdet(cfg.eps * np.eye(cfg.k) + 0.5 * (gram + gram.T))
-            return float(val) / cfg.n
-        raise NumericalError("singular Wishart draw twice in a row")
+        spec = EnsembleSpec(cfg.ensemble, rows, cols, derive_trial_seed(cfg.master_seed, t))
+        return _draw_full_rank(spec, lambda mat: entry.stat(mat, cfg))
 
-    vals = np.asarray([one_trial(t) for t in range(cfg.trials)])
-    devs = vals - limit
-    return ExperimentResult(
-        name="wishart_minor",
-        trials=cfg.trials,
-        reference=limit,
-        bound=None,
-        bound_violations=0,
-        violation_budget=cfg.failure_budget,
-        summary={
-            "median_stat": float(np.median(vals)),
-            "mean_stat": float(np.mean(vals)),
-            "median_dev": float(np.median(devs)),
-            "min_dev": float(np.min(devs)),
-        },
-        per_trial={"stat": tuple(vals.tolist())},
-        wall_clock_s=time.perf_counter() - start,
-    )
+    stats = np.asarray([one_trial(t) for t in range(cfg.trials)])
+    return ExperimentResult(name=entry.name, trials=cfg.trials, violation_budget=cfg.failure_budget,
+                            wall_clock_s=time.perf_counter() - start, **entry.criterion(stats, cfg))
+
+
+def _gram_mean(total: int, shape: tuple[int, int], seed: int, reduce) -> float:
+    """Mean of reduce(G G^T), a value per draw, over gaussian_batches(total,
+    shape, seed): math.fsum within and over the batches."""
+    partials = [
+        math.fsum(reduce(batch @ np.swapaxes(batch, 1, 2)).tolist())
+        for batch in gaussian_batches(total, shape, seed)
+    ]
+    return math.fsum(partials) / total
+
+
+def wishart_det_expectation(k: int, trials: int, seed: int) -> float:
+    """Monte Carlo estimate of E det(A A^T) for k x k gaussian A, divided by k!.
+
+    The expectation is exactly k! (expand det(A)^2 with the Leibniz formula;
+    only matching permutations survive independence).  Variance explodes in
+    k, hence the k <= 6 guard.
+    """
+    if not 1 <= k <= 6:
+        raise ValueError(f"k must lie in 1..6 (determinant variance explodes), got {k}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return _gram_mean(trials, (k, k), seed, np.linalg.det) / math.factorial(k)
 
 
 def inverse_wishart_trace_trial(m: int, n: int, trials: int, seed: int) -> float:
@@ -509,12 +501,9 @@ def inverse_wishart_trace_trial(m: int, n: int, trials: int, seed: int) -> float
         raise ValueError(f"need n >= m + 2 for a finite mean, got m={m}, n={n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    partials = []
-    for batch in gaussian_batches(trials, (m, n), seed):
-        wis = batch @ np.swapaxes(batch, 1, 2)
-        lam = np.linalg.eigvalsh(wis)
-        partials.append(math.fsum(np.sum(1.0 / lam, axis=1).tolist()))
-    mean_trace = math.fsum(partials) / trials
+    mean_trace = _gram_mean(
+        trials, (m, n), seed, lambda wis: np.sum(1.0 / np.linalg.eigvalsh(wis), axis=1)
+    )
     return mean_trace * (n - m - 1) / m
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "log_binomial",
     "logdet_shifted",
     "minimax_limit",
+    "real_matrix",
     "rect_logdet_limit",
     "spectral_decomp",
     "subset_logdet",
@@ -131,6 +132,13 @@ def _inv_sqrt(dec: SpectralDecomp) -> np.ndarray:
     return (v * dec.eigenvalues ** -0.5) @ v.T
 
 
+def real_matrix(q, what: str = "matrix") -> np.ndarray:
+    """q as a float array; complex q, whose cast keeps only the real part, raises ValueError."""
+    if np.iscomplexobj(q):
+        raise ValueError(f"{what} is complex; only real coefficients are supported")
+    return np.asarray(q, dtype=float)
+
+
 def whiten(q: np.ndarray) -> np.ndarray:
     """Row-orthonormalize an m x n matrix: (Q Q^T)^{-1/2} Q.
 
@@ -141,7 +149,7 @@ def whiten(q: np.ndarray) -> np.ndarray:
     Raises:
         SingularityError: if Q fails the rank floor of `full_rank_gram`.
     """
-    q = np.asarray(q, dtype=float)
+    q = real_matrix(q)
     if q.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={q.ndim}")
     # Two passes: the first absorbs the conditioning of Q (and applies the

@@ -20,7 +20,7 @@ import numpy as np
 # lazy import inside the package import rather than inside the first draw.
 from numpy.random import Generator, Philox
 
-from .numerics import full_rank_gram
+from .numerics import full_rank_gram, real_matrix
 
 __all__ = [
     "ENSEMBLE_KINDS",
@@ -223,7 +223,7 @@ class SamplerSpec:
     """Sampling coefficient function on [0, W/n].
 
     Either flat (one m x n matrix, p = 1) or gridded (p matrices on a
-    uniform frequency grid).  Every panel must have full row rank.
+    uniform frequency grid).  Every panel must be real, with full row rank.
     """
 
     panels: tuple[np.ndarray, ...]
@@ -234,7 +234,7 @@ class SamplerSpec:
         frozen = []
         shape = None
         for j, panel in enumerate(self.panels):
-            arr = np.array(panel, dtype=float)
+            arr = np.array(real_matrix(panel, f"panel {j}"))
             if arr.ndim != 2:
                 raise ValueError(f"panel {j} is not a matrix")
             if not np.all(np.isfinite(arr)):
@@ -275,9 +275,9 @@ class SamplerSpec:
 
 def make_flat_sampler(q: np.ndarray) -> SamplerSpec:
     """Frequency-flat sampler from one full-row-rank m x n coefficient matrix."""
-    return SamplerSpec(panels=(np.asarray(q, dtype=float),))
+    return SamplerSpec(panels=(q,))
 
 
 def make_gridded_sampler(matrices) -> SamplerSpec:
     """Sampler whose coefficient matrix varies over a uniform frequency grid."""
-    return SamplerSpec(panels=tuple(np.asarray(q, dtype=float) for q in matrices))
+    return SamplerSpec(panels=tuple(matrices))

@@ -18,7 +18,7 @@ from subnyq.converse import subset_det_sum, subset_det_sum_closed
 from subnyq.experiments import (
     TrialConfig,
     landau_achievability_trial,
-    rect_logdet_trial,
+    law_trial,
     superlandau_achievability_trial,
     wishart_det_expectation,
 )
@@ -139,7 +139,7 @@ def test_05_wishart_determinant():
 def test_06_rect_logdet_law():
     cfg = TrialConfig(n=400, k=200, m=200, ensemble="gaussian", trials=100,
                       master_seed=11)
-    res = rect_logdet_trial(cfg)
+    res = law_trial("rect", cfg)
     within = res.trials - res.bound_violations
     ok = within >= 95
     report(6, "rect-logdet-law", ok,

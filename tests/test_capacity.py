@@ -890,6 +890,11 @@ class TestDiscreteLoss:
         assert abs(float(losses.mean()) - h_half) <= 0.15
         assert float(losses.max()) >= floor - 1e-9
 
+    def test_complex_sensing_matrix_rejected(self):
+        q = np.fft.fft(np.eye(4))[:2] / 2.0
+        with pytest.raises(ValueError, match="sensing matrix is complex"):
+            discrete_losses(np.ones(4), q, [[0, 1]], 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             discrete_loss(np.zeros(3), np.eye(3), ChannelState((1,)), 1.0)

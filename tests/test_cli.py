@@ -211,6 +211,14 @@ class TestConcentration:
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_bracket_miss_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "conc.json"
+        code = run(["--command", "concentration", "--k", "5", "--trials", "50", "--eps", "0.8",
+                    "--ensemble", "uniform_sym", "--format", "json", "--out", str(out)])
+        assert "FAIL" in capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out.read_text())["passed"] is False
+
     @pytest.mark.parametrize("sign", [-1.0, 0.0])
     def test_nonpositive_logdet_sign_exits_3(self, monkeypatch, capsys, tmp_path, sign):
         real = np.linalg.slogdet

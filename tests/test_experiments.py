@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,19 +12,22 @@ from subnyq.cli import main as cli_main
 from subnyq.channel import CompoundChannel, enumerate_states
 from subnyq.experiments import (
     TrialConfig,
+    LAWS,
     inverse_wishart_trace_trial,
     landau_achievability_trial,
-    logdet_concentration_trial,
+    law_trial,
     loss_uniformity_report,
-    rect_logdet_trial,
-    small_eigenvalue_count_trial,
     superlandau_achievability_trial,
     wishart_det_expectation,
     wishart_minor_limit,
-    wishart_minor_trial,
 )
 from subnyq.numerics import NumericalError, binary_entropy, colex_plan, subset_logdet, whiten
-from subnyq.samplers import RESAMPLE_KEY_FLIP, EnsembleSpec, derive_trial_seed, draw_matrix
+from subnyq.samplers import (
+    ENSEMBLE_KINDS, RESAMPLE_KEY_FLIP, EnsembleSpec, derive_trial_seed, draw_matrix
+)
+
+# the laws are deterministic, so each configuration runs once per session
+law_result = functools.cache(law_trial)
 
 
 def flat_unit_channel(n, k, snr):
@@ -207,7 +211,7 @@ class TestLogdetConcentration:
     def test_gaussian_bracket(self):
         cfg = TrialConfig(n=100, k=100, m=100, ensemble="gaussian", eps=0.1,
                           trials=200, master_seed=5)
-        res = logdet_concentration_trial(cfg)
+        res = law_result("square", cfg)
         lo = res.summary["bracket_lower"] - res.summary["slack"]
         hi = res.summary["bracket_upper"] + res.summary["slack"]
         assert lo <= res.summary["mean"] <= hi
@@ -223,19 +227,19 @@ class TestLogdetConcentration:
     def test_rademacher_same_bracket(self):
         cfg = TrialConfig(n=100, k=100, m=100, ensemble="rademacher", eps=0.1,
                           trials=200, master_seed=5)
-        assert logdet_concentration_trial(cfg).passed
+        assert law_result("square", cfg).passed
 
     def test_spread_shrinks_with_k(self):
         spreads = {}
         for k in (50, 200):
             cfg = TrialConfig(n=k, k=k, m=k, ensemble="gaussian", eps=0.1,
                               trials=150, master_seed=5)
-            spreads[k] = logdet_concentration_trial(cfg).summary["spread"]
+            spreads[k] = law_result("square", cfg).summary["spread"]
         assert spreads[200] < spreads[50]
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
-            logdet_concentration_trial(TrialConfig(n=10, k=10, m=10, eps=0.9))
+            law_trial("square", TrialConfig(n=10, k=10, m=10, eps=0.9))
 
 
 class TestWishartDeterminant:
@@ -300,7 +304,7 @@ class TestDegenerateDrawPolicy:
         from subnyq.samplers import EnsembleSpec
 
         with pytest.raises(NumericalError):
-            _draw_full_rank(EnsembleSpec("gaussian", 2, 4, 123))
+            _draw_full_rank(EnsembleSpec("gaussian", 2, 4, 123), whiten)
         assert len(calls) == 2  # original draw plus exactly one resample
         assert calls[0] != calls[1]
 
@@ -319,7 +323,7 @@ class TestDegenerateDrawPolicy:
         monkeypatch.setattr(ex_mod, "draw_matrix", singular_once)
         from subnyq.experiments import _draw_full_rank
 
-        mat = _draw_full_rank(EnsembleSpec("gaussian", 2, 4, 123))
+        mat = _draw_full_rank(EnsembleSpec("gaussian", 2, 4, 123), whiten)
         assert np.linalg.matrix_rank(mat) == 2
 
 
@@ -327,7 +331,7 @@ class TestRectLogdet:
     def test_high_probability_band(self):
         cfg = TrialConfig(n=400, k=200, m=200, ensemble="gaussian", trials=100,
                           master_seed=11, failure_budget=5)
-        res = rect_logdet_trial(cfg)
+        res = law_result("rect", cfg)
         assert res.summary["fraction_within"] >= 0.95
         assert res.reference == pytest.approx(0.5 * math.log(2.0) - 0.5)
         assert res.reference == pytest.approx(-0.153426, abs=1e-6)
@@ -337,25 +341,25 @@ class TestRectLogdet:
         for n in (100, 400):
             cfg = TrialConfig(n=n, k=n // 2, m=n // 2, ensemble="gaussian",
                               trials=50, master_seed=13)
-            medians[n] = rect_logdet_trial(cfg).summary["median_abs_dev"]
+            medians[n] = law_result("rect", cfg).summary["median_abs_dev"]
         assert medians[400] < medians[100]
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
-            rect_logdet_trial(TrialConfig(n=100, k=2, m=2, trials=1))
+            law_trial("rect", TrialConfig(n=100, k=2, m=2, trials=1))
 
 
 class TestSmallEigenvalueCount:
     def test_no_violations(self):
         cfg = TrialConfig(n=300, k=150, m=150, ensemble="gaussian", eps=0.05,
                           trials=100, master_seed=13, tau=0.02)
-        res = small_eigenvalue_count_trial(cfg)
+        res = law_result("small-eig", cfg)
         assert res.bound_violations == 0
 
     def test_tiny_eps_vacuous(self):
         cfg = TrialConfig(n=100, k=50, m=50, ensemble="gaussian", eps=1e-9,
                           trials=10, master_seed=3, tau=0.02)
-        res = small_eigenvalue_count_trial(cfg)
+        res = law_result("small-eig", cfg)
         assert res.bound > 1.0  # the bound exceeds the whole spectrum fraction
         assert res.bound_violations == 0
 
@@ -369,9 +373,7 @@ class TestSmallEigenvalueCount:
 
     def test_gaussian_only(self):
         with pytest.raises(ValueError):
-            small_eigenvalue_count_trial(
-                TrialConfig(n=100, k=50, m=50, ensemble="rademacher", trials=1)
-            )
+            law_trial("small-eig", TrialConfig(n=100, k=50, m=50, ensemble="rademacher", trials=1))
 
 
 class TestWishartMinor:
@@ -391,20 +393,43 @@ class TestWishartMinor:
     def test_median_above_limit_minus_slack(self):
         cfg = TrialConfig(n=200, k=40, m=100, ensemble="gaussian", eps=0.01,
                           trials=50, master_seed=17)
-        res = wishart_minor_trial(cfg)
+        res = law_result("wishart-minor", cfg)
         assert res.summary["median_stat"] >= res.reference - 0.15
+        assert res.bound == pytest.approx(1.0 / math.sqrt(200))
+        assert res.passed
 
     def test_ratio_preconditions(self):
         with pytest.raises(ValueError):
-            wishart_minor_trial(TrialConfig(n=100, k=45, m=50, trials=1))
+            law_trial("wishart-minor", TrialConfig(n=100, k=45, m=50, trials=1))
 
+    def test_gaussian_only(self):
+        # the closed form is stated for gaussian A and B; other draws are refused
+        for kind in ("rademacher", "uniform_sym"):
+            with pytest.raises(ValueError, match="gaussian"):
+                law_trial("wishart-minor", TrialConfig(n=200, k=40, m=100, ensemble=kind,
+                                                       trials=1))
 
-LAW_SUITES = {
-    "square": logdet_concentration_trial,
-    "rect": rect_logdet_trial,
-    "small-eig": small_eigenvalue_count_trial,
-    "wishart-minor": wishart_minor_trial,
-}
+    def test_rank_floor_on_the_wishart_factor(self, monkeypatch):
+        # a draw whose B-factor columns are rank deficient is resampled once,
+        # on the flipped key, by the one rank floor of _draw_full_rank
+        cfg = TrialConfig(n=20, k=4, m=10, eps=0.01, trials=3, master_seed=2)
+        real = experiments.draw_matrix
+
+        def factor_singular_first(spec):
+            mat = real(spec)
+            if spec.seed == derive_trial_seed(cfg.master_seed, 1):
+                mat[:, cfg.k :] = 0.0
+            return mat
+
+        plain = law_trial("wishart-minor", cfg)
+        monkeypatch.setattr(experiments, "draw_matrix", factor_singular_first)
+        got = law_trial("wishart-minor", cfg).per_trial["stat"]
+        redrawn = law_trial("wishart-minor", TrialConfig(
+            n=20, k=4, m=10, eps=0.01, trials=1,
+            master_seed=derive_trial_seed(cfg.master_seed, 1) ^ RESAMPLE_KEY_FLIP,
+        )).per_trial["stat"][0]
+        assert got == (plain.per_trial["stat"][0], redrawn, plain.per_trial["stat"][2])
+
 
 # law, configuration and sha256 of json.dumps([summary, per_trial], sort_keys=True)
 # at every configuration the dense-law tests run
@@ -466,9 +491,36 @@ class TestLawPins:
     @pytest.mark.parametrize("name", sorted(LAW_PINS))
     def test_summary_and_per_trial_sha256(self, name):
         law, kwargs, digest = LAW_PINS[name]
-        res = LAW_SUITES[law](TrialConfig(**kwargs))
+        res = law_result(law, TrialConfig(**kwargs))
         payload = json.dumps([res.summary, res.per_trial], sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+class TestLawTable:
+    # one configuration inside every law's hypotheses
+    CFG = dict(n=200, k=40, m=100, eps=0.05, trials=1)
+
+    def test_result_names(self):
+        assert {law: entry.name for law, entry in LAWS.items()} == {
+            "square": "logdet_concentration",
+            "rect": "rect_logdet",
+            "small-eig": "small_eigenvalue_count",
+            "wishart-minor": "wishart_minor",
+        }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_ensembles(self, law):
+        for kind in ENSEMBLE_KINDS + ("cauchy",):
+            cfg = TrialConfig(ensemble=kind, **self.CFG)
+            if kind in LAWS[law].ensembles:
+                assert law_trial(law, cfg).trials == 1
+            else:
+                with pytest.raises(ValueError, match=f"the {law} law is stated for"):
+                    law_trial(law, cfg)
+
+    def test_unknown_law(self):
+        with pytest.raises(ValueError, match="unknown law"):
+            law_trial("cubic", TrialConfig(**self.CFG))
 
 
 class TestInverseWishartTrace:

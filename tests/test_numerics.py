@@ -34,6 +34,14 @@ from subnyq.samplers import EnsembleSpec, make_flat_sampler
 
 
 class TestWhiten:
+    def test_complex_rejected(self):
+        dft = np.fft.fft(np.eye(4))[:2] / 2.0
+        with pytest.raises(ValueError, match="complex"):
+            whiten(dft)
+        # a complex dtype is refused even when the imaginary part is zero
+        with pytest.raises(ValueError, match="complex"):
+            whiten(dft.real.astype(complex))
+
     def test_orthonormal_rows_fixed_point(self, gen):
         q, _ = np.linalg.qr(gen.standard_normal((6, 3)))
         q = q.T  # 3 x 6 with orthonormal rows
@@ -975,7 +983,7 @@ class TestRankFloor:
             make_flat_sampler(q)
         monkeypatch.setattr(experiments, "draw_matrix", lambda spec: q)
         with pytest.raises(NumericalError):
-            experiments._draw_full_rank(EnsembleSpec("gaussian", 2, 3, 0))
+            experiments._draw_full_rank(EnsembleSpec("gaussian", 2, 3, 0), whiten)
 
     def test_just_above_accepted_everywhere(self, monkeypatch):
         q = self.near_floor(+1.0)
@@ -983,4 +991,5 @@ class TestRankFloor:
         np.testing.assert_allclose(whiten(q) @ whiten(q).T, np.eye(2), atol=1e-10)
         assert make_flat_sampler(q).m == 2
         monkeypatch.setattr(experiments, "draw_matrix", lambda spec: q)
-        assert experiments._draw_full_rank(EnsembleSpec("gaussian", 2, 3, 0)) is q
+        sampler = experiments._draw_full_rank(EnsembleSpec("gaussian", 2, 3, 0), make_flat_sampler)
+        assert np.array_equal(sampler.matrix, q)

@@ -208,9 +208,24 @@ class TestSamplerSpec:
             make_gridded_sampler([panels[0], panels[1][:, :5]])
 
     def test_panels_immutable(self):
-        spec = make_flat_sampler(np.eye(3))
+        q = np.eye(3)
+        spec = make_flat_sampler(q)
         with pytest.raises(ValueError):
             spec.matrix[0, 0] = 5.0
+        q[0, 0] = 5.0  # the sampler froze a copy, not the caller's array
+        assert spec.matrix[0, 0] == 1.0
+
+    # rows 0 and 1 of the unitary 4-point DFT: a multicoset sampler
+    PARTIAL_DFT = np.fft.fft(np.eye(4))[:2] / 2.0
+
+    def test_complex_panel_rejected(self):
+        # no cast to the real part, which numpy only warns about
+        with pytest.raises(ValueError, match="panel 0 is complex"):
+            make_flat_sampler(self.PARTIAL_DFT)
+        with pytest.raises(ValueError, match="panel 1 is complex"):
+            make_gridded_sampler([self.PARTIAL_DFT.real, self.PARTIAL_DFT])
+        with pytest.raises(ValueError, match="complex"):
+            make_flat_sampler(self.PARTIAL_DFT.tolist())
 
 
 class TestSmallestSingularValue:

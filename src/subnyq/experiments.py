@@ -168,7 +168,7 @@ def _draw_full_rank(spec: EnsembleSpec, accept, first: np.ndarray | None = None)
     """accept(draw) of spec's matrix, resampling once (flipped key) if it
     fails the rank floor.
 
-    accept applies the rank floor of `full_rank_gram`, which raises
+    accept may apply the rank floor of `full_rank_gram`, which raises
     SingularityError, as `whiten`, `make_flat_sampler` and the Wishart-minor
     statistic do; so the floor is checked once per accepted draw.  first,
     if given, is spec's own draw, already made.

@@ -402,13 +402,6 @@ class TestWishartMinor:
         with pytest.raises(ValueError):
             law_trial("wishart-minor", TrialConfig(n=100, k=45, m=50, trials=1))
 
-    def test_gaussian_only(self):
-        # the closed form is stated for gaussian A and B; other draws are refused
-        for kind in ("rademacher", "uniform_sym"):
-            with pytest.raises(ValueError, match="gaussian"):
-                law_trial("wishart-minor", TrialConfig(n=200, k=40, m=100, ensemble=kind,
-                                                       trials=1))
-
     def test_rank_floor_on_the_wishart_factor(self, monkeypatch):
         # a draw whose B-factor columns are rank deficient is resampled once,
         # on the flipped key, by the one rank floor of _draw_full_rank
@@ -508,11 +501,15 @@ class TestLawTable:
             "wishart-minor": "wishart_minor",
         }
 
-    @pytest.mark.parametrize("law", sorted(LAWS))
-    def test_ensembles(self, law):
+    # wishart-minor used to run gaussian draws whatever the ensemble
+    @pytest.mark.parametrize("law, allowed", [
+        ("square", ENSEMBLE_KINDS), ("rect", ENSEMBLE_KINDS),
+        ("small-eig", ("gaussian",)), ("wishart-minor", ("gaussian",)),
+    ])
+    def test_ensembles(self, law, allowed):
         for kind in ENSEMBLE_KINDS + ("cauchy",):
             cfg = TrialConfig(ensemble=kind, **self.CFG)
-            if kind in LAWS[law].ensembles:
+            if kind in allowed:
                 assert law_trial(law, cfg).trials == 1
             else:
                 with pytest.raises(ValueError, match=f"the {law} law is stated for"):

@@ -26,7 +26,7 @@ from subnyq.samplers import (
     ENSEMBLE_KINDS, RESAMPLE_KEY_FLIP, EnsembleSpec, derive_trial_seed, draw_matrix
 )
 
-# the laws are deterministic, so each configuration runs once per session
+# the laws are deterministic, so each configuration runs once per test run
 law_result = functools.cache(law_trial)
 
 

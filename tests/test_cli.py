@@ -532,6 +532,16 @@ class TestOutputPins:
              "--format", "json"],
             "6546011711fd3573b0872bc206e8a21f24a413c32fd0716d28e577dc946cece4",
         ),
+        "achievability-landau-json": (
+            ["--command", "achievability", "--n", "14", "--k", "4", "--m", "4", "--trials", "6",
+             "--seed", "3", "--format", "json"],
+            "ae6ec78d208b415fdecac1abe5b0bb3ed6f448de0850a6c4f628e4798f2729e7",
+        ),
+        "achievability-superlandau-csv": (
+            ["--command", "achievability", "--n", "14", "--k", "3", "--m", "6", "--trials", "5",
+             "--seed", "4", "--format", "csv"],
+            "fd8eb595cbc9abf944f21239eb8b2361714b26f1527e290c1d0d557c3f53d365",
+        ),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])

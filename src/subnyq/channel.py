@@ -7,12 +7,17 @@ each subband, which is all the capacity integrals need.  Noise is fixed
 at unit power spectral density (a whitening front end absorbs anything
 else), so squared gains are directly SNR densities up to the P/(beta W)
 power normalization.
+
+A set of states is a bare index block: a read-only (S, k) ``np.intp``
+array of zero-based subband indices, one state per row, in
+colexicographic order (`enumerate_states`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -25,7 +30,6 @@ from .samplers import philox_generator
 __all__ = [
     "ChannelState",
     "CompoundChannel",
-    "EnumeratedStates",
     "SnrSummary",
     "enumerate_states",
     "load_channel",
@@ -166,17 +170,26 @@ class CompoundChannel:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "CompoundChannel":
+        if not isinstance(doc, Mapping):
+            raise ValueError("channel document must be a JSON object")
         required = {"W", "n", "k", "P", "gains"}
         missing = required - set(doc)
         if missing:
             raise ValueError(f"channel document missing keys: {sorted(missing)}")
+        for key in sorted({"W", "n", "k", "P", "q"} & set(doc)):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], numbers.Real):
+                raise ValueError(f"channel key {key!r} must be a number, got {doc[key]!r}")
         gains = np.array(doc["gains"], dtype=float)
         if "q" in doc and gains.ndim == 2 and gains.shape[1] != int(doc["q"]):
             raise ValueError(
                 f"declared q={doc['q']} does not match gains shape {gains.shape}"
             )
         state_gains = None
-        if "state_gains" in doc and doc["state_gains"]:
+        if doc.get("state_gains"):
+            if not isinstance(doc["state_gains"], Mapping):
+                raise ValueError(
+                    f"channel key 'state_gains' must be an object, got {doc['state_gains']!r}"
+                )
             state_gains = {
                 tuple(int(t) for t in key.split(",")): np.array(val, dtype=float)
                 for key, val in doc["state_gains"].items()
@@ -239,22 +252,6 @@ def snr_summary(channel: CompoundChannel) -> SnrSummary:
     )
 
 
-@dataclass(frozen=True)
-class EnumeratedStates:
-    """A state set: one state per row of `indices`, flagged when it is a
-    sample rather than a census.
-
-    indices is a read-only (S, k) ``np.intp`` block of zero-based subband
-    indices in colexicographic order.
-    """
-
-    indices: np.ndarray
-    sampled: bool
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def _colex_unique(block: np.ndarray) -> np.ndarray:
     """The distinct rows of an (S, k) block of increasing subsets, in
     colexicographic order."""
@@ -282,16 +279,18 @@ def _floyd_samples(n: int, k: int, count: int, gen: np.random.Generator) -> np.n
     return np.sort(chosen, axis=1)
 
 
-def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
-    """All states of a (n, k) compound channel, or a deterministic sample.
+def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
+    """All states of a (n, k) compound channel, or a deterministic sample,
+    as a read-only (S, k) ``np.intp`` block of zero-based subband indices,
+    one state per row, in colexicographic order.
 
-    If C(n, k) <= cap, returns every state in colexicographic order and the
-    result is exhaustive.  Otherwise draws `cap` distinct states from a
-    dedicated fixed-seed stream (independent of any user seed), returns
-    them in colexicographic order and flags the result as sampled.  Each
-    round draws the missing count with Floyd's algorithm (Bentley & Floyd,
-    CACM 1987) and keeps the distinct rows of the union so far, sorted and
-    deduplicated as rows, so that no row is ranked and any n works.
+    If C(n, k) <= cap, returns every state: a census.  Otherwise draws `cap`
+    distinct states from a dedicated fixed-seed stream (independent of any
+    user seed): a sample, which a caller tells from a census by
+    C(n, k) > cap.  Each round draws the missing count with Floyd's
+    algorithm (Bentley & Floyd, CACM 1987) and keeps the distinct rows of
+    the union so far, sorted and deduplicated as rows, so that no row is
+    ranked and any n works.
     """
     if int(n) != n or int(k) != k or not 1 <= k < n:
         raise ValueError(f"need integers 1 <= k < n, got k={k}, n={n}")
@@ -299,7 +298,7 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
         raise ValueError(f"cap must be a positive integer, got {cap}")
     n, k, cap = int(n), int(k), int(cap)
     if math.comb(n, k) <= cap:
-        return EnumeratedStates(indices=colex_indices(n, k), sampled=False)
+        return colex_indices(n, k)
     gen = philox_generator(_STATE_SAMPLING_KEY)
     picked = np.empty((0, k), dtype=np.intp)
     attempts = 0
@@ -313,4 +312,4 @@ def enumerate_states(n: int, k: int, cap: int) -> EnumeratedStates:
             raise NumericalError("state sampling failed to collect distinct subsets")
     picked -= 1
     picked.flags.writeable = False
-    return EnumeratedStates(indices=picked, sampled=True)
+    return picked

@@ -141,6 +141,9 @@ def _merge_params(args: argparse.Namespace) -> dict:
                 params["seed"] = int(env)
             except ValueError as exc:
                 raise UsageError(f"SUBNYQ_SEED must be an integer, got {env!r}") from exc
+    workers = params["workers"]
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise UsageError(f"workers must be an integer >= 1, got {workers!r}")
     return params
 
 
@@ -334,11 +337,7 @@ def cmd_achievability(params: dict) -> int:
         master_seed=int(params["seed"]),
         state_cap=int(params["state_cap"]),
     )
-    workers = int(params["workers"])
-    if cfg.k == cfg.m:
-        result = experiments.landau_achievability_trial(cfg, workers=workers)
-    else:
-        result = experiments.superlandau_achievability_trial(cfg, workers=workers)
+    result = experiments.achievability_trial(cfg, workers=params["workers"])
     print(result.to_text())
     if params["out"]:
         _write_text(params["out"], _result_payload(result, params["format"]))
@@ -394,17 +393,18 @@ def _default_channel_path() -> Path:
 
 def cmd_capacity(params: dict) -> int:
     path = Path(params["channel"]) if params["channel"] else _default_channel_path()
-    if not path.exists():
-        raise UsageError(f"channel JSON not found: {path}")
+    if not path.is_file():
+        raise UsageError(f"channel JSON not found or not a regular file: {path}")
     channel = load_channel(path)
     m = int(params["m"])
     if not 1 <= m <= channel.n_subbands:
         raise UsageError(f"need 1 <= m <= n={channel.n_subbands}, got m={m}")
     spec = EnsembleSpec(params["ensemble"], m, channel.n_subbands, int(params["seed"]))
     sampler = make_flat_sampler(draw_matrix(spec))
-    states = enumerate_states(channel.n_subbands, channel.k_active, int(params["state_cap"]))
-    block = states.indices + 1  # 1-based labels
-    cols = _loss_columns(cap.batched_losses(channel, sampler, states.indices))
+    n, k, state_cap = channel.n_subbands, channel.k_active, int(params["state_cap"])
+    states = enumerate_states(n, k, state_cap)
+    block = states + 1  # 1-based labels
+    cols = _loss_columns(cap.batched_losses(channel, sampler, states))
     gap_bound = cap.waterfill_gap_bound(channel)
     bad = bool(
         np.any(cols["loss_eq"] < -1e-9) or np.any(cols["c_opt"] - cols["c_eq"] > gap_bound + 1e-9)
@@ -423,7 +423,7 @@ def cmd_capacity(params: dict) -> int:
     else:
         payload = "\n".join(cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
-    _print_loss_summary("capacity", cols["loss_eq"], "nats/s", states.sampled)
+    _print_loss_summary("capacity", cols["loss_eq"], "nats/s", math.comb(n, k) > state_cap)
     return 0 if not bad else 2
 
 
@@ -488,15 +488,16 @@ def cmd_discrete(params: dict) -> int:
     gains = np.ones(n)
     spec = EnsembleSpec(params["ensemble"], m, n, int(params["seed"]))
     q = draw_matrix(spec)
-    states = enumerate_states(n, k, int(params["state_cap"]))
-    block = states.indices + 1  # 1-based labels
-    cols = _loss_columns(cap.discrete_losses(gains, q, states.indices, power))
+    state_cap = int(params["state_cap"])
+    states = enumerate_states(n, k, state_cap)
+    block = states + 1  # 1-based labels
+    cols = _loss_columns(cap.discrete_losses(gains, q, states, power))
     if params["format"] == "json":
         payload = _discrete_json(block, cols["loss_eq"], cols["loss_opt"])
     else:
         payload = "\n".join(cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))) + "\n"
     _write_text(params["out"], payload)
-    _print_loss_summary("discrete", cols["loss_eq"], "nats per use", states.sampled)
+    _print_loss_summary("discrete", cols["loss_eq"], "nats per use", math.comb(n, k) > state_cap)
     return 0 if not np.any(cols["loss_eq"] < -1e-9) else 2
 
 

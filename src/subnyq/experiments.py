@@ -13,9 +13,11 @@ Statistics are bit-reproducible given the master seed: trial t reads its
 own Philox stream keyed by master_seed XOR t, and every reduction runs in
 a fixed order regardless of worker count.
 
-Workers are forked processes (`parallel.map_ordered`), used by the
-achievability suites, whose trials run the subset kernel's many short
-numpy calls.  Each worker takes a run of states, not of trials: before
+The Landau-rate (k = m) and super-Landau (k < m) achievability results
+are one statistic, checked by one suite, `achievability_trial`, which
+takes the regime from (n, k, m).  Its workers are forked processes
+(`parallel.map_ordered`), since its trials run the subset kernel's many
+short numpy calls.  Each worker takes a run of states, not of trials: before
 the fork, the caller draws every trial's matrix in one pass
 (`samplers.draw_matrices`, each trial on its own stream) and whitens it,
 which checks the rank floor once per accepted draw; each worker builds the
@@ -73,11 +75,10 @@ __all__ = [
     "ExperimentResult",
     "Law",
     "TrialConfig",
+    "achievability_trial",
     "inverse_wishart_trace_trial",
-    "landau_achievability_trial",
     "law_trial",
     "loss_uniformity_report",
-    "superlandau_achievability_trial",
     "wishart_det_expectation",
     "wishart_minor_limit",
 ]
@@ -99,7 +100,6 @@ class TrialConfig:
     trials: int = 50
     master_seed: int = 0
     state_cap: int = 1_000_000
-    tau: float = 0.02
     failure_budget: int = 0
 
     def __post_init__(self) -> None:
@@ -248,39 +248,33 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     )
 
 
-def landau_achievability_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
-    """Landau-rate statistic (1/n) log det(eps I + (M M^T)^{-1} M_s M_s^T), k = m.
+def achievability_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
+    """The statistic (1/n) log det(eps I + M_s^T (M M^T)^{-1} M_s) over the
+    states s of (n, k), whose regime (n, k, m) fixes.
 
-    The min over states is compared against the target -H(beta) and the
-    deterministic cap (1/n)[log C(m,k) - log C(n,k)] + 2 sqrt(eps), which
-    no draw may ever exceed (budget 0).  Per trial, min and max run over
-    all S = C(n, k) states.  The mean is math.fsum of the np.sum of each
-    consecutive chunk of STATE_CHUNK states in colex order, divided by S:
-    it is the same for every worker count and within a few ulps of the
-    exactly rounded mean.
+    k = m, the Landau rate, reports `landau_achievability`; k < m, a
+    super-Landau rate, reports `superlandau_achievability`, for gaussian
+    draws only and with the margin 1 - alpha - beta >= 0.05, waived at
+    m = n, where the whitened matrix is orthogonal and every draw gives the
+    exact value.
+
+    The min over states is compared against the target
+    -H(beta) + alpha H(beta/alpha) and the deterministic cap
+    `min_state_logdet_bound`, which no draw may ever exceed (budget 0).
+    Per trial, min and max run over all S = C(n, k) states.  The mean is
+    math.fsum of the np.sum of each consecutive chunk of STATE_CHUNK states
+    in colex order, divided by S: it is the same for every worker count and
+    within a few ulps of the exactly rounded mean.
     """
-    if cfg.k != cfg.m:
-        raise ValueError(f"Landau-rate trials need k = m, got k={cfg.k}, m={cfg.m}")
-    return _achievability(cfg, name="landau_achievability", workers=workers)
-
-
-def superlandau_achievability_trial(
-    cfg: TrialConfig, workers: int = 1, require_margin: bool = True
-) -> ExperimentResult:
-    """Super-Landau statistic (1/n) log det(eps I + M_s^T (M M^T)^{-1} M_s), k < m.
-
-    Gaussian draws only.  With require_margin the oversampling regime must
-    satisfy alpha + beta <= 0.95; the m = n sanity mode waives it.
-    """
+    if cfg.k == cfg.m:
+        return _achievability(cfg, name="landau_achievability", workers=workers)
     if cfg.ensemble != "gaussian":
         raise ValueError("super-Landau trials are defined for the gaussian ensemble only")
-    if cfg.k >= cfg.m:
-        raise ValueError(f"super-Landau trials need k < m, got k={cfg.k}, m={cfg.m}")
     alpha = cfg.m / cfg.n
     beta = cfg.k / cfg.n
-    if require_margin and 1.0 - alpha - beta < 0.05:
+    if cfg.m < cfg.n and 1.0 - alpha - beta < 0.05:
         raise ValueError(
-            f"need 1 - alpha - beta >= 0.05, got alpha={alpha:.3f}, beta={beta:.3f}"
+            f"need 1 - alpha - beta >= 0.05 below m = n, got alpha={alpha:.3f}, beta={beta:.3f}"
         )
     return _achievability(cfg, name="superlandau_achievability", workers=workers)
 
@@ -314,8 +308,8 @@ def _check_alpha(cfg: TrialConfig) -> None:
 
 def _check_small_eig(cfg: TrialConfig) -> None:
     _check_alpha(cfg)
-    if cfg.eps <= 0 or cfg.tau <= 0:
-        raise ValueError("eps and tau must be positive")
+    if cfg.eps <= 0:
+        raise ValueError("eps must be positive")
 
 
 def _check_wishart_minor(cfg: TrialConfig) -> None:
@@ -374,13 +368,16 @@ def _small_eig_stat(a: np.ndarray, cfg: TrialConfig) -> float:
     return float(np.sum(np.linalg.eigvalsh((a @ a.T) / cfg.n) < cfg.eps)) / cfg.n
 
 
+_SMALL_EIG_TAU = 0.02  # the tau of the counting bound below
+
+
 def _small_eig_criterion(fracs: np.ndarray, cfg: TrialConfig) -> dict:
     """A trial violates the counting bound, an event of probability
     >= 1 - 2 exp(-tau n), when it reaches
     alpha eps / (1 - alpha - 1/n) + 4 sqrt(alpha tau) / sqrt(n eps)."""
     alpha = cfg.m / cfg.n
     bound = alpha * cfg.eps / (1.0 - alpha - 1.0 / cfg.n) + 4.0 * math.sqrt(
-        alpha * cfg.tau
+        alpha * _SMALL_EIG_TAU
     ) / math.sqrt(cfg.n * cfg.eps)
     return dict(reference=0.0, bound=bound, bound_violations=int(np.sum(fracs >= bound)),
                 summary={"max_fraction": float(np.max(fracs)),
@@ -518,7 +515,7 @@ def loss_uniformity_report(channel: CompoundChannel, cfg: TrialConfig) -> Experi
     n, k = channel.n_subbands, channel.k_active
     if math.comb(n, k) > cfg.state_cap:
         raise ValueError("full state enumeration required; raise state_cap or shrink n")
-    idx = enumerate_states(n, k, cfg.state_cap).indices
+    idx = enumerate_states(n, k, cfg.state_cap)
     spec = EnsembleSpec(cfg.ensemble, cfg.m, n, cfg.master_seed)
     sampler = _draw_full_rank(spec, make_flat_sampler)
     c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)

@@ -17,9 +17,8 @@ from subnyq.cli import main as cli_main
 from subnyq.converse import subset_det_sum, subset_det_sum_closed
 from subnyq.experiments import (
     TrialConfig,
-    landau_achievability_trial,
+    achievability_trial,
     law_trial,
-    superlandau_achievability_trial,
     wishart_det_expectation,
 )
 from subnyq.numerics import binary_entropy, log_binomial, whiten
@@ -38,21 +37,21 @@ def report(num: int, name: str, passed: bool, detail: str = "") -> None:
 def landau_gaussian():
     cfg = TrialConfig(n=16, k=4, m=4, ensemble="gaussian", eps=0.05,
                       trials=50, master_seed=7)
-    return landau_achievability_trial(cfg, workers=2)
+    return achievability_trial(cfg, workers=2)
 
 
 @pytest.fixture(scope="module")
 def landau_rademacher():
     cfg = TrialConfig(n=16, k=4, m=4, ensemble="rademacher", eps=0.05,
                       trials=50, master_seed=7)
-    return landau_achievability_trial(cfg, workers=2)
+    return achievability_trial(cfg, workers=2)
 
 
 @pytest.fixture(scope="module")
 def superlandau():
     cfg = TrialConfig(n=16, k=4, m=8, ensemble="gaussian", eps=0.05,
                       trials=50, master_seed=7)
-    return superlandau_achievability_trial(cfg, workers=2)
+    return achievability_trial(cfg, workers=2)
 
 
 def _random_nonflat_channel_state(gen):

@@ -371,7 +371,7 @@ class TestWorstCaseLoss:
         )
         q = np.zeros((2, 6))
         q[0, 0] = q[1, 1] = 1.0
-        idx = enumerate_states(6, 2, 100).indices
+        idx = enumerate_states(6, 2, 100)
         c_s, c_eq, _, _ = batched_losses(ch, make_flat_sampler(q), idx, tol=None)
         losses = c_eq - c_s
         best = int(np.argmax(losses))
@@ -415,7 +415,7 @@ class TestWorstCaseLoss:
         ch = random_channel(gen)
         m = max(2, ch.k_active)
         samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", m, ch.n_subbands, 77)))
-        idx = enumerate_states(ch.n_subbands, ch.k_active, 50).indices
+        idx = enumerate_states(ch.n_subbands, ch.k_active, 50)
         c_s, c_eq, _, _ = batched_losses(ch, samp, idx, tol=None)
         for row, loss in zip(idx, c_eq - c_s):
             rep = capacity_loss(ch, samp, ChannelState(tuple(row + 1)))
@@ -434,7 +434,7 @@ class TestBatchedPath:
             gain_grid=gen.uniform(0.5, 2.0, (n, q)), state_gains=overrides,
         )
         panels = [draw_matrix(EnsembleSpec("gaussian", m, n, s)) for s in (1, 2, 3)]
-        idx = enumerate_states(n, k, 100).indices
+        idx = enumerate_states(n, k, 100)
         got = np.stack(batched_losses(ch, make_gridded_sampler(panels), idx))
         scale = ch.power / (ch.beta * ch.bandwidth)
         for row, state in enumerate(idx):
@@ -446,7 +446,7 @@ class TestBatchedPath:
     def test_blocking_does_not_change_values(self, gen, monkeypatch):
         ch = random_channel(gen)
         samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, ch.n_subbands, 9)))
-        idx = enumerate_states(ch.n_subbands, ch.k_active, 100).indices
+        idx = enumerate_states(ch.n_subbands, ch.k_active, 100)
         whole = np.stack(batched_losses(ch, samp, idx))
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block
         monkeypatch.setattr(capacity, "_NYQUIST_BLOCK_CELLS", 1)
@@ -481,7 +481,7 @@ class TestBatchedPath:
         scale = ch.power / (ch.beta * ch.bandwidth)
         assert_rows_match(
             out.read_text().splitlines()[1:],
-            enumerate_states(n, k, 10**6).indices,
+            enumerate_states(n, k, 10**6),
             lambda s: reference_losses(state_grid(ch, s), panels, s, scale, ch.power, ch.grid_df),
         )
 
@@ -495,13 +495,13 @@ class TestBatchedPath:
         assert summary.startswith(f"discrete: {cap} states, max loss_eq ")
         assert summary.rstrip().endswith("nats per use, sampled state set")
         states = enumerate_states(n, k, cap)
-        assert states.sampled
-        keys = [row[::-1] for row in states.indices.tolist()]  # colex: compare largest first
+        assert len(states) < math.comb(n, k)  # a sample, not a census
+        keys = [row[::-1] for row in states.tolist()]  # colex: compare largest first
         assert keys == sorted(keys)
         panels = [draw_matrix(EnsembleSpec("gaussian", m, n, seed))]
         assert_rows_match(
             out.read_text().splitlines()[1:],
-            states.indices,
+            states,
             lambda s: reference_losses(np.ones((n, 1)), panels, s, power / k, power, 1.0),
         )
 
@@ -516,7 +516,7 @@ class TestBatchedPath:
     def test_discrete_batched_matches_single_state(self):
         gains = np.array([1.0, 0.5, 2.0, 1.5, 0.8])
         q = draw_matrix(EnsembleSpec("gaussian", 3, 5, 2))
-        idx = enumerate_states(5, 2, 100).indices
+        idx = enumerate_states(5, 2, 100)
         got = np.stack(discrete_losses(gains, q, idx, 3.0))
         for row, state in enumerate(idx):
             rep = discrete_loss(gains, q, ChannelState(tuple(state + 1)), 3.0)
@@ -718,7 +718,7 @@ class TestLossPaths:
                                                         overrides):
         gen = np.random.default_rng(13)
         n, k, q, cap = 12, 4, 3, 40
-        sample = enumerate_states(n, k, cap).indices
+        sample = enumerate_states(n, k, cap)
         doc = {"W": 12.0, "n": n, "k": k, "P": 20.0, "q": q,
                "gains": gen.uniform(0.4, 2.5, (n, q)).tolist()}
         if overrides:
@@ -885,7 +885,7 @@ class TestDiscreteLoss:
 
         floor = minimax_lower_bound(n, k, m, snr_min=power / k, bandwidth=1.0) / n
         q = draw_matrix(EnsembleSpec("gaussian", m, n, 7))
-        c_s, c_eq, _, _ = discrete_losses(gains, q, enumerate_states(n, k, 10**6).indices, power)
+        c_s, c_eq, _, _ = discrete_losses(gains, q, enumerate_states(n, k, 10**6), power)
         losses = (c_eq - c_s) / n
         assert abs(float(losses.mean()) - h_half) <= 0.15
         assert float(losses.max()) >= floor - 1e-9

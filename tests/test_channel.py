@@ -60,41 +60,41 @@ class TestChannelState:
 class TestEnumerateStates:
     def test_three_choose_two(self):
         out = enumerate_states(3, 2, 10)
-        assert not out.sampled
-        assert (out.indices + 1).tolist() == [[1, 2], [1, 3], [2, 3]]
+        assert len(out) == math.comb(3, 2)  # a census
+        assert (out + 1).tolist() == [[1, 2], [1, 3], [2, 3]]
 
     def test_two_choose_one(self):
         out = enumerate_states(2, 1, 10)
-        assert (out.indices + 1).tolist() == [[1], [2]]
+        assert (out + 1).tolist() == [[1], [2]]
 
     def test_colex_order_four_choose_two(self):
         out = enumerate_states(4, 2, 100)
-        assert (out.indices + 1).tolist() == [
+        assert (out + 1).tolist() == [
             [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4],
         ]
 
     def test_sixteen_choose_four_exhaustive(self):
         out = enumerate_states(16, 4, 5000)
-        assert not out.sampled
+        assert len(out) == math.comb(16, 4)  # a census
         # independent count: product formula
         assert len(out) == 16 * 15 * 14 * 13 // 24 == 1820
-        assert len(set(map(tuple, out.indices.tolist()))) == 1820
+        assert len(set(map(tuple, out.tolist()))) == 1820
 
     def test_deterministic(self):
         a = enumerate_states(10, 3, 50)
         b = enumerate_states(10, 3, 50)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
     def test_sampled_branch(self):
         out = enumerate_states(30, 10, 100)
-        assert out.sampled
+        assert len(out) != math.comb(30, 10)  # a sample
         assert len(out) == 100
-        assert len(set(map(tuple, out.indices.tolist()))) == 100
-        assert out.indices.shape == (100, 10)
-        assert out.indices.min() >= 0 and out.indices.max() <= 29
-        assert np.all(np.diff(out.indices, axis=1) > 0)
+        assert len(set(map(tuple, out.tolist()))) == 100
+        assert out.shape == (100, 10)
+        assert out.min() >= 0 and out.max() <= 29
+        assert np.all(np.diff(out, axis=1) > 0)
         again = enumerate_states(30, 10, 100)
-        assert np.array_equal(out.indices, again.indices)
+        assert np.array_equal(out, again)
 
     @pytest.mark.parametrize(
         "n, k, cap, digest",
@@ -109,8 +109,8 @@ class TestEnumerateStates:
     def test_sampled_set_pinned(self, n, k, cap, digest):
         # the sampled state set (members and order) is part of the output contract
         out = enumerate_states(n, k, cap)
-        assert out.sampled
-        one_based = (out.indices + 1).astype(np.int64)
+        assert len(out) != math.comb(n, k)  # a sample
+        one_based = (out + 1).astype(np.int64)
         assert hashlib.sha256(one_based.tobytes()).hexdigest() == digest
 
     @given(dims=sampled_problems())
@@ -122,17 +122,17 @@ class TestEnumerateStates:
     def test_sampled_set_matches_a_set_of_tuples(self, dims):
         n, k, cap = dims
         out = enumerate_states(n, k, cap)
-        assert out.sampled
-        assert out.indices.dtype == np.intp and not out.indices.flags.writeable
-        assert np.array_equal(out.indices, set_of_tuples_sample(n, k, cap))
+        assert len(out) != math.comb(n, k)  # a sample
+        assert out.dtype == np.intp and not out.flags.writeable
+        assert np.array_equal(out, set_of_tuples_sample(n, k, cap))
 
     @pytest.mark.parametrize("n, k, cap", [(9, 4, 10**6), (40, 8, 300)])
     def test_index_block(self, n, k, cap):
         out = enumerate_states(n, k, cap)
-        assert out.indices.dtype == np.intp
-        assert not out.indices.flags.writeable
-        assert len(out) == len(out.indices)
-        keys = [row[::-1] for row in out.indices.tolist()]  # colex: compare largest first
+        assert out.dtype == np.intp
+        assert not out.flags.writeable
+        assert out.shape == (min(math.comb(n, k), cap), k)
+        keys = [row[::-1] for row in out.tolist()]  # colex: compare largest first
         assert keys == sorted(keys)
 
     def test_colex_indices_matches_definition(self):
@@ -217,6 +217,16 @@ class TestCompoundChannel:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_channel(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("W", None), ("n", "4"), ("k", True), ("P", [1.0]), ("q", None), ("state_gains", [1]),
+    ])
+    def test_json_malformed_value_named(self, key, value):
+        doc = {"W": 1.0, "n": 4, "k": 1, "P": 1.0, "gains": [[1.0]] * 4, key: value}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            CompoundChannel.from_dict(doc)
+        with pytest.raises(ValueError, match="JSON object"):
+            CompoundChannel.from_dict([doc])
 
     def test_per_state_gains(self):
         override = np.full((4, 1), 2.0)

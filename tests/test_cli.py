@@ -68,6 +68,19 @@ class TestArgumentErrors:
         assert run(["--command", "achievability", "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "ach.json"
+        args = ["--command", "achievability", "--n", "10", "--k", "3", "--m", "3",
+                "--trials", "2", "--out", str(out)]
+        assert run(args + ["--workers", str(workers)]) == 1
+        assert "workers must be" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": workers}))
+        assert run(args + ["--config", str(cfg)]) == 1
+        assert "workers must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_sweep_grid(self, capsys):
         assert run(["--command", "sweep", "--alphas", "0.5"]) == 1
         capsys.readouterr()
@@ -156,6 +169,17 @@ class TestAchievability:
         capsys.readouterr()
         assert code == 0
         assert json.loads(out.read_text())["name"] == "superlandau_achievability"
+
+    def test_superlandau_at_m_equal_n_runs(self, tmp_path, capsys):
+        # alpha = 1 leaves no margin 1 - alpha - beta, and needs none: every
+        # draw gives the exact value
+        out = tmp_path / "sl.json"
+        code = run(["--command", "achievability", "--n", "12", "--k", "3", "--m", "12",
+                    "--trials", "5", "--seed", "3", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["name"] == "superlandau_achievability" and doc["bound_violations"] == 0
 
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "ach.csv"
@@ -265,6 +289,23 @@ class TestCapacity:
         capsys.readouterr()
         assert out.read_text().splitlines()[0].endswith(";loss_eq_bits")
 
+    @pytest.mark.parametrize("change, named", [
+        ({"W": None}, "'W'"),
+        ({"state_gains": [1]}, "'state_gains'"),
+        (None, "not a regular file"),  # --channel names a directory
+    ], ids=["W-null", "state-gains-list", "directory"])
+    def test_malformed_channel_exits_1(self, tmp_path, capsys, change, named):
+        path = tmp_path
+        if change is not None:
+            doc = {"W": 4.0, "n": 4, "k": 2, "P": 8.0, "gains": [[1.0], [1.4], [0.8], [1.1]]}
+            path = tmp_path / "ch.json"
+            path.write_text(json.dumps({**doc, **change}))
+        out = tmp_path / "cap.csv"
+        assert run(["--command", "capacity", "--channel", str(path), "--m", "2",
+                    "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiscrete:
     def test_runs_and_losses_nonnegative(self, tmp_path, capsys):
@@ -287,7 +328,7 @@ class TestLossRowFormatting:
     def reports(states, capacities):
         columns = zip(*(col.tolist() for col in capacities))
         return [LossReport.from_capacities(ChannelState(tuple(s)), *row)
-                for s, row in zip((states.indices + 1).tolist(), columns)]
+                for s, row in zip((states + 1).tolist(), columns)]
 
     @pytest.mark.parametrize("bits", [False, True])
     def test_capacity_csv_equals_loss_csv_rows(self, tmp_path, capsys, bits):
@@ -300,7 +341,7 @@ class TestLossRowFormatting:
             draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
         )
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        reports = self.reports(states, batched_losses(channel, sampler, states.indices))
+        reports = self.reports(states, batched_losses(channel, sampler, states))
         assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=bits)) + "\n"
 
     def test_capacity_json_fields(self, tmp_path, capsys):
@@ -313,7 +354,7 @@ class TestLossRowFormatting:
             draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
         )
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        reports = self.reports(states, batched_losses(channel, sampler, states.indices))
+        reports = self.reports(states, batched_losses(channel, sampler, states))
         want = [
             {"state": list(rep.state.indices), "c_sampled": rep.c_sampled,
              "c_eq": rep.c_nyquist_eq, "c_opt": rep.c_nyquist_opt, "loss_eq": rep.loss_eq,
@@ -330,7 +371,7 @@ class TestLossRowFormatting:
         capsys.readouterr()
         states = enumerate_states(9, 3, cap)
         q = draw_matrix(EnsembleSpec("gaussian", 4, 9, 3))
-        reports = self.reports(states, discrete_losses(np.ones(9), q, states.indices, 5.0))
+        reports = self.reports(states, discrete_losses(np.ones(9), q, states, 5.0))
         assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=True)) + "\n"
 
 
@@ -362,8 +403,8 @@ class TestDiscreteJson:
         capsys.readouterr()
         states = enumerate_states(9, 3, 20)
         q = draw_matrix(EnsembleSpec("gaussian", 4, 9, 3))
-        c_sampled, c_eq, c_opt, _ = discrete_losses(np.ones(9), q, states.indices, 5.0)
-        block = states.indices + 1
+        c_sampled, c_eq, c_opt, _ = discrete_losses(np.ones(9), q, states, 5.0)
+        block = states + 1
         want = self.encoded(block, (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist())
         assert out.read_text() == want
 
@@ -424,7 +465,7 @@ class TestLossCsvTemplate:
         assert not any("np." in line or "float64" in line for line in got)
 
     def test_index_block_labels(self):
-        idx = enumerate_states(9, 3, 10**6).indices + 1
+        idx = enumerate_states(9, 3, 10**6) + 1
         _, columns = loss_table(8, len(idx), 3)
         want = self.reference(idx.tolist(), columns, False)
         assert loss_csv_lines(list(idx), **columns) == want  # rows of numpy ints
@@ -473,12 +514,12 @@ class TestJsonRecords:
         spec = EnsembleSpec("gaussian", 4, channel.n_subbands, 11)
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
         c_sampled, c_eq, c_opt, nu = batched_losses(
-            channel, make_flat_sampler(draw_matrix(spec)), states.indices
+            channel, make_flat_sampler(draw_matrix(spec)), states
         )
         values = zip(c_sampled.tolist(), c_eq.tolist(), c_opt.tolist(),
                      (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist(), nu.tolist())
         reports = [dict(zip(("state",) + LOSS_KEYS, (label, *row)))
-                   for label, row in zip((states.indices + 1).tolist(), values)]
+                   for label, row in zip((states + 1).tolist(), values)]
         want = json.dumps({"channel": channel.to_dict(), "sampler": spec.to_dict(),
                            "reports": reports}, sort_keys=True, indent=2) + "\n"
         assert by_line(out.read_text()) == by_line(want)
@@ -570,9 +611,10 @@ class TestStateLabels:
 
     @pytest.mark.parametrize("name", sorted(LABEL_BLOCKS))
     def test_labels_equal_a_join_per_row(self, name):
-        states = enumerate_states(*LABEL_BLOCKS[name])
-        assert states.sampled == name.startswith("sampled")
-        block = states.indices + 1
+        n, k, cap = LABEL_BLOCKS[name]
+        states = enumerate_states(n, k, cap)
+        assert (len(states) != math.comb(n, k)) == name.startswith("sampled")
+        block = states + 1
         for sep in ("|", ",\n      ", ",\n        "):
             assert state_labels(block, sep) == [sep.join(map(str, row)) for row in block.tolist()]
         _, columns = loss_table(11, len(block), 1)
@@ -581,7 +623,7 @@ class TestStateLabels:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("name", sorted(LABEL_BLOCKS))
     def test_json_records_at_each_level(self, name, level):
-        block = enumerate_states(*LABEL_BLOCKS[name]).indices + 1
+        block = enumerate_states(*LABEL_BLOCKS[name]) + 1
         _, columns = loss_table(12, len(block), 1)
         records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
                    for i, label in enumerate(block.tolist())]

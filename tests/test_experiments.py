@@ -13,11 +13,10 @@ from subnyq.channel import CompoundChannel, enumerate_states
 from subnyq.experiments import (
     TrialConfig,
     LAWS,
+    achievability_trial,
     inverse_wishart_trace_trial,
-    landau_achievability_trial,
     law_trial,
     loss_uniformity_report,
-    superlandau_achievability_trial,
     wishart_det_expectation,
     wishart_minor_limit,
 )
@@ -51,7 +50,7 @@ class TestLandauAchievability:
     CFG = TrialConfig(n=16, k=4, m=4, ensemble="gaussian", eps=0.05, trials=50, master_seed=7)
 
     def test_deterministic_bound_never_violated(self):
-        res = landau_achievability_trial(self.CFG, workers=2)
+        res = achievability_trial(self.CFG, workers=2)
         assert res.bound_violations == 0
         assert res.violation_budget == 0
         assert res.passed
@@ -60,36 +59,36 @@ class TestLandauAchievability:
         assert all(v <= res.bound for v in res.per_trial["max"])
 
     def test_mean_min_brackets_entropy(self):
-        res = landau_achievability_trial(self.CFG, workers=2)
+        res = achievability_trial(self.CFG, workers=2)
         assert abs(res.summary["mean_min"] - (-binary_entropy(0.25))) <= 0.15
 
     def test_universality_gaussian_vs_rademacher(self):
-        res_g = landau_achievability_trial(self.CFG, workers=2)
+        res_g = achievability_trial(self.CFG, workers=2)
         cfg_r = TrialConfig(n=16, k=4, m=4, ensemble="rademacher", eps=0.05,
                             trials=50, master_seed=7)
-        res_r = landau_achievability_trial(cfg_r, workers=2)
+        res_r = achievability_trial(cfg_r, workers=2)
         assert abs(res_g.summary["mean_min"] - res_r.summary["mean_min"]) < 0.05
 
     def test_reproducible(self):
-        a = landau_achievability_trial(self.CFG, workers=1)
-        b = landau_achievability_trial(self.CFG, workers=4)
+        a = achievability_trial(self.CFG, workers=1)
+        b = achievability_trial(self.CFG, workers=4)
         assert a.per_trial == b.per_trial
 
     def test_one_plan_per_suite(self, monkeypatch):
         # one colex range of 120 states, and no index block
         built = spy(monkeypatch, numerics.colex_plan)
         blocks = spy(monkeypatch, channel.enumerate_states)
-        landau_achievability_trial(TrialConfig(n=10, k=3, m=3, trials=4, master_seed=2), workers=2)
+        achievability_trial(TrialConfig(n=10, k=3, m=3, trials=4, master_seed=2), workers=2)
         assert built == [(10, 3, 0, math.comb(10, 3))]
         assert blocks == []
 
-    def test_requires_k_equal_m(self):
-        with pytest.raises(ValueError):
-            landau_achievability_trial(TrialConfig(n=16, k=3, m=4))
+    def test_result_name_follows_regime(self):
+        for k, m, name in [(3, 3, "landau_achievability"), (3, 4, "superlandau_achievability")]:
+            assert achievability_trial(TrialConfig(n=16, k=k, m=m, trials=1)).name == name
 
     def test_state_cap_enforced(self):
         with pytest.raises(ValueError):
-            landau_achievability_trial(
+            achievability_trial(
                 TrialConfig(n=16, k=4, m=4, state_cap=100, trials=1)
             )
 
@@ -108,8 +107,7 @@ class TestAchievabilityStatistics:
             monkeypatch.setattr(experiments, "STATE_CHUNK", chunk)
         chunk = experiments.STATE_CHUNK
         cfg = TrialConfig(n=n, k=k, m=m, trials=4, master_seed=9)
-        trial = landau_achievability_trial if k == m else superlandau_achievability_trial
-        res = trial(cfg, workers=workers)
+        res = achievability_trial(cfg, workers=workers)
         plan = colex_plan(n, k)
         count = math.comb(n, k)
         for t in range(cfg.trials):
@@ -141,13 +139,13 @@ class TestAchievabilityDraws:
         monkeypatch.setattr(experiments, "draw_matrices", draws)
 
     def test_singular_first_draw_is_resampled(self, monkeypatch):
-        plain = landau_achievability_trial(self.CFG, workers=2)
+        plain = achievability_trial(self.CFG, workers=2)
         self.singular_first(monkeypatch)
-        res = landau_achievability_trial(self.CFG, workers=2)
+        res = achievability_trial(self.CFG, workers=2)
         n, k, m = self.CFG.n, self.CFG.k, self.CFG.m
         seed = derive_trial_seed(self.CFG.master_seed, self.SINGULAR) ^ RESAMPLE_KEY_FLIP
         b = whiten(draw_matrix(EnsembleSpec("gaussian", m, n, seed)))
-        vals = subset_logdet(b, enumerate_states(n, k, 10**6).indices, shift=self.CFG.eps) / n
+        vals = subset_logdet(b, enumerate_states(n, k, 10**6), shift=self.CFG.eps) / n
         # one chunk of states: the mean is its np.sum over the state count
         want = {"min": float(np.min(vals)), "max": float(np.max(vals)),
                 "mean": float(np.sum(vals)) / math.comb(n, k)}
@@ -159,18 +157,18 @@ class TestAchievabilityDraws:
         self.singular_first(monkeypatch)
         monkeypatch.setattr(experiments, "draw_matrix", lambda spec: np.zeros((spec.rows, spec.cols)))
         with pytest.raises(NumericalError):
-            landau_achievability_trial(self.CFG, workers=2)
+            achievability_trial(self.CFG, workers=2)
         status = cli_main(["--command", "achievability", "--n", "10", "--k", "3", "--m", "3",
                            "--trials", "4", "--seed", "5", "--out", str(tmp_path / "out.json")])
         assert status == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("trial", [landau_achievability_trial, superlandau_achievability_trial])
-    def test_rank_floor_once_per_trial(self, monkeypatch, trial):
-        cfg = TrialConfig(n=14, k=3, m=3 if trial is landau_achievability_trial else 6, trials=5)
+    @pytest.mark.parametrize("m", [3, 6], ids=["k=m", "k<m"])
+    def test_rank_floor_once_per_trial(self, monkeypatch, m):
+        cfg = TrialConfig(n=14, k=3, m=m, trials=5)
         checks = spy(monkeypatch, numerics.full_rank_gram)
         draws = spy(monkeypatch, experiments.draw_matrices)
-        trial(cfg, workers=2)
+        achievability_trial(cfg, workers=2)
         assert len(checks) == cfg.trials
         assert len(draws) == 1
 
@@ -179,11 +177,11 @@ class TestSuperLandauAchievability:
     CFG = TrialConfig(n=16, k=4, m=8, ensemble="gaussian", eps=0.05, trials=50, master_seed=7)
 
     def test_deterministic_bound_never_violated(self):
-        res = superlandau_achievability_trial(self.CFG, workers=2)
+        res = achievability_trial(self.CFG, workers=2)
         assert res.bound_violations == 0
 
     def test_mean_min_brackets_target(self):
-        res = superlandau_achievability_trial(self.CFG, workers=2)
+        res = achievability_trial(self.CFG, workers=2)
         target = -binary_entropy(0.25) + 0.5 * binary_entropy(0.5)
         assert res.reference == pytest.approx(target)
         assert abs(res.summary["mean_min"] - target) <= 0.2
@@ -192,19 +190,20 @@ class TestSuperLandauAchievability:
         # m = n: the whitened matrix is orthogonal, the statistic collapses
         cfg = TrialConfig(n=12, k=3, m=12, ensemble="gaussian", eps=0.05,
                           trials=10, master_seed=5)
-        res = superlandau_achievability_trial(cfg, workers=2, require_margin=False)
+        res = achievability_trial(cfg, workers=2)
         assert res.reference == pytest.approx(0.0, abs=1e-12)
         assert min(res.per_trial["min"]) >= -0.25
 
     def test_margin_enforced_by_default(self):
-        cfg = TrialConfig(n=12, k=3, m=12, ensemble="gaussian", trials=1)
+        # 1 - alpha - beta = 0 at m < n; only m = n waives the margin
+        cfg = TrialConfig(n=12, k=3, m=9, ensemble="gaussian", trials=1)
         with pytest.raises(ValueError):
-            superlandau_achievability_trial(cfg)
+            achievability_trial(cfg)
 
     def test_gaussian_only(self):
         cfg = TrialConfig(n=16, k=4, m=8, ensemble="rademacher", trials=1)
         with pytest.raises(ValueError):
-            superlandau_achievability_trial(cfg)
+            achievability_trial(cfg)
 
 
 class TestLogdetConcentration:
@@ -276,7 +275,7 @@ class TestStatisticDefinition:
             n = 10
             mat = draw_matrix(EnsembleSpec("gaussian", m, n, seed))
             b = whiten(mat)
-            idx = enumerate_states(n, k, 10**6).indices[:25]
+            idx = enumerate_states(n, k, 10**6)[:25]
             fast = subset_logdet(b, idx, shift=eps)
             gram_inv = np.linalg.inv(mat @ mat.T)
             for state, val in zip(idx, fast):
@@ -352,13 +351,13 @@ class TestRectLogdet:
 class TestSmallEigenvalueCount:
     def test_no_violations(self):
         cfg = TrialConfig(n=300, k=150, m=150, ensemble="gaussian", eps=0.05,
-                          trials=100, master_seed=13, tau=0.02)
+                          trials=100, master_seed=13)
         res = law_result("small-eig", cfg)
         assert res.bound_violations == 0
 
     def test_tiny_eps_vacuous(self):
         cfg = TrialConfig(n=100, k=50, m=50, ensemble="gaussian", eps=1e-9,
-                          trials=10, master_seed=3, tau=0.02)
+                          trials=10, master_seed=3)
         res = law_result("small-eig", cfg)
         assert res.bound > 1.0  # the bound exceeds the whole spectrum fraction
         assert res.bound_violations == 0
@@ -462,12 +461,12 @@ LAW_PINS = {
     ),
     "small-eig": (
         "small-eig", dict(n=300, k=150, m=150, ensemble="gaussian", eps=0.05, trials=100,
-                          master_seed=13, tau=0.02),
+                          master_seed=13),
         "cf3e1ec699250634d1ab404e720710a65f412de3097864162a33895ce085c70c",
     ),
     "small-eig-tiny-eps": (
         "small-eig", dict(n=100, k=50, m=50, ensemble="gaussian", eps=1e-9, trials=10,
-                          master_seed=3, tau=0.02),
+                          master_seed=3),
         "ed69aff14e439a72d4cdc8044298c0da7c224f672a5e9e287d42d10b992715e5",
     ),
     "wishart-minor": (
@@ -570,7 +569,7 @@ class TestLossUniformity:
 
         q = np.zeros((2, 8))
         q[0, 0] = q[1, 1] = 1.0
-        idx = enumerate_states(8, 2, 10**6).indices
+        idx = enumerate_states(8, 2, 10**6)
         c_s, c_eq, _, _ = batched_losses(ch, make_flat_sampler(q), idx, tol=None)
         losses = c_eq - c_s
         spread_adv = (losses.max() - losses.min()) / losses.mean()

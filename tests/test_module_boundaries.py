@@ -1,7 +1,7 @@
 """No module of the package reaches into another module's private names,
-imports a name it never uses, or imports anything beyond the standard
-library and numpy; and every library name the benchmark (bench/) binds
-exists."""
+imports a name it never uses, exports a name it does not define, or
+imports anything beyond the standard library and numpy; and every library
+name the benchmark (bench/) binds exists."""
 
 import ast
 import importlib
@@ -206,3 +206,34 @@ def test_benchmark_binds_only_defined_names():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in `__all__` that no top-level def, class or assignment of the
+    source defines: a stale export, or one of a name it only imports."""
+    tree = ast.parse(source)
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+def test_undefined_export_detector():
+    source = (
+        "from .numerics import whiten\n"
+        "__all__ = ['A', 'B', 'f', 'whiten', 'gone']\n"
+        "A = B = 1\n"
+        "def f(): pass\n"
+    )
+    assert undefined_exports(source) == ["whiten", "gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_defined_in_module(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from subnyq import experiments
-from subnyq.experiments import TrialConfig, landau_achievability_trial
+from subnyq.experiments import TrialConfig, achievability_trial
 from subnyq.numerics import NumericalError
 from subnyq.parallel import map_ordered
 
@@ -148,11 +148,11 @@ def test_line_printed_before_the_map_appears_once():
 def test_without_fork_the_map_is_serial(monkeypatch):
     monkeypatch.setattr(experiments, "STATE_CHUNK", 64)
     cfg = TrialConfig(n=14, k=4, m=4, trials=4, master_seed=11)
-    forked = landau_achievability_trial(cfg, workers=3).to_json()
+    forked = achievability_trial(cfg, workers=3).to_json()
     monkeypatch.delattr(os, "fork")
     out = map_ordered(tagged, range(5), workers=3)
     assert out == [(x * x, os.getpid()) for x in range(5)]
-    assert landau_achievability_trial(cfg, workers=3).to_json() == forked
+    assert achievability_trial(cfg, workers=3).to_json() == forked
 
 
 PLANTED = """

@@ -17,8 +17,8 @@ The Landau-rate (k = m) and super-Landau (k < m) achievability results
 are one statistic, checked by one suite, `achievability_trial`, which
 takes the regime from (n, k, m).  Its workers are forked processes
 (`parallel.map_ordered`), since its trials run the subset kernel's many
-short numpy calls.  Each worker takes a run of states, not of trials: before
-the fork, the caller draws every trial's matrix in one pass
+short numpy calls.  Each worker takes a run of states, not of trials:
+before the fork, the caller draws every trial's matrix in one pass
 (`samplers.draw_matrices`, each trial on its own stream) and whitens it,
 which checks the rank floor once per accepted draw; each worker builds the
 elimination plan of its own run of whole STATE_CHUNK-state chunks, a range
@@ -249,8 +249,8 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
 
 
 def achievability_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
-    """The statistic (1/n) log det(eps I + M_s^T (M M^T)^{-1} M_s) over the
-    states s of (n, k), whose regime (n, k, m) fixes.
+    """The statistic (1/n) log det(eps I + M_s^T (M M^T)^{-1} M_s) over all
+    states s, in the regime that (n, k, m) fix.
 
     k = m, the Landau rate, reports `landau_achievability`; k < m, a
     super-Landau rate, reports `superlandau_achievability`, for gaussian

@@ -69,6 +69,9 @@ DEFAULTS: dict = {
 }
 
 _CONFIG_KEYS = set(DEFAULTS) | {"command"}
+# parameters that must be JSON integers and finite JSON numbers
+_INT_KEYS = ("seed", "n", "k", "m", "trials", "state_cap", "workers")
+_REAL_KEYS = ("eps", "power", "perturb")
 
 VERIFY_INSTANCES = 20
 VERIFY_EPS_GRID = (0.0, 0.01, 0.5, 1.0)
@@ -141,9 +144,15 @@ def _merge_params(args: argparse.Namespace) -> dict:
                 params["seed"] = int(env)
             except ValueError as exc:
                 raise UsageError(f"SUBNYQ_SEED must be an integer, got {env!r}") from exc
-    workers = params["workers"]
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise UsageError(f"workers must be an integer >= 1, got {workers!r}")
+    for key in _INT_KEYS:
+        if isinstance(params[key], bool) or not isinstance(params[key], int):
+            raise UsageError(f"{key} must be an integer, got {params[key]!r}")
+    for key in _REAL_KEYS:
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise UsageError(f"{key} must be a finite number, got {value!r}")
+    if params["workers"] < 1:
+        raise UsageError(f"workers must be an integer >= 1, got {params['workers']!r}")
     return params
 
 
@@ -156,7 +165,10 @@ def _parse_grid(text_or_list, name: str) -> list[float]:
         except ValueError as exc:
             raise UsageError(f"could not parse --{name}: {exc}") from exc
     else:
-        values = [float(v) for v in text_or_list]
+        try:
+            values = [float(v) for v in text_or_list]
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{name} must be a list of numbers, got {text_or_list!r}") from exc
     if not values:
         raise UsageError(f"{name} grid is empty")
     return values

@@ -1,13 +1,15 @@
 """Seeded random ensembles for sampling/sensing coefficient matrices.
 
 Reproducibility contract: every matrix is a pure function of
-(kind, rows, cols, seed).  Bits come from numpy's Philox counter-based
-generator (version-pinned constants), uniforms from an explicit
-uint64 -> (0, 1) mapping, and gaussians from the inverse normal CDF
-(Wichura's AS241 rational approximations, evaluated here in numpy), so
-equal seeds give byte-identical matrices on any platform.  Independent
-Monte Carlo streams are derived by XORing the master seed with the trial
-index.
+(kind, rows, cols, seed).  Bits come from the Philox4x64-10 counter-based
+stream, and bounded integers from Lemire's 32-bit rule, both defined in
+this module (`PhiloxStream`, evaluated in numpy; tests check them word for
+word against numpy's `Philox` and `Generator.integers`, which the package
+never imports).  Uniforms come from an explicit uint64 -> (0, 1) mapping,
+and gaussians from the inverse normal CDF (Wichura's AS241 rational
+approximations, evaluated here in numpy), so equal seeds give
+byte-identical matrices on any platform.  Independent Monte Carlo streams
+are derived by XORing the master seed with the trial index.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Every command draws from Philox; importing it here keeps numpy.random's
-# lazy import inside the package import rather than inside the first draw.
-from numpy.random import Generator, Philox
 
 from .numerics import full_rank_gram, real_matrix
 
 __all__ = [
     "ENSEMBLE_KINDS",
     "EnsembleSpec",
+    "PhiloxStream",
     "SamplerSpec",
     "derive_trial_seed",
     "draw_matrices",
@@ -79,20 +79,238 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return (int(master_seed) ^ int(trial_index)) & _SEED_MASK
 
 
-def philox_generator(seed: int) -> Generator:
-    """The pinned Philox stream keyed by the low 64 bits of `seed`."""
-    return Generator(Philox(key=int(seed) & _SEED_MASK))
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11) with the constants numpy's `Philox` uses: the
+# multipliers of words 0 and 2, and the Weyl increments of the key words.
+_PHILOX_M = (0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157)
+_PHILOX_W = (0x9E37_79B9_7F4A_7C15, 0xBB67_AE85_84CA_A73B)
+_PHILOX_ROUNDS = 10
+# blocks per kernel pass, so that the kernel's scratch stays in cache
+_PHILOX_CHUNK = 8192
+_LOW32 = np.uint64(0xFFFF_FFFF)
+_SHIFT32 = np.uint64(32)
+_TWO32 = np.uint64(1 << 32)
 
 
-def _raw_uint64(gen: Generator, shape) -> np.ndarray:
-    return gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+def _multipliers(*words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A column of 64-bit multipliers, with its low and high 32-bit halves."""
+    m = np.array(words, dtype=np.uint64)[:, None]
+    return m, m & _LOW32, m >> _SHIFT32
 
 
-def _uniform_open(gen: Generator, shape) -> np.ndarray:
+# The two rows of the multiplied pair swap places every round, (word 0,
+# word 2) on even rounds and (word 2, word 0) on odd ones, so that no round
+# copies data between rows.
+_ROW_MULTIPLIERS = (_multipliers(*_PHILOX_M), _multipliers(*_PHILOX_M[::-1]))
+_WORD0_MULTIPLIER = _multipliers(_PHILOX_M[0])
+
+
+def _mulhilo(a, mult, hi, lo, a_lo, t) -> None:
+    """hi, lo <- the high and low words of the 128-bit products a * m, for a
+    column m of multipliers, from four 32 x 32-bit partial products.
+    Overwrites a, a_lo and t."""
+    m, m_lo, m_hi = mult
+    np.multiply(a, m, out=lo)
+    np.bitwise_and(a, _LOW32, out=a_lo)
+    a >>= _SHIFT32
+    np.multiply(a_lo, m_lo, out=hi)
+    hi >>= _SHIFT32
+    np.multiply(a, m_lo, out=t)
+    hi += t  # below 2**64, as is the sum below
+    a_lo *= m_hi
+    np.bitwise_and(hi, _LOW32, out=t)
+    a_lo += t
+    hi >>= _SHIFT32
+    a *= m_hi
+    hi += a
+    a_lo >>= _SHIFT32
+    hi += a_lo
+
+
+def _philox_fill(out: np.ndarray, counters: np.ndarray, keys: np.ndarray) -> None:
+    """Write into the (N, 4) uint64 array `out` the Philox4x64-10 blocks of
+    the counters (c, 0, 0, 0) under the keys (k, 0), for the N entries c
+    and k of the uint64 arrays `counters` and `keys`.
+
+    Works in place on scratch of at most `_PHILOX_CHUNK` blocks.  x holds
+    the pair of words a round multiplies and y the pair it XORs in.  As the
+    rows of both swap every round, a round sets x to hi ^ y[::-1] ^ key and
+    y to lo, where (hi, lo) are the 128-bit products of x.
+    """
+    c = min(len(counters), _PHILOX_CHUNK)
+    # rows padded to whole 64-byte lines, so that no row starts mid-line
+    x, y, lo, hi, a_lo, t = np.empty((6, 2, -(-c // 8) * 8), dtype=np.uint64)[:, :, :c]
+    key = np.empty(c, dtype=np.uint64)
+    for s in range(0, len(counters), _PHILOX_CHUNK):
+        e = min(s + c, len(counters))
+        if e - s < c:
+            x, y, lo, hi, a_lo, t = (b[:, : e - s] for b in (x, y, lo, hi, a_lo, t))
+            key = key[: e - s]
+        key[:] = keys[s:e]
+        # round 0: words 1-3 of the counter and word 1 of the key are zero
+        x[0] = counters[s:e]
+        _mulhilo(x[:1], _WORD0_MULTIPLIER, hi[:1], lo[:1], a_lo[:1], t[:1])
+        x[0], x[1] = hi[0], key  # words 2 and 0
+        y[0], y[1] = lo[0], 0  # words 3 and 1
+        for r in range(1, _PHILOX_ROUNDS):
+            key += np.uint64(_PHILOX_W[0])
+            swapped = r % 2
+            _mulhilo(x, _ROW_MULTIPLIERS[swapped], hi, lo, a_lo, t)
+            np.bitwise_xor(hi, y[::-1], out=x)
+            x[1 - swapped] ^= key
+            x[swapped] ^= np.uint64(r * _PHILOX_W[1] & _SEED_MASK)
+            y, lo = lo, y
+        out[s:e, 0::2] = x.T  # words 0 and 2
+        out[s:e, 1::2] = y.T  # words 1 and 3
+
+
+def _stream_heads(seeds, counts) -> list[np.ndarray]:
+    """The first counts[i] words of the fresh stream keyed by seeds[i], for
+    every i, from one kernel pass."""
+    blocks = np.array([-(-int(n) // 4) for n in counts], dtype=np.int64)
+    starts = np.cumsum(blocks) - blocks
+    counters = (np.arange(1, blocks.sum() + 1) - np.repeat(starts, blocks)).astype(np.uint64)
+    keys = np.repeat(np.array([int(s) & _SEED_MASK for s in seeds], dtype=np.uint64), blocks)
+    words = np.empty((len(counters), 4), dtype=np.uint64)
+    _philox_fill(words, counters, keys)
+    words = words.reshape(-1)
+    return [words[4 * s : 4 * s + int(n)] for s, n in zip(starts, counts)]
+
+
+def _int64_bound(value, name: str) -> np.ndarray:
+    """An integer bound of `integers` as int64; anything else raises ValueError."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu" or (arr.dtype.kind == "u" and arr.size and arr.max() >> 63):
+        raise ValueError(f"{name} must be integers within int64")
+    return arr.astype(np.int64, copy=False)
+
+
+class PhiloxStream:
+    """The stream of numpy's `Generator(Philox(key=seed))`, word for word, for
+    the draws the package makes.  The stream and the bounded-integer rule
+    are defined here; tests check both against numpy.
+
+    Supported draws:
+
+    - `random_raw(size)`: the next raw 64-bit words;
+    - `integers(0, 2**64, size, dtype=np.uint64)`: the same raw words;
+    - `integers(low, high, size=None, dtype=np.int64)`, with low and high
+      scalars or arrays (broadcast) and every width high - low in 1..2**32:
+      numpy's 32-bit Lemire draw ("Fast random integer generation in an
+      interval", ACM TOMACS 2019), entry by entry in C order.  A 32-bit
+      draw takes the low half of a fresh word and keeps the high half for
+      the next 32-bit draw, across calls; raw draws leave that half alone.
+      A width-1 range draws nothing.
+
+    Any other range, and any other dtype, raises ValueError.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._key = int(seed) & _SEED_MASK
+        self._blocks = 0  # counter of the last block computed
+        self._spare = np.empty(0, dtype=np.uint64)  # its words not drawn yet
+        self._half: int | None = None  # high half kept by a 32-bit draw
+
+    def random_raw(self, size) -> np.ndarray:
+        """The next raw words, as a uint64 array of shape `size`."""
+        count = int(np.prod(size))
+        spare = self._spare
+        if count > len(spare):
+            blocks = -(-(count - len(spare)) // 4)
+            words = np.empty(len(spare) + 4 * blocks, dtype=np.uint64)
+            words[: len(spare)] = spare
+            counters = np.arange(self._blocks + 1, self._blocks + blocks + 1, dtype=np.uint64)
+            _philox_fill(words[len(spare) :].reshape(blocks, 4), counters, np.full(blocks, self._key, np.uint64))
+            self._blocks += blocks
+            spare = words
+        self._spare = spare[count:].copy()
+        return spare[:count].reshape(size)
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        """Integers uniform on low..high-1 (see the class docstring)."""
+        dtype = np.dtype(dtype)
+        if dtype == np.uint64 and np.ndim(low) == np.ndim(high) == 0 and (low, high) == (0, 1 << 64):
+            return self.random_raw(() if size is None else size)[()]
+        if dtype not in (np.dtype(np.int64), np.dtype(np.uint64)):
+            raise ValueError(f"integers supports int64 and uint64, not {dtype}")
+        lo, hi = _int64_bound(low, "low"), _int64_bound(high, "high")
+        if dtype == np.uint64 and lo.size and lo.min() < 0:
+            raise ValueError("need low >= 0 for uint64")
+        shape = np.broadcast_shapes(lo.shape, hi.shape) if size is None else size
+        # a wrapped difference is negative, so any accepted width is exact
+        width = np.broadcast_to(hi - lo, shape).ravel()
+        if width.size and not (width.min() >= 1 and width.max() <= 1 << 32):
+            raise ValueError("integers needs widths high - low in 1..2**32")
+        width = width.view(np.uint64)
+        drawn = width > 1
+        if drawn.all():
+            out = self._lemire32(width)
+        else:
+            out = np.zeros(len(width), dtype=np.uint64)
+            out[drawn] = self._lemire32(width[drawn])
+        out = out.view(np.int64).reshape(shape)
+        out += lo
+        return out.view(dtype)[()]
+
+    def _next32(self, count: int) -> np.ndarray:
+        """The next `count` 32-bit draws, as uint64."""
+        out = np.empty(count, dtype=np.uint64)
+        start = 0
+        if count and self._half is not None:
+            out[0], self._half, start = self._half, None, 1
+        words = self.random_raw((count - start + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+        out[start:] = halves[: count - start]
+        if (count - start) % 2:
+            self._half = int(halves[-1])
+        return out
+
+    def _lemire32(self, width: np.ndarray) -> np.ndarray:
+        """One draw uniform on 0..w-1 per entry w of the flat uint64 array
+        `width` (2 <= w <= 2**32), in order: x * w >> 32 for the next 32-bit
+        x whose product's low half is at least 2**32 mod w.
+
+        Each entry takes the next draw; a rejection leaves the entries after
+        it paired with the draws after it, one place further on.  The stream
+        is never read beyond the draws consumed.
+        """
+        done, pool, parts = 0, self._next32(len(width)), []
+        while done < len(width):
+            if not len(pool):
+                pool = self._next32(len(width) - done)
+            w = width[done : done + len(pool)]
+            m = pool * w
+            low = np.bitwise_and(m, _LOW32, out=pool)  # the draws are used up
+            # a low half of at least w is always accepted; the rare others
+            # are compared with the threshold 2**32 mod w (Lemire's shortcut)
+            near = np.flatnonzero(low < w)
+            rejected = near[low[near] < _TWO32 % w[near]]
+            take = rejected[0] if len(rejected) else len(m)
+            # the draws after a rejected one, recovered from their exact products
+            pool = m[take + 1 :] // w[take + 1 :]
+            m >>= _SHIFT32
+            parts.append(m[:take])
+            done += take
+        return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, dtype=np.uint64), *parts])
+
+
+def philox_generator(seed: int) -> PhiloxStream:
+    """The Philox4x64-10 stream keyed by the low 64 bits of `seed`, as
+    numpy's `Generator(Philox(key=seed))` draws it.  Supported draws:
+
+    - `random_raw(size)`: raw 64-bit words;
+    - `integers(0, 2**64, size, dtype=np.uint64)`: the same raw words;
+    - `integers(low, high, size=None)`, every width high - low in 1..2**32:
+      numpy's 32-bit Lemire draw.
+
+    Other ranges raise ValueError (see `PhiloxStream`)."""
+    return PhiloxStream(seed)
+
+
+def _uniform_open(raw: np.ndarray) -> np.ndarray:
     # 53 significant bits, offset by half an ulp so 0 and 1 are excluded.
     # The top value (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to
     # the largest double below 1; no other value moves.
-    raw = _raw_uint64(gen, shape)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return np.minimum(u, _BELOW_ONE, out=u)
 
@@ -175,22 +393,23 @@ def draw_matrices(specs) -> list[np.ndarray]:
     rademacher: +-1 from the low bit of the raw stream.
     uniform_sym: uniform on [-sqrt(3), sqrt(3)] (unit variance).
 
-    Each spec reads its own Philox stream.  The uniforms of all gaussian
-    specs go through one quantile call, whose arithmetic is elementwise, so
-    every matrix has the bits of its own `draw_matrix` call.
+    Each spec reads the head of its own Philox stream; one kernel pass
+    computes the words of all of them.  The uniforms of all gaussian specs
+    go through one quantile call, whose arithmetic is elementwise, so every
+    matrix has the bits of its own `draw_matrix` call.
     """
+    specs = list(specs)
+    heads = _stream_heads([s.seed for s in specs], [s.rows * s.cols for s in specs])
     mats, uniforms = [], {}
-    for i, spec in enumerate(specs):
-        gen = philox_generator(spec.seed)
-        shape = (spec.rows, spec.cols)
+    for i, (spec, raw) in enumerate(zip(specs, heads)):
+        raw = raw.reshape(spec.rows, spec.cols)
         if spec.kind == "gaussian":
-            uniforms[i] = _uniform_open(gen, shape)
+            uniforms[i] = _uniform_open(raw)
             mats.append(None)  # filled in below
         elif spec.kind == "rademacher":
-            bits = _raw_uint64(gen, shape) & np.uint64(1)
-            mats.append(np.where(bits == 1, 1.0, -1.0))
+            mats.append(np.where(raw & np.uint64(1) == 1, 1.0, -1.0))
         else:  # uniform_sym
-            mats.append((2.0 * _uniform_open(gen, shape) - 1.0) * math.sqrt(3.0))
+            mats.append((2.0 * _uniform_open(raw) - 1.0) * math.sqrt(3.0))
     if uniforms:
         flat = _normal_quantile(np.concatenate([u.reshape(-1) for u in uniforms.values()]))
         cuts = np.cumsum([u.size for u in uniforms.values()])[:-1]
@@ -214,7 +433,7 @@ def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
     done = 0
     while done < total:
         c = min(chunk, total - done)
-        yield _normal_quantile(_uniform_open(gen, (c, *shape_per_draw)))
+        yield _normal_quantile(_uniform_open(gen.random_raw((c, *shape_per_draw))))
         done += c
 
 

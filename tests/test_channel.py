@@ -228,6 +228,26 @@ class TestCompoundChannel:
         with pytest.raises(ValueError, match="JSON object"):
             CompoundChannel.from_dict([doc])
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 4.7), ("k", 1.5), ("q", 1.2), ("W", math.nan), ("P", math.inf), ("W", -math.inf),
+    ])
+    def test_json_fractional_or_nonfinite_value_named(self, key, value):
+        # no truncation of "n": 4.7 to 4, and no NaN past the sign checks
+        doc = {"W": 1.0, "n": 4, "k": 1, "P": 1.0, "gains": [[1.0]] * 4, key: value}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            CompoundChannel.from_dict(doc)
+
+    def test_json_integral_float_accepted(self):
+        doc = {"W": 1.0, "n": 4.0, "k": 1.0, "P": 1.0, "q": 1.0, "gains": [[1.0]] * 4}
+        ch = CompoundChannel.from_dict(doc)
+        assert (ch.n_subbands, ch.k_active) == (4, 1)
+
+    @pytest.mark.parametrize("field", ["bandwidth", "power"])
+    def test_nonfinite_bandwidth_or_power_rejected(self, field):
+        args = dict(bandwidth=4.0, n_subbands=4, k_active=2, power=1.0, gain_grid=np.ones((4, 1)))
+        with pytest.raises(ValueError, match=field):
+            CompoundChannel(**{**args, field: math.nan})
+
     def test_per_state_gains(self):
         override = np.full((4, 1), 2.0)
         ch = CompoundChannel(

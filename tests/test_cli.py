@@ -81,6 +81,22 @@ class TestArgumentErrors:
         assert "workers must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", [
+        "seed", "n", "k", "m", "eps", "trials", "state_cap", "workers", "power", "perturb", "betas", "alphas",
+    ])
+    def test_null_numeric_config_value_named(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: [None] if key in ("betas", "alphas") else None}))
+        out = tmp_path / "out.txt"
+        args = ["--command", "achievability", "--config", str(cfg), "--out", str(out)]
+        if key in ("betas", "alphas"):  # the sweep grids; give the other one
+            other = "alphas" if key == "betas" else "betas"
+            args = ["--command", "sweep", "--config", str(cfg), f"--{other}", "0.5", "--out", str(out)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and key in err
+        assert not out.exists()
+
     def test_missing_sweep_grid(self, capsys):
         assert run(["--command", "sweep", "--alphas", "0.5"]) == 1
         capsys.readouterr()
@@ -293,7 +309,9 @@ class TestCapacity:
         ({"W": None}, "'W'"),
         ({"state_gains": [1]}, "'state_gains'"),
         (None, "not a regular file"),  # --channel names a directory
-    ], ids=["W-null", "state-gains-list", "directory"])
+        ({"n": 4.7}, "'n'"),
+        ({"W": math.nan}, "'W'"),
+    ], ids=["W-null", "state-gains-list", "directory", "n-fractional", "W-nan"])
     def test_malformed_channel_exits_1(self, tmp_path, capsys, change, named):
         path = tmp_path
         if change is not None:

@@ -119,13 +119,83 @@ def cli_import_probe(probe: str) -> list[str]:
     return result.stdout.split()
 
 
+# numpy.random imports secrets -> hmac -> _hashlib (OpenSSL): about 6 MB of
+# RSS that no command needs, as samplers computes the Philox stream itself
+RANDOM_PROBE = "print(sorted(m for m in ('numpy.random', '_hashlib') if m in sys.modules))\n"
+
+
 def test_cli_import_loads_no_scipy():
-    # numpy.random is imported with the package, not lazily by the first draw
+    probe = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" + RANDOM_PROBE
+    assert cli_import_probe(probe) == ["[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "capacity", "--m", "2"],
+        ["--command", "discrete", "--n", "12", "--k", "3", "--m", "4", "--state-cap", "50"],
+        ["--command", "achievability", "--n", "10", "--k", "3", "--m", "3", "--trials", "2"],
+        ["--command", "verify", "--seed", "7"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_commands_load_no_numpy_random(tmp_path, argv):
     probe = (
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print('numpy.random' in sys.modules)\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    print(subnyq.cli.main({argv + ['--out', str(tmp_path / 'out')]!r}))\n"
+        + RANDOM_PROBE
     )
-    assert cli_import_probe(probe) == ["[]", "True"]
+    assert cli_import_probe(probe) == ["[]"]
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+def numpy_random_imports(source: str) -> list[str]:
+    """Imports of numpy.random in any form, and `np.random` / `numpy.random`
+    attribute reads, which import it lazily."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in {"np", "numpy"}
+        ):
+            names = [f"{node.value.id}.random"]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])
+        ]
+    return found
+
+
+def test_numpy_random_detector_catches_every_form():
+    source = (
+        "import numpy as np, numpy.random\n"
+        "from numpy.random import Philox\n"
+        "from numpy import random as npr, linalg\n"
+        "def f(gen: np.random.Generator): return np.linalg.norm\n"
+        "import random\n"
+    )
+    assert numpy_random_imports(source) == [
+        "line 1: numpy.random",
+        "line 2: numpy.random",
+        "line 2: numpy.random.Philox",
+        "line 3: numpy.random",
+        "line 4: np.random",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_random_imports(path):
+    assert numpy_random_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_loads_no_concurrent():

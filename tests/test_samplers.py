@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from subnyq import samplers
+from subnyq import channel, samplers
 from subnyq.numerics import SingularityError
 from subnyq.samplers import (
     ENSEMBLE_BOUNDS,
@@ -71,12 +71,12 @@ class TestDrawMatrices:
     @staticmethod
     def one_spec(spec):
         """The matrix of spec from its own stream alone, entry map by entry map."""
-        gen, shape = philox_generator(spec.seed), (spec.rows, spec.cols)
+        raw = philox_generator(spec.seed).random_raw((spec.rows, spec.cols))
         if spec.kind == "gaussian":
-            return samplers._normal_quantile(samplers._uniform_open(gen, shape))
+            return samplers._normal_quantile(samplers._uniform_open(raw))
         if spec.kind == "rademacher":
-            return np.where(samplers._raw_uint64(gen, shape) & np.uint64(1) == 1, 1.0, -1.0)
-        return (2.0 * samplers._uniform_open(gen, shape) - 1.0) * math.sqrt(3.0)
+            return np.where(raw & np.uint64(1) == 1, 1.0, -1.0)
+        return (2.0 * samplers._uniform_open(raw) - 1.0) * math.sqrt(3.0)
 
     @pytest.mark.parametrize("kind", samplers.ENSEMBLE_KINDS)
     def test_equals_one_draw_per_spec(self, kind):
@@ -100,21 +100,133 @@ class TestDrawMatrices:
         assert calls == [40]
 
 
+class TestPhiloxStream:
+    """The package's Philox stream against numpy's own `Philox` and
+    `Generator`, which only the tests import."""
+
+    KEYS = (0, 1, 2**64 - 1, derive_trial_seed(31337, 5), 123 ^ samplers.RESAMPLE_KEY_FLIP) + tuple(
+        int(k) for k in np.random.default_rng(2024).integers(0, 2**64, 3, dtype=np.uint64)
+    )
+    # a width of 3 * 2**30 rejects a quarter of its 32-bit draws
+    REJECTING = 3 * 2**30
+
+    @staticmethod
+    def pair(key):
+        return np.random.Generator(np.random.Philox(key=key)), philox_generator(key)
+
+    @staticmethod
+    def rejections(key, width, count):
+        """How many of the first `count` 32-bit draws of the stream `key`
+        the bounded draw of `width` rejects."""
+        words = np.random.Philox(key=key).random_raw(-(-count // 2))
+        draws = np.stack([words & np.uint64(2**32 - 1), words >> np.uint64(32)], axis=1).reshape(-1)
+        return int(np.sum((draws[:count] * np.uint64(width)) % np.uint64(2**32) < 2**32 % width))
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_raw_words_across_blocks(self, key):
+        bits = np.random.Philox(key=key)
+        gen = philox_generator(key)
+        for size in (1, 3, 5, 4, 0, 7, 8, 2, 13, 1000, 3, 4 * samplers._PHILOX_CHUNK + 5, 2):
+            assert np.array_equal(gen.random_raw(size), bits.random_raw(size))
+        assert np.array_equal(gen.random_raw((2, 3)), bits.random_raw(6).reshape(2, 3))
+
+    def test_stream_heads_across_chunks(self):
+        # one kernel pass whose chunks hold blocks of several keys
+        keys, counts = self.KEYS[:4], (3, 4 * samplers._PHILOX_CHUNK + 6, 5, samplers._PHILOX_CHUNK)
+        for key, n, got in zip(keys, counts, samplers._stream_heads(keys, counts)):
+            assert np.array_equal(got, np.random.Philox(key=key).random_raw(n))
+
+    @pytest.mark.parametrize("key", KEYS[:3])
+    def test_full_uint64_range_is_raw(self, key):
+        want, gen = self.pair(key)
+        for size in (3, (2, 5), 1):
+            got = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
+            expected = want.integers(0, 1 << 64, size=size, dtype=np.uint64)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n, k", [(40, 8), (12, 11), (90, 3), (2, 1)])
+    def test_floyd_array_bounds(self, n, k):
+        want, gen = self.pair(channel._STATE_SAMPLING_KEY)
+        highs = np.tile(np.arange(n - k + 2, n + 2), 500)
+        for _ in range(3):  # the kept high half carries from call to call
+            got, expected = gen.integers(1, highs), want.integers(1, highs)
+            assert got.dtype == expected.dtype == np.int64 and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_scalar_draws_like_verify_instances(self, seed):
+        want, gen = self.pair(derive_trial_seed(seed, 0xB0))
+        for _ in range(60):
+            n = int(gen.integers(4, 13))
+            assert n == want.integers(4, 13)
+            m = int(gen.integers(1, n + 1))
+            assert m == want.integers(1, n + 1)
+            for high in (m + 1, 2, 2**32):  # width 1 draws nothing
+                assert gen.integers(1, high) == want.integers(1, high)
+
+    @pytest.mark.parametrize("key", KEYS[:4])
+    def test_raw_and_32_bit_draws_interleaved(self, key):
+        want, gen = self.pair(key)
+        calls = [
+            lambda g: g.integers(0, 10),
+            lambda g: g.integers(0, 1 << 64, size=3, dtype=np.uint64),
+            lambda g: g.integers(0, 10, size=3),
+            lambda g: g.integers(0, 1 << 64, size=2, dtype=np.uint64),
+            lambda g: g.integers(5, 6, size=4),
+            lambda g: g.integers(-7, np.array([[1], [2**31]]), size=(2, 5)),
+            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint64),
+        ]
+        for _ in range(5):
+            for call in calls:
+                assert np.array_equal(call(gen), call(want))
+
+    @pytest.mark.parametrize("key", KEYS[:4])
+    def test_rejected_draws(self, key):
+        assert self.rejections(key, self.REJECTING, 2000) > 400  # the inputs do reject
+        want, gen = self.pair(key)
+        assert np.array_equal(gen.integers(0, self.REJECTING, size=2000), want.integers(0, self.REJECTING, size=2000))
+        # per-entry widths: rejecting, small and width-1 entries mixed
+        widths = np.where(np.arange(3000) % 3 == 0, self.REJECTING, np.arange(3000) % 7 + 1)
+        for _ in range(2):
+            assert np.array_equal(gen.integers(5, 5 + widths), want.integers(5, 5 + widths))
+        assert np.array_equal(gen.random_raw(9), want.bit_generator.random_raw(9))
+
+    @pytest.mark.parametrize(
+        "low, high, kwargs",
+        [
+            (5, 5, {}),  # width 0
+            (5, 4, {}),
+            (0, np.array([3, 0, 2]), {}),
+            (0, 2**32 + 1, {}),  # above the 32-bit draw
+            (-(2**62), 2**62, {}),
+            (0, 1 << 64, {}),  # the raw range needs dtype uint64
+            (-1, 5, {"dtype": np.uint64}),
+            (0, 10, {"dtype": np.int32}),
+            (0.5, 10, {}),
+        ],
+    )
+    def test_out_of_scope_ranges_raise(self, low, high, kwargs):
+        want, gen = self.pair(3)
+        with pytest.raises(ValueError):
+            gen.integers(low, high, **kwargs)
+        # nothing was drawn
+        assert np.array_equal(gen.integers(0, 100, size=5), want.integers(0, 100, size=5))
+
+
 class TestUniformOpen:
     def test_top_raw_value_stays_below_one(self, monkeypatch):
         # (2**53 - 1) + 0.5 rounds to 2**53, which would map to exactly 1.0
-        top = lambda gen, shape: np.full(shape, 2**64 - 1, dtype=np.uint64)
-        monkeypatch.setattr(samplers, "_raw_uint64", top)
-        u = samplers._uniform_open(philox_generator(0), (3,))
+        top = lambda seeds, counts: [np.full(n, 2**64 - 1, dtype=np.uint64) for n in counts]
+        monkeypatch.setattr(samplers, "_stream_heads", top)
+        u = samplers._uniform_open(np.full(3, 2**64 - 1, dtype=np.uint64))
         assert np.all(u == U_MAX)
         uniform = draw_matrix(EnsembleSpec("uniform_sym", 1, 3, 0))
         assert np.all(np.isfinite(uniform)) and np.all(uniform < math.sqrt(3.0))
         assert np.all(np.isfinite(draw_matrix(EnsembleSpec("gaussian", 1, 3, 0))))
 
     def test_bottom_raw_value_stays_above_zero(self, monkeypatch):
-        bottom = lambda gen, shape: np.zeros(shape, dtype=np.uint64)
-        monkeypatch.setattr(samplers, "_raw_uint64", bottom)
-        assert np.all(samplers._uniform_open(philox_generator(0), (3,)) == U_MIN)
+        bottom = lambda seeds, counts: [np.zeros(n, dtype=np.uint64) for n in counts]
+        monkeypatch.setattr(samplers, "_stream_heads", bottom)
+        assert np.all(samplers._uniform_open(np.zeros(3, dtype=np.uint64)) == U_MIN)
         assert np.all(np.isfinite(draw_matrix(EnsembleSpec("gaussian", 1, 3, 0))))
 
 
@@ -123,13 +235,13 @@ class TestNormalQuantile:
 
     def test_matches_scipy_ndtri(self):
         special = pytest.importorskip("scipy.special")
-        u = np.concatenate([samplers._uniform_open(philox_generator(8), (1_000_000,)), self.EDGES])
+        u = np.concatenate([samplers._uniform_open(philox_generator(8).random_raw(1_000_000)), self.EDGES])
         a = samplers._normal_quantile(u)
         b = special.ndtri(u)
         assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(a)))
 
     def test_antisymmetric_where_complement_is_exact(self):
-        u = samplers._uniform_open(philox_generator(9), (200_000,))
+        u = samplers._uniform_open(philox_generator(9).random_raw(200_000))
         tails = np.arange(1, 2001) * 2.0**-53  # the far tail, r > 5
         p = np.concatenate([u, tails, 1.0 - tails, self.EDGES])
         p = p[(1.0 - (1.0 - p)) == p]

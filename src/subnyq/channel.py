@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -97,7 +98,7 @@ class CompoundChannel:
     state_gains: Mapping[tuple[int, ...], np.ndarray] | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+        if not 0 < self.bandwidth <= sys.float_info.max:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if int(self.n_subbands) != self.n_subbands or self.n_subbands < 2:
             raise ValueError(f"n_subbands must be an integer >= 2, got {self.n_subbands}")
@@ -105,7 +106,7 @@ class CompoundChannel:
         k = int(self.k_active)
         if k != self.k_active or not 1 <= k < n:
             raise ValueError(f"need 1 <= k < n, got k={self.k_active}, n={n}")
-        if not (math.isfinite(self.power) and self.power > 0):
+        if not 0 < self.power <= sys.float_info.max:
             raise ValueError(f"power must be positive and finite, got {self.power}")
         grid = _frozen_array(self.gain_grid, "gain grid")
         if grid.ndim != 2 or grid.shape[0] != n or grid.shape[1] < 1:
@@ -180,7 +181,7 @@ class CompoundChannel:
             value = doc[key]
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"channel key {key!r} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # NaN, infinite or beyond a float
                 raise ValueError(f"channel key {key!r} must be finite, got {value!r}")
             if key in {"n", "k", "q"} and value != int(value):
                 raise ValueError(f"channel key {key!r} must be an integer, got {value!r}")
@@ -258,20 +259,9 @@ def snr_summary(channel: CompoundChannel) -> SnrSummary:
 
 
 def _colex_unique(block: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (S, k) block of increasing subsets of
-    nonnegative integers, in colexicographic order.
-
-    Each row is packed into as few int64 words as hold it, each entry in
-    just enough bits, later columns higher: sorting by the words, the last
-    one first, sorts the rows colexicographically, and equal rows have
-    equal words, so the order among them does not matter.
-    """
-    k = block.shape[1]
-    bits = max(1, int(block.max(initial=0)).bit_length())
-    per_word = 63 // bits
-    weights = 1 << bits * np.arange(per_word)
-    words = [block[:, s : s + per_word] @ weights[: min(per_word, k - s)] for s in range(0, k, per_word)]
-    out = block[np.lexsort(words) if len(words) > 1 else np.argsort(words[0])]
+    """The distinct rows of an (S, k) block of increasing subsets, in
+    colexicographic order."""
+    out = block[np.lexsort(block.T)]  # the last column is the primary key
     fresh = np.ones(len(out), dtype=bool)
     fresh[1:] = np.any(out[1:] != out[:-1], axis=1)  # equal rows are adjacent now
     return out[fresh]

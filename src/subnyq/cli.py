@@ -69,7 +69,7 @@ DEFAULTS: dict = {
 }
 
 _CONFIG_KEYS = set(DEFAULTS) | {"command"}
-# parameters that must be JSON integers and finite JSON numbers
+# parameters that must be integers (an integral float is taken) and finite numbers
 _INT_KEYS = ("seed", "n", "k", "m", "trials", "state_cap", "workers")
 _REAL_KEYS = ("eps", "power", "perturb")
 
@@ -145,11 +145,15 @@ def _merge_params(args: argparse.Namespace) -> dict:
             except ValueError as exc:
                 raise UsageError(f"SUBNYQ_SEED must be an integer, got {env!r}") from exc
     for key in _INT_KEYS:
-        if isinstance(params[key], bool) or not isinstance(params[key], int):
-            raise UsageError(f"{key} must be an integer, got {params[key]!r}")
+        value = params[key]
+        if isinstance(value, float) and math.isfinite(value) and value == int(value):
+            params[key] = value = int(value)  # an integral float, such as 50.0
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise UsageError(f"{key} must be an integer, got {value!r}")
     for key in _REAL_KEYS:
         value = params[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        # NaN, an infinity and an integer beyond a float fail the comparison
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise UsageError(f"{key} must be a finite number, got {value!r}")
     if params["workers"] < 1:
         raise UsageError(f"workers must be an integer >= 1, got {params['workers']!r}")

@@ -180,8 +180,8 @@ def _stream_heads(seeds, counts) -> list[np.ndarray]:
 def _int64_bound(value, name: str) -> np.ndarray:
     """An integer bound of `integers` as int64; anything else raises ValueError."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iu" or (arr.dtype.kind == "u" and arr.size and arr.max() >> 63):
-        raise ValueError(f"{name} must be integers within int64")
+    if arr.dtype.kind != "i":
+        raise ValueError(f"{name} must be signed integers within int64")
     return arr.astype(np.int64, copy=False)
 
 
@@ -193,16 +193,15 @@ class PhiloxStream:
     Supported draws:
 
     - `random_raw(size)`: the next raw 64-bit words;
-    - `integers(0, 2**64, size, dtype=np.uint64)`: the same raw words;
-    - `integers(low, high, size=None, dtype=np.int64)`, with low and high
-      scalars or arrays (broadcast) and every width high - low in 1..2**32:
-      numpy's 32-bit Lemire draw ("Fast random integer generation in an
-      interval", ACM TOMACS 2019), entry by entry in C order.  A 32-bit
-      draw takes the low half of a fresh word and keeps the high half for
-      the next 32-bit draw, across calls; raw draws leave that half alone.
-      A width-1 range draws nothing.
+    - `integers(low, high, size=None)`, int64 results, with low and high
+      signed integers or integer arrays (broadcast) and every width
+      high - low in 1..2**32: numpy's 32-bit Lemire draw ("Fast random
+      integer generation in an interval", ACM TOMACS 2019), entry by entry
+      in C order.  A 32-bit draw takes the low half of a fresh word and
+      keeps the high half for the next 32-bit draw, across calls; raw
+      draws leave that half alone.  A width-1 range draws nothing.
 
-    Any other range, and any other dtype, raises ValueError.
+    Any other range raises ValueError.
     """
 
     def __init__(self, seed: int) -> None:
@@ -226,22 +225,17 @@ class PhiloxStream:
         self._spare = spare[count:].copy()
         return spare[:count].reshape(size)
 
-    def integers(self, low, high, size=None, dtype=np.int64):
+    def integers(self, low, high, size=None):
         """Integers uniform on low..high-1 (see the class docstring)."""
-        dtype = np.dtype(dtype)
-        if dtype == np.uint64 and np.ndim(low) == np.ndim(high) == 0 and (low, high) == (0, 1 << 64):
-            return self.random_raw(() if size is None else size)[()]
-        if dtype not in (np.dtype(np.int64), np.dtype(np.uint64)):
-            raise ValueError(f"integers supports int64 and uint64, not {dtype}")
         lo, hi = _int64_bound(low, "low"), _int64_bound(high, "high")
-        if dtype == np.uint64 and lo.size and lo.min() < 0:
-            raise ValueError("need low >= 0 for uint64")
         shape = np.broadcast_shapes(lo.shape, hi.shape) if size is None else size
-        # a wrapped difference is negative, so any accepted width is exact
-        width = np.broadcast_to(hi - lo, shape).ravel()
-        if width.size and not (width.min() >= 1 and width.max() <= 1 << 32):
-            raise ValueError("integers needs widths high - low in 1..2**32")
-        width = width.view(np.uint64)
+        lo_b, hi_b = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+        if not np.all(hi_b > lo_b):
+            raise ValueError("integers needs low < high")
+        # with high > low, the difference modulo 2**64 is the exact width
+        width = (hi_b.view(np.uint64) - lo_b.view(np.uint64)).ravel()
+        if width.size and width.max() > 1 << 32:
+            raise ValueError("integers needs widths high - low of at most 2**32")
         drawn = width > 1
         if drawn.all():
             out = self._lemire32(width)
@@ -250,7 +244,7 @@ class PhiloxStream:
             out[drawn] = self._lemire32(width[drawn])
         out = out.view(np.int64).reshape(shape)
         out += lo
-        return out.view(dtype)[()]
+        return out[()]
 
     def _next32(self, count: int) -> np.ndarray:
         """The next `count` 32-bit draws, as uint64."""
@@ -299,9 +293,8 @@ def philox_generator(seed: int) -> PhiloxStream:
     numpy's `Generator(Philox(key=seed))` draws it.  Supported draws:
 
     - `random_raw(size)`: raw 64-bit words;
-    - `integers(0, 2**64, size, dtype=np.uint64)`: the same raw words;
-    - `integers(low, high, size=None)`, every width high - low in 1..2**32:
-      numpy's 32-bit Lemire draw.
+    - `integers(low, high, size=None)`, int64, every width high - low in
+      1..2**32: numpy's 32-bit Lemire draw.
 
     Other ranges raise ValueError (see `PhiloxStream`)."""
     return PhiloxStream(seed)

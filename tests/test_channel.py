@@ -230,7 +230,8 @@ class TestCompoundChannel:
 
     @pytest.mark.parametrize("key, value", [
         ("n", 4.7), ("k", 1.5), ("q", 1.2), ("W", math.nan), ("P", math.inf), ("W", -math.inf),
-    ])
+        ("W", 10**400), ("n", 10**400),  # integers beyond a float
+    ], ids=["n-4.7", "k-1.5", "q-1.2", "W-nan", "P-inf", "W-neg-inf", "W-huge", "n-huge"])
     def test_json_fractional_or_nonfinite_value_named(self, key, value):
         # no truncation of "n": 4.7 to 4, and no NaN past the sign checks
         doc = {"W": 1.0, "n": 4, "k": 1, "P": 1.0, "gains": [[1.0]] * 4, key: value}
@@ -242,11 +243,12 @@ class TestCompoundChannel:
         ch = CompoundChannel.from_dict(doc)
         assert (ch.n_subbands, ch.k_active) == (4, 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge"])
     @pytest.mark.parametrize("field", ["bandwidth", "power"])
-    def test_nonfinite_bandwidth_or_power_rejected(self, field):
+    def test_nonfinite_bandwidth_or_power_rejected(self, field, value):
         args = dict(bandwidth=4.0, n_subbands=4, k_active=2, power=1.0, gain_grid=np.ones((4, 1)))
         with pytest.raises(ValueError, match=field):
-            CompoundChannel(**{**args, field: math.nan})
+            CompoundChannel(**{**args, field: value})
 
     def test_per_state_gains(self):
         override = np.full((4, 1), 2.0)

@@ -81,12 +81,18 @@ class TestArgumentErrors:
         assert "workers must be" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", [
-        "seed", "n", "k", "m", "eps", "trials", "state_cap", "workers", "power", "perturb", "betas", "alphas",
-    ])
-    def test_null_numeric_config_value_named(self, tmp_path, capsys, key):
+    _NUMERIC_KEYS = ("seed", "n", "k", "m", "eps", "trials", "state_cap", "workers", "power", "perturb")
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, None) for key in _NUMERIC_KEYS),
+        ("betas", [None]), ("alphas", [None]),
+        ("trials", 2.5), ("seed", "7"), ("n", math.inf), ("workers", True),
+        ("eps", math.nan), ("power", 10**400), ("perturb", "0.1"),
+    ], ids=[*(f"{key}-null" for key in _NUMERIC_KEYS), "betas-null", "alphas-null", "trials-fractional",
+            "seed-string", "n-inf", "workers-bool", "eps-nan", "power-beyond-float", "perturb-string"])
+    def test_malformed_numeric_config_value_named(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: [None] if key in ("betas", "alphas") else None}))
+        cfg.write_text(json.dumps({key: value}))
         out = tmp_path / "out.txt"
         args = ["--command", "achievability", "--config", str(cfg), "--out", str(out)]
         if key in ("betas", "alphas"):  # the sweep grids; give the other one
@@ -96,6 +102,17 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert "usage error" in err and key in err
         assert not out.exists()
+
+    def test_integral_float_config_values_run(self, tmp_path, capsys):
+        args = ["--command", "achievability", "--n", "10", "--k", "3", "--m", "3", "--format", "json"]
+        outputs = []
+        for trials, seed in ((2, 7), (2.0, 7.0)):
+            cfg, out = tmp_path / "cfg.json", tmp_path / f"ach-{trials!r}.json"
+            cfg.write_text(json.dumps({"trials": trials, "seed": seed}))
+            assert run(args + ["--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     def test_missing_sweep_grid(self, capsys):
         assert run(["--command", "sweep", "--alphas", "0.5"]) == 1
@@ -311,7 +328,8 @@ class TestCapacity:
         (None, "not a regular file"),  # --channel names a directory
         ({"n": 4.7}, "'n'"),
         ({"W": math.nan}, "'W'"),
-    ], ids=["W-null", "state-gains-list", "directory", "n-fractional", "W-nan"])
+        ({"P": 10**400}, "'P'"),
+    ], ids=["W-null", "state-gains-list", "directory", "n-fractional", "W-nan", "P-beyond-float"])
     def test_malformed_channel_exits_1(self, tmp_path, capsys, change, named):
         path = tmp_path
         if change is not None:

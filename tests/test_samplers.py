@@ -115,6 +115,11 @@ class TestPhiloxStream:
         return np.random.Generator(np.random.Philox(key=key)), philox_generator(key)
 
     @staticmethod
+    def raw(gen, size):
+        """The next raw words of either stream of `pair`."""
+        return (gen.bit_generator if isinstance(gen, np.random.Generator) else gen).random_raw(size)
+
+    @staticmethod
     def rejections(key, width, count):
         """How many of the first `count` 32-bit draws of the stream `key`
         the bounded draw of `width` rejects."""
@@ -135,14 +140,6 @@ class TestPhiloxStream:
         keys, counts = self.KEYS[:4], (3, 4 * samplers._PHILOX_CHUNK + 6, 5, samplers._PHILOX_CHUNK)
         for key, n, got in zip(keys, counts, samplers._stream_heads(keys, counts)):
             assert np.array_equal(got, np.random.Philox(key=key).random_raw(n))
-
-    @pytest.mark.parametrize("key", KEYS[:3])
-    def test_full_uint64_range_is_raw(self, key):
-        want, gen = self.pair(key)
-        for size in (3, (2, 5), 1):
-            got = gen.integers(0, 1 << 64, size=size, dtype=np.uint64)
-            expected = want.integers(0, 1 << 64, size=size, dtype=np.uint64)
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("n, k", [(40, 8), (12, 11), (90, 3), (2, 1)])
     def test_floyd_array_bounds(self, n, k):
@@ -168,12 +165,12 @@ class TestPhiloxStream:
         want, gen = self.pair(key)
         calls = [
             lambda g: g.integers(0, 10),
-            lambda g: g.integers(0, 1 << 64, size=3, dtype=np.uint64),
+            lambda g: self.raw(g, 3),
             lambda g: g.integers(0, 10, size=3),
-            lambda g: g.integers(0, 1 << 64, size=2, dtype=np.uint64),
+            lambda g: self.raw(g, 2),
             lambda g: g.integers(5, 6, size=4),
             lambda g: g.integers(-7, np.array([[1], [2**31]]), size=(2, 5)),
-            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint64),
+            lambda g: g.integers(0, 2**32, size=3),
         ]
         for _ in range(5):
             for call in calls:
@@ -191,23 +188,24 @@ class TestPhiloxStream:
         assert np.array_equal(gen.random_raw(9), want.bit_generator.random_raw(9))
 
     @pytest.mark.parametrize(
-        "low, high, kwargs",
+        "low, high",
         [
-            (5, 5, {}),  # width 0
-            (5, 4, {}),
-            (0, np.array([3, 0, 2]), {}),
-            (0, 2**32 + 1, {}),  # above the 32-bit draw
-            (-(2**62), 2**62, {}),
-            (0, 1 << 64, {}),  # the raw range needs dtype uint64
-            (-1, 5, {"dtype": np.uint64}),
-            (0, 10, {"dtype": np.int32}),
-            (0.5, 10, {}),
+            (5, 5),  # width 0
+            (5, 4),
+            (0, np.array([3, 0, 2])),
+            (0, 2**32 + 1),  # above the 32-bit draw
+            (-(2**62), 2**62),
+            (-(2**63), 2**63 - 1),  # a width that wraps to -1 in int64
+            (2**63 - 1, -(2**63)),  # high < low, yet high - low wraps to 1
+            (0, 1 << 64),  # beyond int64
+            (0, np.array([3], dtype=np.uint64)),
+            (0.5, 10),
         ],
     )
-    def test_out_of_scope_ranges_raise(self, low, high, kwargs):
+    def test_out_of_scope_ranges_raise(self, low, high):
         want, gen = self.pair(3)
         with pytest.raises(ValueError):
-            gen.integers(low, high, **kwargs)
+            gen.integers(low, high)
         # nothing was drawn
         assert np.array_equal(gen.integers(0, 100, size=5), want.integers(0, 100, size=5))
 

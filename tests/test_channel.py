@@ -104,6 +104,9 @@ class TestEnumerateStates:
             (40, 8, 5000, "d6022d66c0fc15aed36a6e5778616d176dc6cf3f144d62698bb9be45492bdd3f"),
             # the first batch holds 131 distinct states of 200: the resample loop
             (12, 3, 200, "9ffa7fedb211895e597ffffc7398654df83f28f00d51d44a95dcb7b2160cd9d4"),
+            # wide rows: more than one 64-bit word per row, and n above 64
+            (70, 3, 50, "318749ce0adeb90a11f8f7b18aba6cf77a821f77b5adc61fda1e4edf8a7afcde"),
+            (130, 12, 300, "b6eedd7c04c0a8dd2007cd0a5b6e1611c1a8d7a5d0afdabd28d3e678c429d357"),
         ],
     )
     def test_sampled_set_pinned(self, n, k, cap, digest):

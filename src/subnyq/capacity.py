@@ -30,7 +30,9 @@ and `discrete_losses` for the discrete channel) in two passes over an
   of their own.  Blocks of states gather their cells from these tables
   into buffers allocated once per call, where an in-place sort, a
   cumulative sum and row sums give the exact water levels and the
-  capacities.
+  capacities.  On a flat channel (a constant gain grid and no state with
+  gains of its own, as the discrete channel's unit gains) every state
+  has the same values, so one state is solved and copied to the others.
 
 The four single-state functions `sampled_capacity`, `waterfill_level`,
 `capacity_loss` and `discrete_loss` are one-row calls of the same passes.
@@ -247,9 +249,19 @@ def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) ->
     tol, unless None, bounds the allocated-power residual relative to
     power; NumericalError beyond it.  Every row's values depend on that row
     only, never on S or the block split.
+
+    On a flat channel, a constant gain grid and no row with gains of its
+    own (the discrete channel's unit gains), every row gathers the same
+    cells and so has the same values: the first row is solved, residual
+    check included, and copied to the others.  The caller's non-finite
+    check sees the copies.
     """
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
+    if len(idx) > 1 and not len(own) and np.all(gain_grid == gain_grid.flat[0]):
+        _nyquist_pass(idx[:1], gain_grid, own, own_gains, scale, power, df, tol, out[:, :1])
+        out[:, 1:] = out[:, :1]
+        return
     k, q = idx.shape[1], gain_grid.shape[1]
     cells = k * q
     # Beyond about 1e+-154 a square or an inverse square overflows; the

@@ -258,31 +258,50 @@ def snr_summary(channel: CompoundChannel) -> SnrSummary:
     )
 
 
-def _colex_unique(block: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (S, k) block of increasing subsets, in
-    colexicographic order."""
-    out = block[np.lexsort(block.T)]  # the last column is the primary key
-    fresh = np.ones(len(out), dtype=bool)
-    fresh[1:] = np.any(out[1:] != out[:-1], axis=1)  # equal rows are adjacent now
-    return out[fresh]
+def _colex_unique(block: np.ndarray, n: int) -> np.ndarray:
+    """Row numbers of the distinct rows of an (S, k) block of increasing
+    subsets of 1..n: the first occurrence of each, in the colexicographic
+    order of the rows.
+
+    Each row is packed into as few int64 words as hold it: b = bit_length(n)
+    bits per index, floor(63 / b) indices per word, later indices in higher
+    bits and in later words.  One stable `lexsort` over the words, the last
+    word the primary key, then orders the rows exactly as a `lexsort` over
+    their k columns would, and equal rows are equal words.
+    """
+    bits = n.bit_length()
+    per_word = 63 // bits  # the sign bit stays clear, so words compare as unsigned
+    shifts = np.arange(block.shape[1]) % per_word * bits
+    words = np.add.reduceat(block << shifts, np.arange(0, block.shape[1], per_word), axis=1)
+    order = np.lexsort(words.T)
+    keys = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)  # equal rows are adjacent now
+    return order[first]
 
 
 def _floyd_samples(n: int, k: int, count: int, gen: PhiloxStream) -> np.ndarray:
     """count uniformly random k-subsets of {1..n}, one ascending row each.
 
-    Floyd's algorithm, run on all rows at once: row r takes t uniform on
-    1..j for j = n-k+1, ..., n and keeps t, or j when t is already taken.
-    The t come from one array draw, which yields the same numbers, in the
-    same order, as drawing them one at a time, row by row.
+    Floyd's algorithm (Bentley & Floyd, CACM 1987), run on all rows at
+    once: row r takes t uniform on 1..j for j = n-k+1, ..., n and keeps t,
+    or j when t is already taken.  The t come from one array draw, which
+    yields the same numbers, in the same order, as drawing them one at a
+    time, row by row.  Each row's picks so far are a bit mask of
+    ceil((n+1)/64) uint64 words, bit v of the mask for index v, so every
+    membership test is one gather and one AND, whatever n and the step.
     """
     highs = np.arange(n - k + 2, n + 2)  # exclusive upper bounds j + 1
     draws = gen.integers(1, np.tile(highs, count)).reshape(count, k)
-    chosen = np.empty((count, k), dtype=np.intp)
-    for i, j in enumerate(range(n - k + 1, n + 1)):
-        t = draws[:, i]
-        taken = (chosen[:, :i] == t[:, None]).any(axis=1)
-        chosen[:, i] = np.where(taken, j, t)
-    return np.sort(chosen, axis=1)
+    picks = np.ascontiguousarray(draws.T).view(np.uint64)  # one row per step
+    words = n // 64 + 1  # ceil((n + 1) / 64): bits 0..n
+    masks = np.zeros(count * words, dtype=np.uint64)
+    row_words = np.arange(count, dtype=np.uint64) * np.uint64(words)
+    for t, j in zip(picks, range(n - k + 1, n + 1)):
+        taken = masks[row_words + (t >> 6)] & (1 << (t & 63)) != 0
+        t[taken] = j
+        masks[row_words + (t >> 6)] |= 1 << (t & 63)  # each row once: no update is lost
+    return np.sort(picks.T.view(np.intp), axis=1)
 
 
 def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
@@ -290,13 +309,15 @@ def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
     as a read-only (S, k) ``np.intp`` block of zero-based subband indices,
     one state per row, in colexicographic order.
 
-    If C(n, k) <= cap, returns every state: a census.  Otherwise draws `cap`
-    distinct states from a dedicated fixed-seed stream (independent of any
-    user seed): a sample, which a caller tells from a census by
-    C(n, k) > cap.  Each round draws the missing count with Floyd's
-    algorithm (Bentley & Floyd, CACM 1987) and keeps the distinct rows of
-    the union so far, sorted and deduplicated as rows, so that no row is
-    ranked and any n works.
+    If C(n, k) <= cap, returns every state: a census.  Otherwise returns the
+    first `cap` distinct rows of Floyd's algorithm (`_floyd_samples`) on a
+    dedicated fixed-seed stream (independent of any user seed): a sample,
+    which a caller tells from a census by C(n, k) > cap.  The first round
+    draws exactly cap rows; each later round draws the missing count times
+    a factor that doubles every round, so that a cap close to C(n, k) takes
+    a few rounds, not one per missing state, and keeps only the earliest
+    new rows in stream order.  Rows are sorted and deduplicated as packed
+    words (`_colex_unique`), so that no row is ranked and any n works.
     """
     if int(n) != n or int(k) != k or not 1 <= k < n:
         raise ValueError(f"need integers 1 <= k < n, got k={k}, n={n}")
@@ -307,14 +328,19 @@ def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
         return colex_indices(n, k)
     gen = philox_generator(_STATE_SAMPLING_KEY)
     picked = np.empty((0, k), dtype=np.intp)
-    attempts = 0
+    batch, growth, attempts = cap, 1, 0
     while len(picked) < cap:
-        # a batch of exactly the missing count: the set stops growing at the
-        # same draw as a one-at-a-time loop would
         need = cap - len(picked)
-        picked = _colex_unique(np.concatenate([picked, _floyd_samples(n, k, need, gen)]))
-        attempts += need
-        if attempts > 100 * cap:  # pragma: no cover - cap is well below C(n, k) here
+        rows = np.concatenate([picked, _floyd_samples(n, k, batch, gen)])
+        first = _colex_unique(rows, n)  # every picked row is the first of its run
+        new = first[first >= len(picked)]
+        if len(new) > need:  # the earliest need new rows; picked rows precede them all
+            first = first[first <= np.partition(new, need - 1)[need - 1]]
+        picked = rows[first]
+        attempts += batch
+        growth *= 2
+        batch = growth * (cap - len(picked))
+        if attempts > 100 * cap:  # pragma: no cover - about cap ln C(n, k) draws suffice
             raise NumericalError("state sampling failed to collect distinct subsets")
     picked -= 1
     picked.flags.writeable = False

@@ -443,24 +443,31 @@ def cmd_capacity(params: dict) -> int:
     return 0 if not bad else 2
 
 
-class _JsonConstant(str):
-    """A bare JSON token (NaN, Infinity, -Infinity) whose `%r` is itself."""
+def _json_texts(columns) -> list[list[str]]:
+    """Each column's values as the texts `json.dumps` writes for them.
 
-    __repr__ = str.__str__
-
-
-def _json_floats(values) -> list:
-    """values as Python floats, each of whose `%r` is what `json.dumps` writes.
-
-    Finite floats stay floats (`%r` is `float.__repr__`, the encoder's own
-    formatting; never a numpy scalar, whose repr differs); the non-finite
-    ones become the encoder's NaN, Infinity and -Infinity tokens.
+    A finite float is its `float.__repr__`, the encoder's own formatting
+    (never a numpy scalar's repr, which differs); the non-finite ones are
+    the encoder's NaN, Infinity and -Infinity tokens.  A column whose
+    values are bit for bit those of an earlier column (compared as int64
+    words, so 0.0 and -0.0, and NaN payloads, stay apart) reuses that
+    column's texts instead of rendering them again.
     """
-    values = np.asarray(values, dtype=float)
-    out = values.tolist()
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        x = out[i]
-        out[i] = _JsonConstant("NaN" if x != x else ("Infinity" if x > 0 else "-Infinity"))
+    rendered: list[tuple[np.ndarray, list[str]]] = []  # (int64 words, texts)
+    out = []
+    for column in columns:
+        values = np.asarray(column, dtype=float)
+        words = values.view(np.int64)
+        for seen, texts in rendered:
+            if np.array_equal(seen, words):
+                break
+        else:
+            texts = list(map(repr, values.tolist()))
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                x = values[i]
+                texts[i] = "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+            rendered.append((words, texts))
+        out.append(texts)
     return out
 
 
@@ -470,7 +477,9 @@ def _json_records(block, columns: dict, level: int) -> str:
     nested ``level`` levels deep in an enclosing document.
 
     block is an (S, k) integer block.  Each record is one `%`-format of one
-    template, fed from the columns and the state's label string, which
+    template, fed from each column's texts (`_json_texts`, rendered once
+    per distinct column: the two loss columns of a state set whose c_opt
+    equals c_eq share theirs) and the state's label string, which
     `capacity.state_labels` joins once per state, instead of the encoder,
     which falls back to pure Python under `indent`.  Every key of columns
     sorts before "state".
@@ -479,10 +488,10 @@ def _json_records(block, columns: dict, level: int) -> str:
     if not keys or keys[-1] >= "state":
         raise ValueError(f"record keys must sort before 'state', got {keys}")
     pad = "  " * level
-    fields = "".join(f'{pad}    "{key}": %r,\n' for key in keys)
+    fields = "".join(f'{pad}    "{key}": %s,\n' for key in keys)
     template = f'{pad}  {{\n{fields}{pad}    "state": [\n{pad}      %s\n{pad}    ]\n{pad}  }}'
     labels = cap.state_labels(block, f",\n{pad}      ")
-    rows = zip(*(_json_floats(columns[key]) for key in keys), labels)
+    rows = zip(*_json_texts([columns[key] for key in keys]), labels)
     return "[\n" + ",\n".join([template % row for row in rows]) + f"\n{pad}]"
 
 

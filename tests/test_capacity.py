@@ -804,6 +804,45 @@ class TestNyquistPass:
                 assert nyquist_row(ch, state.indices) == (c_eq[r], c_opt[r], nu[r])
                 assert waterfill_level(ch, state) == nu[r]
 
+    def test_flat_channel_solves_one_row(self, gen, monkeypatch):
+        # every row of a flat channel gathers the same cells: one row is
+        # solved and copied, and each equals its own one-row general pass
+        calls = spy(monkeypatch, capacity._nyquist_pass)
+        for _ in range(10):
+            ch = random_channel(gen, flat=True)
+            idx = colex_indices(ch.n_subbands, ch.k_active)
+            samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, ch.n_subbands, 3)))
+            calls.clear()
+            got = np.stack(batched_losses(ch, samp, idx)[1:])
+            assert [len(call[0]) for call in calls] == [len(idx), 1][: 1 + (len(idx) > 1)]
+            calls.clear()
+            want = np.array([nyquist_row(ch, tuple(s + 1)) for s in idx]).T
+            assert got.tobytes() == want.tobytes()
+
+    def test_flat_grid_with_state_gains_takes_the_general_path(self, monkeypatch):
+        own = np.full((6, 2), 2.0)
+        ch = CompoundChannel(bandwidth=6.0, n_subbands=6, k_active=2, power=3.0,
+                             gain_grid=np.ones((6, 2)), state_gains={(2, 5): own})
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 3, 6, 2)))
+        idx = colex_indices(6, 2)
+        calls = spy(monkeypatch, capacity._nyquist_pass)
+        got = np.stack(batched_losses(ch, samp, idx)[1:])
+        assert [len(call[0]) for call in calls] == [len(idx)]
+        mine = [tuple(s) for s in (idx + 1).tolist()].index((2, 5))
+        assert not np.array_equal(got[:, mine], got[:, mine - 1])
+        want = np.array([nyquist_row(ch, tuple(s + 1)) for s in idx]).T
+        assert got.tobytes() == want.tobytes()
+
+    def test_flat_channel_one_row_block(self):
+        ch = CompoundChannel(bandwidth=4.0, n_subbands=4, k_active=2, power=2.0,
+                             gain_grid=np.full((4, 3), 0.7))
+        samp = make_flat_sampler(draw_matrix(EnsembleSpec("gaussian", 2, 4, 5)))
+        idx = colex_indices(4, 2)
+        full = np.stack(batched_losses(ch, samp, idx)[1:])
+        for r in range(len(idx)):
+            one = np.stack(batched_losses(ch, samp, idx[r : r + 1])[1:])
+            assert one.tobytes() == full[:, r : r + 1].tobytes()
+
     def test_repeated_rows_with_their_own_gains(self):
         # every copy of a row with gains of its own takes them, in any order
         ch, sampler, _, idx, own = census_case(46, 7, 3, 4, 2, False, 2)

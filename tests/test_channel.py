@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import spy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,14 +22,19 @@ from subnyq.samplers import philox_generator
 
 
 def set_of_tuples_sample(n, k, cap):
-    """The sampled branch of `enumerate_states` as a set of tuples: Floyd
-    batches of the missing count until cap distinct states, colex-sorted."""
+    """The sampled branch of `enumerate_states`, one Floyd row at a time:
+    row after row from the dedicated stream, each of its k picks one scalar
+    draw, until cap distinct states, colex-sorted."""
     gen = philox_generator(channel._STATE_SAMPLING_KEY)
     picked = set()
     while len(picked) < cap:
-        picked.update(map(tuple, channel._floyd_samples(n, k, cap - len(picked), gen).tolist()))
-    block = np.array(list(picked), dtype=np.intp).reshape(cap, k) - 1
-    return block[np.lexsort(block.T)]
+        row = set()
+        for j in range(n - k + 1, n + 1):
+            t = int(gen.integers(1, j + 1))
+            row.add(j if t in row else t)
+        picked.add(tuple(sorted(row)))
+    block = np.array(sorted(picked, key=lambda s: s[::-1]), dtype=np.intp).reshape(cap, k)
+    return block - 1
 
 
 @st.composite
@@ -36,7 +42,7 @@ def sampled_problems(draw):
     """n, k and a cap below C(n, k), so that the states are sampled."""
     n = draw(st.integers(2, 90))
     k = draw(st.integers(1, n - 1))
-    cap = draw(st.integers(1, min(math.comb(n, k) - 1, 400)))
+    cap = draw(st.integers(1, min(math.comb(n, k) - 1, 100)))
     return n, k, cap
 
 
@@ -128,6 +134,39 @@ class TestEnumerateStates:
         assert len(out) != math.comb(n, k)  # a sample
         assert out.dtype == np.intp and not out.flags.writeable
         assert np.array_equal(out, set_of_tuples_sample(n, k, cap))
+
+    @pytest.mark.parametrize("n", [3, 15, 16, 127, 255, 256, 40000, 2**31 - 1])
+    def test_packed_sort_matches_a_column_lexsort(self, n):
+        # every index width, with indices in the top bits of a word
+        gen = np.random.default_rng(n)
+        per_word = 63 // n.bit_length()
+        for k in sorted({1, 2, per_word, per_word + 1, 2 * per_word + 1}):
+            block = np.sort(gen.integers(1, n + 1, (300, k)), axis=1)
+            block = np.concatenate([block, block[gen.integers(0, 300, 100)]])  # repeats
+            order = np.lexsort(block.T)
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = np.any(block[order][1:] != block[order][:-1], axis=1)
+            assert np.array_equal(channel._colex_unique(block, n), order[first]), k
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (8, 4), (9, 8), (10, 3), (70, 1), (130, 1)])
+    def test_all_but_one_state_matches_the_reference(self, n, k):
+        # the tail of the rounds, where most new rows repeat a state
+        cap = math.comb(n, k) - 1
+        assert np.array_equal(enumerate_states(n, k, cap), set_of_tuples_sample(n, k, cap))
+
+    def test_near_census_cap_takes_few_rounds(self, monkeypatch):
+        # one Floyd batch per round: a batch of only the missing count each
+        # round would take thousands of rounds here
+        calls = spy(monkeypatch, channel._floyd_samples)
+        out = enumerate_states(16, 8, 12869)
+        assert len(out) == 12869 and len(set(map(tuple, out.tolist()))) == 12869
+        assert calls[0][2] == 12869 and len(calls) <= 20
+
+    def test_first_round_draws_the_cap(self, monkeypatch):
+        # the benchmark's shape: one batch of exactly cap rows, nothing more
+        calls = spy(monkeypatch, channel._floyd_samples)
+        enumerate_states(40, 8, 5000)
+        assert [call[2] for call in calls] == [5000]
 
     @pytest.mark.parametrize("n, k, cap", [(9, 4, 10**6), (40, 8, 300)])
     def test_index_block(self, n, k, cap):

@@ -432,6 +432,25 @@ class TestDiscreteJson:
         for args in ((block, loss_eq, loss_opt), ([[3]], [-0.0], [math.nan])):
             assert cli._discrete_json(*args) == self.encoded(*args)
 
+    @pytest.mark.parametrize("change", ["none", "-0.0", "nan", "nan-payload", "inf", "-inf", "ulp"])
+    def test_columns_equal_but_in_one_row(self, change):
+        # a later column reuses an earlier one's texts only when the two are
+        # equal bit for bit; one differing row keeps them apart
+        gen = np.random.default_rng(6)
+        loss_eq = gen.standard_normal(200) * 10.0 ** gen.integers(-20, 20, 200)
+        loss_eq[[3, 50]] = 0.0, math.nan
+        loss_opt = loss_eq.copy()
+        other_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
+        loss_opt[3 if change == "-0.0" else 50 if change == "nan-payload" else 120] = {
+            "none": loss_eq[120], "-0.0": -0.0, "nan": math.nan, "nan-payload": other_nan,
+            "inf": math.inf, "-inf": -math.inf, "ulp": np.nextafter(loss_eq[120], math.inf),
+        }[change]
+        block = np.sort([gen.choice(40, 3, replace=False) + 1 for _ in loss_eq], axis=1)
+        got = cli._discrete_json(block, loss_eq, loss_opt)
+        assert got == self.encoded(block, loss_eq.tolist(), loss_opt.tolist())
+        texts = cli._json_texts([loss_eq, loss_opt])
+        assert (texts[1] is texts[0]) == (change == "none")
+
     def test_cli_output_equals_json_dumps(self, tmp_path, capsys):
         out = tmp_path / "disc.json"
         assert run(["--command", "discrete", "--n", "9", "--k", "3", "--m", "4", "--power", "5",

@@ -328,9 +328,10 @@ def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
         return colex_indices(n, k)
     gen = philox_generator(_STATE_SAMPLING_KEY)
     picked = np.empty((0, k), dtype=np.intp)
-    batch, growth, attempts = cap, 1, 0
+    growth, attempts = 1, 0
     while len(picked) < cap:
         need = cap - len(picked)
+        batch = growth * need  # round r draws 2^(r-1) times the missing count
         rows = np.concatenate([picked, _floyd_samples(n, k, batch, gen)])
         first = _colex_unique(rows, n)  # every picked row is the first of its run
         new = first[first >= len(picked)]
@@ -339,7 +340,6 @@ def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
         picked = rows[first]
         attempts += batch
         growth *= 2
-        batch = growth * (cap - len(picked))
         if attempts > 100 * cap:  # pragma: no cover - about cap ln C(n, k) draws suffice
             raise NumericalError("state sampling failed to collect distinct subsets")
     picked -= 1

@@ -23,14 +23,16 @@ from subnyq.samplers import philox_generator
 
 def set_of_tuples_sample(n, k, cap):
     """The sampled branch of `enumerate_states`, one Floyd row at a time:
-    row after row from the dedicated stream, each of its k picks one scalar
-    draw, until cap distinct states, colex-sorted."""
+    row after row from the dedicated stream, until cap distinct states,
+    colex-sorted.  Each row's k picks come from one array draw with bounds
+    j + 1 for j = n - k + 1..n, which yields the numbers of k scalar draws
+    `gen.integers(1, j + 1)` in turn (see `samplers.PhiloxStream`)."""
     gen = philox_generator(channel._STATE_SAMPLING_KEY)
+    bounds = np.arange(n - k + 2, n + 2)
     picked = set()
     while len(picked) < cap:
         row = set()
-        for j in range(n - k + 1, n + 1):
-            t = int(gen.integers(1, j + 1))
+        for j, t in zip(range(n - k + 1, n + 1), gen.integers(1, bounds).tolist()):
             row.add(j if t in row else t)
         picked.add(tuple(sorted(row)))
     block = np.array(sorted(picked, key=lambda s: s[::-1]), dtype=np.intp).reshape(cap, k)
@@ -42,7 +44,7 @@ def sampled_problems(draw):
     """n, k and a cap below C(n, k), so that the states are sampled."""
     n = draw(st.integers(2, 90))
     k = draw(st.integers(1, n - 1))
-    cap = draw(st.integers(1, min(math.comb(n, k) - 1, 100)))
+    cap = draw(st.integers(1, min(math.comb(n, k) - 1, 400)))
     return n, k, cap
 
 

@@ -38,12 +38,26 @@ The four single-state functions `sampled_capacity`, `waterfill_level`,
 `capacity_loss` and `discrete_loss` are one-row calls of the same passes.
 No command calls them, nor `loss_csv_rows`, the CSV writer of their
 `LossReport`s; they stay only as the benchmark's reference and traced
-entry points (bench/).  The commands' CSV writer, `loss_csv_lines`, labels
-each state once from the index block (`state_labels`).
+entry points (bench/).
+
+Every '%.12g' text of the commands (the loss CSV of `loss_csv_lines`, the
+per-trial CSV and the sweep) comes from one writer, `g12_rows`, with no
+Python step per cell.  It scales |x| by an exact power of ten 10**j
+(|j| <= 22), so the 12-digit mantissa m takes one rounding and lies within
+2**-13 of the exact product; where m is more than 1e-3 from a tie and its
+rounded value has 12 digits, that value is the one Python's correctly
+rounded conversion gives, and every other cell (about 0.2% of a census:
+zeros, non-finite and subnormal values, far exponents, near-ties) is
+Python's own '%.12g'.  Each block of rows, at most 2**18 byte slots, is
+one byte matrix of label and cell slots, 0 where a row has no character,
+which one `np.compress` turns into text, so the writer's temporaries do
+not grow with the number of states.  `state_labels`, the JSON writer's
+labels, takes the same label slots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +74,7 @@ __all__ = [
     "capacity_loss",
     "discrete_loss",
     "discrete_losses",
+    "g12_rows",
     "loss_csv_lines",
     "loss_csv_rows",
     "sampled_capacity",
@@ -112,7 +127,7 @@ def loss_csv_rows(reports, bits: bool = False) -> list[str]:
     With bits=True a trailing loss_eq_bits column (loss_eq / log 2) is added.
     """
     reports = list(reports)
-    return loss_csv_lines(
+    text = loss_csv_lines(
         [rep.state.indices for rep in reports],
         c_sampled=[rep.c_sampled for rep in reports],
         c_eq=[rep.c_nyquist_eq for rep in reports],
@@ -122,47 +137,233 @@ def loss_csv_rows(reports, bits: bool = False) -> list[str]:
         nu=[rep.water_level for rep in reports],
         bits=bits,
     )
+    return text.splitlines()
 
 
-def state_labels(block, sep: str = "|") -> list[str]:
-    """Each row of an (S, k) block of nonnegative integers as text: its
-    entries in decimal, joined by sep.
+# Text of many cells at once.  A cell is a row of byte slots, one slot per
+# character it may hold; a slot it does not use holds 0, and one
+# `np.compress` of a block of rows removes those.  The slots of a '%.12g'
+# cell: the sign, the "0.000" lead of a fixed value below 1, 12 digits each
+# followed by a slot for a ".", and the "e+dd" tail.  A fallback text (at
+# most 19 characters) fills its cell's first slots.
+_G12_SLOTS = 34
+_DIGIT0, _TAIL0 = 6, 30
+# Slots per row block of `g12_rows`, so its temporaries do not grow with S.
+_ROW_BLOCK_SLOTS = 1 << 18
+# Exact scales: 10**j for |j| <= 22 is a double (5**22 < 2**53).  Entry
+# j + 22 of _UP and _DOWN is 10**j as a factor and as a divisor, one of them 1.
+_UP = np.array([float(10 ** max(j, 0)) for j in range(-22, 23)])
+_DOWN = _UP[::-1].copy()
+# Fast-path cells lie within this distance of no half-integer (see _g12_cells).
+_TIE_MARGIN = 1e-3
 
-    The decimal strings of 0..max(block) are made once per call, and each
-    label is one `str.join` of its row of an object array of them, which
-    gives the bytes of ``sep.join(map(str, row))``.
+
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """Each of 0 .. 9999 as its four zero-padded ASCII digits, each followed
+    by a 0 byte, packed into one uint64: entry v as is, entry 10**4 + v with
+    its trailing zeros as 0 bytes too; and the count of those trailing
+    zeros (4 for 0)."""
+    ten = np.arange(10)
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    zeros = 0
+    for place in range(4):  # thousands to units
+        column = ten.reshape((10,) + (1,) * (3 - place))
+        digits[..., place] = column + 48
+        zeros = (column == 0) * (zeros + 1)  # trailing zeros up to this place
+    digits, zeros = digits.reshape(10**4, 4), zeros.astype(np.uint8).ravel()
+    pairs = np.zeros((2, 10**4, 8), dtype=np.uint8)
+    pairs[0, :, ::2] = digits
+    pairs[1, :, ::2] = digits * (np.arange(4) < 4 - zeros[:, None])
+    return pairs.view(np.uint64).ravel(), zeros
+
+
+@functools.cache
+def _g12_layouts() -> np.ndarray:
+    """The bytes of each fast-path '%.12g' cell other than its sign and its
+    significant digits (the lead, the zeros of an integer part, the "." and
+    the exponent tail), by code 12 (33 - e) + z for its decimal exponent e
+    in -11 .. 33 and its z = 0 .. 11 trailing zeros among 12 digits."""
+    expo = np.repeat(np.arange(33, -12, -1), 12)
+    count = 12 - np.tile(np.arange(12), 45)  # significant digits
+    fixed = (expo >= -4) & (expo < 12)
+    below_one = fixed & (expo < 0)
+    dot = np.where(fixed, expo, 0)  # the digit a "." follows, if any digit does
+    dot[count <= dot + 1] = -1
+    places = np.arange(12)
+    scientific = ~fixed
+    size = np.abs(expo)
+    fill = np.zeros((len(expo), _G12_SLOTS), dtype=np.uint8)
+    fill[:, 1] = below_one * 48
+    fill[:, 2] = below_one * 46
+    fill[:, 3:_DIGIT0] = (below_one[:, None] & (places[:3] < -1 - expo[:, None])) * 48
+    integer_zeros = fixed[:, None] & (places >= count[:, None]) & (places <= expo[:, None])
+    fill[:, _DIGIT0:_TAIL0:2] = integer_zeros * 48
+    fill[:, _DIGIT0 + 1 : _TAIL0 : 2] = (places == dot[:, None]) * 46
+    fill[:, _TAIL0] = scientific * 101
+    fill[:, _TAIL0 + 1] = scientific * np.where(expo < 0, 45, 43)
+    fill[:, _TAIL0 + 2] = scientific * (48 + size // 10)
+    fill[:, _TAIL0 + 3] = scientific * (48 + size % 10)
+    return fill
+
+
+def _g12_cells(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.12g' % v`` for each v of the 1-D float64 array x,
+    as a (len(x), _G12_SLOTS) uint8 array of cells.
+
+    Fast path, for finite x with |11 - floor(log10 |x|)| <= 22: with
+    j = 11 - floor(log10 |x|), m = |x| 10**j takes one rounding, as 10**j
+    is exact, so m is within 2**-13 of the exact product (m < 1e12 < 2**40).
+    Where m's fraction is more than _TIE_MARGIN from 1/2, r = floor(m + 1/2)
+    is the exact product rounded to an integer, with no tie; and where also
+    1e11 <= m and r < 1e12, r holds the 12 significant digits that Python's
+    correctly rounded conversion gives, with decimal exponent 11 - j.  (The
+    margin is a second guard: rounding is monotone and every half-integer
+    below 2**40 is a double, so one rounding never carries m across a
+    half-integer that the exact product does not reach.)  The
+    digits of r, trailing zeros blank, come from three table lookups, and
+    the rest of its cell (`_g12_layouts`) from its exponent and its count
+    of trailing zeros.  Every other cell (zeros, infinities, nan,
+    subnormals, far exponents, near-ties, and a log10 estimate off by one)
+    is ``'%.12g' % v`` itself.
     """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+        fast = np.abs(e - 11) <= 22  # false for 0, inf and nan
+        k = np.where(fast, 33 - e, 0).astype(np.intp)  # j + 22
+        m = a * _UP[k] / _DOWN[k]
+        half = m + 0.5  # exact, as is half - r
+        r = np.floor(half)
+        past = half - r  # |frac(m) - 1/2| is the smaller of past and 1 - past
+        fast &= (past > _TIE_MARGIN) & (past < 1 - _TIE_MARGIN) & (m >= 1e11) & (r < 1e12)
+    r[~fast] = 1e11
+    r = r.astype(np.int64)
+    top, mid, low = r // 10**8, r // 10**4 % 10**4, r % 10**4
+    words, zeros = _digit_table()
+    low_zero = low == 0
+    both_zero = low_zero & (mid == 0)
+    pairs = np.empty((len(x), 3), dtype=np.uint64)
+    pairs[:, 0] = words[top + 10**4 * both_zero]
+    pairs[:, 1] = words[mid + 10**4 * low_zero]
+    pairs[:, 2] = words[low + 10**4]
+    trailing = zeros[low] + low_zero * zeros[mid] + both_zero * zeros[top]
+    cells = _g12_layouts()[12 * k + trailing]
+    cells[:, 0] = (x < 0) * 45
+    cells[:, _DIGIT0:_TAIL0] |= pairs.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    texts = ["%.12g" % v for v in x[slow].tolist()]
+    cells[slow] = np.array(texts, dtype=f"S{_G12_SLOTS}").view(np.uint8).reshape(-1, _G12_SLOTS)
+    return cells
+
+
+def _label_table(block) -> tuple[np.ndarray, np.ndarray]:
+    """A validated (S, k) block of nonnegative integers as np.intp, and the
+    byte slots of each value 0 .. max(block), each as one item of a void
+    array: its decimal digits, leading zeros blank, then a "|"."""
     block = np.asarray(block)
     if block.size == 0:
-        return [""] * len(block)
+        return np.zeros((len(block), 0), dtype=np.intp), np.zeros(0, dtype="V2")
     if block.ndim != 2 or not np.issubdtype(block.dtype, np.integer):
         raise ValueError(f"labels need an (S, k) integer block, got {block.dtype} {block.shape}")
     if block.min() < 0:
         raise ValueError("labels need nonnegative integers")
-    digits = np.array([str(i) for i in range(int(block.max()) + 1)], dtype=object)
-    return list(map(sep.join, digits[block].tolist()))
+    values = np.arange(int(block.max()) + 1)
+    width = len(str(values[-1]))
+    groups = -(-width // 4)
+    quads = np.stack([values // 10 ** (4 * g) % 10**4 for g in range(groups - 1, -1, -1)], axis=1)
+    words = _digit_table()[0][quads]  # four digits per lookup, most significant first
+    table = np.empty((len(values), width + 1), dtype=np.uint8)
+    table[:, :width] = words.view(np.uint8)[:, 8 * groups - 2 * width :: 2]
+    table[:, : width - 1][values[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    table[:, width] = 124  # "|"
+    return block.astype(np.intp, copy=False), table.view(f"V{width + 1}").ravel()
+
+
+def state_labels(block, sep: str = "|") -> list[str]:
+    """Each row of an (S, k) block of nonnegative integers as text: its
+    entries in decimal, joined by sep, the bytes of
+    ``sep.join(map(str, row))``.
+
+    The rows are the label slots of `g12_rows`, a newline in place of each
+    last "|", compressed at once; each "|" then becomes sep, and the text is
+    cut before each newline.
+    """
+    block, entries = _label_table(block)
+    if block.size == 0:
+        return [""] * len(block)
+    slots = entries[block].view(np.uint8)
+    slots[:, -1] = 10
+    raw = np.compress(slots.ravel() != 0, slots)
+    text = raw.tobytes().decode("ascii").replace("|", sep)
+    # Each row's newline moves by len(sep) - 1 for every "|" up to it.
+    steps = (len(sep) - 1) * (block.shape[1] - 1) * np.arange(1, len(block) + 1)
+    ends = (np.flatnonzero(raw == 10) + steps).tolist()
+    return [text[a + 1 : b] for a, b in zip([-1, *ends[:-1]], ends)]
+
+
+def g12_rows(columns, block=None) -> str:
+    """Rows of ``'%.12g'`` cells as text: row i is the i-th value of each
+    column, joined by ";" and ended by a newline, and led by the label of
+    block row i (its entries joined by "|", as `state_labels`) and a ";"
+    when an (S, k) integer block is given.
+
+    Each block of rows is one byte matrix of label slots and cells
+    (`_g12_cells`, exact for every double), which one `np.compress` turns
+    into its text.  A block takes at most _ROW_BLOCK_SLOTS slots, or one
+    row, so the temporaries do not grow with S.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if block is None:
+        rows, lead = (len(columns[0]) if columns else 0), 0
+    else:
+        block, entries = _label_table(block)
+        rows, lead = len(block), block.shape[1] * entries.itemsize
+    if any(col.shape != (rows,) for col in columns):
+        raise ValueError(f"every column must hold {rows} values")
+    if rows == 0:
+        return ""
+    cell = _G12_SLOTS + 1
+    per_block = min(rows, max(1, _ROW_BLOCK_SLOTS // (lead + len(columns) * cell)))
+    matrix = np.empty((per_block, lead + len(columns) * cell), dtype=np.uint8)
+    values = np.empty((per_block, len(columns)))
+    pieces = []
+    for start in range(0, rows, per_block):
+        stop = min(start + per_block, rows)
+        part = matrix[: stop - start]
+        if lead:
+            part[:, :lead] = entries[block[start:stop]].view(np.uint8)
+            part[:, lead - 1] = 59  # ";" in place of the label's last "|"
+        cells = part[:, lead:].reshape(len(part), len(columns), cell, copy=False)
+        for c, col in enumerate(columns):
+            values[: len(part), c] = col[start:stop]
+        cells[..., :-1] = _g12_cells(values[: len(part)].ravel()).reshape(cells[..., :-1].shape)
+        cells[..., -1] = 59  # ";"
+        part[:, -1] = 10  # "\n" ends the row, after its label if it has no cell
+        flat = part.ravel()
+        pieces.append(np.compress(flat != 0, flat).tobytes().decode("ascii"))
+    return "".join(pieces)
 
 
 def loss_csv_lines(
     block, c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu, bits: bool = False
-) -> list[str]:
-    """The lines of `loss_csv_rows` from columns, one entry per state.
+) -> str:
+    """The semicolon-delimited CSV of per-state losses, header first, as one
+    text with every line ended by a newline.
 
     block is the (S, k) integer block of each state's 1-based active-subband
     indices, and the other columns (sequences or arrays) hold its values,
     so a caller holding an index block and the batched capacities need not
-    build a LossReport per state.  Each row is one `%`-format of
-    ``"%s;%.12g;..."`` over its `state_labels` label and its values, which
-    gives the bytes of ``"|".join(map(str, label))`` and
-    ``format(float(x), ".12g")``.
+    build a LossReport per state.  With bits=True a trailing loss_eq_bits
+    column (loss_eq / log 2) is added.  The rows are `g12_rows`: the bytes
+    of ``"|".join(map(str, label))`` and ``'%.12g' % float(x)``.
     """
     columns = (c_sampled, c_eq, c_opt, loss_eq, loss_opt, nu)
     values = [np.asarray(col, dtype=float) for col in columns]
     if bits:
         values.append(values[3] / np.log(2.0))
-    template = "%s" + ";%.12g" * len(values)
-    rows = zip(state_labels(block), *(col.tolist() for col in values))
-    return [LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")] + [template % row for row in rows]
+    header = LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")
+    return header + "\n" + g12_rows(values, block)
 
 
 def _check_state(channel: CompoundChannel, state: ChannelState) -> np.ndarray:

@@ -184,15 +184,18 @@ def _write_text(path: str | None, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def _result_payload(result: experiments.ExperimentResult, fmt: str | None) -> str:
     if fmt == "csv":
         keys = sorted(result.per_trial)
-        template = "%d" + ";%.12g" * len(keys)
-        rows = zip(range(result.trials), *(result.per_trial[key] for key in keys))
-        return "\n".join(["trial;" + ";".join(keys)] + [template % row for row in rows]) + "\n"
+        trials = np.arange(result.trials)[:, None]  # the trial number leads each row
+        rows = cap.g12_rows([result.per_trial[key] for key in keys], trials)
+        return "trial;" + ";".join(keys) + "\n" + rows
     return result.to_json() + "\n"
 
 
@@ -326,16 +329,15 @@ def cmd_sweep(params: dict) -> int:
     for a in alphas:
         if not 0.0 < a <= 1.0:
             raise UsageError(f"alpha values must lie in (0, 1], got {a}")
-    lines = ["beta;alpha;minimax_loss_per_hz;normalized_loss"]
+    rows = []
     for beta in betas:
         for alpha in alphas:
             if beta > alpha:
                 continue
             loss = minimax_limit(alpha, beta)
-            lines.append(
-                f"{beta:.12g};{alpha:.12g};{loss:.12g};{loss / beta:.12g}"
-            )
-    _write_text(params["out"], "\n".join(lines) + "\n")
+            rows.append((beta, alpha, loss, loss / beta))
+    text = cap.g12_rows(np.array(rows, dtype=float).reshape(-1, 4).T)
+    _write_text(params["out"], "beta;alpha;minimax_loss_per_hz;normalized_loss\n" + text)
     return 0
 
 
@@ -437,7 +439,7 @@ def cmd_capacity(params: dict) -> int:
         ).partition(key + "null")
         payload = head + key + _json_records(block, cols, 1) + tail + "\n"
     else:
-        payload = "\n".join(cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))) + "\n"
+        payload = cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
     _print_loss_summary("capacity", cols["loss_eq"], "nats/s", math.comb(n, k) > state_cap)
     return 0 if not bad else 2
@@ -479,8 +481,8 @@ def _json_records(block, columns: dict, level: int) -> str:
     block is an (S, k) integer block.  Each record is one `%`-format of one
     template, fed from each column's texts (`_json_texts`, rendered once
     per distinct column: the two loss columns of a state set whose c_opt
-    equals c_eq share theirs) and the state's label string, which
-    `capacity.state_labels` joins once per state, instead of the encoder,
+    equals c_eq share theirs) and the state's label string, all of them
+    made by one `capacity.state_labels` call, instead of the encoder,
     which falls back to pure Python under `indent`.  Every key of columns
     sorts before "state".
     """
@@ -520,7 +522,7 @@ def cmd_discrete(params: dict) -> int:
     if params["format"] == "json":
         payload = _discrete_json(block, cols["loss_eq"], cols["loss_opt"])
     else:
-        payload = "\n".join(cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))) + "\n"
+        payload = cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
     _print_loss_summary("discrete", cols["loss_eq"], "nats per use", math.comb(n, k) > state_cap)
     return 0 if not np.any(cols["loss_eq"] < -1e-9) else 2

@@ -6,9 +6,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from subnyq import cli, experiments
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subnyq import capacity, cli, experiments
 from subnyq.capacity import (
-    LossReport, batched_losses, discrete_losses, loss_csv_lines, loss_csv_rows, state_labels
+    LossReport, batched_losses, discrete_losses, g12_rows, loss_csv_lines, loss_csv_rows,
+    state_labels,
 )
 from subnyq.channel import ChannelState, enumerate_states, load_channel
 from subnyq.cli import main
@@ -57,6 +61,20 @@ class TestArgumentErrors:
         capsys.readouterr()
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing-dir/out.txt", "."])
+    @pytest.mark.parametrize("argv", [
+        ["--command", "capacity", "--m", "4", "--seed", "11"],
+        ["--command", "achievability", "--n", "10", "--k", "3", "--m", "3", "--trials", "4",
+         "--format", "csv"],
+    ])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv, target):
+        # a missing parent directory, then a path that is a directory
+        out = tmp_path / target
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write output file {out}" in err
+        assert "Traceback" not in err
 
     def test_tau_flag_removed(self, capsys):
         assert run(["--command", "achievability", "--tau", "0.1"]) == 1
@@ -508,7 +526,7 @@ class TestLossCsvTemplate:
                 values.append(values[3] / math.log(2.0))
             lines.append(";".join(["|".join(str(j) for j in label)]
                                   + [format(v, ".12g") for v in values]))
-        return lines
+        return "".join(line + "\n" for line in lines)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # max double in bits
     @pytest.mark.parametrize("kind", ["list", "array", "scalars"])
@@ -516,14 +534,14 @@ class TestLossCsvTemplate:
     def test_bytes_equal_per_cell_format(self, bits, kind):
         labels, columns = loss_table(7, 400, 1 + 2 * bits + ["list", "array", "scalars"].index(kind))
         got = loss_csv_lines(labels, **as_numpy(columns, kind), bits=bits)
-        assert got == self.reference(labels, columns, bits)
-        assert not any("np." in line or "float64" in line for line in got)
+        assert by_line(got) == by_line(self.reference(labels, columns, bits))
+        assert "np." not in got and "float64" not in got
 
     def test_index_block_labels(self):
         idx = enumerate_states(9, 3, 10**6) + 1
         _, columns = loss_table(8, len(idx), 3)
         want = self.reference(idx.tolist(), columns, False)
-        assert loss_csv_lines(list(idx), **columns) == want  # rows of numpy ints
+        assert by_line(loss_csv_lines(list(idx), **columns)) == by_line(want)  # rows of numpy ints
 
 
 class TestJsonRecords:
@@ -673,7 +691,8 @@ class TestStateLabels:
         for sep in ("|", ",\n      ", ",\n        "):
             assert state_labels(block, sep) == [sep.join(map(str, row)) for row in block.tolist()]
         _, columns = loss_table(11, len(block), 1)
-        assert loss_csv_lines(block, **columns) == TestLossCsvTemplate.reference(block, columns, False)
+        want = TestLossCsvTemplate.reference(block, columns, False)
+        assert by_line(loss_csv_lines(block, **columns)) == by_line(want)
 
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("name", sorted(LABEL_BLOCKS))
@@ -710,6 +729,115 @@ class TestTrialCsv:
             f"{t};{format(counts[t], '.12g')};{format(stat[t], '.12g')}" for t in range(len(stat))
         ]
         assert by_line(cli._result_payload(result, "csv")) == by_line("\n".join(want) + "\n")
+
+
+def g12_reference(values) -> str:
+    """One line per value, Python's own '%.12g'."""
+    return "".join("%.12g\n" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def neighbours(values):
+    """Each value and the doubles one ulp below and above it."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def exact_ties(gen, count):
+    """Doubles whose decimal expansion has exactly 13 significant digits,
+    the last a 5, so that '%.12g' rounds a tie (half to even): (10 n + 5)
+    10**p, and t / 2**q = t 5**q / 10**q for odd t with t 5**q of 13 digits."""
+    ties = [(10 * n + 5) * 10**p for n in gen.integers(10**11, 9 * 10**11, count).tolist()
+            for p in range(4)]  # below 2**53
+    for q in range(1, 19):
+        low, high = -(-(10**12) // 5**q), 10**13 // 5**q
+        odd = (gen.integers(low, high, count) | 1).tolist()
+        ties += [t / 2**q for t in odd if t * 5**q < 10**13]
+    return np.array(ties, dtype=float)
+
+
+class TestG12Rows:
+    """The vectorized '%.12g' writer against Python's correctly rounded
+    conversion, cell by cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(st.floats(width=64), st.integers(0, 2**64 - 1).map(
+            lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))),
+        min_size=1, max_size=40,
+    ))
+    def test_every_double(self, values):
+        assert g12_rows([values]) == g12_reference(values)
+
+    @pytest.mark.parametrize("case", [
+        "specials", "pitfall", "nines", "powers", "ties", "near-ties", "scaled-near-ties", "random",
+    ])
+    def test_hard_cases(self, case):
+        gen = np.random.default_rng(8)
+        if case == "specials":
+            big, tiny = 1.7976931348623157e308, 5e-324
+            values = [0.0, -0.0, math.inf, -math.inf, math.nan, big, -big, tiny, -tiny,
+                      2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0)]
+        elif case == "pitfall":  # one exponent estimate, then a final range check
+            values = neighbours([99999999999.95, 999999999999.5, 9999999999.995, 0.99999999999995])
+        elif case == "nines":
+            values = neighbours([float(f"9.9999999999995e{j}") for j in range(-320, 309)])
+        elif case == "powers":
+            values = neighbours([float(f"1e{p}") for p in range(-300, 301)])
+        elif case == "ties":
+            values = neighbours(exact_ties(gen, 200))
+        elif case == "near-ties":
+            values = neighbours((gen.integers(1, 10**12, 3000) + 0.5) * 1e-9)
+        elif case == "scaled-near-ties":  # where 10**-j is no double
+            k = gen.integers(10**11, 10**12, 20000) + 0.5
+            values = neighbours(k * 10.0 ** gen.integers(1, 23, 20000))
+        else:
+            values = gen.standard_normal(20000) * 10.0 ** gen.integers(-30, 40, 20000)
+        values = np.concatenate([values, np.negative(values)])
+        assert by_line(g12_rows([values])) == by_line(g12_reference(values))
+
+    @pytest.mark.parametrize("extra", [0, -1, 1])
+    def test_row_blocks(self, monkeypatch, extra):
+        """S = 1 and S one below, at and above the rows of one block: the
+        bytes do not depend on where a block ends, and a block holds the
+        same rows whatever S is."""
+        sizes = []
+        cells = capacity._g12_cells
+
+        def counted(x):
+            sizes.append(len(x))
+            return cells(x)
+
+        monkeypatch.setattr(capacity, "_g12_cells", counted)
+        labels, columns = loss_table(13, 3000, 3)
+        g12_rows([columns[key] for key in LOSS_KEYS], labels)
+        per_block = sizes[0] // len(LOSS_KEYS)
+        assert 1 < per_block < 3000
+        for rows in (1, per_block + extra):
+            sizes.clear()
+            part = {key: columns[key][:rows] for key in LOSS_KEYS}
+            want = TestLossCsvTemplate.reference(labels[:rows], part, False)
+            assert by_line(loss_csv_lines(labels[:rows], **part)) == by_line(want)
+            assert sum(sizes) == 6 * rows and max(sizes) <= 6 * per_block
+            assert len(sizes) == -(-rows // per_block)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_labels_of_one_to_three_digits(self, width):
+        gen = np.random.default_rng(width)
+        block = np.sort(gen.integers(0, 10**width, (500, width)), axis=1)
+        block[0] = 0
+        block[1] = 10**width - 1
+        values = gen.standard_normal(500)
+        want = "".join(f"{'|'.join(map(str, row))};{v:.12g}\n"
+                       for row, v in zip(block.tolist(), values))
+        assert by_line(g12_rows([values], block)) == by_line(want)
+        for sep in ("", "||", "\x00", ", ", "é\n"):
+            assert state_labels(block, sep) == [sep.join(map(str, row)) for row in block.tolist()]
+
+    def test_label_only_rows_and_empty_input(self):
+        assert g12_rows([], np.arange(3)[:, None]) == "0\n1\n2\n"
+        assert g12_rows([[]]) == "" and g12_rows([], np.empty((0, 2), dtype=int)) == ""
+        with pytest.raises(ValueError):
+            g12_rows([[1.0, 2.0], [3.0]])
 
 
 class TestLossExitCodes:

@@ -636,6 +636,15 @@ class TestOutputPins:
              "--seed", "3", "--state-cap", "200", "--format", "json"],
             "66c504fd74b2bf49985aca07023a6d4232d7a9bd939509ca4d65d288fbf1a22f",
         ),
+        "discrete-census-json": (
+            ["--command", "discrete", "--n", "12", "--k", "4", "--m", "5", "--power", "7",
+             "--seed", "5", "--format", "json"],
+            "9186000a43e1d998ac5330773e2fd312124fdec2953d70db33fd48e56907bb2f",
+        ),
+        "sweep-skipped-cells-csv": (  # every beta > alpha cell is left out
+            ["--command", "sweep", "--betas", "0.1,0.3,0.5,0.7,0.9", "--alphas", "0.25,0.5,0.75,1"],
+            "8b3308d24b8501254ff83f9ec9c494307868c1764948dacc12e69d6bf5529baf",
+        ),
         "discrete-bits-csv": (
             ["--command", "discrete", "--n", "12", "--k", "4", "--m", "5", "--power", "7",
              "--seed", "5", "--bits"],

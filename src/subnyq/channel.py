@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .numerics import NumericalError, colex_indices
-from .samplers import PhiloxStream, philox_generator
+from .samplers import PhiloxStream
 
 __all__ = [
     "ChannelState",
@@ -36,8 +36,6 @@ __all__ = [
     "load_channel",
     "snr_summary",
 ]
-
-NOISE_PSD = 1.0
 
 # Fixed key for the dedicated state-sampling stream (Floyd's algorithm);
 # partial enumerations must not depend on any user-facing seed.
@@ -326,7 +324,7 @@ def enumerate_states(n: int, k: int, cap: int) -> np.ndarray:
     n, k, cap = int(n), int(k), int(cap)
     if math.comb(n, k) <= cap:
         return colex_indices(n, k)
-    gen = philox_generator(_STATE_SAMPLING_KEY)
+    gen = PhiloxStream(_STATE_SAMPLING_KEY)
     picked = np.empty((0, k), dtype=np.intp)
     growth, attempts = 1, 0
     while len(picked) < cap:

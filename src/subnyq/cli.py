@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import capacity as cap
-from . import converse, experiments
+from . import converse, experiments, output
 from .channel import CompoundChannel, enumerate_states, load_channel
 from .numerics import (
     NumericalError,
@@ -41,7 +41,7 @@ from .numerics import (
     whiten,
 )
 from .samplers import (
-    ENSEMBLE_KINDS, EnsembleSpec, derive_trial_seed, draw_matrix, make_flat_sampler, philox_generator
+    ENSEMBLE_KINDS, EnsembleSpec, PhiloxStream, derive_trial_seed, draw_matrix, make_flat_sampler
 )
 
 __all__ = ["main", "entry"]
@@ -155,6 +155,9 @@ def _merge_params(args: argparse.Namespace) -> dict:
         # NaN, an infinity and an integer beyond a float fail the comparison
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise UsageError(f"{key} must be a finite number, got {value!r}")
+    # the streams take the seed as a 64-bit key, so a wider one would alias
+    if not 0 <= params["seed"] <= 2**64 - 1:
+        raise UsageError(f"seed must be an integer in 0 .. 2**64 - 1, got {params['seed']!r}")
     if params["workers"] < 1:
         raise UsageError(f"workers must be an integer >= 1, got {params['workers']!r}")
     return params
@@ -194,7 +197,7 @@ def _result_payload(result: experiments.ExperimentResult, fmt: str | None) -> st
     if fmt == "csv":
         keys = sorted(result.per_trial)
         trials = np.arange(result.trials)[:, None]  # the trial number leads each row
-        rows = cap.g12_rows([result.per_trial[key] for key in keys], trials)
+        rows = output.g12_rows([result.per_trial[key] for key in keys], trials)
         return "trial;" + ";".join(keys) + "\n" + rows
     return result.to_json() + "\n"
 
@@ -204,7 +207,7 @@ def _result_payload(result: experiments.ExperimentResult, fmt: str | None) -> st
 
 def _verify_instances(seed: int):
     """Deterministic (n, k, m, B) quadruples for the identity suite."""
-    gen = philox_generator(derive_trial_seed(seed, 0xB0))
+    gen = PhiloxStream(derive_trial_seed(seed, 0xB0))
     out = []
     for t in range(VERIFY_INSTANCES):
         n = int(gen.integers(4, 13))
@@ -336,7 +339,7 @@ def cmd_sweep(params: dict) -> int:
                 continue
             loss = minimax_limit(alpha, beta)
             rows.append((beta, alpha, loss, loss / beta))
-    text = cap.g12_rows(np.array(rows, dtype=float).reshape(-1, 4).T)
+    text = output.g12_rows(np.array(rows, dtype=float).reshape(-1, 4).T)
     _write_text(params["out"], "beta;alpha;minimax_loss_per_hz;normalized_loss\n" + text)
     return 0
 
@@ -437,70 +440,12 @@ def cmd_capacity(params: dict) -> int:
             sort_keys=True,
             indent=2,
         ).partition(key + "null")
-        payload = head + key + _json_records(block, cols, 1) + tail + "\n"
+        payload = head + key + output.json_records(block, cols, 1) + tail + "\n"
     else:
-        payload = cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
+        payload = output.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
     _print_loss_summary("capacity", cols["loss_eq"], "nats/s", math.comb(n, k) > state_cap)
     return 0 if not bad else 2
-
-
-def _json_texts(columns) -> list[list[str]]:
-    """Each column's values as the texts `json.dumps` writes for them.
-
-    A finite float is its `float.__repr__`, the encoder's own formatting
-    (never a numpy scalar's repr, which differs); the non-finite ones are
-    the encoder's NaN, Infinity and -Infinity tokens.  A column whose
-    values are bit for bit those of an earlier column (compared as int64
-    words, so 0.0 and -0.0, and NaN payloads, stay apart) reuses that
-    column's texts instead of rendering them again.
-    """
-    rendered: list[tuple[np.ndarray, list[str]]] = []  # (int64 words, texts)
-    out = []
-    for column in columns:
-        values = np.asarray(column, dtype=float)
-        words = values.view(np.int64)
-        for seen, texts in rendered:
-            if np.array_equal(seen, words):
-                break
-        else:
-            texts = list(map(repr, values.tolist()))
-            for i in np.flatnonzero(~np.isfinite(values)).tolist():
-                x = values[i]
-                texts[i] = "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-            rendered.append((words, texts))
-        out.append(texts)
-    return out
-
-
-def _json_records(block, columns: dict, level: int) -> str:
-    """The bytes of ``json.dumps(records, sort_keys=True, indent=2)`` for the
-    list of records ``{"state": list(block[i]), key: columns[key][i], ...}``,
-    nested ``level`` levels deep in an enclosing document.
-
-    block is an (S, k) integer block.  Each record is one `%`-format of one
-    template, fed from each column's texts (`_json_texts`, rendered once
-    per distinct column: the two loss columns of a state set whose c_opt
-    equals c_eq share theirs) and the state's label string, all of them
-    made by one `capacity.state_labels` call, instead of the encoder,
-    which falls back to pure Python under `indent`.  Every key of columns
-    sorts before "state".
-    """
-    keys = sorted(columns)
-    if not keys or keys[-1] >= "state":
-        raise ValueError(f"record keys must sort before 'state', got {keys}")
-    pad = "  " * level
-    fields = "".join(f'{pad}    "{key}": %s,\n' for key in keys)
-    template = f'{pad}  {{\n{fields}{pad}    "state": [\n{pad}      %s\n{pad}    ]\n{pad}  }}'
-    labels = cap.state_labels(block, f",\n{pad}      ")
-    rows = zip(*_json_texts([columns[key] for key in keys]), labels)
-    return "[\n" + ",\n".join([template % row for row in rows]) + f"\n{pad}]"
-
-
-def _discrete_json(block, loss_eq, loss_opt) -> str:
-    """The bytes of ``json.dumps([{"state", "loss_eq", "loss_opt"}, ...],
-    sort_keys=True, indent=2) + "\\n"`` for one or more records."""
-    return _json_records(block, {"loss_eq": loss_eq, "loss_opt": loss_opt}, 0) + "\n"
 
 
 def cmd_discrete(params: dict) -> int:
@@ -520,9 +465,9 @@ def cmd_discrete(params: dict) -> int:
     block = states + 1  # 1-based labels
     cols = _loss_columns(cap.discrete_losses(gains, q, states, power))
     if params["format"] == "json":
-        payload = _discrete_json(block, cols["loss_eq"], cols["loss_opt"])
+        payload = output.json_records(block, {k: cols[k] for k in ("loss_eq", "loss_opt")}, 0) + "\n"
     else:
-        payload = cap.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
+        payload = output.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
     _print_loss_summary("discrete", cols["loss_eq"], "nats per use", math.comb(n, k) > state_cap)
     return 0 if not np.any(cols["loss_eq"] < -1e-9) else 2

@@ -32,7 +32,6 @@ __all__ = [
     "gaussian_batches",
     "make_flat_sampler",
     "make_gridded_sampler",
-    "philox_generator",
 ]
 
 # Bounded ensembles and their single-entry magnitude bound D; the gaussian
@@ -288,18 +287,6 @@ class PhiloxStream:
         return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, dtype=np.uint64), *parts])
 
 
-def philox_generator(seed: int) -> PhiloxStream:
-    """The Philox4x64-10 stream keyed by the low 64 bits of `seed`, as
-    numpy's `Generator(Philox(key=seed))` draws it.  Supported draws:
-
-    - `random_raw(size)`: raw 64-bit words;
-    - `integers(low, high, size=None)`, int64, every width high - low in
-      1..2**32: numpy's 32-bit Lemire draw.
-
-    Other ranges raise ValueError (see `PhiloxStream`)."""
-    return PhiloxStream(seed)
-
-
 def _uniform_open(raw: np.ndarray) -> np.ndarray:
     # 53 significant bits, offset by half an ulp so 0 and 1 are excluded.
     # The top value (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to
@@ -422,7 +409,7 @@ def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
     on the arguments only."""
     per_draw = int(np.prod(shape_per_draw))
     chunk = max(1, _DRAW_CHUNK // max(per_draw, 1))
-    gen = philox_generator(seed)
+    gen = PhiloxStream(seed)
     done = 0
     while done < total:
         c = min(chunk, total - done)

@@ -18,7 +18,7 @@ from subnyq.channel import (
     snr_summary,
 )
 from subnyq.numerics import colex_indices
-from subnyq.samplers import philox_generator
+from subnyq.samplers import PhiloxStream
 
 
 def set_of_tuples_sample(n, k, cap):
@@ -27,7 +27,7 @@ def set_of_tuples_sample(n, k, cap):
     colex-sorted.  Each row's k picks come from one array draw with bounds
     j + 1 for j = n - k + 1..n, which yields the numbers of k scalar draws
     `gen.integers(1, j + 1)` in turn (see `samplers.PhiloxStream`)."""
-    gen = philox_generator(channel._STATE_SAMPLING_KEY)
+    gen = PhiloxStream(channel._STATE_SAMPLING_KEY)
     bounds = np.arange(n - k + 2, n + 2)
     picked = set()
     while len(picked) < cap:

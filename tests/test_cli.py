@@ -9,18 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnyq import capacity, cli, experiments
-from subnyq.capacity import (
-    LossReport, batched_losses, discrete_losses, g12_rows, loss_csv_lines, loss_csv_rows,
-    state_labels,
-)
+from subnyq import cli, experiments, output
+from subnyq.capacity import LossReport, batched_losses, discrete_losses, loss_csv_rows
 from subnyq.channel import ChannelState, enumerate_states, load_channel
 from subnyq.cli import main
+from subnyq.output import g12_rows, json_records, loss_csv_lines
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
 
 
 def run(argv):
     return main(argv)
+
+
+def discrete_json(block, loss_eq, loss_opt):
+    """The discrete command's JSON document for these records."""
+    return json_records(block, {"loss_eq": loss_eq, "loss_opt": loss_opt}, 0) + "\n"
 
 
 class TestVerify:
@@ -141,6 +144,51 @@ class TestArgumentErrors:
         cfg.write_text('{"unknown_key": 1}')
         assert run(["--command", "verify", "--config", str(cfg)]) == 1
         capsys.readouterr()
+
+    SEED_ARGV = {  # small runs of every command
+        "verify": [],
+        "sweep": ["--betas", "0.5", "--alphas", "0.5"],
+        "achievability": ["--n", "10", "--k", "3", "--m", "3", "--trials", "2"],
+        "concentration": ["--k", "8", "--trials", "6"],
+        "capacity": ["--m", "4"],
+        "discrete": ["--n", "9", "--k", "3", "--m", "4"],
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    @pytest.mark.parametrize("command", sorted(SEED_ARGV))
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, command, seed):
+        # a 64-bit stream key would alias it: 2**64 + 5 to 5, -1 to 2**64 - 1
+        out = tmp_path / "out"
+        argv = ["--command", command, *self.SEED_ARGV[command], "--out", str(out)]
+        assert run(argv + [f"--seed={seed}"]) == 1
+        assert "usage error: seed must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_seed_outside_64_bits_rejected_from_config_and_env(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        out = tmp_path / "out"
+        argv = ["--command", "achievability", *self.SEED_ARGV["achievability"], "--out", str(out)]
+        for seed in (-1, 2**64):
+            if source == "config":
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps({"seed": seed}))
+                code = run(argv + ["--config", str(cfg)])
+            else:
+                monkeypatch.setenv("SUBNYQ_SEED", str(seed))
+                code = run(argv)
+            assert code == 1
+            assert "usage error: seed must be" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SEED_ARGV))
+    def test_largest_seed_runs(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = ["--command", command, *self.SEED_ARGV[command], "--out", str(out)]
+        assert run(argv + ["--seed", str(2**64 - 1)]) == 0
+        capsys.readouterr()
+        assert out.stat().st_size > 0
 
 
 class TestSweep:
@@ -448,7 +496,7 @@ class TestDiscreteJson:
         block = np.sort([gen.choice(40, 3, replace=False) + 1 for _ in values], axis=1)
         block[0], block[-1] = [1, 2, 3], [38, 39, 40]
         for args in ((block, loss_eq, loss_opt), ([[3]], [-0.0], [math.nan])):
-            assert cli._discrete_json(*args) == self.encoded(*args)
+            assert discrete_json(*args) == self.encoded(*args)
 
     @pytest.mark.parametrize("change", ["none", "-0.0", "nan", "nan-payload", "inf", "-inf", "ulp"])
     def test_columns_equal_but_in_one_row(self, change):
@@ -464,9 +512,9 @@ class TestDiscreteJson:
             "inf": math.inf, "-inf": -math.inf, "ulp": np.nextafter(loss_eq[120], math.inf),
         }[change]
         block = np.sort([gen.choice(40, 3, replace=False) + 1 for _ in loss_eq], axis=1)
-        got = cli._discrete_json(block, loss_eq, loss_opt)
+        got = discrete_json(block, loss_eq, loss_opt)
         assert got == self.encoded(block, loss_eq.tolist(), loss_opt.tolist())
-        texts = cli._json_texts([loss_eq, loss_opt])
+        texts = output._json_texts([loss_eq, loss_opt])
         assert (texts[1] is texts[0]) == (change == "none")
 
     def test_cli_output_equals_json_dumps(self, tmp_path, capsys):
@@ -545,7 +593,7 @@ class TestLossCsvTemplate:
 
 
 class TestJsonRecords:
-    """The per-record JSON template against `json.dumps`, numpy inputs included."""
+    """The JSON record writer against `json.dumps`, numpy inputs included."""
 
     @pytest.mark.parametrize("kind", ["list", "array", "scalars"])
     def test_discrete_json_numpy_inputs(self, kind):
@@ -554,7 +602,7 @@ class TestJsonRecords:
         records = [{"state": label, "loss_eq": eq, "loss_opt": opt}
                    for label, eq, opt in zip(labels.tolist(), columns["loss_eq"], columns["loss_opt"])]
         want = json.dumps(records, sort_keys=True, indent=2) + "\n"
-        assert by_line(cli._discrete_json(labels, cols["loss_eq"], cols["loss_opt"])) == by_line(want)
+        assert by_line(discrete_json(labels, cols["loss_eq"], cols["loss_opt"])) == by_line(want)
 
     @pytest.mark.parametrize("kind", ["list", "array"])
     def test_nested_records(self, kind):
@@ -562,12 +610,12 @@ class TestJsonRecords:
         records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
                    for i, label in enumerate(labels.tolist())]
         want = json.dumps({"reports": records}, sort_keys=True, indent=2)
-        got = cli._json_records(labels, as_numpy(columns, kind), 1)
+        got = json_records(labels, as_numpy(columns, kind), 1)
         assert by_line('{\n  "reports": ' + got + "\n}") == by_line(want)
 
     def test_keys_must_sort_before_state(self):
         with pytest.raises(ValueError):
-            cli._json_records([[1]], {"zeta": [1.0]}, 0)
+            json_records([[1]], {"zeta": [1.0]}, 0)
 
     @pytest.mark.parametrize("channel", [None, "census"])
     def test_capacity_json_bytes_equal_json_dumps(self, tmp_path, capsys, channel):
@@ -689,7 +737,8 @@ LABEL_BLOCKS = {  # (n, k, state cap): census and sampled blocks, one to three d
 
 
 class TestStateLabels:
-    """Labels joined once per state from the index block, in both writers."""
+    """Labels joined once per state from the index block, in both writers:
+    "|" in CSV, a comma and the indent of each level in JSON."""
 
     @pytest.mark.parametrize("name", sorted(LABEL_BLOCKS))
     def test_labels_equal_a_join_per_row(self, name):
@@ -697,8 +746,7 @@ class TestStateLabels:
         states = enumerate_states(n, k, cap)
         assert (len(states) != math.comb(n, k)) == name.startswith("sampled")
         block = states + 1
-        for sep in ("|", ",\n      ", ",\n        "):
-            assert state_labels(block, sep) == [sep.join(map(str, row)) for row in block.tolist()]
+        assert g12_rows([], block) == "".join("|".join(map(str, row)) + "\n" for row in block.tolist())
         _, columns = loss_table(11, len(block), 1)
         want = TestLossCsvTemplate.reference(block, columns, False)
         assert by_line(loss_csv_lines(block, **columns)) == by_line(want)
@@ -710,7 +758,7 @@ class TestStateLabels:
         _, columns = loss_table(12, len(block), 1)
         records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
                    for i, label in enumerate(block.tolist())]
-        got = cli._json_records(block, columns, level)
+        got = json_records(block, columns, level)
         if level == 0:
             assert by_line(got) == by_line(json.dumps(records, sort_keys=True, indent=2))
         else:
@@ -718,11 +766,13 @@ class TestStateLabels:
             assert by_line('{\n  "reports": ' + got + "\n}") == by_line(want)
 
     def test_block_checks(self):
-        assert state_labels(np.empty((0, 3), dtype=int)) == []
-        assert state_labels(np.array([[0, 10, 100]], dtype=np.uint8)) == ["0|10|100"]
+        assert g12_rows([], np.empty((0, 3), dtype=int)) == ""
+        assert g12_rows([], np.array([[0, 10, 100]], dtype=np.uint8)) == "0|10|100\n"
         for bad in ([[1, -2]], [[1.0, 2.0]], [1, 2]):
             with pytest.raises(ValueError):
-                state_labels(bad)
+                g12_rows([], bad)
+            with pytest.raises(ValueError):
+                json_records(bad, {"loss_eq": [1.0] * len(bad)}, 0)
 
 
 class TestTrialCsv:
@@ -810,13 +860,13 @@ class TestG12Rows:
         bytes do not depend on where a block ends, and a block holds the
         same rows whatever S is."""
         sizes = []
-        cells = capacity._g12_cells
+        cells = output._g12_cells
 
         def counted(x):
             sizes.append(len(x))
             return cells(x)
 
-        monkeypatch.setattr(capacity, "_g12_cells", counted)
+        monkeypatch.setattr(output, "_g12_cells", counted)
         labels, columns = loss_table(13, 3000, 3)
         g12_rows([columns[key] for key in LOSS_KEYS], labels)
         per_block = sizes[0] // len(LOSS_KEYS)
@@ -839,8 +889,6 @@ class TestG12Rows:
         want = "".join(f"{'|'.join(map(str, row))};{v:.12g}\n"
                        for row, v in zip(block.tolist(), values))
         assert by_line(g12_rows([values], block)) == by_line(want)
-        for sep in ("", "||", "\x00", ", ", "é\n"):
-            assert state_labels(block, sep) == [sep.join(map(str, row)) for row in block.tolist()]
 
     def test_label_only_rows_and_empty_input(self):
         assert g12_rows([], np.arange(3)[:, None]) == "0\n1\n2\n"

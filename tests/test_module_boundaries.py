@@ -106,6 +106,27 @@ def test_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
+def package_imports(source: str) -> list[str]:
+    """Imports of the package's own modules, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _package_import(node):
+            found.append(f"line {node.lineno}: {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "subnyq"]
+    return found
+
+
+def test_output_imports_no_package_module():
+    # output knows how bytes are laid out and nothing of what they mean
+    assert package_imports("from . import numerics\nimport subnyq.cli\nimport json\n") == [
+        "line 1: .", "line 2: subnyq.cli",
+    ]
+    source = (SRC / "subnyq" / "output.py").read_text(encoding="utf-8")
+    assert package_imports(source) == [] and foreign_imports(source) == []
+
+
 def cli_import_probe(probe: str) -> list[str]:
     """The words `probe` prints after `import sys, subnyq.cli` in a fresh interpreter."""
     result = subprocess.run(

@@ -9,13 +9,13 @@ from subnyq.numerics import SingularityError
 from subnyq.samplers import (
     ENSEMBLE_BOUNDS,
     EnsembleSpec,
+    PhiloxStream,
     derive_trial_seed,
     draw_matrices,
     draw_matrix,
     gaussian_batches,
     make_flat_sampler,
     make_gridded_sampler,
-    philox_generator,
 )
 
 # Smallest and largest values of the open-interval uniform map.
@@ -71,7 +71,7 @@ class TestDrawMatrices:
     @staticmethod
     def one_spec(spec):
         """The matrix of spec from its own stream alone, entry map by entry map."""
-        raw = philox_generator(spec.seed).random_raw((spec.rows, spec.cols))
+        raw = PhiloxStream(spec.seed).random_raw((spec.rows, spec.cols))
         if spec.kind == "gaussian":
             return samplers._normal_quantile(samplers._uniform_open(raw))
         if spec.kind == "rademacher":
@@ -112,7 +112,7 @@ class TestPhiloxStream:
 
     @staticmethod
     def pair(key):
-        return np.random.Generator(np.random.Philox(key=key)), philox_generator(key)
+        return np.random.Generator(np.random.Philox(key=key)), PhiloxStream(key)
 
     @staticmethod
     def raw(gen, size):
@@ -130,7 +130,7 @@ class TestPhiloxStream:
     @pytest.mark.parametrize("key", KEYS)
     def test_raw_words_across_blocks(self, key):
         bits = np.random.Philox(key=key)
-        gen = philox_generator(key)
+        gen = PhiloxStream(key)
         for size in (1, 3, 5, 4, 0, 7, 8, 2, 13, 1000, 3, 4 * samplers._PHILOX_CHUNK + 5, 2):
             assert np.array_equal(gen.random_raw(size), bits.random_raw(size))
         assert np.array_equal(gen.random_raw((2, 3)), bits.random_raw(6).reshape(2, 3))
@@ -233,13 +233,13 @@ class TestNormalQuantile:
 
     def test_matches_scipy_ndtri(self):
         special = pytest.importorskip("scipy.special")
-        u = np.concatenate([samplers._uniform_open(philox_generator(8).random_raw(1_000_000)), self.EDGES])
+        u = np.concatenate([samplers._uniform_open(PhiloxStream(8).random_raw(1_000_000)), self.EDGES])
         a = samplers._normal_quantile(u)
         b = special.ndtri(u)
         assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(a)))
 
     def test_antisymmetric_where_complement_is_exact(self):
-        u = samplers._uniform_open(philox_generator(9).random_raw(200_000))
+        u = samplers._uniform_open(PhiloxStream(9).random_raw(200_000))
         tails = np.arange(1, 2001) * 2.0**-53  # the far tail, r > 5
         p = np.concatenate([u, tails, 1.0 - tails, self.EDGES])
         p = p[(1.0 - (1.0 - p)) == p]

@@ -14,6 +14,7 @@ from one digit table.
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 
@@ -194,7 +195,10 @@ def _compose(parts, rows: int) -> str:
     parts written once, and one `np.compress` turns it into text, so the
     temporaries do not grow with `rows`.
     """
-    widths = [part[0] if isinstance(part, tuple) else np.asarray(part).itemsize for part in parts]
+    widths = [
+        len(part) if isinstance(part, bytes) else part.itemsize if isinstance(part, np.ndarray) else part[0]
+        for part in parts
+    ]
     ends = np.cumsum(widths).tolist()
     spans = list(zip(parts, [0, *ends], ends))
     per_block = max(1, min(rows, _ROW_BLOCK_SLOTS // ends[-1]))
@@ -258,11 +262,12 @@ def _json_texts(columns) -> list[np.ndarray]:
     """Each column's values as the texts `json.dumps` writes for them, in a
     fixed-width bytes array (shorter texts padded with 0 bytes).
 
-    A finite float is its `float.__repr__`, the encoder's own formatting
-    (never a numpy scalar's repr, which differs); the non-finite ones are
-    the encoder's NaN, Infinity and -Infinity tokens.  A column whose
-    values are bit for bit those of an earlier column (compared as int64
-    words, so 0.0 and -0.0, and NaN payloads, stay apart) reuses that
+    The texts are the encoder's own: one `json.dumps` of the column's
+    Python floats (never numpy scalars, whose repr differs), split at its
+    ", " separators, so a finite float is its `float.__repr__` and the
+    non-finite ones are the NaN, Infinity and -Infinity tokens.  A column
+    whose values are bit for bit those of an earlier column (compared as
+    int64 words, so 0.0 and -0.0, and NaN payloads, stay apart) reuses that
     column's texts instead of rendering them again.
     """
     rendered: list[tuple[np.ndarray, np.ndarray]] = []  # (int64 words, texts)
@@ -274,11 +279,7 @@ def _json_texts(columns) -> list[np.ndarray]:
             if np.array_equal(seen, words):
                 break
         else:
-            strings = list(map(repr, values.tolist()))
-            for i in np.flatnonzero(~np.isfinite(values)).tolist():
-                x = values[i]
-                strings[i] = "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-            texts = np.array(strings, dtype="S")
+            texts = np.array(json.dumps(values.tolist())[1:-1].split(", "), dtype="S")
             rendered.append((words, texts))
         out.append(texts)
     return out

@@ -216,7 +216,7 @@ def _compose(parts, rows: int) -> str:
             elif isinstance(part, tuple):
                 part[1](block[:, first:end], start, stop)
         flat = block.ravel()
-        pieces.append(np.compress(flat != 0, flat).tobytes().decode("ascii"))
+        pieces.append(str(np.compress(flat != 0, flat), "ascii"))  # decoded from its buffer
     return "".join(pieces)
 
 

@@ -16,11 +16,12 @@ Every per-state quantity comes from one batched path (`batched_losses`,
 and `discrete_losses` for the discrete channel) in two passes over an
 (S, k) index block of states.
 
-* The sampled pass: the sampler is whitened once per call and the states
-  go through the shared kernel `numerics.subset_logdet`.  For a census,
-  all C(n, k) states in colex order, c_sampled of every state comes from
-  one pass along their `SubsetPlan`; any other block, such as a sparse
-  sample of the states, gathers each state's Gram, which is faster there.
+* The sampled pass: the sampler's panels, whitened once when it was built
+  (`SamplerSpec.whitened`), and the states go through the shared kernel
+  `numerics.subset_logdet`.  For a census, all C(n, k) states in colex
+  order, c_sampled of every state comes from one pass along their
+  `SubsetPlan`; any other block, such as a sparse sample of the states,
+  gathers each state's Gram, which is faster there.
   On both paths the channel's gains scale each grid point's Gram once,
   column by column, and only the states with their own gains
   (state_gains) are gathered with weights of their own.
@@ -150,7 +151,7 @@ def _whitened_panels(channel: CompoundChannel, sampler: SamplerSpec) -> np.ndarr
         raise ValueError(
             f"sampler grid ({sampler.p} panels) must be flat or match q={channel.q}"
         )
-    return np.stack([whiten(panel) for panel in sampler.panels])  # (p, m, n)
+    return sampler.whitened  # (p, m, n)
 
 
 def _equal_power_scale(channel: CompoundChannel) -> float:
@@ -329,9 +330,9 @@ def batched_losses(
     state per row.  Returns (c_sampled, c_eq, c_opt, nu), each of length S:
     the sampled capacity, the Nyquist-rate capacities with equal power and
     with water-filling (nats/s), and the water level.  Per-state gains
-    (channel.state_gains) and gridded samplers are honoured.  The sampler is
-    whitened once, and states are processed in blocks sized by a fixed
-    element budget, so memory stays bounded for any S.
+    (channel.state_gains) and gridded samplers are honoured.  The sampler
+    comes whitened (`SamplerSpec.whitened`), and states are processed in
+    blocks sized by a fixed element budget, so memory stays bounded for any S.
 
     The channel's gains weigh the columns, so `numerics.subset_logdet`
     scales each grid point's Gram once.  A census, idx equal to

@@ -19,11 +19,12 @@ takes the regime from (n, k, m).  Its workers are forked processes
 (`parallel.map_ordered`), since its trials run the subset kernel's many
 short numpy calls.  Each worker takes a run of states, not of trials:
 before the fork, the caller draws every trial's matrix in one pass
-(`samplers.draw_matrices`, each trial on its own stream) and whitens it,
-which checks the rank floor once per accepted draw; each worker builds the
-elimination plan of its own run of whole STATE_CHUNK-state chunks, a range
-of colex ranks, and evaluates every trial on it, so both the plan and the
-kernel are spread.  No index block of the states is formed.
+(`samplers.draw_matrices`, each trial on its own stream) and whitens the
+draws as one stack, which checks the rank floor once per matrix; each
+worker builds the elimination plan of its own run of whole
+STATE_CHUNK-state chunks, a range of colex ranks, and evaluates every trial
+on it, so both the plan and the kernel are spread.  No index block of the
+states is formed.
 
 The dense log-det laws (square concentration, rect log-det,
 small-eigenvalue count, Wishart minor) are one table, `LAWS`, run by one
@@ -113,6 +114,8 @@ class TrialConfig:
             )
         if self.failure_budget < 0:
             raise ValueError("failure budget must be nonnegative")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master seed must fit in 64 unsigned bits, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,13 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))
         for t in range(cfg.trials)
     ]
-    # every trial's matrix in one draw pass, whitened before the fork
-    mats = [_draw_full_rank(spec, whiten, first) for spec, first in zip(specs, draw_matrices(specs))]
+    # every trial's matrix in one draw pass, whitened as one stack before the
+    # fork; only a draw below the rank floor takes `_draw_full_rank`'s resample
+    draws = draw_matrices(specs)
+    try:
+        mats = whiten(np.stack(draws))
+    except SingularityError:
+        mats = [_draw_full_rank(spec, whiten, first) for spec, first in zip(specs, draws)]
     # whole chunks per worker, so that the chunk sums never depend on workers
     chunks = range(0, count, STATE_CHUNK)
     runs = max(1, min(workers, len(chunks)))

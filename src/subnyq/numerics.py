@@ -3,24 +3,24 @@
 All logarithms here (and everywhere else in the package) are natural, so
 entropies and log-determinants live on the same additive scale.  A single
 symmetric eigendecomposition backend (LAPACK, through ``numpy.linalg``)
-serves whitening, the rank-floor check and the single-matrix log-dets
-`logdet_shifted` and `det_floor`.  `subset_logdet` is the one batched
-kernel behind every per-state quantity: the converse sums, the Landau
-statistics and the sampled capacities.  It makes no LAPACK call.  Given
-a `SubsetPlan`, the trie of the shared top columns of a range of colex
-ranks, which `colex_plan` computes from the ranks alone (the
-combinatorial number system) and the caller builds once, it eliminates
-along the plan, so that states sharing columns share their elimination;
-the plan's gather maps are native integers, so a walk along it converts
-no index.  Given an index block (a sparse sample, for which a plan does
-not pay), it gathers each state's Gram from the panel's n x n Gram, and
-factors all of them in one vectorized elimination.  Weights that belong
-to the columns (one gain per subband and grid point, as in `capacity`
-and `discrete`) scale the n x n Gram once per grid point, on either
-path; weights that belong to the states (states with gains of their own)
-scale each gathered Gram.  Both paths run many short numpy gathers and
-elementwise loops whose Python steps hold the interpreter lock, so the
-callers spread the kernel over forked worker processes
+serves whitening and the rank-floor check, of a matrix or of a stack in
+one call, and the single-matrix log-dets `logdet_shifted` and `det_floor`.
+`subset_logdet` is the one batched kernel behind every per-state quantity:
+the converse sums, the Landau statistics and the sampled capacities.  It
+makes no LAPACK call.  Given a `SubsetPlan`, the trie of the shared top
+columns of a range of colex ranks, which `colex_plan` computes from the
+ranks alone (the combinatorial number system) and the caller builds once,
+it eliminates along the plan, so that states sharing columns share their
+elimination; the plan's gather maps are native integers, so a walk along
+it converts no index.  Given an index block (a sparse sample, for which a
+plan does not pay), it gathers each state's Gram from the panel's n x n
+Gram, and factors all of them in one vectorized elimination.  Weights
+that belong to the columns (one gain per subband and grid point, as in
+`capacity` and `discrete`) scale the n x n Gram once per grid point, on
+either path; weights that belong to the states (states with gains of
+their own) scale each gathered Gram.  Both paths run many short numpy
+gathers and elementwise loops whose Python steps hold the interpreter
+lock, so the callers spread the kernel over forked worker processes
 (`parallel.map_ordered`), each with a run of states or of trials, never
 over threads.
 """
@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "SingularityError",
-    "SpectralDecomp",
     "SubsetPlan",
     "binary_entropy",
     "colex_indices",
@@ -48,7 +47,6 @@ __all__ = [
     "minimax_limit",
     "real_matrix",
     "rect_logdet_limit",
-    "spectral_decomp",
     "subset_logdet",
     "whiten",
 ]
@@ -79,57 +77,58 @@ class NumericalError(ArithmeticError):
     not positive, or a state sample that stops growing."""
 
 
-def _as_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Validate symmetry within `rtol` (relative) and return the symmetrized copy."""
+def _as_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, stack: bool = False) -> np.ndarray:
+    """Validate symmetry within `rtol` (relative) and return the symmetrized
+    copy; with `stack`, of each matrix of a (..., d, d) stack."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or (mat.ndim > 2 and not stack) or mat.shape[-2] != mat.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
-    if float(np.max(np.abs(mat - mat.T))) > rtol * scale:
+    mat_t = np.swapaxes(mat, -1, -2)
+    scale = np.maximum(np.max(np.abs(mat), axis=(-2, -1)), 1e-300)
+    if np.any(np.max(np.abs(mat - mat_t), axis=(-2, -1)) > rtol * scale):
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mat_t)
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-
-
-def spectral_decomp(mat: np.ndarray) -> SpectralDecomp:
-    """Symmetric eigendecomposition with eigenvalues sorted descending."""
-    sym = _as_symmetric(mat)
-    lam, vec = np.linalg.eigh(sym)
-    order = np.argsort(lam)[::-1]
-    return SpectralDecomp(eigenvalues=lam[order], eigenvectors=vec[:, order])
+def _eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix or a (..., d, d)
+    stack, from one LAPACK call, eigenvalues descending per matrix; column i
+    of a matrix's eigenvectors pairs with its eigenvalue i."""
+    lam, vec = np.linalg.eigh(_as_symmetric(mat, stack=True))
+    order = np.argsort(lam, axis=-1)[..., ::-1]
+    return np.take_along_axis(lam, order, -1), np.take_along_axis(vec, order[..., None, :], -1)
 
 
-def full_rank_gram(q: np.ndarray, what: str = "matrix") -> SpectralDecomp:
-    """Eigendecomposition of Q Q^T for an m x n matrix Q of full row rank.
+def full_rank_gram(q: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of Q Q^T, as `_eigh_desc` gives them, for
+    an m x n matrix Q of full row rank, or for each matrix of a (..., m, n)
+    stack.
 
     Raises:
-        SingularityError: if the smallest eigenvalue of Q Q^T falls below
+        SingularityError: if the smallest eigenvalue of a Q Q^T falls below
             the floor ``max(RANK_FLOOR_FACTOR * trace(Q Q^T) / m, tiny)``;
-            `what` names the matrix in the message.
+            `what` names the matrix in the message, followed for a stack
+            by the index of the first such matrix in C order.
     """
-    gram = q @ q.T
-    dec = spectral_decomp(gram)
-    lam_min = dec.eigenvalues[-1]
-    floor = max(RANK_FLOOR_FACTOR * float(np.trace(gram)) / q.shape[0], np.finfo(float).tiny)
-    if lam_min < floor:
+    gram = q @ np.swapaxes(q, -1, -2)
+    lam, vec = _eigh_desc(gram)
+    lam_min = lam[..., -1].reshape(-1)
+    floor = RANK_FLOOR_FACTOR * np.trace(gram, axis1=-2, axis2=-1).reshape(-1) / q.shape[-2]
+    floor = np.maximum(floor, np.finfo(float).tiny)
+    low = np.flatnonzero(lam_min < floor)
+    if len(low):
+        j = low[0]
+        name = what if q.ndim == 2 else f"{what} {j}"
         raise SingularityError(
-            f"rank-deficient {what}: min eigenvalue {lam_min:.3e} below floor {floor:.3e}"
+            f"rank-deficient {name}: min eigenvalue {lam_min[j]:.3e} below floor {floor[j]:.3e}"
         )
-    return dec
+    return lam, vec
 
 
-def _inv_sqrt(dec: SpectralDecomp) -> np.ndarray:
-    v = dec.eigenvectors
-    return (v * dec.eigenvalues ** -0.5) @ v.T
+def _inv_sqrt(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return (vec * lam[..., None, :] ** -0.5) @ np.swapaxes(vec, -1, -2)
 
 
 def real_matrix(q, what: str = "matrix") -> np.ndarray:
@@ -139,25 +138,28 @@ def real_matrix(q, what: str = "matrix") -> np.ndarray:
     return np.asarray(q, dtype=float)
 
 
-def whiten(q: np.ndarray) -> np.ndarray:
-    """Row-orthonormalize an m x n matrix: (Q Q^T)^{-1/2} Q.
+def whiten(q: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Row-orthonormalize an m x n matrix: (Q Q^T)^{-1/2} Q; or each matrix
+    of a (..., m, n) stack, in one LAPACK call per pass that gives each the
+    bits of its own call.
 
     The output satisfies ``w @ w.T == I_m`` to within 1e-10 per entry and
     spans the same row space as the input.  Scaling and left-multiplication
     by an orthogonal matrix therefore leave downstream capacities unchanged.
 
     Raises:
-        SingularityError: if Q fails the rank floor of `full_rank_gram`.
+        SingularityError: if a Q fails the rank floor of `full_rank_gram`,
+            which names it by `what` (and its index in a stack).
     """
     q = real_matrix(q)
-    if q.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={q.ndim}")
+    if q.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={q.ndim}")
     # Two passes: the first absorbs the conditioning of Q (and applies the
     # rank floor); the second runs on a nearly orthonormal matrix, where the
     # inverse square root is perfectly conditioned, restoring Q^w (Q^w)^T = I
     # to machine precision even when Q Q^T has condition number ~1e8.
-    out = _inv_sqrt(full_rank_gram(q)) @ q
-    return _inv_sqrt(spectral_decomp(out @ out.T)) @ out
+    out = _inv_sqrt(*full_rank_gram(q, what)) @ q
+    return _inv_sqrt(*_eigh_desc(out @ np.swapaxes(out, -1, -2))) @ out
 
 
 def _subset_block_rows(m: int, k: int, q: int = 1) -> int:
@@ -223,7 +225,7 @@ class SubsetPlan:
     hi: int  # one more than the colex rank of the last state
     ncols: int  # one more than the largest column index
     levels: tuple[_Level, ...]  # k - 1 levels, largest columns first
-    leaf: np.ndarray | None  # last-level entry of each state; None for the identity
+    leaf: int  # last-level entry of the first state (its column for k = 1); the rest follow
 
 
 def colex_indices(n: int, k: int) -> np.ndarray:
@@ -349,13 +351,10 @@ def colex_plan(n: int, k: int, lo: int = 0, hi: int | None = None) -> SubsetPlan
             keep = (kid < hi) & (kid + binom[r - 1, a] > lo)
             parent, c, first = node[keep], a[keep], kid[keep]
             pbase = (np.cumsum(size) - size)[parent]
-    if k == 1:  # the single pivot is the Gram's diagonal entry
-        leaf = c * (ncols + 1)
-    elif lo == first[0] and hi == first[-1] + c[-1]:
-        leaf = None  # one last-level entry per state, in order
-    else:  # the last level holds the ranks first[0] .. on, one entry each
-        leaf = np.arange(lo - first[0], hi - first[0])
-    for arr in [leaf, *(a for lev in levels for a in lev)]:
+    # the last level holds the ranks first[0] .. on, one entry each; for
+    # k = 1 the single pivot is the Gram's diagonal entry of the state's column
+    leaf = lo if k == 1 else lo - int(first[0])
+    for arr in (a for lev in levels for a in lev):
         if arr is not None:
             arr.flags.writeable = False
     return SubsetPlan(n=n, k=k, lo=lo, hi=hi, ncols=ncols, levels=tuple(levels), leaf=leaf)
@@ -371,8 +370,9 @@ def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray
     d = plan.ncols
     e = np.array(gram[:d, :d]).reshape(-1)
     e[:: d + 1] += shift
+    kept = slice(plan.leaf, plan.leaf + plan.hi - plan.lo)
     if not plan.levels:
-        return np.log(e[plan.leaf])
+        return np.log(e[:: d + 1][kept])
     # in place where possible, which keeps the peak memory of a call low
     logs = np.zeros(1)
     for lev in plan.levels:
@@ -390,9 +390,10 @@ def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray
         e = e[lev.ab]
         e -= ratio
         del ratio
-    out = np.repeat(logs, plan.levels[-1].width)
+    e = e[kept]
+    out = np.repeat(logs, plan.levels[-1].width)[kept]
     out += np.log(e, out=e)
-    return out if plan.leaf is None else out[plan.leaf]
+    return out
 
 
 def _scaled_gram(grams, weights, j) -> np.ndarray:

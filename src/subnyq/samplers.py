@@ -15,11 +15,11 @@ are derived by XORing the master seed with the trial index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import full_rank_gram, real_matrix
+from .numerics import real_matrix, whiten
 
 __all__ = [
     "ENSEMBLE_KINDS",
@@ -63,19 +63,25 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; use one of {ENSEMBLE_KINDS}")
         if not 1 <= self.rows <= self.cols:
             raise ValueError(f"need 1 <= rows <= cols, got {self.rows} x {self.cols}")
-        if not 0 <= self.seed <= _SEED_MASK:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed, "seed")
 
     def with_seed(self, seed: int) -> "EnsembleSpec":
-        return EnsembleSpec(self.kind, self.rows, self.cols, seed & _SEED_MASK)
+        return EnsembleSpec(self.kind, self.rows, self.cols, seed)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "m": self.rows, "n": self.cols, "seed": self.seed}
 
 
+def _check_seed(value: int, name: str) -> int:
+    """value as an int in 0 .. 2**64 - 1; anything else raises ValueError."""
+    if not 0 <= int(value) <= _SEED_MASK:
+        raise ValueError(f"{name} must fit in 64 unsigned bits, got {value}")
+    return int(value)
+
+
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """Per-trial stream key: master seed XOR trial index (64-bit)."""
-    return (int(master_seed) ^ int(trial_index)) & _SEED_MASK
+    """Per-trial stream key: master seed XOR trial index, each in 0 .. 2**64 - 1."""
+    return _check_seed(master_seed, "master seed") ^ _check_seed(trial_index, "trial index")
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
@@ -169,7 +175,7 @@ def _stream_heads(seeds, counts) -> list[np.ndarray]:
     blocks = np.array([-(-int(n) // 4) for n in counts], dtype=np.int64)
     starts = np.cumsum(blocks) - blocks
     counters = (np.arange(1, blocks.sum() + 1) - np.repeat(starts, blocks)).astype(np.uint64)
-    keys = np.repeat(np.array([int(s) & _SEED_MASK for s in seeds], dtype=np.uint64), blocks)
+    keys = np.repeat(np.array(seeds, dtype=np.uint64), blocks)
     words = np.empty((len(counters), 4), dtype=np.uint64)
     _philox_fill(words, counters, keys)
     words = words.reshape(-1)
@@ -200,11 +206,11 @@ class PhiloxStream:
       keeps the high half for the next 32-bit draw, across calls; raw
       draws leave that half alone.  A width-1 range draws nothing.
 
-    Any other range raises ValueError.
+    Any other range, and a seed outside 0 .. 2**64 - 1, raises ValueError.
     """
 
     def __init__(self, seed: int) -> None:
-        self._key = int(seed) & _SEED_MASK
+        self._key = _check_seed(seed, "seed")
         self._blocks = 0  # counter of the last block computed
         self._spare = np.empty(0, dtype=np.uint64)  # its words not drawn yet
         self._half: int | None = None  # high half kept by a 32-bit draw
@@ -423,31 +429,29 @@ class SamplerSpec:
 
     Either flat (one m x n matrix, p = 1) or gridded (p matrices on a
     uniform frequency grid).  Every panel must be real, with full row rank.
+    The panels are whitened together when the sampler is built, and kept
+    read-only, as the (p, m, n) stack `whitened`.
     """
 
     panels: tuple[np.ndarray, ...]
+    whitened: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.panels:
             raise ValueError("a sampler needs at least one coefficient matrix")
-        frozen = []
-        shape = None
-        for j, panel in enumerate(self.panels):
-            arr = np.array(real_matrix(panel, f"panel {j}"))
-            if arr.ndim != 2:
-                raise ValueError(f"panel {j} is not a matrix")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"panel {j} has non-finite entries")
-            if shape is None:
-                shape = arr.shape
-                if shape[0] > shape[1]:
-                    raise ValueError(f"need m <= n, got {shape}")
-            elif arr.shape != shape:
-                raise ValueError(f"panel {j} shape {arr.shape} != {shape}")
-            full_rank_gram(arr, f"sampler panel {j}")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "panels", tuple(frozen))
+        arrs = [real_matrix(panel, f"panel {j}") for j, panel in enumerate(self.panels)]
+        shapes = [arr.shape for arr in arrs]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 2 or shapes[0][0] > shapes[0][1]:
+            raise ValueError(f"need panels of one shape m x n with m <= n, got {shapes}")
+        stack = np.stack(arrs)  # a copy, so the caller's arrays stay theirs
+        bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+        if len(bad):
+            raise ValueError(f"panel {bad[0]} has non-finite entries")
+        stack.flags.writeable = False
+        whitened = whiten(stack, "sampler panel")
+        whitened.flags.writeable = False
+        object.__setattr__(self, "panels", tuple(stack))
+        object.__setattr__(self, "whitened", whitened)
 
     @property
     def m(self) -> int:

@@ -58,6 +58,18 @@ def spy(monkeypatch, func) -> list:
     return calls
 
 
+def eigh_shapes(monkeypatch) -> list:
+    """The input shape of every `np.linalg.eigh` call from here on."""
+    real, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
 @pytest.fixture
 def gen():
     return np.random.default_rng(20230517)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import nyquist_row, random_channel, spy, state_grid
+from conftest import eigh_shapes, nyquist_row, random_channel, spy, state_grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -677,6 +677,16 @@ class TestLossPaths:
         loss_uniformity_report(ch, TrialConfig(n=8, k=2, m=3, trials=1))
         assert plans == [(8, 2)]
         assert gathers == []
+
+    @pytest.mark.parametrize("gridded", [False, True])
+    def test_only_the_sampler_whitens(self, monkeypatch, gridded):
+        # its panels as one stack, two eigh calls in all; no loss call whitens again
+        shapes = eigh_shapes(monkeypatch)
+        ch, sampler, _, idx, _ = census_case(46, 8, 3, 4, 2, gridded, 2)
+        assert shapes == [(sampler.p, 4, 4)] * 2
+        batched_losses(ch, sampler, idx)
+        batched_losses(ch, sampler, idx[::3])
+        assert len(shapes) == 2
 
     def test_only_a_census_builds_a_plan(self, monkeypatch):
         ch, sampler, _, idx, _ = census_case(44, 8, 3, 4, 2, False, 0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import nyquist_row, spy
+from conftest import eigh_shapes, nyquist_row, spy
 
 from subnyq import channel, experiments, numerics
 from subnyq.cli import main as cli_main
@@ -37,6 +37,14 @@ def flat_unit_channel(n, k, snr):
 
 
 class TestTrialConfig:
+    def test_master_seed_outside_64_bits_rejected(self):
+        # no mask aliases -1 to 2**64 - 1, or 2**64 to 0
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="master seed"):
+                TrialConfig(n=8, k=2, m=4, master_seed=bad)
+        top = TrialConfig(n=8, k=2, m=4, trials=2, master_seed=2**64 - 1)
+        assert len(achievability_trial(top).per_trial["min"]) == 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(n=8, k=5, m=4)
@@ -169,8 +177,15 @@ class TestAchievabilityDraws:
         checks = spy(monkeypatch, numerics.full_rank_gram)
         draws = spy(monkeypatch, experiments.draw_matrices)
         achievability_trial(cfg, workers=2)
-        assert len(checks) == cfg.trials
+        # the matrices checked, over however many stacked calls
+        assert sum(np.reshape(args[0], (-1, m, cfg.n)).shape[0] for args in checks) == cfg.trials
         assert len(draws) == 1
+
+    def test_trials_whitened_in_one_eigh_per_pass(self, monkeypatch):
+        # 40 trials, one stack: two eigh calls, where one per pass and trial made 80
+        shapes = eigh_shapes(monkeypatch)
+        achievability_trial(TrialConfig(n=10, k=3, m=3, trials=40), workers=2)
+        assert shapes == [(40, 3, 3)] * 2
 
 
 class TestSuperLandauAchievability:

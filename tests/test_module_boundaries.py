@@ -328,3 +328,41 @@ def test_undefined_export_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_all_names_defined_in_module(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def eigh_sites(source: str) -> list[str]:
+    """Where a source reads an attribute `eigh` (as `np.linalg.eigh`): the
+    enclosing function's name, or "<module>"; and each import of a name `eigh`."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "eigh":
+                found.append(where)
+            elif isinstance(child, ast.ImportFrom) and any(a.name == "eigh" for a in child.names):
+                found.append(f"import at line {child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_eigh_detector():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "def f(a):\n"
+        "    def g(b): return np.linalg.eigh(b)\n"
+        "    return np.linalg.eigvalsh(a)\n"
+        "lam = linalg.eigh\n"
+    )
+    assert eigh_sites(source) == ["import at line 2", "g", "<module>"]
+
+
+def test_eigh_only_in_one_helper():
+    # one symmetric eigendecomposition, which takes a matrix or a stack
+    sites = {path.name: eigh_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name: where for name, where in sites.items() if where} == {"numerics.py": ["_eigh_desc"]}

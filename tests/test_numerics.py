@@ -26,11 +26,10 @@ from subnyq.numerics import (
     logdet_shifted,
     minimax_limit,
     rect_logdet_limit,
-    spectral_decomp,
     subset_logdet,
     whiten,
 )
-from subnyq.samplers import EnsembleSpec, make_flat_sampler
+from subnyq.samplers import EnsembleSpec, make_flat_sampler, make_gridded_sampler
 
 
 class TestWhiten:
@@ -81,6 +80,44 @@ class TestWhiten:
             whiten(np.zeros((2, 4)))
         with pytest.raises(SingularityError):
             whiten(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
+
+    @given(
+        dims=st.integers(1, 24).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(1, 4), count=1, seed=1)
+    @example(dims=(20, 24), count=40, seed=2)
+    @example(dims=(6, 6), count=7, seed=3)  # m = n
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_each_matrix_bit_for_bit(self, dims, count, seed):
+        # one LAPACK and BLAS call per pass runs the single-matrix routine on
+        # each matrix, so each gets the bits of its own call
+        m, n = dims
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((count, m, n)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+        try:
+            got = whiten(stack)
+        except SingularityError:  # only a square draw of condition beyond about 1e6, rarely
+            assume(False)
+        assert got.shape == stack.shape
+        for i in range(count):
+            assert np.array_equal(got[i], whiten(stack[i]))
+        np.testing.assert_allclose(got @ np.swapaxes(got, 1, 2), np.broadcast_to(np.eye(m), (count, m, m)),
+                                   atol=1e-10)
+
+    def test_stack_names_its_first_singular_matrix(self, gen):
+        stack = gen.standard_normal((5, 2, 3))
+        stack[3] = TestRankFloor.near_floor(-1.0)
+        stack[4] = 0.0
+        for call, name in [(full_rank_gram, "matrix 3"), (whiten, "matrix 3"),
+                           (make_gridded_sampler, "sampler panel 3")]:
+            with pytest.raises(SingularityError, match=f"^rank-deficient {name}: min eigenvalue"):
+                call(stack)
+        stack[3] = TestRankFloor.near_floor(+1.0)
+        with pytest.raises(SingularityError, match="^rank-deficient matrix 4:"):
+            whiten(stack)
+        assert whiten(stack[:4]).shape == (4, 2, 3)
 
 
 class TestLogdetShifted:
@@ -214,19 +251,22 @@ class TestScalarFunctions:
 
 
 class TestSpectralDecomp:
+    """numerics._eigh_desc, on one matrix and on a stack."""
+
     def test_reconstruction(self, gen):
-        x = gen.standard_normal((6, 6))
-        s = x + x.T
-        dec = spectral_decomp(s)
-        v = dec.eigenvectors
-        err = np.linalg.norm((v * dec.eigenvalues) @ v.T - s) / np.linalg.norm(s)
-        assert err <= 1e-9
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+        x = gen.standard_normal((4, 6, 6))
+        s = x + np.swapaxes(x, 1, 2)
+        lam, v = numerics._eigh_desc(s)
+        for sj, lj, vj in zip(s, lam, v):
+            err = np.linalg.norm((vj * lj) @ vj.T - sj) / np.linalg.norm(sj)
+            assert err <= 1e-9
+            assert np.all(np.diff(lj) <= 1e-12)
+        one = numerics._eigh_desc(s[2])
+        assert np.array_equal(one[0], lam[2]) and np.array_equal(one[1], v[2])
 
     def test_eigenvectors_orthogonal(self, gen):
         x = gen.standard_normal((5, 5))
-        dec = spectral_decomp(x @ x.T)
-        v = dec.eigenvectors
+        _, v = numerics._eigh_desc(x @ x.T)
         np.testing.assert_allclose(v @ v.T, np.eye(5), atol=1e-12)
 
 
@@ -586,6 +626,7 @@ class TestSubsetPlan:
     @example(dims=(7, 4, 3, 0, 35), p=1, shift=0.0, duplicate=True, seed=5)  # singular
     @example(dims=(5, 5, 5, 0, 1), p=2, shift=0.05, duplicate=False, seed=6)  # k = n
     @example(dims=(8, 4, 4, 33, 34), p=1, shift=0.05, duplicate=False, seed=7)  # one state
+    @example(dims=(8, 6, 6, 0, 28), p=2, shift=0.0, duplicate=False, seed=2640)  # Gram cond ~2e9
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_slogdet(self, dims, p, shift, duplicate, seed):
         n, m, k, lo, hi = dims
@@ -606,7 +647,8 @@ class TestSubsetPlan:
             elif g < SINGULAR_LOGDET or w < SINGULAR_LOGDET:
                 assert g < SINGULAR_LOGDET and w < SINGULAR_LOGDET
             else:
-                assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+                # the slogdet reference is itself off by about eps cond
+                assert abs(g - w) <= 1e-9 * max(abs(w), 1.0) + conditioning_slack(panels, s, ones[0], shift)
 
     def test_maps_equal_the_reference_trie(self):
         for n in range(1, 13):
@@ -618,10 +660,9 @@ class TestSubsetPlan:
                     for got, ref in zip(lev, want):
                         assert (got is None) == (ref is None), (n, k)
                         assert ref is None or np.array_equal(got, ref), (n, k)
-                if plan.leaf is None:
-                    assert k > 1 and leaf == list(range(len(leaf)))
-                else:
-                    assert np.array_equal(plan.leaf, leaf), (n, k)
+                # the states' entries are one run from plan.leaf on (Gram diagonal entries for k = 1)
+                run = np.arange(plan.leaf, plan.leaf + len(leaf))
+                assert np.array_equal(run * (ncols + 1) if k == 1 else run, leaf), (n, k)
 
     @given(
         n=st.integers(1, 10),
@@ -679,9 +720,9 @@ class TestSubsetPlan:
         lo, hi = ranks.min(), ranks.max() + 1
         plan = colex_plan(*(dtype(v) for v in (n, k, lo, hi)))
         assert (plan.n, plan.k, plan.lo, plan.hi) == (n, k, lo, hi)
-        assert all(type(v) is int for v in (plan.n, plan.k, plan.lo, plan.hi, plan.ncols))
-        maps = [plan.leaf, *(a for lev in plan.levels for a in lev)]
-        assert {a.dtype for a in maps if a is not None} == {np.dtype(np.intp)}
+        assert all(type(v) is int for v in (plan.n, plan.k, plan.lo, plan.hi, plan.ncols, plan.leaf))
+        maps = [a for lev in plan.levels for a in lev if a is not None]  # none for k = 1
+        assert all(a.dtype == np.intp for a in maps)
         b = whiten(np.random.default_rng(k).standard_normal((k, n)))
         np.testing.assert_allclose(subset_logdet(b, plan, shift=0.05)[ranks - lo],
                                    subset_logdet(b, idx, shift=0.05), rtol=1e-13)
@@ -746,7 +787,7 @@ class TestSubsetPlan:
             assert sum(len(lev.ab) for lev in plan.levels) == stored_entries(n, k)
         plan = colex_plan(16, 6, 4321, 4322)
         assert [len(lev.parent) for lev in plan.levels] == [1] * 5
-        assert plan.leaf is not None and len(plan.leaf) == 1
+        assert plan.hi - plan.lo == 1 and plan.leaf < plan.levels[-1].width[0]
 
     def test_index_checks(self):
         for args in [(4, 0), (3, 4), (5, 2, -1, 3), (5, 2, 3, 3), (5, 2, 0, 11), (100, 50)]:

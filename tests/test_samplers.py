@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from subnyq import channel, samplers
-from subnyq.numerics import SingularityError
+from subnyq.numerics import SingularityError, whiten
 from subnyq.samplers import (
     ENSEMBLE_BOUNDS,
     EnsembleSpec,
@@ -32,6 +32,27 @@ class TestEnsembleSpec:
     def test_trial_seed_is_xor(self):
         assert derive_trial_seed(0b1100, 0b1010) == 0b0110
         assert derive_trial_seed(7, 0) == 7
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 5])
+    def test_seeds_outside_64_bits_rejected(self, bad):
+        # a mask would alias them: -1 to 2**64 - 1, 2**64 + 5 to 5
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            PhiloxStream(bad)
+        with pytest.raises(ValueError, match="master seed"):
+            derive_trial_seed(bad, 0)
+        with pytest.raises(ValueError, match="trial index"):
+            derive_trial_seed(0, bad)
+        with pytest.raises(ValueError):
+            EnsembleSpec("gaussian", 2, 4, bad)
+        with pytest.raises(ValueError):
+            EnsembleSpec("gaussian", 2, 4, 0).with_seed(bad)
+
+    def test_top_seed_accepted(self):
+        top = 2**64 - 1
+        assert derive_trial_seed(top, 0) == derive_trial_seed(0, top) == top
+        assert derive_trial_seed(top, top) == 0
+        assert np.array_equal(PhiloxStream(top).random_raw(6), np.random.Philox(key=top).random_raw(6))
+        assert EnsembleSpec("gaussian", 2, 4, 0).with_seed(top).seed == top
 
 
 class TestDrawMatrix:
@@ -324,6 +345,14 @@ class TestSamplerSpec:
             spec.matrix[0, 0] = 5.0
         q[0, 0] = 5.0  # the sampler froze a copy, not the caller's array
         assert spec.matrix[0, 0] == 1.0
+
+    def test_panels_whitened_once_as_one_stack(self):
+        panels = [draw_matrix(EnsembleSpec("gaussian", 3, 7, s)) for s in (4, 5)]
+        spec = make_gridded_sampler(panels)
+        assert np.array_equal(spec.whitened, whiten(np.stack(panels)))
+        assert np.array_equal(spec.whitened[1], whiten(panels[1]))
+        with pytest.raises(ValueError):
+            spec.whitened[0, 0, 0] = 5.0
 
     # rows 0 and 1 of the unitary 4-point DFT: a multicoset sampler
     PARTIAL_DFT = np.fft.fft(np.eye(4))[:2] / 2.0

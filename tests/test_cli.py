@@ -713,6 +713,10 @@ class TestOutputPins:
              "--seed", "4", "--format", "csv"],
             "fd8eb595cbc9abf944f21239eb8b2361714b26f1527e290c1d0d557c3f53d365",
         ),
+        "verify-json": (
+            ["--command", "verify", "--seed", "7"],
+            "4fb4245616856e8894300fbaee0ff9b5604603aac4911ecfe205a2bc43a67ec5",
+        ),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])

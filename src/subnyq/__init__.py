@@ -34,7 +34,6 @@ from .numerics import (
     SubsetPlan,
     binary_entropy,
     colex_plan,
-    det_floor,
     log_binomial,
     logdet_shifted,
     minimax_limit,

@@ -13,15 +13,13 @@ P/(beta W) per active Hz is the default; water-filling variants carry the
 power constraint explicitly through the water level nu.
 
 Every per-state quantity comes from one batched path (`batched_losses`,
-and `discrete_losses` for the discrete channel) in two passes over an
-(S, k) index block of states.
+and `discrete_losses` for the discrete channel) in two passes over a
+set of states.
 
 * The sampled pass: the sampler's panels, whitened once when it was built
   (`SamplerSpec.whitened`), and the states go through the shared kernel
-  `numerics.subset_logdet`.  For a census, all C(n, k) states in colex
-  order, c_sampled of every state comes from one pass along their
-  `SubsetPlan`; any other block, such as a sparse sample of the states,
-  gathers each state's Gram, which is faster there.
+  `numerics.subset_logdet`, in the form the caller passes: along a
+  `SubsetPlan`, or gathered state by state from an index block.
   On both paths the channel's gains scale each grid point's Gram once,
   column by column, and only the states with their own gains
   (state_gains) are gathered with weights of their own.
@@ -44,13 +42,14 @@ reference and traced entry points (bench/).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import NumericalError, colex_indices, colex_plan, real_matrix, subset_logdet, whiten
+from .numerics import (
+    NumericalError, SubsetPlan, colex_indices, real_matrix, subset_logdet, whiten
+)
 from .output import loss_csv_lines
 from .samplers import SamplerSpec
 
@@ -286,15 +285,16 @@ def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) ->
         c_opt *= half_df
 
 
-def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol, plan=None):
-    """(c_sampled, c_eq, c_opt, nu) for the states of an (S, k) index block.
+def _blocked_losses(whitened, states, gain_grid, state_gains, scale, power, df, tol):
+    """(c_sampled, c_eq, c_opt, nu) for the states of a checked (S, k) index
+    block, or of a `SubsetPlan`, in colex order.
 
     Row s takes its (k, q) gains from state_gains when that map holds its
     1-based index tuple, else from gain_grid.  One `subset_logdet` call with
-    the (n, q) column weights gives c_sampled of every state, along plan
-    (the `SubsetPlan` of idx) if one is given; only the rows with their own
-    gains are gathered again, with their own weights, and patched in.  The
-    Nyquist side is one `_nyquist_pass` and does not depend on the sampler.
+    the (n, q) column weights gives c_sampled of every state, along the
+    plan if one is given; only the rows with their own gains are gathered
+    again, with their own weights, and patched in.  The Nyquist side is one
+    `_nyquist_pass` over the index block and does not depend on the sampler.
 
     Raises:
         NumericalError: if a value is not finite.  That happens for a gain
@@ -303,9 +303,11 @@ def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol
             whose inverse squares, and with them its water level and
             c_opt, overflow.
     """
+    idx = states
+    if isinstance(states, SubsetPlan):
+        idx = colex_indices(states.n, states.k)[states.lo : states.hi]
     own, own_gains = _own_gains(idx, gain_grid, state_gains)
     out = np.empty((4, len(idx)))
-    states = idx if plan is None else plan
     out[0] = 0.5 * df * subset_logdet(whitened, states, np.sqrt(scale) * gain_grid)
     if len(own):
         out[0, own] = 0.5 * df * subset_logdet(whitened, idx[own], np.sqrt(scale) * own_gains)
@@ -321,41 +323,45 @@ def _blocked_losses(whitened, idx, gain_grid, state_gains, scale, power, df, tol
 def batched_losses(
     channel: CompoundChannel,
     sampler: SamplerSpec,
-    idx,
+    states,
     tol: float | None = WATERFILL_DEFAULT_TOL,
 ):
     """Capacities of many states under one sampler, as arrays.
 
-    idx is an (S, k) integer block of zero-based active-subband indices, one
-    state per row.  Returns (c_sampled, c_eq, c_opt, nu), each of length S:
-    the sampled capacity, the Nyquist-rate capacities with equal power and
-    with water-filling (nats/s), and the water level.  Per-state gains
-    (channel.state_gains) and gridded samplers are honoured.  The sampler
-    comes whitened (`SamplerSpec.whitened`), and states are processed in
-    blocks sized by a fixed element budget, so memory stays bounded for any S.
+    states takes the two forms of `numerics.subset_logdet`: an (S, k)
+    integer block of zero-based active-subband indices, one state per row,
+    or `numerics.colex_plan(n, k, lo, hi)`, the plan of the states of colex
+    ranks lo .. hi - 1, in colex order.  Returns (c_sampled, c_eq, c_opt,
+    nu), each of length S: the sampled capacity, the Nyquist-rate
+    capacities with equal power and with water-filling (nats/s), and the
+    water level.  Per-state gains (channel.state_gains) and gridded samplers
+    are honoured.  The sampler comes whitened (`SamplerSpec.whitened`), and
+    states are processed in blocks sized by a fixed element budget, so
+    memory stays bounded for any S.
 
     The channel's gains weigh the columns, so `numerics.subset_logdet`
-    scales each grid point's Gram once.  A census, idx equal to
-    `numerics.colex_indices(n, k)` as the `capacity` command passes it,
-    shares its elimination along one `numerics.colex_plan(n, k)`, built here
-    once per call.  Any other block, a sparse sample or the census in
-    another order, gathers each state's Gram and factors it on its own.
-    The two paths agree to rounding: c_sampled of one state differs
-    between them by about 4e-16 relative.
+    scales each grid point's Gram once.  A plan shares the elimination of
+    common top columns, which pays for a census, as the `capacity` command
+    passes it; an index block, such as a sparse sample, gathers each
+    state's Gram and factors it on its own.  The two forms agree to
+    rounding: c_sampled of one state differs between them by about 4e-16
+    relative.
 
     tol bounds the water-filling power residual relative to P
     (NumericalError beyond it); None skips that check, for callers that use
     equal power only.
     """
     n, k = channel.n_subbands, channel.k_active
-    idx = _check_index_block(idx, n)
-    if idx.shape[1] != k:
-        raise ValueError(f"states have {idx.shape[1]} indices, channel expects {k}")
-    whitened = _whitened_panels(channel, sampler)
-    census = len(idx) == math.comb(n, k) and np.array_equal(idx, colex_indices(n, k))
+    if isinstance(states, SubsetPlan):
+        if (states.n, states.k) != (n, k):
+            raise ValueError(f"the plan holds states of C({states.n},{states.k}), not C({n},{k})")
+    else:
+        states = _check_index_block(states, n)
+        if states.shape[1] != k:
+            raise ValueError(f"states have {states.shape[1]} indices, channel expects {k}")
     return _blocked_losses(
-        whitened, idx, channel.gain_grid, channel.state_gains, _equal_power_scale(channel),
-        channel.power, channel.grid_df, tol, plan=colex_plan(n, k) if census else None,
+        _whitened_panels(channel, sampler), states, channel.gain_grid, channel.state_gains,
+        _equal_power_scale(channel), channel.power, channel.grid_df, tol,
     )
 
 

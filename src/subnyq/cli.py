@@ -31,6 +31,7 @@ from . import capacity as cap
 from . import converse, experiments, output
 from .channel import CompoundChannel, enumerate_states, load_channel
 from .numerics import (
+    CENSUS_CAP,
     NumericalError,
     SingularityError,
     binary_entropy,
@@ -55,7 +56,7 @@ DEFAULTS: dict = {
     "m": 4,
     "eps": 0.05,
     "trials": 50,
-    "state_cap": 1_000_000,
+    "state_cap": CENSUS_CAP,
     "ensemble": "gaussian",
     "workers": 1,
     "power": 10.0,
@@ -229,15 +230,14 @@ def cmd_verify(params: dict) -> int:
         if perturb:
             b = b.copy()
             b[0, 0] += perturb
-        plan = colex_plan(n, k)  # one elimination plan per instance
-        sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID, plan)
+        sums = converse.subset_det_sums_unchecked(b, k, VERIFY_EPS_GRID)
         for eps, lhs in zip(VERIFY_EPS_GRID, sums):
             rhs = converse.subset_det_sum_closed(n, k, m, eps)
             checks.append(
                 converse.ConverseCheck(n=n, k=k, m=m, eps=eps, lhs_sum=lhs, rhs_closed=rhs)
             )
         if not perturb:
-            sandwich = converse.per_instance_sandwich(b, k, 0.04, plan)
+            sandwich = converse.per_instance_sandwich(b, k, 0.04)
             if sandwich["min_state_value"] > sandwich["deterministic_upper"]:
                 failures.append(f"per-instance sandwich violated at (n={n}, k={k}, m={m})")
             again = whiten(b)
@@ -423,9 +423,12 @@ def cmd_capacity(params: dict) -> int:
     spec = EnsembleSpec(params["ensemble"], m, channel.n_subbands, int(params["seed"]))
     sampler = make_flat_sampler(draw_matrix(spec))
     n, k, state_cap = channel.n_subbands, channel.k_active, int(params["state_cap"])
+    sampled = math.comb(n, k) > state_cap
     states = enumerate_states(n, k, state_cap)
     block = states + 1  # 1-based labels
-    cols = _loss_columns(cap.batched_losses(channel, sampler, states))
+    cols = _loss_columns(
+        cap.batched_losses(channel, sampler, states if sampled else colex_plan(n, k))
+    )
     gap_bound = cap.waterfill_gap_bound(channel)
     bad = bool(
         np.any(cols["loss_eq"] < -1e-9) or np.any(cols["c_opt"] - cols["c_eq"] > gap_bound + 1e-9)
@@ -444,7 +447,7 @@ def cmd_capacity(params: dict) -> int:
     else:
         payload = output.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
-    _print_loss_summary("capacity", cols["loss_eq"], "nats/s", math.comb(n, k) > state_cap)
+    _print_loss_summary("capacity", cols["loss_eq"], "nats/s", sampled)
     return 0 if not bad else 2
 
 

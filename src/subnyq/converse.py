@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SubsetPlan, binary_entropy, colex_plan, log_binomial, subset_logdet
+from .numerics import (
+    CENSUS_CAP, binary_entropy, census_stats, colex_plan, log_binomial, subset_logdet
+)
 
 __all__ = [
     "ConverseCheck",
-    "ENUMERATION_CAP",
     "min_state_logdet_bound",
     "minimax_lower_bound",
     "per_instance_sandwich",
@@ -31,8 +32,6 @@ __all__ = [
     "subset_det_sums_unchecked",
 ]
 
-# Exhaustive identity checks refuse to run beyond this many subsets.
-ENUMERATION_CAP = 10**6
 ORTHONORMAL_ATOL = 1e-8
 
 
@@ -64,7 +63,7 @@ class ConverseCheck:
 
 
 def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
-    """B with orthonormal rows, 1 <= k <= m, eps >= 0 and C(n, k) <= ENUMERATION_CAP."""
+    """B with orthonormal rows, 1 <= k <= m, eps >= 0 and C(n, k) <= CENSUS_CAP."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] > b.shape[1]:
         raise ValueError(f"expected an m x n matrix with m <= n, got {b.shape}")
@@ -75,53 +74,35 @@ def _check_instance(b: np.ndarray, k: int, eps: float) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if math.comb(n, k) > ENUMERATION_CAP:
-        raise ValueError(
-            f"C({n},{k}) = {math.comb(n, k)} exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
+    if math.comb(n, k) > CENSUS_CAP:
+        raise ValueError(f"C({n},{k}) = {math.comb(n, k)} exceeds the census cap {CENSUS_CAP}")
     return b
 
 
-def _enumerated_logdets(b, k, eps_grid, plan) -> list[np.ndarray]:
-    """log det(eps I_k + B_s^T B_s) for all k-subsets s in colex order, per eps.
-
-    One plan per instance, in the calling process: two half plans on two
-    forked workers were slower at every size measured, from C(12, 6) = 924
-    to C(26, 6) = 230,230 states (verify's 4 eps: 0.4 against 3.0 ms, 16.1
-    against 19.7 ms at C(22, 6), 48.8 against 57.6 ms; 2-core VM, Python
-    3.11.7, numpy 2.4.6, where a forked worker mostly shared its parent's
-    core).
-    """
-    n = b.shape[1]
-    if plan is None:
-        plan = colex_plan(n, k)
-    elif (plan.n, plan.k, plan.lo, plan.hi) != (n, k, 0, math.comb(n, k)):
-        raise ValueError(f"the plan does not hold the C({n},{k}) states")
-    return [subset_logdet(b, plan, shift=eps) for eps in eps_grid]
-
-
-def subset_det_sums_unchecked(
-    b: np.ndarray, k: int, eps_grid, plan: SubsetPlan | None = None
-) -> list[float]:
+def subset_det_sums_unchecked(b: np.ndarray, k: int, eps_grid) -> list[float]:
     """The enumerated sums of `subset_det_sum` at each eps of eps_grid,
     without its preconditions.
 
     Any m x n matrix with 1 <= k <= n is accepted (rows need not be
     orthonormal), which lets a fault-injection run corrupt B on purpose.
-    plan, if given, is `numerics.colex_plan(n, k)`, which a caller builds
-    once per instance and shares with `per_instance_sandwich`; it is built
-    here otherwise.  Each sum is exactly rounded (math.fsum).
+    One plan, `numerics.colex_plan(n, k)`, serves the whole grid, in the
+    calling process: two half plans on two forked workers were slower at
+    every size measured, from C(12, 6) = 924 to C(26, 6) = 230,230 states
+    (4 eps: 0.4 against 3.0 ms, 16.1 against 19.7 ms at C(22, 6), 48.8
+    against 57.6 ms; 2-core VM, Python 3.11.7, numpy 2.4.6, where a forked
+    worker mostly shared its parent's core).  Each sum is exactly rounded
+    (math.fsum).
     """
     b = np.asarray(b, dtype=float)
-    logdets = _enumerated_logdets(b, k, eps_grid, plan)
-    return [math.fsum(np.exp(vals).tolist()) for vals in logdets]
+    plan = colex_plan(b.shape[1], k)
+    return [math.fsum(np.exp(subset_logdet(b, plan, shift=eps)).tolist()) for eps in eps_grid]
 
 
 def subset_det_sum(b: np.ndarray, k: int, eps: float) -> float:
     """sum over all k-subsets s of det(eps I_k + B_s^T B_s), by enumeration.
 
     Requires orthonormal rows (within 1e-8), k <= m, eps >= 0 and
-    C(n, k) <= ENUMERATION_CAP subsets.
+    C(n, k) <= CENSUS_CAP subsets.
     """
     return subset_det_sums_unchecked(_check_instance(b, k, eps), k, [eps])[0]
 
@@ -187,20 +168,17 @@ def minimax_lower_bound(n: int, k: int, m: int, snr_min: float, bandwidth: float
     )
 
 
-def per_instance_sandwich(
-    b: np.ndarray, k: int, eps: float, plan: SubsetPlan | None = None
-) -> dict[str, float]:
+def per_instance_sandwich(b: np.ndarray, k: int, eps: float) -> dict[str, float]:
     """Enumerated min of (1/n) log det(eps I + B_s^T B_s) and its certified cap.
 
     Returns {"min_state_value", "deterministic_upper"}; the min can never
     exceed the cap for any orthonormal-rows B, so a violation here is an
-    internal-consistency failure, not statistical noise.  plan, if given,
-    is `numerics.colex_plan(n, k)`.
+    internal-consistency failure, not statistical noise.  The min is that
+    of `numerics.census_stats`, in the calling process.
     """
     b = _check_instance(b, k, eps)
     m, n = b.shape
-    logdets = _enumerated_logdets(b, k, [eps], plan)[0]
     return {
-        "min_state_value": float(np.min(logdets)) / n,
+        "min_state_value": census_stats([b], k, eps)[0][0],
         "deterministic_upper": min_state_logdet_bound(n, k, m, eps)["exact"],
     }

@@ -15,16 +15,11 @@ a fixed order regardless of worker count.
 
 The Landau-rate (k = m) and super-Landau (k < m) achievability results
 are one statistic, checked by one suite, `achievability_trial`, which
-takes the regime from (n, k, m).  Its workers are forked processes
-(`parallel.map_ordered`), since its trials run the subset kernel's many
-short numpy calls.  Each worker takes a run of states, not of trials:
-before the fork, the caller draws every trial's matrix in one pass
-(`samplers.draw_matrices`, each trial on its own stream) and whitens the
-draws as one stack, which checks the rank floor once per matrix; each
-worker builds the elimination plan of its own run of whole
-STATE_CHUNK-state chunks, a range of colex ranks, and evaluates every trial
-on it, so both the plan and the kernel are spread.  No index block of the
-states is formed.
+takes the regime from (n, k, m).  It draws every trial's matrix in one
+pass (`samplers.draw_matrices`, each trial on its own stream) and whitens
+the draws as one stack, which checks the rank floor once per matrix;
+`numerics.census_stats` then walks the census for every trial at once,
+over forked workers that each take a run of states, not of trials.
 
 The dense log-det laws (square concentration, rect log-det,
 small-eigenvalue count, Wishart minor) are one table, `LAWS`, run by one
@@ -46,20 +41,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import batched_losses
-from .channel import CompoundChannel, enumerate_states
+from .channel import CompoundChannel
 from .converse import min_state_logdet_bound
 from .numerics import (
+    CENSUS_CAP,
     NumericalError,
     SingularityError,
     binary_entropy,
+    census_stats,
     colex_plan,
     full_rank_gram,
     minimax_limit,
     rect_logdet_limit,
-    subset_logdet,
     whiten,
 )
-from .parallel import map_ordered
 from .samplers import (
     ENSEMBLE_KINDS,
     RESAMPLE_KEY_FLIP,
@@ -84,11 +79,6 @@ __all__ = [
     "wishart_minor_limit",
 ]
 
-# States per chunk of an achievability suite.  Each chunk is summed with
-# np.sum and the chunk sums with math.fsum; the size is fixed, so that the
-# means (and with them every output bit) never depend on the worker count.
-STATE_CHUNK = 1 << 12
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Parameters of one Monte Carlo suite."""
@@ -100,7 +90,7 @@ class TrialConfig:
     eps: float = 0.05
     trials: int = 50
     master_seed: int = 0
-    state_cap: int = 1_000_000
+    state_cap: int = CENSUS_CAP
     failure_budget: int = 0
 
     def __post_init__(self) -> None:
@@ -197,7 +187,6 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         raise ValueError(
             f"C({cfg.n},{cfg.k}) exceeds state_cap={cfg.state_cap}; full enumeration required"
         )
-    count = math.comb(cfg.n, cfg.k)
     alpha = cfg.m / cfg.n
     beta = cfg.k / cfg.n
     target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
@@ -213,28 +202,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         mats = whiten(np.stack(draws))
     except SingularityError:
         mats = [_draw_full_rank(spec, whiten, first) for spec, first in zip(specs, draws)]
-    # whole chunks per worker, so that the chunk sums never depend on workers
-    chunks = range(0, count, STATE_CHUNK)
-    runs = max(1, min(workers, len(chunks)))
-    cuts = [chunks[len(chunks) * r // runs] for r in range(runs)] + [count]
-
-    def one_run(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per trial: min, max and chunk sums over the states of run r."""
-        lo, hi = cuts[r], cuts[r + 1]
-        plan = colex_plan(cfg.n, cfg.k, lo, hi)  # one elimination plan for every trial
-        mins, maxs, sums = [], [], []
-        for b in mats:
-            vals = subset_logdet(b, plan, shift=cfg.eps) / cfg.n
-            mins.append(np.min(vals))
-            maxs.append(np.max(vals))
-            sums.append([np.sum(vals[a : a + STATE_CHUNK]) for a in range(0, hi - lo, STATE_CHUNK)])
-        return np.array(mins), np.array(maxs), np.array(sums)
-
-    stats = map_ordered(one_run, range(runs), workers=workers)
-    mins = tuple(np.min([s[0] for s in stats], axis=0).tolist())
-    maxs = tuple(np.max([s[1] for s in stats], axis=0).tolist())
-    sums = np.concatenate([s[2] for s in stats], axis=1)
-    means = tuple(math.fsum(row) / count for row in sums.tolist())
+    mins, maxs, means = census_stats(mats, cfg.k, cfg.eps, workers)
     violations = sum(1 for v in mins if v > bound)
     max_violations = sum(1 for v in maxs if v > bound)
     return ExperimentResult(
@@ -269,10 +237,9 @@ def achievability_trial(cfg: TrialConfig, workers: int = 1) -> ExperimentResult:
     The min over states is compared against the target
     -H(beta) + alpha H(beta/alpha) and the deterministic cap
     `min_state_logdet_bound`, which no draw may ever exceed (budget 0).
-    Per trial, min and max run over all S = C(n, k) states.  The mean is
-    math.fsum of the np.sum of each consecutive chunk of STATE_CHUNK states
-    in colex order, divided by S: it is the same for every worker count and
-    within a few ulps of the exactly rounded mean.
+    Per trial, min, max and mean run over all S = C(n, k) states, as
+    `numerics.census_stats` reduces them: the same for every worker count,
+    the mean within a few ulps of the exactly rounded mean.
     """
     if cfg.k == cfg.m:
         return _achievability(cfg, name="landau_achievability", workers=workers)
@@ -523,10 +490,9 @@ def loss_uniformity_report(channel: CompoundChannel, cfg: TrialConfig) -> Experi
     n, k = channel.n_subbands, channel.k_active
     if math.comb(n, k) > cfg.state_cap:
         raise ValueError("full state enumeration required; raise state_cap or shrink n")
-    idx = enumerate_states(n, k, cfg.state_cap)
     spec = EnsembleSpec(cfg.ensemble, cfg.m, n, cfg.master_seed)
     sampler = _draw_full_rank(spec, make_flat_sampler)
-    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, idx, tol=None)
+    c_sampled, c_eq, _, _ = batched_losses(channel, sampler, colex_plan(n, k), tol=None)
     losses = c_eq - c_sampled
     mean = float(np.mean(losses))
     spread = float((np.max(losses) - np.min(losses)) / mean) if mean > 1e-12 else 0.0

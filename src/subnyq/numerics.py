@@ -4,7 +4,7 @@ All logarithms here (and everywhere else in the package) are natural, so
 entropies and log-determinants live on the same additive scale.  A single
 symmetric eigendecomposition backend (LAPACK, through ``numpy.linalg``)
 serves whitening and the rank-floor check, of a matrix or of a stack in
-one call, and the single-matrix log-dets `logdet_shifted` and `det_floor`.
+one call, and the single-matrix log-det `logdet_shifted`.
 `subset_logdet` is the one batched kernel behind every per-state quantity:
 the converse sums, the Landau statistics and the sampled capacities.  It
 makes no LAPACK call.  Given a `SubsetPlan`, the trie of the shared top
@@ -20,9 +20,9 @@ that belong to the columns (one gain per subband and grid point, as in
 either path; weights that belong to the states (states with gains of
 their own) scale each gathered Gram.  Both paths run many short numpy
 gathers and elementwise loops whose Python steps hold the interpreter
-lock, so the callers spread the kernel over forked worker processes
-(`parallel.map_ordered`), each with a run of states or of trials, never
-over threads.
+lock, so `census_stats`, the one walk of a whole census, spreads the
+kernel over forked worker processes (`parallel.map_ordered`), each with
+a run of states, never over threads.
 """
 
 from __future__ import annotations
@@ -33,14 +33,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .parallel import map_ordered
+
 __all__ = [
+    "CENSUS_CAP",
     "NumericalError",
     "SingularityError",
     "SubsetPlan",
     "binary_entropy",
+    "census_stats",
     "colex_indices",
     "colex_plan",
-    "det_floor",
     "full_rank_gram",
     "log_binomial",
     "logdet_shifted",
@@ -64,6 +67,13 @@ _BLOCK_ELEMENTS = 1 << 18
 # gathers its k x k Grams from them; fixed, so that the path (and with it
 # every output bit) depends on the problem sizes only, never on the blocking
 _GRAM_ELEMENTS = 1 << 17
+# The most states a census may hold: beyond it, an exact check refuses to
+# run, and a state set is a sample of this many states.
+CENSUS_CAP = 10**6
+# States per chunk of `census_stats`.  Each chunk is summed with np.sum and
+# the chunk sums with math.fsum; the size is fixed, so that the means (and
+# with them every output bit) never depend on the worker count.
+STATE_CHUNK = 1 << 12
 
 
 class SingularityError(ArithmeticError):
@@ -555,6 +565,48 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     return out
 
 
+def census_stats(mats, k: int, shift: float, workers: int = 1):
+    """(mins, maxs, means): per m x n matrix B of mats, a (T, m, n) stack or
+    a sequence of matrices, the min, the max and the mean of
+    (1/n) log det(shift I_k + B_s^T B_s) over all C(n, k) states s, as
+    three tuples of floats.
+
+    The one walk of a whole census.  Its colex ranks are cut into runs of
+    whole STATE_CHUNK-state chunks, one run per worker, and the runs are
+    mapped over forked workers (`parallel.map_ordered`).  Each worker
+    builds the elimination plan of its own run, a range of colex ranks,
+    and evaluates every matrix on it, so both the plan and the kernel are
+    spread, and no index block of the states is formed.  A state's value
+    does not depend on the range it is planned in, and the chunks do not
+    depend on the runs: the mean is math.fsum of the np.sum of each
+    consecutive chunk, divided by C(n, k), within a few ulps of the exactly
+    rounded mean; so every output bit is the same for every worker count.
+    """
+    n = np.shape(mats[0])[1]
+    count = math.comb(n, k)
+    chunks = range(0, count, STATE_CHUNK)
+    runs = max(1, min(workers, len(chunks)))
+    cuts = [chunks[len(chunks) * r // runs] for r in range(runs)] + [count]
+
+    def one_run(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per matrix: min, max and chunk sums over the states of run r."""
+        lo, hi = cuts[r], cuts[r + 1]
+        plan = colex_plan(n, k, lo, hi)  # one elimination plan for every matrix
+        mins, maxs, sums = [], [], []
+        for b in mats:
+            vals = subset_logdet(b, plan, shift=shift) / n
+            mins.append(np.min(vals))
+            maxs.append(np.max(vals))
+            sums.append([np.sum(vals[a : a + STATE_CHUNK]) for a in range(0, hi - lo, STATE_CHUNK)])
+        return np.array(mins), np.array(maxs), np.array(sums)
+
+    stats = map_ordered(one_run, range(runs), workers=workers)
+    mins = tuple(np.min([s[0] for s in stats], axis=0).tolist())
+    maxs = tuple(np.max([s[1] for s in stats], axis=0).tolist())
+    sums = np.concatenate([s[2] for s in stats], axis=1)
+    return mins, maxs, tuple(math.fsum(row) / count for row in sums.tolist())
+
+
 def logdet_shifted(mat: np.ndarray, eps: float) -> float:
     """log det(eps*I + S) for symmetric positive semidefinite S, natural log.
 
@@ -570,15 +622,6 @@ def logdet_shifted(mat: np.ndarray, eps: float) -> float:
             f"eps + lambda_min = {shifted[0]:.3e} <= 0; shifted determinant undefined"
         )
     return float(np.sum(np.log(shifted)))
-
-
-def det_floor(mat: np.ndarray, eps: float) -> float:
-    """log of the eigenvalue-floored determinant: sum_i log(max(lambda_i, eps))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    sym = _as_symmetric(mat)
-    lam = np.linalg.eigvalsh(sym)
-    return float(np.sum(np.log(np.maximum(lam, eps))))
 
 
 def binary_entropy(beta: float) -> float:

@@ -27,7 +27,9 @@ from subnyq.channel import (
 )
 from subnyq.cli import main as cli_main
 from subnyq.experiments import TrialConfig, loss_uniformity_report
-from subnyq.numerics import NumericalError, SingularityError, binary_entropy, colex_indices
+from subnyq.numerics import (
+    NumericalError, SingularityError, binary_entropy, colex_indices, colex_plan
+)
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler, make_gridded_sampler
 
 
@@ -576,7 +578,7 @@ class TestPlanPath:
     def test_matches_naive_slogdet(self, n, k, m, q, gridded, overrides, seed):
         k, m = min(k, n - 1), min(m, n)  # k > m takes the column path, which has no plan
         ch, sampler, panels, idx, own = census_case(seed, n, k, m, q, gridded, overrides)
-        along = np.stack(batched_losses(ch, sampler, idx))
+        along = np.stack(batched_losses(ch, sampler, colex_plan(n, k)))
         per_state = state_by_state(ch, sampler, idx)
         assert np.array_equal(along[1:], per_state[1:])  # the Nyquist side is the same
         assert np.array_equal(along[0, own], per_state[0, own])
@@ -590,7 +592,7 @@ class TestPlanPath:
     def test_gains_from_1e_minus150_to_1e150(self, gridded, overrides):
         ch, sampler, panels, idx, _ = census_case(41, 8, 3, 4, 2, gridded, overrides, decades=150)
         with np.errstate(over="ignore"):  # the water levels invert gains near 1e-150
-            got = np.stack(batched_losses(ch, sampler, idx, tol=None))
+            got = np.stack(batched_losses(ch, sampler, colex_plan(8, 3), tol=None))
         assert np.all(np.isfinite(got))
         for r, s in enumerate(idx):
             gains = state_grid(ch, s)
@@ -608,7 +610,7 @@ class TestPlanPath:
         _, sampler, _, idx, _ = census_case(42, 7, 3, 4, 1, False, 0)
         ch = CompoundChannel(bandwidth=4.0, n_subbands=7, k_active=3, power=4.0 * 3 / 7,
                              gain_grid=np.array(gains)[:, None])
-        for got in (lambda: np.stack(batched_losses(ch, sampler, idx, tol=None)),
+        for got in (lambda: np.stack(batched_losses(ch, sampler, colex_plan(7, 3), tol=None)),
                     lambda: state_by_state(ch, sampler, idx, tol=None)):
             with np.errstate(all="ignore"):
                 if finite:
@@ -636,13 +638,13 @@ class TestPlanPath:
     def test_values_do_not_depend_on_blocking_or_order(self, monkeypatch):
         # a permuted census is gathered, like the halves of `state_by_state`
         ch, sampler, _, idx, _ = census_case(43, 9, 4, 5, 3, True, 3)
-        whole = np.stack(batched_losses(ch, sampler, idx))
+        whole = np.stack(batched_losses(ch, sampler, colex_plan(9, 4)))
         perm = np.random.default_rng(43).permutation(len(idx))
         assert np.array_equal(np.stack(batched_losses(ch, sampler, idx[perm])),
                               state_by_state(ch, sampler, idx)[:, perm])
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)  # one state per block
         monkeypatch.setattr(capacity, "_NYQUIST_BLOCK_CELLS", 1)
-        assert np.array_equal(np.stack(batched_losses(ch, sampler, idx)), whole)
+        assert np.array_equal(np.stack(batched_losses(ch, sampler, colex_plan(9, 4))), whole)
 
 
 class TestLossPaths:
@@ -688,24 +690,39 @@ class TestLossPaths:
         batched_losses(ch, sampler, idx[::3])
         assert len(shapes) == 2
 
-    def test_only_a_census_builds_a_plan(self, monkeypatch):
+    def test_only_a_plan_runs_along_a_plan(self, monkeypatch):
+        # the caller chooses the path: all C(n, k) states passed as an index
+        # block are gathered, and no call builds a plan
         ch, sampler, _, idx, _ = census_case(44, 8, 3, 4, 2, False, 0)
+        census = colex_plan(8, 3)
         plans = spy(monkeypatch, numerics.colex_plan)
         gathers = spy(monkeypatch, numerics._subset_grams)
+        batched_losses(ch, sampler, census, tol=None)
+        assert gathers == []
         batched_losses(ch, sampler, idx, tol=None)
-        assert plans == [(8, 3)] and gathers == []
-        plans.clear()
-        batched_losses(ch, sampler, idx[1:], tol=None)
-        assert plans == [] and sum(len(args[2]) for args in gathers) == len(idx) - 1
+        assert plans == [] and sum(len(args[2]) for args in gathers) == len(idx)
         # one scaled Gram per grid point, and no per-state weights
         assert all(len(args[1]) == ch.q and args[3] is None for args in gathers)
 
+    def test_a_plan_range_is_its_slice_of_the_census(self):
+        # a state's values do not depend on the range it is planned in,
+        # rows with their own gains included; a plan of another (n, k) raises
+        ch, sampler, _, _, own = census_case(47, 9, 4, 5, 2, True, 6)
+        whole = np.stack(batched_losses(ch, sampler, colex_plan(9, 4)))
+        for lo, hi in ((0, 1), (10, 80), (37, 126)):
+            got = np.stack(batched_losses(ch, sampler, colex_plan(9, 4, lo, hi)))
+            assert got.tobytes() == whole[:, lo:hi].tobytes()
+        assert np.any(own[10:80])
+        for wrong in (colex_plan(9, 3), colex_plan(8, 4)):
+            with pytest.raises(ValueError, match="plan"):
+                batched_losses(ch, sampler, wrong)
+
     @pytest.mark.parametrize("gridded", [False, True])
     def test_a_permuted_census_is_gathered_in_its_order(self, monkeypatch, gridded):
-        # a census is detected by its states, not by its length: all C(n, k)
-        # states in another order are gathered, in the caller's order
+        # an index block is gathered in the caller's order, also when it
+        # holds all C(n, k) states
         ch, sampler, _, idx, _ = census_case(45, 9, 4, 5, 3, gridded, 2)
-        along = np.stack(batched_losses(ch, sampler, idx))
+        along = np.stack(batched_losses(ch, sampler, colex_plan(9, 4)))
         perm = np.random.default_rng(45).permutation(len(idx))
         plans = spy(monkeypatch, numerics.colex_plan)
         got = np.stack(batched_losses(ch, sampler, idx[perm]))

@@ -13,6 +13,7 @@ from subnyq import cli, experiments, output
 from subnyq.capacity import LossReport, batched_losses, discrete_losses, loss_csv_rows
 from subnyq.channel import ChannelState, enumerate_states, load_channel
 from subnyq.cli import main
+from subnyq.numerics import colex_plan
 from subnyq.output import g12_rows, json_records, loss_csv_lines
 from subnyq.samplers import EnsembleSpec, draw_matrix, make_flat_sampler
 
@@ -296,7 +297,7 @@ class TestWorkersByteIdentity:
     64-state chunks, so that every worker count splits the states.
     """
 
-    CHUNK = "from subnyq import experiments\nexperiments.STATE_CHUNK = 64\n"
+    CHUNK = "from subnyq import numerics\nnumerics.STATE_CHUNK = 64\n"
 
     def outputs(self, cli_process, tmp_path, args, workers, setup=""):
         files = []
@@ -443,7 +444,8 @@ class TestLossRowFormatting:
             draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
         )
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        reports = self.reports(states, batched_losses(channel, sampler, states))
+        census = colex_plan(channel.n_subbands, channel.k_active)
+        reports = self.reports(states, batched_losses(channel, sampler, census))
         assert out.read_text() == "\n".join(loss_csv_rows(reports, bits=bits)) + "\n"
 
     def test_capacity_json_fields(self, tmp_path, capsys):
@@ -456,7 +458,8 @@ class TestLossRowFormatting:
             draw_matrix(EnsembleSpec("gaussian", 4, channel.n_subbands, 11))
         )
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
-        reports = self.reports(states, batched_losses(channel, sampler, states))
+        census = colex_plan(channel.n_subbands, channel.k_active)
+        reports = self.reports(states, batched_losses(channel, sampler, census))
         want = [
             {"state": list(rep.state.indices), "c_sampled": rep.c_sampled,
              "c_eq": rep.c_nyquist_eq, "c_opt": rep.c_nyquist_opt, "loss_eq": rep.loss_eq,
@@ -634,8 +637,9 @@ class TestJsonRecords:
         channel = load_channel(path)
         spec = EnsembleSpec("gaussian", 4, channel.n_subbands, 11)
         states = enumerate_states(channel.n_subbands, channel.k_active, 10**6)
+        census = colex_plan(channel.n_subbands, channel.k_active)
         c_sampled, c_eq, c_opt, nu = batched_losses(
-            channel, make_flat_sampler(draw_matrix(spec)), states
+            channel, make_flat_sampler(draw_matrix(spec)), census
         )
         values = zip(c_sampled.tolist(), c_eq.tolist(), c_opt.tolist(),
                      (c_eq - c_sampled).tolist(), (c_opt - c_sampled).tolist(), nu.tolist())

@@ -14,7 +14,7 @@ from subnyq.converse import (
     subset_det_sum_closed,
     subset_det_sums_unchecked,
 )
-from subnyq.numerics import binary_entropy, colex_plan, whiten
+from subnyq.numerics import binary_entropy, whiten
 from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
 
 
@@ -90,26 +90,17 @@ class TestSubsetDetSum:
 
     @pytest.mark.parametrize("workers", [1, 3, 4])
     def test_grid_shares_one_plan_per_worker(self, monkeypatch, capsys, workers):
-        # whatever --workers says, verify builds one plan per instance and
-        # shares it between the eps grid's sums and the sandwich
+        # whatever --workers says, verify builds exactly two plans per
+        # instance, one for the eps grid's sums and one for the sandwich,
+        # each a whole census of the instance
         from subnyq import cli
 
         built = spy(monkeypatch, numerics.colex_plan)
         assert cli.main(["--command", "verify", "--seed", "7", "--workers", str(workers)]) == 0
         assert "-> pass" in capsys.readouterr().out
-        assert built == [(n, k) for n, k, _, _ in cli._verify_instances(7)]
-
-    def test_plans_must_hold_the_instance_states(self):
-        # another (n, k), or a partial range of the instance's states
-        b = whitened("gaussian", 5, 11, 7)
-        want = [subset_det_sum(b, 3, 0.1)]
-        assert subset_det_sums_unchecked(b, 3, [0.1], colex_plan(11, 3)) == want
-        for wrong in (colex_plan(11, 2), colex_plan(10, 3), colex_plan(11, 3, 0, 80),
-                      colex_plan(11, 3, 1)):
-            with pytest.raises(ValueError):
-                subset_det_sums_unchecked(b, 3, [0.1], plan=wrong)
-            with pytest.raises(ValueError):
-                per_instance_sandwich(b, 3, 0.1, plan=wrong)
+        ranges = [(n, k, *rest) if rest else (n, k, 0, math.comb(n, k)) for n, k, *rest in built]
+        whole = [(n, k, 0, math.comb(n, k)) for n, k, _, _ in cli._verify_instances(7)]
+        assert ranges == [census for census in whole for _ in range(2)]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -112,8 +112,8 @@ class TestAchievabilityStatistics:
     ])
     def test_against_whole_block(self, monkeypatch, n, k, m, chunk, workers):
         if chunk is not None:
-            monkeypatch.setattr(experiments, "STATE_CHUNK", chunk)
-        chunk = experiments.STATE_CHUNK
+            monkeypatch.setattr(numerics, "STATE_CHUNK", chunk)
+        chunk = numerics.STATE_CHUNK
         cfg = TrialConfig(n=n, k=k, m=m, trials=4, master_seed=9)
         res = achievability_trial(cfg, workers=workers)
         plan = colex_plan(n, k)

@@ -18,9 +18,9 @@ from subnyq.numerics import (
     NumericalError,
     SingularityError,
     binary_entropy,
+    census_stats,
     colex_indices,
     colex_plan,
-    det_floor,
     full_rank_gram,
     log_binomial,
     logdet_shifted,
@@ -162,19 +162,6 @@ class TestLogdetShifted:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             logdet_shifted(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.1)
-
-
-class TestDetFloor:
-    def test_floor_active(self):
-        val = det_floor(np.diag([2.0, 0.001]), 0.01)
-        assert val == pytest.approx(math.log(2.0) + math.log(0.01))
-
-    def test_identity_any_eps(self):
-        for eps in (0.01, 0.5, 1.0):
-            assert det_floor(np.eye(4), eps) == pytest.approx(0.0, abs=1e-14)
-
-    def test_floor_inactive(self):
-        assert det_floor(np.diag([3.0, 5.0]), 1.0) == pytest.approx(math.log(15.0))
 
 
 class TestScalarFunctions:
@@ -817,6 +804,37 @@ def conditioning_slack(panels, s, weights, shift):
 def column_weights(rng, n, q, decades):
     """(n, q) column weights, log-uniform over 10^-decades .. 10^decades."""
     return 10.0 ** rng.uniform(-decades, decades, (n, q))
+
+
+@st.composite
+def census_problems(draw):
+    """(n, k, m, mats): 1 <= k <= m <= n <= 14 and a stack of 1-3 whitened
+    m x n matrices."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, k, m, whiten(rng.standard_normal((draw(st.integers(1, 3)), m, n)))
+
+
+class TestCensusStats:
+    @given(problem=census_problems(), workers=st.integers(1, 3),
+           chunk=st.sampled_from([1, 7, 64, None]), shift=st.sampled_from([0.0, 0.05, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_whole_plan_bit_for_bit(self, problem, workers, chunk, shift):
+        n, k, _, mats = problem
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(numerics, "STATE_CHUNK", chunk)
+            chunk = numerics.STATE_CHUNK
+            mins, maxs, means = census_stats(mats, k, shift, workers)
+        plan, count = colex_plan(n, k), math.comb(n, k)
+        assert len(mins) == len(maxs) == len(means) == len(mats)
+        for t, b in enumerate(mats):
+            vals = subset_logdet(b, plan, shift=shift) / n
+            assert mins[t] == float(np.min(vals)) and maxs[t] == float(np.max(vals))
+            sums = [float(np.sum(vals[a : a + chunk])) for a in range(0, count, chunk)]
+            assert means[t] == math.fsum(sums) / count
 
 
 class TestWeightedPlan:

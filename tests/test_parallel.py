@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from subnyq import experiments
+from subnyq import numerics
 from subnyq.experiments import TrialConfig, achievability_trial
 from subnyq.numerics import NumericalError
 from subnyq.parallel import map_ordered
@@ -146,7 +146,7 @@ def test_line_printed_before_the_map_appears_once():
 
 
 def test_without_fork_the_map_is_serial(monkeypatch):
-    monkeypatch.setattr(experiments, "STATE_CHUNK", 64)
+    monkeypatch.setattr(numerics, "STATE_CHUNK", 64)
     cfg = TrialConfig(n=14, k=4, m=4, trials=4, master_seed=11)
     forked = achievability_trial(cfg, workers=3).to_json()
     monkeypatch.delattr(os, "fork")
@@ -157,15 +157,15 @@ def test_without_fork_the_map_is_serial(monkeypatch):
 
 PLANTED = """
 import os
-from subnyq import experiments
+from subnyq import numerics
 from subnyq.numerics import NumericalError
-experiments.STATE_CHUNK = 64
-kernel = experiments.subset_logdet
+numerics.STATE_CHUNK = 64
+kernel = numerics.subset_logdet
 def planted(b, plan, shift):
     if plan.hi == 1001:  # the run holding the last state of the C(14, 4)
         raise NumericalError(f"planted in {os.getpid()}")
     return kernel(b, plan, shift=shift)
-experiments.subset_logdet = planted
+numerics.subset_logdet = planted
 print("main", os.getpid())
 """
 

@@ -33,6 +33,7 @@ from .numerics import (
     SingularityError,
     SubsetPlan,
     binary_entropy,
+    census_stats,
     colex_plan,
     log_binomial,
     logdet_shifted,

@@ -47,9 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, CompoundChannel, snr_summary
-from .numerics import (
-    NumericalError, SubsetPlan, colex_indices, real_matrix, subset_logdet, whiten
-)
+from .numerics import NumericalError, SubsetPlan, colex_indices, real_matrix, subset_logdet, whiten
 from .output import loss_csv_lines
 from .samplers import SamplerSpec
 
@@ -328,24 +326,22 @@ def batched_losses(
 ):
     """Capacities of many states under one sampler, as arrays.
 
-    states takes the two forms of `numerics.subset_logdet`: an (S, k)
-    integer block of zero-based active-subband indices, one state per row,
-    or `numerics.colex_plan(n, k, lo, hi)`, the plan of the states of colex
-    ranks lo .. hi - 1, in colex order.  Returns (c_sampled, c_eq, c_opt,
-    nu), each of length S: the sampled capacity, the Nyquist-rate
-    capacities with equal power and with water-filling (nats/s), and the
-    water level.  Per-state gains (channel.state_gains) and gridded samplers
-    are honoured.  The sampler comes whitened (`SamplerSpec.whitened`), and
-    states are processed in blocks sized by a fixed element budget, so
-    memory stays bounded for any S.
+    states is an (S, k) integer block of zero-based active-subband indices,
+    one state per row, or `numerics.colex_plan(n, k, lo, hi)`, the states
+    of colex ranks lo .. hi - 1: the two forms of `numerics.subset_logdet`.
+    Returns (c_sampled, c_eq, c_opt, nu), each of length S: the sampled
+    capacity, the Nyquist-rate capacities with equal power and with
+    water-filling (nats/s), and the water level.  Per-state gains
+    (channel.state_gains) and gridded samplers are honoured.  The sampler
+    comes whitened (`SamplerSpec.whitened`), and states are processed in
+    blocks sized by a fixed element budget, so memory stays bounded for any S.
 
     The channel's gains weigh the columns, so `numerics.subset_logdet`
-    scales each grid point's Gram once.  A plan shares the elimination of
-    common top columns, which pays for a census, as the `capacity` command
-    passes it; an index block, such as a sparse sample, gathers each
-    state's Gram and factors it on its own.  The two forms agree to
-    rounding: c_sampled of one state differs between them by about 4e-16
-    relative.
+    scales each grid point's Gram once.  A plan, as the `capacity` command
+    passes a census, shares the elimination of common top columns; a block,
+    such as a sparse sample, gathers each state's Gram and factors it on
+    its own.  The two agree to rounding: c_sampled of one state differs
+    between them by about 4e-16 relative.
 
     tol bounds the water-filling power residual relative to P
     (NumericalError beyond it); None skips that check, for callers that use

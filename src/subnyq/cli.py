@@ -426,9 +426,8 @@ def cmd_capacity(params: dict) -> int:
     sampled = math.comb(n, k) > state_cap
     states = enumerate_states(n, k, state_cap)
     block = states + 1  # 1-based labels
-    cols = _loss_columns(
-        cap.batched_losses(channel, sampler, states if sampled else colex_plan(n, k))
-    )
+    walk = states if sampled else colex_plan(n, k)  # a census runs along its plan
+    cols = _loss_columns(cap.batched_losses(channel, sampler, walk))
     gap_bound = cap.waterfill_gap_bound(channel)
     bad = bool(
         np.any(cols["loss_eq"] < -1e-9) or np.any(cols["c_opt"] - cols["c_eq"] > gap_bound + 1e-9)

@@ -59,6 +59,7 @@ from .samplers import (
     ENSEMBLE_KINDS,
     RESAMPLE_KEY_FLIP,
     EnsembleSpec,
+    check_seed,
     derive_trial_seed,
     draw_matrices,
     draw_matrix,
@@ -104,8 +105,7 @@ class TrialConfig:
             )
         if self.failure_budget < 0:
             raise ValueError("failure budget must be nonnegative")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError(f"master seed must fit in 64 unsigned bits, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master seed"))
 
 
 @dataclass(frozen=True)

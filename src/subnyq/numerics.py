@@ -566,21 +566,17 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
 
 
 def census_stats(mats, k: int, shift: float, workers: int = 1):
-    """(mins, maxs, means): per m x n matrix B of mats, a (T, m, n) stack or
-    a sequence of matrices, the min, the max and the mean of
-    (1/n) log det(shift I_k + B_s^T B_s) over all C(n, k) states s, as
-    three tuples of floats.
+    """Per m x n matrix B of mats (a (T, m, n) stack or a sequence), the
+    min, max and mean of (1/n) log det(shift I_k + B_s^T B_s) over all
+    C(n, k) states s, as three tuples (mins, maxs, means).
 
-    The one walk of a whole census.  Its colex ranks are cut into runs of
-    whole STATE_CHUNK-state chunks, one run per worker, and the runs are
-    mapped over forked workers (`parallel.map_ordered`).  Each worker
-    builds the elimination plan of its own run, a range of colex ranks,
-    and evaluates every matrix on it, so both the plan and the kernel are
-    spread, and no index block of the states is formed.  A state's value
-    does not depend on the range it is planned in, and the chunks do not
-    depend on the runs: the mean is math.fsum of the np.sum of each
-    consecutive chunk, divided by C(n, k), within a few ulps of the exactly
-    rounded mean; so every output bit is the same for every worker count.
+    The one walk of a whole census: its colex ranks are cut into runs of
+    whole STATE_CHUNK-state chunks, one per worker, mapped over forked
+    workers (`parallel.map_ordered`).  Each worker builds the plan of its
+    run and evaluates every matrix on it; no index block is formed.  A
+    state's value does not depend on its run, and the mean is math.fsum of
+    the chunks' np.sum over C(n, k), within a few ulps of the exactly
+    rounded mean: every output bit is the same for every worker count.
     """
     n = np.shape(mats[0])[1]
     count = math.comb(n, k)

@@ -26,6 +26,7 @@ __all__ = [
     "EnsembleSpec",
     "PhiloxStream",
     "SamplerSpec",
+    "check_seed",
     "derive_trial_seed",
     "draw_matrices",
     "draw_matrix",
@@ -63,7 +64,7 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; use one of {ENSEMBLE_KINDS}")
         if not 1 <= self.rows <= self.cols:
             raise ValueError(f"need 1 <= rows <= cols, got {self.rows} x {self.cols}")
-        _check_seed(self.seed, "seed")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def with_seed(self, seed: int) -> "EnsembleSpec":
         return EnsembleSpec(self.kind, self.rows, self.cols, seed)
@@ -72,16 +73,21 @@ class EnsembleSpec:
         return {"kind": self.kind, "m": self.rows, "n": self.cols, "seed": self.seed}
 
 
-def _check_seed(value: int, name: str) -> int:
-    """value as an int in 0 .. 2**64 - 1; anything else raises ValueError."""
-    if not 0 <= int(value) <= _SEED_MASK:
+def check_seed(value, name: str = "seed") -> int:
+    """value as an int in 0 .. 2**64 - 1, an integral float included, as in
+    the CLI; a bool, a fraction or a wider value would alias: ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value <= _SEED_MASK:
         raise ValueError(f"{name} must fit in 64 unsigned bits, got {value}")
     return int(value)
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Per-trial stream key: master seed XOR trial index, each in 0 .. 2**64 - 1."""
-    return _check_seed(master_seed, "master seed") ^ _check_seed(trial_index, "trial index")
+    return check_seed(master_seed, "master seed") ^ check_seed(trial_index, "trial index")
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
@@ -210,7 +216,7 @@ class PhiloxStream:
     """
 
     def __init__(self, seed: int) -> None:
-        self._key = _check_seed(seed, "seed")
+        self._key = check_seed(seed)
         self._blocks = 0  # counter of the last block computed
         self._spare = np.empty(0, dtype=np.uint64)  # its words not drawn yet
         self._half: int | None = None  # high half kept by a 32-bit draw
@@ -423,18 +429,19 @@ def gaussian_batches(total: int, shape_per_draw: tuple[int, ...], seed: int):
         done += c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplerSpec:
     """Sampling coefficient function on [0, W/n].
 
     Either flat (one m x n matrix, p = 1) or gridded (p matrices on a
     uniform frequency grid).  Every panel must be real, with full row rank.
     The panels are whitened together when the sampler is built, and kept
-    read-only, as the (p, m, n) stack `whitened`.
+    read-only, as the (p, m, n) stack `whitened`.  Samplers compare and
+    hash by identity, as their panels are arrays.
     """
 
     panels: tuple[np.ndarray, ...]
-    whitened: np.ndarray = field(init=False, repr=False, compare=False)
+    whitened: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.panels:

@@ -45,6 +45,18 @@ class TestTrialConfig:
         top = TrialConfig(n=8, k=2, m=4, trials=2, master_seed=2**64 - 1)
         assert len(achievability_trial(top).per_trial["min"]) == 2
 
+    @pytest.mark.parametrize("bad", [1.5, True, False, math.nan, "0"], ids=repr)
+    def test_master_seed_fractional_or_bool_rejected(self, bad):
+        # each would run as seed 1 or 0
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            TrialConfig(n=8, k=2, m=4, master_seed=bad)
+
+    def test_integral_float_master_seed_is_its_integer(self):
+        cfg = TrialConfig(n=8, k=2, m=4, trials=2, master_seed=7.0)
+        assert type(cfg.master_seed) is int
+        want = achievability_trial(TrialConfig(n=8, k=2, m=4, trials=2, master_seed=7))
+        assert achievability_trial(cfg).to_json() == want.to_json()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(n=8, k=5, m=4)

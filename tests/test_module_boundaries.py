@@ -366,3 +366,45 @@ def test_eigh_only_in_one_helper():
     # one symmetric eigendecomposition, which takes a matrix or a stack
     sites = {path.name: eigh_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: where for name, where in sites.items() if where} == {"numerics.py": ["_eigh_desc"]}
+
+
+def census_walk_sites(source: str) -> list[str]:
+    """Each call of a name or attribute `map_ordered`, and each read, write
+    or import of a name or attribute `STATE_CHUNK`, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "map_ordered":
+                found.append(f"line {node.lineno}: calls map_ordered")
+        elif (isinstance(node, ast.Name) and node.id == "STATE_CHUNK") or (
+            isinstance(node, ast.Attribute) and node.attr == "STATE_CHUNK"
+        ):
+            found.append(f"line {node.lineno}: names STATE_CHUNK")
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "STATE_CHUNK" for a in node.names):
+            found.append(f"line {node.lineno}: imports STATE_CHUNK")
+    return sorted(found, key=lambda site: int(site.split()[1].rstrip(":")))
+
+
+def test_census_walk_detector():
+    source = (
+        "from .numerics import STATE_CHUNK\n"
+        "from .parallel import map_ordered\n"
+        "def map_ordered_twice(f, xs): return parallel.map_ordered(f, xs)\n"
+        "out = map_ordered(len, [[1]], workers=2)\n"
+        "numerics.STATE_CHUNK = 64\n"
+        "doc = 'STATE_CHUNK and map_ordered in a string'\n"
+    )
+    assert census_walk_sites(source) == [
+        "line 1: imports STATE_CHUNK",
+        "line 3: calls map_ordered",
+        "line 4: calls map_ordered",
+        "line 5: names STATE_CHUNK",
+    ]
+
+
+def test_census_walk_only_in_numerics():
+    # one walk of a census: its runs, its chunks and its forks live in `census_stats`
+    sites = {path.name: census_walk_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name for name, where in sites.items() if where} == {"numerics.py"}

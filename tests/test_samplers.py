@@ -47,6 +47,36 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec("gaussian", 2, 4, 0).with_seed(bad)
 
+    # a truncation would alias each to seed 1 (True, 1.5), 0 (False) or 2 (2.5)
+    FRACTIONAL = [1.5, True, False, np.float64(2.5), np.True_, math.nan, math.inf, "7"]
+
+    @pytest.mark.parametrize("bad", FRACTIONAL, ids=repr)
+    def test_spec_rejects_fractional_and_bool_seeds(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            EnsembleSpec("gaussian", 2, 4, bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            EnsembleSpec("gaussian", 2, 4, 0).with_seed(bad)
+
+    @pytest.mark.parametrize("bad", FRACTIONAL, ids=repr)
+    def test_stream_rejects_fractional_and_bool_seeds(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            PhiloxStream(bad)
+
+    @pytest.mark.parametrize("bad", FRACTIONAL, ids=repr)
+    def test_trial_seed_rejects_fractional_and_bool_seeds(self, bad):
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            derive_trial_seed(bad, 0)
+        with pytest.raises(ValueError, match="trial index must be an integer"):
+            derive_trial_seed(0, bad)
+
+    def test_integral_float_seeds_are_their_integers(self):
+        # as the CLI takes 7.0 for 7
+        spec = EnsembleSpec("gaussian", 2, 4, 7.0)
+        assert type(spec.seed) is int and spec.to_dict()["seed"] == 7
+        assert np.array_equal(draw_matrix(spec), draw_matrix(EnsembleSpec("gaussian", 2, 4, 7)))
+        assert np.array_equal(PhiloxStream(np.float64(7.0)).random_raw(3), PhiloxStream(7).random_raw(3))
+        assert derive_trial_seed(7.0, np.uint64(2)) == 5
+
     def test_top_seed_accepted(self):
         top = 2**64 - 1
         assert derive_trial_seed(top, 0) == derive_trial_seed(0, top) == top
@@ -337,6 +367,13 @@ class TestSamplerSpec:
         assert spec.p == 3 and not spec.flat
         with pytest.raises(ValueError):
             make_gridded_sampler([panels[0], panels[1][:, :5]])
+
+    def test_samplers_compare_by_identity(self):
+        # comparing the panels' arrays would raise; a sampler equals itself only
+        q = draw_matrix(EnsembleSpec("gaussian", 2, 5, 4))
+        one, two = make_flat_sampler(q), make_flat_sampler(q)
+        assert one == one and one != two
+        assert len({one, two, make_gridded_sampler([q, q])}) == 3
 
     def test_panels_immutable(self):
         q = np.eye(3)

@@ -80,6 +80,7 @@ __all__ = [
     "wishart_minor_limit",
 ]
 
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Parameters of one Monte Carlo suite."""

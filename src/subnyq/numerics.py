@@ -67,8 +67,8 @@ _BLOCK_ELEMENTS = 1 << 18
 # gathers its k x k Grams from them; fixed, so that the path (and with it
 # every output bit) depends on the problem sizes only, never on the blocking
 _GRAM_ELEMENTS = 1 << 17
-# The most states a census may hold: beyond it, an exact check refuses to
-# run, and a state set is a sample of this many states.
+# The default cap on the states of a census: beyond it, the exact checks
+# refuse to run, and the commands sample this many states.
 CENSUS_CAP = 10**6
 # States per chunk of `census_stats`.  Each chunk is summed with np.sum and
 # the chunk sums with math.fsum; the size is fixed, so that the means (and

@@ -690,9 +690,10 @@ class TestLossPaths:
         batched_losses(ch, sampler, idx[::3])
         assert len(shapes) == 2
 
-    def test_only_a_plan_runs_along_a_plan(self, monkeypatch):
-        # the caller chooses the path: all C(n, k) states passed as an index
-        # block are gathered, and no call builds a plan
+    def test_only_a_census_builds_a_plan(self, monkeypatch):
+        # the caller builds the plan of a census and so chooses the path:
+        # batched_losses builds none, and gathers all C(n, k) states passed
+        # as an index block
         ch, sampler, _, idx, _ = census_case(44, 8, 3, 4, 2, False, 0)
         census = colex_plan(8, 3)
         plans = spy(monkeypatch, numerics.colex_plan)

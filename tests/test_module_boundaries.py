@@ -375,16 +375,13 @@ def census_walk_sites(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "map_ordered":
-                found.append(f"line {node.lineno}: calls map_ordered")
-        elif (isinstance(node, ast.Name) and node.id == "STATE_CHUNK") or (
-            isinstance(node, ast.Attribute) and node.attr == "STATE_CHUNK"
-        ):
-            found.append(f"line {node.lineno}: names STATE_CHUNK")
+            if getattr(func, "id", getattr(func, "attr", None)) == "map_ordered":
+                found.append((node.lineno, "calls map_ordered"))
+        elif getattr(node, "id", getattr(node, "attr", None)) == "STATE_CHUNK":
+            found.append((node.lineno, "names STATE_CHUNK"))
         elif isinstance(node, ast.ImportFrom) and any(a.name == "STATE_CHUNK" for a in node.names):
-            found.append(f"line {node.lineno}: imports STATE_CHUNK")
-    return sorted(found, key=lambda site: int(site.split()[1].rstrip(":")))
+            found.append((node.lineno, "imports STATE_CHUNK"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
 def test_census_walk_detector():

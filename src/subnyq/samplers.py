@@ -78,7 +78,7 @@ def check_seed(value, name: str = "seed") -> int:
     the CLI; a bool, a fraction or a wider value would alias: ValueError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value <= _SEED_MASK:
         raise ValueError(f"{name} must fit in 64 unsigned bits, got {value}")

@@ -13,11 +13,17 @@ Exit codes: 0 pass, 1 usage/config error, 2 verification failure,
 3 numerical failure.  Outputs are byte-identical for identical
 configuration (including seed) and independent of --workers; timing is
 printed to stdout only, never written to files.
+
+`main` owns its process, so it first lets glibc's heap keep the memory
+that numpy frees (`_keep_freed_memory`); the workers that
+`parallel.map_ordered` forks inherit the setting.  Importing the package
+leaves the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -77,6 +83,33 @@ _REAL_KEYS = ("eps", "power", "perturb")
 VERIFY_INSTANCES = 20
 VERIFY_EPS_GRID = (0.0, 0.01, 0.5, 1.0)
 IDENTITY_RTOL = 1e-9
+
+
+# glibc's mallopt parameters (malloc.h) and the values `_keep_freed_memory` sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep the blocks numpy frees in this process's heap, for reuse.
+
+    glibc serves a block at or above its mmap threshold from a fresh
+    mapping and returns the heap's free top to the OS beyond its trim
+    threshold, so each walk of a plan would take its ~0.4 MB of
+    temporaries on new pages, one page fault per 4 KiB.  Below 32 MiB a
+    block now comes from the heap, and the heap keeps up to 64 MiB free.
+    Both are set together: setting either alone turns off glibc's adaptive
+    thresholds and faults more than the defaults do.  Where the C library
+    has no `mallopt` (macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no dlopen(NULL)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 class UsageError(Exception):
@@ -198,8 +231,8 @@ def _result_payload(result: experiments.ExperimentResult, fmt: str | None) -> st
     if fmt == "csv":
         keys = sorted(result.per_trial)
         trials = np.arange(result.trials)[:, None]  # the trial number leads each row
-        rows = output.g12_rows([result.per_trial[key] for key in keys], trials)
-        return "trial;" + ";".join(keys) + "\n" + rows
+        head = "trial;" + ";".join(keys) + "\n"
+        return output.g12_rows([result.per_trial[key] for key in keys], trials, head)
     return result.to_json() + "\n"
 
 
@@ -442,7 +475,7 @@ def cmd_capacity(params: dict) -> int:
             sort_keys=True,
             indent=2,
         ).partition(key + "null")
-        payload = head + key + output.json_records(block, cols, 1) + tail + "\n"
+        payload = output.json_records(block, cols, 1, head + key, tail + "\n")
     else:
         payload = output.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
@@ -467,7 +500,8 @@ def cmd_discrete(params: dict) -> int:
     block = states + 1  # 1-based labels
     cols = _loss_columns(cap.discrete_losses(gains, q, states, power))
     if params["format"] == "json":
-        payload = output.json_records(block, {k: cols[k] for k in ("loss_eq", "loss_opt")}, 0) + "\n"
+        records = {key: cols[key] for key in ("loss_eq", "loss_opt")}
+        payload = output.json_records(block, records, 0, tail="\n")
     else:
         payload = output.loss_csv_lines(block, **cols, bits=bool(params["bits"]))
     _write_text(params["out"], payload)
@@ -486,6 +520,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -430,12 +430,14 @@ def _subset_grams(panels, grams, rows, weights) -> np.ndarray:
         if weights is None:
             return mats
         w = np.ascontiguousarray(np.transpose(weights, (1, 2, 0)))  # (k, q, S)
-        return mats * w[:, None] * w[None, :]
+        with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
+            return mats * w[:, None] * w[None, :]
     a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
-    if weights is not None:
-        a = a * np.swapaxes(weights, 1, 2)[:, :, None, :]
-    at = np.swapaxes(a, 2, 3)
-    small = at @ a if rows.shape[1] <= m else a @ at  # (S, q, d, d)
+    with np.errstate(over="ignore"):
+        if weights is not None:
+            a = a * np.swapaxes(weights, 1, 2)[:, :, None, :]
+        at = np.swapaxes(a, 2, 3)
+        small = at @ a if rows.shape[1] <= m else a @ at  # (S, q, d, d)
     return np.ascontiguousarray(np.transpose(small, (2, 3, 1, 0)))
 
 
@@ -503,10 +505,11 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     pivoting (`_pivot_logdet`).  The path depends on p, m, n, k, the kind
     of idx and the shape of the weights only.  A pivot <= 0 (shift = 0
     with a singular minor) gives -inf.  Weights as small as float64 allows
-    are fine (their entries underflow toward the shift); a weighted Gram
-    entry that overflows, for a weight beyond about 1e154 on unit-norm
-    columns, gives a value that is not finite.  Every value depends on its
-    own state only, never on S, the order of the states or the block split.
+    are fine (their entries underflow toward the shift); a Gram entry that
+    overflows, for an entry of B or a weight on unit-norm columns beyond
+    about 1e154, gives a value that is not finite, and no warning.  Every
+    value depends on its own state only, never on S, the order of the
+    states or the block split.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -543,7 +546,8 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     q = p if weights is None else weights.shape[-1]
     if not gathered:
         return _blocked_logdet(panels, None, idx, weights, q, shift)
-    grams = np.swapaxes(panels, 1, 2) @ panels  # (p, n, n)
+    with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
+        grams = np.swapaxes(panels, 1, 2) @ panels  # (p, n, n)
     if plan is not None:
         out = None
         with np.errstate(all="ignore"):

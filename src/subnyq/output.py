@@ -184,8 +184,9 @@ def _g12_part(columns, lead: bool):
     return len(columns) * cell, fill
 
 
-def _compose(parts, rows: int) -> str:
-    """The text of `rows` rows, row i the bytes of each part's row i.
+def _compose(parts, rows: int) -> list[str]:
+    """The text of `rows` rows, row i the bytes of each part's row i, as
+    one piece per block of rows, for the caller's one join of its document.
 
     A part is constant bytes; a fixed-width bytes array, row i's text its
     item i; or a pair (width, fill) whose fill(out, start, stop) writes the
@@ -193,7 +194,7 @@ def _compose(parts, rows: int) -> str:
     matrix.  A slot with no character holds 0.  Each block of rows, at most
     _ROW_BLOCK_SLOTS slots or one row, fills the same matrix, constant
     parts written once, and one `np.compress` turns it into text, so the
-    temporaries do not grow with `rows`.
+    temporaries do not grow with `rows`, and no step copies the whole text.
     """
     widths = [
         len(part) if isinstance(part, bytes) else part.itemsize if isinstance(part, np.ndarray) else part[0]
@@ -217,14 +218,15 @@ def _compose(parts, rows: int) -> str:
                 part[1](block[:, first:end], start, stop)
         flat = block.ravel()
         pieces.append(str(np.compress(flat != 0, flat), "ascii"))  # decoded from its buffer
-    return "".join(pieces)
+    return pieces
 
 
-def g12_rows(columns, block=None) -> str:
+def g12_rows(columns, block=None, head: str = "") -> str:
     """Rows of ``'%.12g'`` cells as text: row i is the i-th value of each
     column, joined by ";" and ended by a newline, and led by the label of
     block row i (its entries joined by "|") and a ";" when an (S, k)
-    integer block is given."""
+    integer block is given.  The text follows `head`, such as a header
+    line, in one join."""
     columns = [np.asarray(col, dtype=float) for col in columns]
     rows = len(columns[0]) if columns else 0
     parts = []
@@ -235,7 +237,7 @@ def g12_rows(columns, block=None) -> str:
         raise ValueError(f"every column must hold {rows} values")
     if columns:
         parts.append(_g12_part(columns, lead=block is not None))
-    return _compose(parts + [b"\n"], rows)
+    return "".join([head, *_compose(parts + [b"\n"], rows)])
 
 
 def loss_csv_lines(
@@ -255,7 +257,7 @@ def loss_csv_lines(
     if bits:
         columns.append(np.asarray(loss_eq, dtype=float) / np.log(2.0))
     header = LOSS_CSV_HEADER + (";loss_eq_bits" if bits else "")
-    return header + "\n" + g12_rows(columns, block)
+    return g12_rows(columns, block, header + "\n")
 
 
 def _json_texts(columns) -> list[np.ndarray]:
@@ -285,10 +287,11 @@ def _json_texts(columns) -> list[np.ndarray]:
     return out
 
 
-def json_records(block, columns: dict, level: int) -> str:
+def json_records(block, columns: dict, level: int, head: str = "", tail: str = "") -> str:
     """The bytes of ``json.dumps(records, sort_keys=True, indent=2)`` for the
     list of records ``{"state": list(block[i]), key: columns[key][i], ...}``,
-    nested ``level`` levels deep in an enclosing document.
+    nested ``level`` levels deep in an enclosing document, between the
+    document's `head` and `tail`, in one join.
 
     block is an (S, k) integer block.  Each record is one row of parts,
     instead of the encoder, which falls back to pure Python under `indent`:
@@ -311,5 +314,7 @@ def json_records(block, columns: dict, level: int) -> str:
         _label_part(block, f",{indent}".encode()),
         f"\n{pad}    ]\n{pad}  }},\n".encode(),
     ]
-    # every record ends with ",\n"; the last one's comes off
-    return "[\n" + _compose(parts, len(block))[:-2] + f"\n{pad}]"
+    pieces = _compose(parts, len(block))
+    if pieces:  # every record ends with ",\n"; the last one's comes off
+        pieces[-1] = pieces[-1][:-2]
+    return "".join([head, "[\n", *pieces, f"\n{pad}]", tail])

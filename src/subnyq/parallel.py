@@ -14,7 +14,8 @@ whose Python steps hold the interpreter lock, so threads gained nothing
 in a fresh CLI process.  Fork, not spawn: a spawned worker pays the
 interpreter start and the numpy import again, more than a whole Landau
 suite takes.  Fork is POSIX-only; where ``os.fork`` does not exist the map
-runs serially, with the same results.
+runs serially, with the same results.  A worker inherits the caller's C
+allocator settings, such as the freed memory that `cli.main` keeps.
 
 The library starts no Python thread.  On Python 3.12 and later the
 interpreter warns when a process that has other threads forks, which

@@ -1,11 +1,17 @@
+import ctypes
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
-
+from conftest import SRC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +43,13 @@ class TestVerify:
         assert run(["--command", "verify", "--seed", "7", "--perturb", "1e-3"]) == 2
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_overflowing_perturbation_warns_nothing(self, capsys):
+        # B^T B overflows: the identities fail, and no floating-point warning leaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--command", "verify", "--seed", "7", "--perturb", "1e160"]) == 2
+        assert "FAIL" in capsys.readouterr().out
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
@@ -620,6 +633,16 @@ class TestJsonRecords:
         with pytest.raises(ValueError):
             json_records([[1]], {"zeta": [1.0]}, 0)
 
+    def test_head_and_tail_over_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(output, "_ROW_BLOCK_SLOTS", 1 << 10)  # a few records per block
+        labels, columns = loss_table(11, 300, 2)
+        records = [dict(state=label, **{key: columns[key][i] for key in LOSS_KEYS})
+                   for i, label in enumerate(labels.tolist())]
+        want = json.dumps({"reports": records}, sort_keys=True, indent=2) + "\n"
+        got = json_records(labels, columns, 1, '{\n  "reports": ', "\n}\n")
+        assert by_line(got) == by_line(want)
+        assert json_records(np.empty((0, 2), dtype=int), {"loss_eq": []}, 0, "<", ">") == "<[\n\n]>"
+
     @pytest.mark.parametrize("channel", [None, "census"])
     def test_capacity_json_bytes_equal_json_dumps(self, tmp_path, capsys, channel):
         argv = ["--command", "capacity", "--m", "4", "--seed", "11", "--format", "json"]
@@ -733,6 +756,65 @@ class TestOutputPins:
         assert run(argv + ["--workers", workers, "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_output_sha256_on_a_dirty_heap(self, tmp_path, capsys, name, workers):
+        # The heap keeps what numpy frees, so np.empty hands back old bytes:
+        # no writer may count on fresh, zeroed pages.
+        cli._keep_freed_memory()
+        junk = [np.full(1024 << i, 0xFF, dtype=np.uint8) for i in range(14)]  # 1 KiB .. 8 MiB
+        del junk
+        self.test_output_sha256(tmp_path, capsys, name, workers)
+
+
+# The walk of the fault probe: the plan of the first 36,864 colex ranks of
+# C(22, 6), whose level arrays exceed glibc's default mmap threshold of
+# 128 KiB.  The last walk's values stay alive through the next walk, as in
+# `census_stats`.
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from subnyq import cli
+from subnyq.numerics import colex_plan, subset_logdet
+if sys.argv[1] == "keep":
+    cli._keep_freed_memory()
+plan = colex_plan(22, 6, 0, 36864)
+b = np.cos(np.arange(6 * 22).reshape(6, 22))
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    vals = subset_logdet(b, plan) / 22
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[10:]) / 10)
+"""
+FAULTS_PER_WALK_BOUND = 10  # with the freed memory kept; about 0 on glibc 2.36
+
+
+def _glibc_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not _glibc_mallopt(), reason="glibc's mallopt only")
+def test_kept_memory_walks_fault_no_pages():
+    """A steady walk of a plan takes its temporaries from pages the heap
+    kept.  By default glibc hands them back between walks (about 168 faults
+    a walk), and either threshold set alone still faults on every walk."""
+
+    def faults_per_walk(mode: str) -> float:
+        result = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE, mode],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        return float(result.stdout)
+
+    assert faults_per_walk("keep") < FAULTS_PER_WALK_BOUND
+    assert faults_per_walk("default") >= 10 * FAULTS_PER_WALK_BOUND
 
 
 LABEL_BLOCKS = {  # (n, k, state cap): census and sampled blocks, one to three digits

@@ -1,7 +1,8 @@
 """No module of the package reaches into another module's private names,
 imports a name it never uses, exports a name it does not define, or
-imports anything beyond the standard library and numpy; and every library
-name the benchmark (bench/) binds exists."""
+imports anything beyond the standard library and numpy; no module but
+cli tunes the C allocator; and every library name the benchmark (bench/)
+binds exists."""
 
 import ast
 import importlib
@@ -405,3 +406,53 @@ def test_census_walk_only_in_numerics():
     # one walk of a census: its runs, its chunks and its forks live in `census_stats`
     sites = {path.name: census_walk_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name for name, where in sites.items() if where} == {"numerics.py"}
+
+
+def allocator_sites(source: str) -> list[str]:
+    """Each import of `ctypes` in any form, and each name, attribute,
+    imported name or string constant `mallopt`, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [(node.lineno, "imports ctypes") for name in modules if name.split(".")[0] == "ctypes"]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(alias.name == "mallopt" for alias in node.names)
+        else:
+            named = "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.Constant) and node.value == "mallopt"
+            )
+        if named:
+            found.append((node.lineno, "names mallopt"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_allocator_detector():
+    source = (
+        "import json, ctypes\n"
+        "from ctypes.util import find_library\n"
+        "import ctypes as c\n"
+        "lib = c.CDLL(None); lib.mallopt(-1, 0)\n"
+        "f = getattr(lib, 'mallopt')\n"
+        "doc = 'ctypes and mallopt in a string'\n"
+        "from .cli import mallopt\n"
+    )
+    assert allocator_sites(source) == [
+        "line 1: imports ctypes",
+        "line 2: imports ctypes",
+        "line 3: imports ctypes",
+        "line 4: names mallopt",
+        "line 5: names mallopt",
+        "line 7: names mallopt",
+    ]
+
+
+def test_allocator_only_in_cli():
+    # only the command line owns its process, so only it may tune the C allocator
+    sites = {path.name: allocator_sites(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name for name, where in sites.items() if where} == {"cli.py"}
+    assert {site.split(": ")[1] for site in sites["cli.py"]} == {"imports ctypes", "names mallopt"}

@@ -917,10 +917,23 @@ class TestWeightedPlan:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 along = subset_logdet(panels, colex_plan(9, k), huge)
-            with np.errstate(over="ignore"):  # the gathered path scales its Grams unguarded
                 per_state = subset_logdet(panels, idx, huge[idx])
             for got in (along, per_state):
                 assert np.array_equal(np.isfinite(got), ~np.any(idx == 4, axis=1))
+
+    @pytest.mark.parametrize("m, k", [(5, 1), (5, 3), (2, 3)])
+    def test_huge_column_warns_nothing(self, m, k):
+        # B^T B, or a state's column Gram (k > m), overflows where a state
+        # holds the huge column: a value that is not finite, and no warning
+        rng = np.random.default_rng(32)
+        b = rng.standard_normal((m, 9))
+        b[0, 4] = 1e160
+        idx = colex_indices(9, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [subset_logdet(b, idx), subset_logdet(b, colex_plan(9, k))]
+        for got in results:
+            assert np.array_equal(np.isfinite(got), ~np.any(idx == 4, axis=1))
 
     @pytest.mark.parametrize("n, m, k", [(7, 4, 2), (7, 4, 4), (8, 3, 5)])
     def test_zero_column_at_zero_shift(self, n, m, k):

@@ -673,18 +673,24 @@ class TestJsonRecords:
         assert by_line(out.read_text()) == by_line(want)
 
 
-def pinned_channel(path):
+def pinned_channel(path, keys=("1,2,3,4", "3,8,11,12")):
     """A q = 4 channel on n = 12 subbands (two-digit labels) with two states
-    of their own gains; rational gains, so no random stream is involved."""
+    of their own gains, the states of keys; rational gains, so no random
+    stream is involved."""
     n, q = 12, 4
     doc = {"W": 12.0, "n": n, "k": 4, "P": 30.0, "q": q,
            "gains": [[0.6 + ((7 * i + 5 * j) % 13) / 10 for j in range(q)] for i in range(n)],
            "state_gains": {
-               "1,2,3,4": [[0.7 + ((3 * i + j) % 9) / 8 for j in range(q)] for i in range(n)],
-               "3,8,11,12": [[0.5 + ((5 * i + 2 * j) % 7) / 4 for j in range(q)] for i in range(n)],
+               keys[0]: [[0.7 + ((3 * i + j) % 9) / 8 for j in range(q)] for i in range(n)],
+               keys[1]: [[0.5 + ((5 * i + 2 * j) % 7) / 4 for j in range(q)] for i in range(n)],
            }}
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# The first and last rows of enumerate_states(12, 4, 200), so that a run
+# with --state-cap 200 weighs both of these states by their own gains.
+SAMPLED_KEYS = ("1,2,4,6", "9,10,11,12")
 
 
 class TestOutputPins:
@@ -744,15 +750,30 @@ class TestOutputPins:
             ["--command", "verify", "--seed", "7"],
             "4fb4245616856e8894300fbaee0ff9b5604603aac4911ecfe205a2bc43a67ec5",
         ),
+        "capacity-bundled-columns-csv": (  # k = 3 > m: Grams from the columns
+            ["--command", "capacity", "--m", "2", "--seed", "11"],
+            "94ad3cb481f93fa271406a9465dc028bddb2ecfe427bde687f4970245d7aa8bd",
+        ),
+        "discrete-census-columns-json": (  # k = 5 > m on a census
+            ["--command", "discrete", "--n", "12", "--k", "5", "--m", "3", "--power", "7",
+             "--seed", "5", "--format", "json"],
+            "ab18af6c59111ca7007eea6ad92d8ee270901d605dcaeb0c79d4876c19d2f5b2",
+        ),
+        "capacity-sampled-csv": (  # q = 4 on a sample, two states with their own gains
+            ["--command", "capacity", "--m", "5", "--seed", "3", "--state-cap", "200",
+             "--channel", SAMPLED_KEYS],
+            "46514d2e147f565ef2ca374c3a652888c6d6e0d6981135d2adce86a95edd9370",
+        ),
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_output_sha256(self, tmp_path, capsys, name, workers):
         argv, digest = self.PINS[name]
-        channel = pinned_channel(tmp_path / "channel.json")
+        channels = {None: pinned_channel(tmp_path / "channel.json"),
+                    SAMPLED_KEYS: pinned_channel(tmp_path / "sampled.json", SAMPLED_KEYS)}
         out = tmp_path / "out"
-        argv = [channel if a is None else a for a in argv]
+        argv = [channels.get(a, a) for a in argv]
         assert run(argv + ["--workers", workers, "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -279,15 +279,15 @@ def cmd_verify(params: dict) -> int:
 
     header = f"{'n':>3} {'k':>3} {'m':>3} {'eps':>6} {'enumerated':>18} {'closed':>18} {'rel_err':>10}"
     print(header)
-    worst = 0.0
     for chk in checks:
-        worst = max(worst, chk.relative_error)
         print(
             f"{chk.n:>3} {chk.k:>3} {chk.m:>3} {chk.eps:>6.2f} "
             f"{chk.lhs_sum:>18.9e} {chk.rhs_closed:>18.9e} {chk.relative_error:>10.2e}"
         )
-    if worst > IDENTITY_RTOL:
-        failures.append(f"identity relative error {worst:.3e} exceeds {IDENTITY_RTOL}")
+    # np.max, not max: a sum that is not a number fails the check
+    worst = float(np.max([chk.relative_error for chk in checks]))
+    if not worst <= IDENTITY_RTOL:
+        failures.append(f"identity relative error {worst:.3e} is not within {IDENTITY_RTOL}")
 
     if not perturb:
         failures.extend(_verify_numerics_invariants(seed))
@@ -539,7 +539,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:  # console-script shim
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: an output error, as an unwritable --out
+        # is; stdout now points at devnull, so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

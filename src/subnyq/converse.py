@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    CENSUS_CAP, binary_entropy, census_stats, colex_plan, log_binomial, subset_logdet
+    CENSUS_CAP, census_stats, colex_plan, log_binomial, minimax_limit, subset_logdet
 )
 
 __all__ = [
@@ -132,16 +132,9 @@ def min_state_logdet_bound(n: int, k: int, m: int, eps: float) -> dict[str, floa
         raise ValueError(f"need 1 <= k <= m <= n, got ({n}, {k}, {m})")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    alpha = m / n
-    beta = k / n
     root = 2.0 * math.sqrt(eps)
     exact = (log_binomial(m, k) - log_binomial(n, k)) / n + root
-    entropy = (
-        alpha * binary_entropy(min(beta / alpha, 1.0))
-        - binary_entropy(beta)
-        + root
-        + math.log(n + 1) / n
-    )
+    entropy = -2.0 * minimax_limit(m / n, k / n) + root + math.log(n + 1) / n
     return {"exact": exact, "entropy": entropy}
 
 
@@ -158,13 +151,8 @@ def minimax_lower_bound(n: int, k: int, m: int, snr_min: float, bandwidth: float
         raise ValueError("snr_min must be positive")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    alpha = m / n
-    beta = k / n
     return 0.5 * bandwidth * (
-        binary_entropy(beta)
-        - alpha * binary_entropy(min(beta / alpha, 1.0))
-        - 2.0 / math.sqrt(snr_min)
-        - math.log(n + 1) / n
+        2.0 * minimax_limit(m / n, k / n) - 2.0 / math.sqrt(snr_min) - math.log(n + 1) / n
     )
 
 

@@ -47,7 +47,6 @@ from .numerics import (
     CENSUS_CAP,
     NumericalError,
     SingularityError,
-    binary_entropy,
     census_stats,
     colex_plan,
     full_rank_gram,
@@ -188,9 +187,8 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
         raise ValueError(
             f"C({cfg.n},{cfg.k}) exceeds state_cap={cfg.state_cap}; full enumeration required"
         )
-    alpha = cfg.m / cfg.n
-    beta = cfg.k / cfg.n
-    target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
+    # 0.0 - x, not -x: the limit is +0.0 at m = n, and so stays the target
+    target = 0.0 - 2.0 * minimax_limit(cfg.m / cfg.n, cfg.k / cfg.n)
     bound = min_state_logdet_bound(cfg.n, cfg.k, cfg.m, cfg.eps)["exact"]
     specs = [
         EnsembleSpec(cfg.ensemble, cfg.m, cfg.n, derive_trial_seed(cfg.master_seed, t))

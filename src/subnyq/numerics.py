@@ -14,11 +14,12 @@ it eliminates along the plan, so that states sharing columns share their
 elimination; the plan's gather maps are native integers, so a walk along
 it converts no index.  Given an index block (a sparse sample, for which a
 plan does not pay), it gathers each state's Gram from the panel's n x n
-Gram, and factors all of them in one vectorized elimination.  Weights
-that belong to the columns (one gain per subband and grid point, as in
-`capacity` and `discrete`) scale the n x n Gram once per grid point, on
-either path; weights that belong to the states (states with gains of
-their own) scale each gathered Gram.  Both paths run many short numpy
+Gram, and factors all of them in one vectorized elimination.  Both paths
+run in one loop over the grid points, summed left to right: weights that
+belong to the columns (one gain per subband and grid point, as in
+`capacity` and `discrete`) scale the grid point's n x n Gram once, and
+weights that belong to the states (states with gains of their own) scale
+each gathered Gram.  Both paths run many short numpy
 gathers and elementwise loops whose Python steps hold the interpreter
 lock, so `census_stats`, the one walk of a whole census, spreads the
 kernel over forked worker processes (`parallel.map_ordered`), each with
@@ -184,19 +185,28 @@ def _pivot_logdet(mats: np.ndarray) -> np.ndarray:
     d - 1 Schur-complement updates, and the log-determinant is the sum of
     the logs of the d pivots.  It is backward stable on symmetric positive
     (semi)definite matrices, which is all `subset_logdet` passes here.  A
-    pivot that is not positive gives -inf.
+    pivot that is not positive gives -inf, and a matrix with an entry that
+    is not finite gives nan.
     """
     d = mats.shape[0]
+    bad = ~np.isfinite(mats).all(axis=(0, 1))
     # a zero or tiny pivot turns the trailing entries inf or nan, and the
-    # state ends -inf, so the floating-point warnings are only noise
+    # state ends -inf (nan from an entry that was not finite), so the
+    # floating-point warnings are only noise
     with np.errstate(all="ignore"):
         for i in range(d - 1):
             ratio = mats[i + 1 :, i] / mats[i, i]
             mats[i + 1 :, i + 1 :] -= ratio[:, None] * mats[i, i + 1 :]
-        # the eliminated diagonal holds the pivots
+        # the eliminated diagonal holds the pivots, whose logs are summed row
+        # by row: np.sum over axis 0 sums the logs of a lone matrix pairwise
+        # once d >= 8, so its bits would depend on the number of matrices
         pivots = mats.reshape(d * d, -1)[:: d + 1]
-        logdets = np.log(pivots).sum(axis=0)
+        logs = np.log(pivots)
+        for row in logs[1:]:
+            logs[0] += row
+        logdets = logs[0]
     logdets[~np.all(pivots > 0, axis=0)] = -np.inf
+    logdets[bad] = np.nan
     return logdets
 
 
@@ -375,7 +385,8 @@ def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray
 
     Per level: each node's pivot, its running log-determinant, one ratio per
     stored row, and the Schur update of every stored entry.  A pivot <= 0 or
-    nan leaves -inf or nan, which `subset_logdet` maps to -inf.
+    nan leaves -inf or nan, and so does an entry of G that is not finite;
+    `subset_logdet` tells the two apart.
     """
     d = plan.ncols
     e = np.array(gram[:d, :d]).reshape(-1)
@@ -406,56 +417,47 @@ def _plan_logdet(plan: SubsetPlan, gram: np.ndarray, shift: float) -> np.ndarray
     return out
 
 
-def _scaled_gram(grams, weights, j) -> np.ndarray:
-    """Grid point j's n x n Gram, entry (a, b) scaled as (g_ab w_a) w_b, the
-    order in which `_subset_grams` scales a gathered entry."""
-    gram = grams[j % len(grams)]
-    return gram * weights[:, j, None] * weights[None, :, j]
-
-
-def _subset_grams(panels, grams, rows, weights) -> np.ndarray:
-    """The smaller weighted Gram of every state in rows, as a (d, d, q, S) stack.
-
-    With grams, a (g, n, n) stack of Grams (B^T B of each panel, or one
-    weighted Gram per grid point), each k x k Gram is gathered entry by
-    entry from every one of them, and scaled by w_a w_b per grid point when
-    weights are given; otherwise the Grams are formed from the columns.
-    """
-    p, m, n = panels.shape
-    if grams is not None:
-        cols = np.ascontiguousarray(rows.T)  # (k, S)
-        offsets = np.arange(len(grams))[:, None] * (n * n)  # Gram j starts at j n^2
-        flat = (cols * n)[:, None, None, :] + (cols[:, None, :] + offsets)[None]
-        mats = np.take(grams, flat)  # (k, k, g, S)
-        if weights is None:
-            return mats
-        w = np.ascontiguousarray(np.transpose(weights, (1, 2, 0)))  # (k, q, S)
-        with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
-            return mats * w[:, None] * w[None, :]
-    a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
-    with np.errstate(over="ignore"):
+def _gathered_logdet(gram, idx, m, weights, shift) -> np.ndarray:
+    """log det(shift I + G_s) per state s of idx, G one grid point's n x n
+    Gram, each state's k x k Gram gathered from G, entry (a, b) scaled as
+    (g_ab w_a) w_b by the state's weights (an (S, k) array) if given, in
+    blocks of `_subset_block_rows(m, k)` states."""
+    n, k = len(gram), idx.shape[1]
+    block = _subset_block_rows(m, k)
+    out = np.empty(len(idx))
+    for start in range(0, len(idx), block):
+        cols = np.ascontiguousarray(idx[start : start + block].T)  # (k, S)
+        mats = np.take(gram, (cols * n)[:, None] + cols[None])  # (k, k, S)
         if weights is not None:
-            a = a * np.swapaxes(weights, 1, 2)[:, :, None, :]
-        at = np.swapaxes(a, 2, 3)
-        small = at @ a if rows.shape[1] <= m else a @ at  # (S, q, d, d)
-    return np.ascontiguousarray(np.transpose(small, (2, 3, 1, 0)))
+            w = np.ascontiguousarray(weights[start : start + block].T)
+            mats = mats * w[:, None] * w[None, :]
+        mats.reshape(k * k, -1)[:: k + 1] += shift
+        out[start : start + block] = _pivot_logdet(mats)
+    return out
 
 
-def _blocked_logdet(panels, grams, idx, weights, q, shift) -> np.ndarray:
-    """Summed log-determinants of the Grams of `_subset_grams` over its q
-    grid points, per state, in blocks of a fixed element budget."""
+def _column_logdet(panels, idx, weights, q, shift) -> np.ndarray:
+    """Summed log-determinants over the q grid points, per state of idx, of
+    the smaller Grams of its columns, scaled by its weights (an (S, k, q)
+    array) if given, all q at once in blocks of a fixed element budget;
+    plus the Sylvester term for k > m."""
     m, k = panels.shape[1], idx.shape[1]
     d = min(m, k)
     block = _subset_block_rows(m, k, q)
     out = np.empty(len(idx))
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
-        w = None if weights is None else weights[start : start + block]
+        a = np.moveaxis(panels[:, :, rows], 2, 0)  # (S, p, m, k)
+        with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
+            if weights is not None:
+                a = a * np.swapaxes(weights[start : start + block], 1, 2)[:, :, None, :]
+            at = np.swapaxes(a, 2, 3)
+            small = at @ a if k <= m else a @ at  # (S, q, d, d)
         # (d, d, q, S); contiguous, so that the reshapes below are views
-        mats = np.ascontiguousarray(_subset_grams(panels, grams, rows, w))
+        mats = np.ascontiguousarray(np.transpose(small, (2, 3, 1, 0)))
         mats.reshape(d * d, -1)[:: d + 1] += shift
         logdets = _pivot_logdet(mats.reshape(d, d, -1)).reshape(q, len(rows))
-        out[start : start + block] = logdets.sum(axis=0)
+        out[start : start + block] = sum(logdets)  # row by row, as in `_pivot_logdet`
     if k > m:
         out += q * (k - m) * math.log(shift) if shift > 0 else -np.inf
     return out
@@ -478,38 +480,37 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
     per grid point.  For k <= m, as long as the panels' p n^2 entries of
     B^T B fit a fixed budget (n up to 362 for one panel), B^T B is formed
-    once per call, whole, so that no entry depends on the states.  Then
-    the path follows what the caller passes:
+    once per call, whole, so that no entry depends on the states, and the
+    q grid points are taken one at a time and summed left to right.  Grid
+    point j takes panel j's Gram G (the one Gram when p = 1), which
+    per-column weights scale once, entry (a, b) as (g_ab w_a) w_b, so that
+    its principal minors have the bits of the states' own weights w[idx].
+    Then the path follows what the caller passes:
 
     * a `SubsetPlan`, unweighted or with per-column weights: the states are
       factored along the plan, which shares the elimination of common top
-      columns.  Per-column weights make one weighted Gram D B^T B D per
-      grid point, D = diag(w), whose principal minors are exactly the
-      states' weighted Grams D_s B_s^T B_s D_s.  A plan pays when it
-      serves many matrices, or a census, so only the caller can tell, and
-      builds it;
-    * an index block: each state's k x k Gram is gathered from B^T B and
-      factored on its own.  Per-column weights scale each grid point's
-      n x n Gram once (the scaled Grams are held whole while they fit the
-      budget, else one grid point at a time), so every gathered entry has
-      the bits of the per-state weights w[idx], and so has every value;
+      columns.  A plan pays when it serves many matrices, or a census, so
+      only the caller can tell, and builds it;
+    * an index block: each state's k x k Gram is gathered from G and
+      factored on its own;
     * per-state weights, with an index block or a plan: each gathered
-      k x k Gram is scaled by its state's weights.
+      k x k Gram is scaled by its state's weights at that grid point.
 
     Off the plan path, a plan's states are gathered from their index block,
     `colex_indices(n, k)[lo:hi]`.
 
-    Beyond the budget, and for k > m, the Grams come from the columns, with
-    per-column weights taken per state.  Gathered and column Grams are
-    factored in blocks of a fixed element budget by elimination without
-    pivoting (`_pivot_logdet`).  The path depends on p, m, n, k, the kind
-    of idx and the shape of the weights only.  A pivot <= 0 (shift = 0
-    with a singular minor) gives -inf.  Weights as small as float64 allows
-    are fine (their entries underflow toward the shift); a Gram entry that
-    overflows, for an entry of B or a weight on unit-norm columns beyond
-    about 1e154, gives a value that is not finite, and no warning.  Every
-    value depends on its own state only, never on S, the order of the
-    states or the block split.
+    Beyond the budget, and for k > m, the Grams of all q grid points come
+    from the columns, with per-column weights taken per state.  Gathered
+    and column Grams are factored in blocks of a fixed element budget by
+    elimination without pivoting (`_pivot_logdet`).  The path depends on
+    p, m, n, k, the kind of idx and the shape of the weights only.  A
+    pivot <= 0 (shift = 0 with a singular minor) gives -inf.  Weights as
+    small as float64 allows are fine (their entries underflow toward the
+    shift); a Gram entry that overflows, for an entry of B or a weight on
+    unit-norm columns beyond about 1e154, is not finite, and every state
+    whose (weighted) Gram holds an entry that is not finite gives nan, and
+    no warning.  Every value depends on its own state only, never on S,
+    the order of the states or the block split.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
@@ -532,40 +533,37 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
         if np.any(idx[:, 1:] <= idx[:, :-1]) and np.any(np.diff(np.sort(idx, axis=1)) == 0):
             raise ValueError("the column indices of a state must be distinct")
     gathered = k <= m and p * n * n <= _GRAM_ELEMENTS
-    columns = False  # per-column weights on gathered Grams
+    columns = False  # one row of weights per column
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.ndim == 2:  # one row per column
-            if weights.shape[0] != n or p not in (1, weights.shape[1]):
-                raise ValueError(f"column weights must have shape ({n}, q), q = {p} or p = 1")
-            columns = gathered
+        columns = weights.ndim == 2
+        if (columns and weights.shape[0] != n) or p not in (1, weights.shape[-1]):
+            raise ValueError(f"weights must have shape ({n}, q) or (S, {k}, q), q = {p} or p = 1")
     if plan is not None and not (gathered and (weights is None or columns)):
         idx, plan = colex_indices(plan.n, k)[plan.lo : plan.hi], None  # off the plan
-    if weights is not None and weights.ndim == 2 and not gathered:
-        weights = weights[idx]  # (S, k, q): the column path takes each state's own
     q = p if weights is None else weights.shape[-1]
     if not gathered:
-        return _blocked_logdet(panels, None, idx, weights, q, shift)
-    with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
-        grams = np.swapaxes(panels, 1, 2) @ panels  # (p, n, n)
-    if plan is not None:
-        out = None
-        with np.errstate(all="ignore"):
-            for j in range(q):
-                gram = grams[j] if weights is None else _scaled_gram(grams, weights, j)
-                vals = _plan_logdet(plan, gram, shift)
-                out = vals if out is None else out + vals
-        out[np.isnan(out)] = -np.inf
-        return out
-    if not columns:
-        return _blocked_logdet(panels, grams, idx, weights, q, shift)
-    step = q if q * n * n <= _GRAM_ELEMENTS else 1  # grid points per pass
+        return _column_logdet(panels, idx, weights[idx] if columns else weights, q, shift)
     out = None
-    for j0 in range(0, q, step):
-        with np.errstate(over="ignore"):  # an overflow leaves a value that is not finite
-            scaled = np.stack([_scaled_gram(grams, weights, j) for j in range(j0, j0 + step)])
-        vals = _blocked_logdet(panels, scaled, idx, None, step, shift)
-        out = vals if out is None else out + vals  # the order of a sum over grid points
+    # an overflow leaves an entry that is not finite, and the states that use it nan
+    with np.errstate(all="ignore"):
+        grams = np.swapaxes(panels, 1, 2) @ panels  # (p, n, n)
+        for j in range(q):
+            gram = grams[j % p]
+            if columns:
+                gram = gram * weights[:, j, None] * weights[None, :, j]
+            if plan is None:
+                own = None if weights is None or columns else weights[:, :, j]
+                vals = _gathered_logdet(gram, idx, m, own, shift)
+            else:
+                vals = _plan_logdet(plan, gram, shift)
+                vals[np.isnan(vals)] = -np.inf  # a pivot <= 0
+                if not np.isfinite(gram).all():
+                    # along the identity with nan at those entries, exactly the
+                    # states that use one of them end nan
+                    marks = np.where(np.isfinite(gram), np.eye(n), np.nan)
+                    vals[np.isnan(_plan_logdet(plan, marks, 0.0))] = np.nan
+            out = vals if out is None else out + vals  # left to right over the grid points
     return out
 
 

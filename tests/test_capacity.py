@@ -665,19 +665,25 @@ class TestLossPaths:
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(doc))
         plans = spy(monkeypatch, numerics.colex_plan)
-        gathers = spy(monkeypatch, numerics._subset_grams)
+        walks = spy(monkeypatch, numerics._plan_logdet)
+        gathers = spy(monkeypatch, numerics._gathered_logdet)
         assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "4",
                          "--out", str(tmp_path / "cap.csv")]) == 0
         capsys.readouterr()
         assert plans == [(n, k)]
-        assert sum(len(args[2]) for args in gathers) == overrides  # rows with their own gains
+        assert len(walks) == q and len({id(args[0]) for args in walks}) == 1
+        # only the rows with their own gains are gathered, once per grid point
+        assert [len(args[1]) for args in gathers] == [overrides] * (q if overrides else 0)
+        assert all(args[3].shape == (overrides, k) for args in gathers)
 
     def test_loss_uniformity_runs_along_one_plan(self, monkeypatch):
         ch = flat_channel(n=8, k=2, q=2)
         plans = spy(monkeypatch, numerics.colex_plan)
-        gathers = spy(monkeypatch, numerics._subset_grams)
+        walks = spy(monkeypatch, numerics._plan_logdet)
+        gathers = spy(monkeypatch, numerics._gathered_logdet)
         loss_uniformity_report(ch, TrialConfig(n=8, k=2, m=3, trials=1))
         assert plans == [(8, 2)]
+        assert len(walks) == 2 and len({id(args[0]) for args in walks}) == 1  # q = 2
         assert gathers == []
 
     @pytest.mark.parametrize("gridded", [False, True])
@@ -697,13 +703,17 @@ class TestLossPaths:
         ch, sampler, _, idx, _ = census_case(44, 8, 3, 4, 2, False, 0)
         census = colex_plan(8, 3)
         plans = spy(monkeypatch, numerics.colex_plan)
-        gathers = spy(monkeypatch, numerics._subset_grams)
+        walks = spy(monkeypatch, numerics._plan_logdet)
+        gathers = spy(monkeypatch, numerics._gathered_logdet)
         batched_losses(ch, sampler, census, tol=None)
-        assert gathers == []
+        assert gathers == [] and all(args[0] is census for args in walks)
+        del walks[:]
         batched_losses(ch, sampler, idx, tol=None)
-        assert plans == [] and sum(len(args[2]) for args in gathers) == len(idx)
-        # one scaled Gram per grid point, and no per-state weights
-        assert all(len(args[1]) == ch.q and args[3] is None for args in gathers)
+        assert plans == [] and walks == []
+        # every state gathered from one scaled Gram per grid point, with no
+        # per-state weights
+        assert len(gathers) == ch.q
+        assert all(len(args[1]) == len(idx) and args[3] is None for args in gathers)
 
     def test_a_plan_range_is_its_slice_of_the_census(self):
         # a state's values do not depend on the range it is planned in,
@@ -733,13 +743,13 @@ class TestLossPaths:
 
     def test_discrete_sample_runs_state_by_state(self, tmp_path, capsys, monkeypatch):
         plans = spy(monkeypatch, numerics.colex_plan)
-        gathers = spy(monkeypatch, numerics._subset_grams)
+        gathers = spy(monkeypatch, numerics._gathered_logdet)
         assert cli_main(["--command", "discrete", "--n", "12", "--k", "3", "--m", "4",
                          "--state-cap", "30", "--out", str(tmp_path / "disc.csv")]) == 0
         assert capsys.readouterr().out.rstrip().endswith("sampled state set")
         assert plans == []
-        assert sum(len(args[2]) for args in gathers) == 30
-        assert all(len(args[1]) == 1 and args[3] is None for args in gathers)
+        # one grid point: one gather of the 30 states, with no weights of their own
+        assert [(len(args[1]), args[3]) for args in gathers] == [(30, None)]
 
     @pytest.mark.parametrize("overrides", [0, 2])
     def test_sampled_capacity_weighs_only_its_overrides(self, tmp_path, capsys, monkeypatch,
@@ -755,15 +765,17 @@ class TestLossPaths:
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(doc))
         plans = spy(monkeypatch, numerics.colex_plan)
-        gathers = spy(monkeypatch, numerics._subset_grams)
+        gathers = spy(monkeypatch, numerics._gathered_logdet)
         assert cli_main(["--command", "capacity", "--channel", str(path), "--m", "6",
                          "--state-cap", str(cap), "--out", str(tmp_path / "cap.csv")]) == 0
         assert capsys.readouterr().out.rstrip().endswith("sampled state set")
         assert plans == []
+        # per grid point, the whole sample from the scaled Gram, and the
+        # overrides with their own weights at that grid point
         weighted = [args for args in gathers if args[3] is not None]
-        assert sum(len(args[2]) for args in gathers if args[3] is None) == cap
-        assert sum(len(args[2]) for args in weighted) == overrides
-        assert all(args[3].shape == (len(args[2]), k, q) for args in weighted)
+        assert [len(args[1]) for args in gathers if args[3] is None] == [cap] * q
+        assert [len(args[1]) for args in weighted] == [overrides] * (q if overrides else 0)
+        assert all(args[3].shape == (overrides, k) for args in weighted)
 
 
 def nyquist_reference(gains, scale, power, df):

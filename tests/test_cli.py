@@ -15,7 +15,7 @@ from conftest import SRC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnyq import cli, experiments, output
+from subnyq import cli, converse, experiments, output
 from subnyq.capacity import LossReport, batched_losses, discrete_losses, loss_csv_rows
 from subnyq.channel import ChannelState, enumerate_states, load_channel
 from subnyq.cli import main
@@ -45,11 +45,23 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_overflowing_perturbation_warns_nothing(self, capsys):
-        # B^T B overflows: the identities fail, and no floating-point warning leaks
+        # B^T B overflows: the identities fail, and no floating-point warning
+        # leaks; the one state of n = k = m = 7 uses the overflowed entry, so
+        # its sum is not a number, not the 0 of a singular state
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["--command", "verify", "--seed", "7", "--perturb", "1e160"]) == 2
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        rows = [line.split() for line in out.splitlines() if line.split()[:3] == ["7"] * 3]
+        assert len(rows) == 4 and all(row[4] == "nan" for row in rows)
+
+    def test_a_sum_that_is_not_a_number_fails(self, capsys, monkeypatch):
+        real = converse.subset_det_sums_unchecked
+        monkeypatch.setattr(converse, "subset_det_sums_unchecked",
+                            lambda b, k, grid: [math.nan] + real(b, k, grid)[1:])
+        assert run(["--command", "verify", "--seed", "7"]) == 2
+        assert "worst rel err nan -> FAIL" in capsys.readouterr().out
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
@@ -301,6 +313,26 @@ class TestAchievability:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "trial;max;mean;min"
         assert len(lines) == 6
+
+
+def test_a_closed_pipe_ends_the_command_quietly():
+    # more than the pipe holds, so the command is still writing when its
+    # reader stops after one line: an output error, exit 1, no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subnyq.cli", "--command", "discrete", "--n", "20", "--k", "5",
+         "--m", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline().startswith(b"state;")
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestWorkersByteIdentity:

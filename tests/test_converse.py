@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import spy
 
-from subnyq import numerics
+from subnyq import experiments, numerics
 from subnyq.converse import (
     ConverseCheck,
     min_state_logdet_bound,
@@ -15,6 +15,7 @@ from subnyq.converse import (
     subset_det_sums_unchecked,
 )
 from subnyq.numerics import binary_entropy, whiten
+from subnyq.experiments import TrialConfig
 from subnyq.samplers import EnsembleSpec, derive_trial_seed, draw_matrix
 
 
@@ -200,3 +201,39 @@ class TestPerInstanceSandwich:
             b = whitened("gaussian", 3, 10, derive_trial_seed(2718, t))
             out = per_instance_sandwich(b, 2, 0.05)
             assert out["min_state_value"] <= out["deterministic_upper"]
+
+
+class TestOneMinimaxFormula:
+    """The three callers of H(beta) - alpha H(beta/alpha) take it from
+    `numerics.minimax_limit`, with the bits of the inline formulas they
+    replaced, the sign of a zero included."""
+
+    TRIPLES = [(n, k, m) for n in range(1, 41) for m in range(1, n + 1) for k in range(1, m + 1)]
+
+    @staticmethod
+    def gap(n, k, m):
+        # the old inline H(beta) - alpha H(beta/alpha)
+        alpha, beta = m / n, k / n
+        return binary_entropy(beta) - alpha * binary_entropy(min(beta / alpha, 1.0))
+
+    def test_converse_bounds(self):
+        for n, k, m in self.TRIPLES:
+            alpha, beta = m / n, k / n
+            root, tail = 2.0 * math.sqrt(0.05), math.log(n + 1) / n
+            entropy = (alpha * binary_entropy(min(beta / alpha, 1.0)) - binary_entropy(beta)
+                       + root + tail)
+            assert min_state_logdet_bound(n, k, m, 0.05)["entropy"].hex() == entropy.hex()
+            lower = 0.5 * 3.0 * (self.gap(n, k, m) - 2.0 / math.sqrt(7.0) - tail)
+            assert minimax_lower_bound(n, k, m, 7.0, 3.0).hex() == lower.hex()
+
+    def test_achievability_target(self, monkeypatch):
+        # the census walk is stubbed out: only the reference is compared
+        monkeypatch.setattr(experiments, "draw_matrices", lambda specs: [None])
+        monkeypatch.setattr(experiments, "whiten", lambda mats: mats)
+        monkeypatch.setattr(experiments, "census_stats", lambda *args: ((0.0,),) * 3)
+        for n, k, m in self.TRIPLES:
+            alpha, beta = m / n, k / n
+            target = -binary_entropy(beta) + alpha * binary_entropy(min(beta / alpha, 1.0))
+            cfg = TrialConfig(n=n, k=k, m=m, trials=1, state_cap=math.comb(n, k))
+            got = experiments._achievability(cfg, "landau_achievability", 1).reference
+            assert got.hex() == target.hex()

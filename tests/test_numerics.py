@@ -377,18 +377,31 @@ class TestSubsetLogdet:
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
         assert np.array_equal(subset_logdet(panels, idx, weights, shift=0.05), whole)
 
+    @pytest.mark.parametrize("m, k, q", [(9, 8, 1), (9, 9, 2), (4, 9, 9)])  # (4, 9): k > m
+    def test_a_lone_state_has_its_bits_in_a_block(self, m, k, q):
+        # 8 or more logs, of the pivots or of the grid points, are summed in
+        # the same order for one state as for many
+        rng = np.random.default_rng(34)
+        b = rng.standard_normal((m, 12))
+        idx = colex_indices(12, k)[:30]
+        weights = column_weights(rng, 12, q, 2.0)
+        block = subset_logdet(b, idx, weights, shift=0.05)
+        lone = [subset_logdet(b, idx[s : s + 1], weights, shift=0.05)[0] for s in range(len(idx))]
+        assert np.array_equal(lone, block)
+
     def test_gathered_values_do_not_depend_on_blocking(self, monkeypatch):
         rng = np.random.default_rng(8)
         panels = rng.standard_normal((3, 4, 9))
         idx = colex_indices(9, 3)  # k <= m: every block gathers from B^T B
         weights = rng.uniform(0.5, 2.0, (len(idx), 3, 3))
-        take, gathers = np.take, []
-        monkeypatch.setattr(np, "take", lambda *a, **kw: gathers.append(1) or take(*a, **kw))
+        gathers = spy(monkeypatch, numerics._gathered_logdet)
+        blocks = spy(monkeypatch, numerics._pivot_logdet)
         whole = subset_logdet(panels, idx, weights, shift=0.05)
-        assert len(gathers) == 1
+        assert len(gathers) == len(blocks) == 3  # one block per grid point
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1)
         assert np.array_equal(subset_logdet(panels, idx, weights, shift=0.05), whole)
-        assert len(gathers) == 1 + len(idx)  # one state per block, still gathered
+        assert len(gathers) == 6  # one state per block, still gathered per grid point
+        assert len(blocks) == 3 + 3 * len(idx)
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -996,20 +1009,16 @@ class TestWeightedPlan:
         layout=st.sampled_from(["colex", "shuffled", "repeats"]),
         shift=st.sampled_from([0.0, 0.05, 1.0]),
         decades=st.sampled_from([0.3, 150.0]),
-        one_at_a_time=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(dims=(6, 2, 4), grid=(1, 3), layout="colex", shift=0.05, decades=150.0,
-             one_at_a_time=False, seed=1)  # k > m
-    @example(dims=(6, 4, 3), grid=(1, 3), layout="shuffled", shift=0.0, decades=150.0,
-             one_at_a_time=True, seed=2)  # one scaled Gram at a time
+             seed=1)  # k > m
     @settings(max_examples=150, deadline=None)
     def test_block_with_column_weights_is_bit_identical_to_its_states_own(
-        self, dims, grid, layout, shift, decades, one_at_a_time, seed
+        self, dims, grid, layout, shift, decades, seed
     ):
-        # column weights on a block scale each grid point's Gram once, whole
-        # or (beyond the Gram budget) one grid point at a time; each state's
-        # own weights w[idx] scale its gathered entries: the same bits
+        # column weights on a block scale each grid point's Gram once; each
+        # state's own weights w[idx] scale its gathered entries: the same bits
         n, m, k = dims
         rng = np.random.default_rng(seed)
         p, q = grid
@@ -1018,12 +1027,66 @@ class TestWeightedPlan:
         weights = column_weights(rng, n, q, decades)
         weights[rng.integers(0, n), 0] = 10.0**decades
         weights[rng.integers(0, n), -1] = 10.0**-decades
-        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            if one_at_a_time:
-                mp.setattr(numerics, "_GRAM_ELEMENTS", p * n * n)
+        with np.errstate(all="ignore"):
             got = subset_logdet(panels, idx, weights, shift=shift)
             want = subset_logdet(panels, idx, weights[idx], shift=shift)
         assert np.array_equal(got, want, equal_nan=True)
+
+    @given(
+        dims=plan_problems(),
+        grid=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 3), (3, 3)]),  # (panels, q)
+        form=st.sampled_from(["plan", "block"]),
+        weighting=st.sampled_from([None, "columns", "states"]),
+        shift=st.sampled_from([0.0, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grid_points_sum_left_to_right(self, dims, grid, form, weighting, shift, seed):
+        # on every gathered path (k <= m), a call is the left-to-right sum of
+        # its one-grid-point calls, bit for bit; for k > m the Sylvester term
+        # is added once per call, so the sum is not the call there
+        n, m, k, lo, hi = dims
+        rng = np.random.default_rng(seed)
+        p, q = grid
+        q = p if weighting is None else q  # unweighted, grid point j is panel j
+        panels = rng.standard_normal((p, m, n))
+        if form == "plan":
+            states = colex_plan(n, k, lo, hi)
+        else:
+            states = arrange(colex_indices(n, k)[lo:hi], "shuffled", rng)
+        weights = {None: None, "columns": column_weights(rng, n, q, 2.0),
+                   "states": 10.0 ** rng.uniform(-2.0, 2.0, (hi - lo, k, q))}[weighting]
+        got = subset_logdet(panels, states, weights, shift=shift)
+        want = None
+        for j in range(q):
+            w = None if weights is None else weights[..., j : j + 1]
+            part = subset_logdet(panels[j % p], states, w, shift=shift)
+            want = part if want is None else want + part
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 6])  # 6 > m: the Grams of the columns
+    @pytest.mark.parametrize("form", ["plan", "block", "states"])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_an_entry_that_is_not_finite_gives_nan(self, k, form, shift):
+        # a state whose weighted Gram holds an entry that overflows reads
+        # nan, not the -inf of a singular minor, on every path; a weight
+        # 1e160 at one grid point and an entry 1e160 of one panel overflow
+        rng = np.random.default_rng(33)
+        n, m = 9, 4
+        panels = rng.standard_normal((2, m, n))
+        panels[1, 0, 6] = 1e160
+        weights = column_weights(rng, n, 2, 1.0)
+        weights[2, 0] = 1e160
+        idx = colex_indices(n, k)
+        states, w = {"plan": (colex_plan(n, k), weights), "block": (idx, weights),
+                     "states": (idx, weights[idx])}[form]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = subset_logdet(panels, states, w, shift=shift)
+        overflowed = np.any((idx == 2) | (idx == 6), axis=1)
+        assert np.array_equal(np.isnan(got), overflowed)
+        rest = got[~overflowed]  # at shift 0, k > m leaves every minor singular
+        assert np.all(np.isneginf(rest) if k > m and shift == 0 else np.isfinite(rest))
 
     def test_column_weight_shapes(self):
         b = np.ones((2, 3, 6))

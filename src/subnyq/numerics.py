@@ -185,14 +185,11 @@ def _pivot_logdet(mats: np.ndarray) -> np.ndarray:
     d - 1 Schur-complement updates, and the log-determinant is the sum of
     the logs of the d pivots.  It is backward stable on symmetric positive
     (semi)definite matrices, which is all `subset_logdet` passes here.  A
-    pivot that is not positive gives -inf, and a matrix with an entry that
-    is not finite gives nan.
+    pivot that is not positive gives -inf.
     """
     d = mats.shape[0]
-    bad = ~np.isfinite(mats).all(axis=(0, 1))
     # a zero or tiny pivot turns the trailing entries inf or nan, and the
-    # state ends -inf (nan from an entry that was not finite), so the
-    # floating-point warnings are only noise
+    # state ends -inf, so the floating-point warnings are only noise
     with np.errstate(all="ignore"):
         for i in range(d - 1):
             ratio = mats[i + 1 :, i] / mats[i, i]
@@ -206,7 +203,6 @@ def _pivot_logdet(mats: np.ndarray) -> np.ndarray:
             logs[0] += row
         logdets = logs[0]
     logdets[~np.all(pivots > 0, axis=0)] = -np.inf
-    logdets[bad] = np.nan
     return logdets
 
 
@@ -421,9 +417,12 @@ def _gathered_logdet(gram, idx, m, weights, shift) -> np.ndarray:
     """log det(shift I + G_s) per state s of idx, G one grid point's n x n
     Gram, each state's k x k Gram gathered from G, entry (a, b) scaled as
     (g_ab w_a) w_b by the state's weights (an (S, k) array) if given, in
-    blocks of `_subset_block_rows(m, k)` states."""
+    blocks of `_subset_block_rows(m, k)` states; nan where G_s holds an
+    entry that is not finite."""
     n, k = len(gram), idx.shape[1]
     block = _subset_block_rows(m, k)
+    # a finite G gathers finite Grams, which the states' own weights can overflow
+    check = weights is not None or not np.isfinite(gram).all()
     out = np.empty(len(idx))
     for start in range(0, len(idx), block):
         cols = np.ascontiguousarray(idx[start : start + block].T)  # (k, S)
@@ -431,8 +430,9 @@ def _gathered_logdet(gram, idx, m, weights, shift) -> np.ndarray:
         if weights is not None:
             w = np.ascontiguousarray(weights[start : start + block].T)
             mats = mats * w[:, None] * w[None, :]
+        bad = check and ~np.isfinite(mats).all(axis=(0, 1))
         mats.reshape(k * k, -1)[:: k + 1] += shift
-        out[start : start + block] = _pivot_logdet(mats)
+        out[start : start + block] = np.where(bad, np.nan, _pivot_logdet(mats))
     return out
 
 
@@ -440,7 +440,8 @@ def _column_logdet(panels, idx, weights, q, shift) -> np.ndarray:
     """Summed log-determinants over the q grid points, per state of idx, of
     the smaller Grams of its columns, scaled by its weights (an (S, k, q)
     array) if given, all q at once in blocks of a fixed element budget;
-    plus the Sylvester term for k > m."""
+    plus the Sylvester term for k > m.  nan where a Gram holds an entry
+    that is not finite."""
     m, k = panels.shape[1], idx.shape[1]
     d = min(m, k)
     block = _subset_block_rows(m, k, q)
@@ -457,7 +458,12 @@ def _column_logdet(panels, idx, weights, q, shift) -> np.ndarray:
         mats = np.ascontiguousarray(np.transpose(small, (2, 3, 1, 0)))
         mats.reshape(d * d, -1)[:: d + 1] += shift
         logdets = _pivot_logdet(mats.reshape(d, d, -1)).reshape(q, len(rows))
-        out[start : start + block] = sum(logdets)  # row by row, as in `_pivot_logdet`
+        with np.errstate(invalid="ignore"):  # inf - inf, in a state that ends nan
+            vals = sum(logdets)  # row by row, as in `_pivot_logdet`
+        # a state whose Gram holds an entry that is not finite does not end finite
+        odd = np.flatnonzero(~np.isfinite(vals))
+        vals[odd[~np.isfinite(small[odd]).all(axis=(1, 2, 3))]] = np.nan
+        out[start : start + block] = vals
     if k > m:
         out += q * (k - m) * math.log(shift) if shift > 0 else -np.inf
     return out
@@ -480,12 +486,12 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     k <= m, else A A^T (m x m) plus the Sylvester term (k - m) log(shift)
     per grid point.  For k <= m, as long as the panels' p n^2 entries of
     B^T B fit a fixed budget (n up to 362 for one panel), B^T B is formed
-    once per call, whole, so that no entry depends on the states, and the
-    q grid points are taken one at a time and summed left to right.  Grid
-    point j takes panel j's Gram G (the one Gram when p = 1), which
-    per-column weights scale once, entry (a, b) as (g_ab w_a) w_b, so that
-    its principal minors have the bits of the states' own weights w[idx].
-    Then the path follows what the caller passes:
+    once per call, whole, so that no entry depends on the states, and one
+    loop takes the q grid points in turn and sums them left to right.
+    Grid point j takes panel j's Gram G (the one Gram when p = 1), which
+    per-column weights scale once, entry (a, b) as (g_ab w_a) w_b: the
+    bits of the states' own weights w[idx].  Then the path follows what
+    the caller passes:
 
     * a `SubsetPlan`, unweighted or with per-column weights: the states are
       factored along the plan, which shares the elimination of common top
@@ -495,9 +501,7 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
       factored on its own;
     * per-state weights, with an index block or a plan: each gathered
       k x k Gram is scaled by its state's weights at that grid point.
-
-    Off the plan path, a plan's states are gathered from their index block,
-    `colex_indices(n, k)[lo:hi]`.
+      A plan's states are gathered from `colex_indices(n, k)[lo:hi]`.
 
     Beyond the budget, and for k > m, the Grams of all q grid points come
     from the columns, with per-column weights taken per state.  Gathered
@@ -507,10 +511,9 @@ def subset_logdet(b, idx, weights=None, shift: float = 1.0) -> np.ndarray:
     pivot <= 0 (shift = 0 with a singular minor) gives -inf.  Weights as
     small as float64 allows are fine (their entries underflow toward the
     shift); a Gram entry that overflows, for an entry of B or a weight on
-    unit-norm columns beyond about 1e154, is not finite, and every state
-    whose (weighted) Gram holds an entry that is not finite gives nan, and
-    no warning.  Every value depends on its own state only, never on S,
-    the order of the states or the block split.
+    unit-norm columns beyond about 1e154, makes every state that uses it
+    nan, with no warning.  Every value depends on its own state only,
+    never on S, the order of the states or the block split.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")

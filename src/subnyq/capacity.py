@@ -25,13 +25,13 @@ set of states.
   (state_gains) are gathered with weights of their own.
 * The Nyquist pass (c_eq, c_opt and the water level nu), which does not
   depend on the sampler: h^2, 1/h^2 and log1p(scale h^2) are tabled once
-  per call on the (n, q) grid, and on the grids of the states with gains
-  of their own.  Blocks of states gather their cells from these tables
-  into buffers allocated once per call, where an in-place sort, a
-  cumulative sum and row sums give the exact water levels and the
-  capacities.  On a flat channel (a constant gain grid and no state with
-  gains of its own, as the discrete channel's unit gains) every state
-  has the same values, so one state is solved and copied to the others.
+  per call on the (n, q) grid, followed by the grids of the states with
+  gains of their own.  Each block of states gathers its cells from these
+  tables, and a sort, a cumulative sum and row sums give the exact water
+  levels and the capacities.  On a flat channel (a constant gain grid
+  and no state with gains of its own, as the discrete channel's unit
+  gains) every state has the same values, so one state is solved and
+  copied to the others.
 
 The four single-state functions `sampled_capacity`, `waterfill_level`,
 `capacity_loss` and `discrete_loss` are one-row calls of the same passes.
@@ -157,7 +157,7 @@ def _equal_power_scale(channel: CompoundChannel) -> float:
 
 
 # Cells (states x k q) per block of the Nyquist pass: each of its float
-# buffers then takes about 128 KiB.
+# temporaries then takes about 128 KiB.
 _NYQUIST_BLOCK_CELLS = 1 << 14
 
 
@@ -190,17 +190,18 @@ def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) ->
     index block idx, written to out[0], out[1] and out[2].
 
     The per-cell values h^2, 1/h^2 and log1p(scale h^2) are tabled once per
-    call on the (n, q) grid, and on the (k, q) gains of the rows `own`, which
-    have gains of their own (`_own_gains`).  Each block of rows gathers its
-    k q cells per row, subband-major, with one flat cell index, into buffers
-    allocated once per call.  The water level of a row is exact: sort its
-    1/h^2 ascending; with the c smallest cells under water the level is
-    (power/df + their sum) / c, and the cells under water are exactly those
-    lying below their own candidate level (Palomar & Fonollosa, "Practical
-    algorithms for a family of waterfilling solutions", IEEE TSP 2005).
-    tol, unless None, bounds the allocated-power residual relative to
-    power; NumericalError beyond it.  Every row's values depend on that row
-    only, never on S or the block split.
+    call on the (n, q) grid, followed by the (k, q) gains of the rows `own`,
+    which have gains of their own (`_own_gains`): such a row reads its cells
+    from the tail of the tables.  Each block of rows gathers its k q cells
+    per row, subband-major, with one flat cell index.  The water level of a
+    row is exact: sort its 1/h^2 ascending; with the c smallest cells under
+    water the level is (power/df + their sum) / c, and the cells under
+    water are exactly those lying below their own candidate level (Palomar
+    & Fonollosa, "Practical algorithms for a family of waterfilling
+    solutions", IEEE TSP 2005).  tol, unless None, bounds the
+    allocated-power residual relative to power; NumericalError beyond it.
+    Every row's values depend on that row only, never on S or the block
+    split.
 
     On a flat channel, a constant gain grid and no row with gains of its
     own (the discrete channel's unit gains), every row gathers the same
@@ -214,73 +215,42 @@ def _nyquist_pass(idx, gain_grid, own, own_gains, scale, power, df, tol, out) ->
         _nyquist_pass(idx[:1], gain_grid, own, own_gains, scale, power, df, tol, out[:, :1])
         out[:, 1:] = out[:, :1]
         return
-    k, q = idx.shape[1], gain_grid.shape[1]
+    (n, q), k = gain_grid.shape, idx.shape[1]
     cells = k * q
+    if len(own):  # row own[j] reads the grid's rows n + j k .. n + j k + k - 1
+        gain_grid = np.concatenate([gain_grid, own_gains.reshape(-1, q)])
+        idx = idx.copy()
+        idx[own] = n + np.arange(len(own) * k).reshape(-1, k)
     # Beyond about 1e+-154 a square or an inverse square overflows; the
     # value of every state that uses such a cell is then not finite, which
     # the caller reports, and a cell no state uses changes nothing.
     with np.errstate(over="ignore"):
-        h2 = gain_grid**2
+        h2 = (gain_grid**2).ravel()
         inv = 1.0 / h2
         log_eq = np.log1p(scale * h2)
-        own_h2 = (own_gains**2).reshape(len(own), cells)
-        own_inv = 1.0 / own_h2
-        own_log_eq = np.log1p(scale * own_h2)
-    h2, inv, log_eq = h2.ravel(), inv.ravel(), log_eq.ravel()
-    rows_per_block = min(len(idx), max(1, _NYQUIST_BLOCK_CELLS // cells))
-    cell = np.empty((rows_per_block, k, q), dtype=np.intp)
-    gathered, ordered, levels, work = np.empty((4, rows_per_block, cells))
-    under = np.empty((rows_per_block, cells), dtype=bool)
-    wet = np.empty(rows_per_block, dtype=np.intp)
-    residual = np.empty(rows_per_block)
-    subbands = np.arange(q, dtype=np.intp)
+    rows_per_block = max(1, _NYQUIST_BLOCK_CELLS // cells)
+    subbands = np.arange(q)
     counts = np.arange(1, cells + 1, dtype=float)
-    row_ends = np.arange(rows_per_block, dtype=np.intp) * cells - 1
-    half_df = 0.5 * df
     for start in range(0, len(idx), rows_per_block):
         rows = idx[start : start + rows_per_block]
-        s, stop = len(rows), start + len(rows)
-        flat = cell[:s].reshape(s, cells)
-        np.multiply(rows[:, :, None], q, out=cell[:s])
-        cell[:s] += subbands
-        h, o, lv, w, u = gathered[:s], ordered[:s], levels[:s], work[:s], under[:s]
-        np.take(h2, flat, out=h, mode="clip")
-        np.take(inv, flat, out=o, mode="clip")
-        np.take(log_eq, flat, out=w, mode="clip")
-        if len(own):
-            lo, hi = np.searchsorted(own, (start, stop))
-            mine = own[lo:hi] - start
-            h[mine], o[mine], w[mine] = own_h2[lo:hi], own_inv[lo:hi], own_log_eq[lo:hi]
-        c_eq, c_opt, nu = out[0, start:stop], out[1, start:stop], out[2, start:stop]
-        w.sum(axis=1, out=c_eq)
-        c_eq *= half_df
+        s = len(rows)
+        cell = (rows[:, :, None] * q + subbands).reshape(s, cells)
+        h, inv_h = h2.take(cell, mode="clip"), inv.take(cell, mode="clip")
+        ordered = np.sort(inv_h, axis=1)
+        levels = (np.cumsum(ordered, axis=1) + power / df) / counts
+        wet = np.maximum(np.count_nonzero(ordered < levels, axis=1), 1)
+        nu = levels.take(wet + np.arange(s) * cells - 1, mode="clip")
         if tol is not None:
-            np.negative(o, out=w)  # -1/h^2, unsorted, for the residual below
-        o.sort(axis=1)
-        np.cumsum(o, axis=1, out=lv)
-        lv += power / df
-        lv /= counts
-        np.less(o, lv, out=u)
-        np.sum(u, axis=1, out=wet[:s])
-        np.maximum(wet[:s], 1, out=wet[:s])
-        wet[:s] += row_ends[:s]
-        np.take(lv, wet[:s], out=nu, mode="clip")
-        if tol is not None:
-            w += nu[:, None]
-            np.maximum(w, 0.0, out=w)
-            w.sum(axis=1, out=residual[:s])
-            residual[:s] *= df
-            residual[:s] -= power
-            worst = float(np.max(np.abs(residual[:s], out=residual[:s])))
+            residual = np.maximum(nu[:, None] - inv_h, 0.0).sum(axis=1) * df - power
+            worst = float(np.max(np.abs(residual)))
             if worst > tol * power:
                 raise NumericalError(
                     f"water-filling power residual {worst:.3e} exceeds tol={tol} x P"
                 )
-        np.multiply(h, nu[:, None], out=w)
-        np.maximum(w, 1.0, out=w)  # log+ (x) = log max(x, 1)
-        np.log(w, out=w)
-        w.sum(axis=1, out=c_opt)
-        c_opt *= half_df
+        block = out[:, start : start + s]
+        block[0] = 0.5 * df * log_eq.take(cell, mode="clip").sum(axis=1)
+        block[1] = 0.5 * df * np.log(np.maximum(h * nu[:, None], 1.0)).sum(axis=1)  # log+
+        block[2] = nu
 
 
 def _blocked_losses(whitened, states, gain_grid, state_gains, scale, power, df, tol):

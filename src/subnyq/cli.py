@@ -304,7 +304,7 @@ def cmd_verify(params: dict) -> int:
             "failures": failures,
             "worst_relative_error": worst,
         }
-        _write_text(params["out"], json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(params["out"], output.strict_json(payload) + "\n")
     return 0 if not failures else 2
 
 

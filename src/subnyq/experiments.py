@@ -32,7 +32,6 @@ k = 100 took 0.11 s in one process and 0.65-0.81 s on two.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable
@@ -54,6 +53,7 @@ from .numerics import (
     rect_logdet_limit,
     whiten,
 )
+from .output import strict_json
 from .samplers import (
     ENSEMBLE_KINDS,
     RESAMPLE_KEY_FLIP,
@@ -140,7 +140,7 @@ class ExperimentResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return strict_json(self.to_dict())
 
     def to_text(self) -> str:
         rows = [
@@ -204,6 +204,8 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
     mins, maxs, means = census_stats(mats, cfg.k, cfg.eps, workers)
     violations = sum(1 for v in mins if v > bound)
     max_violations = sum(1 for v in maxs if v > bound)
+    with np.errstate(invalid="ignore"):  # nan when a minimum is -inf (a singular minor)
+        std_min = float(np.std(mins))
     return ExperimentResult(
         name=name,
         trials=cfg.trials,
@@ -215,7 +217,7 @@ def _achievability(cfg: TrialConfig, name: str, workers: int) -> ExperimentResul
             "mean_min": float(np.mean(mins)),
             "mean_max": float(np.mean(maxs)),
             "mean_mean": float(np.mean(means)),
-            "std_min": float(np.std(mins)),
+            "std_min": std_min,
             "max_over_bound_count": float(max_violations),
         },
         per_trial={"min": mins, "max": maxs, "mean": means},

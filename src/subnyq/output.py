@@ -8,17 +8,20 @@ the per-trial CSV and the sweep), exact for every double (`_g12_cells`),
 and `json_records` the records of a JSON document, with the bytes of
 `json.dumps(..., sort_keys=True, indent=2)`.  Both take a state's label,
 its entries joined by "|" in CSV and by a comma and an indent in JSON,
-from one digit table.
+from one digit table.  `strict_json` writes the other JSON documents
+(`verify --out`, a suite's result) with the texts the CSV writers use for
+a number that is not finite.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 
-__all__ = ["LOSS_CSV_HEADER", "g12_rows", "json_records", "loss_csv_lines"]
+__all__ = ["LOSS_CSV_HEADER", "g12_rows", "json_records", "loss_csv_lines", "strict_json"]
 
 LOSS_CSV_HEADER = "state;c_sampled;c_eq;c_opt;loss_eq;loss_opt;nu"
 
@@ -318,3 +321,21 @@ def json_records(block, columns: dict, level: int, head: str = "", tail: str = "
     if pieces:  # every record ends with ",\n"; the last one's comes off
         pieces[-1] = pieces[-1][:-2]
     return "".join([head, "[\n", *pieces, f"\n{pad}]", tail])
+
+
+def strict_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` with each float that is
+    not finite written as the string the CSV writers use for it, "nan",
+    "inf" or "-inf", in place of the NaN, Infinity and -Infinity tokens that
+    strict JSON parsers reject."""
+
+    def strict(value):
+        if isinstance(value, dict):
+            return {key: strict(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(item) for item in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return str(float(value))
+        return value
+
+    return json.dumps(strict(doc), sort_keys=True, indent=2, allow_nan=False)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -891,6 +892,23 @@ class TestNyquistPass:
         once = np.stack(batched_losses(ch, sampler, trio))
         got = np.stack(batched_losses(ch, sampler, trio[picks]))
         assert got.tobytes() == once[:, picks].tobytes()
+
+    def test_memory_stays_bounded_as_states_grow(self):
+        # all of C(20,6) at q = 4, 930,240 cells: a pass that held them all at
+        # once would take 50 MiB or more (numpy reports its buffers to
+        # tracemalloc)
+        idx = colex_indices(20, 6)
+        gains = np.exp(np.random.default_rng(3).normal(0.0, 1.0, (20, 4)))
+        out = np.empty((3, len(idx)))
+        tracemalloc.start()
+        try:
+            capacity._nyquist_pass(idx, gains, np.empty(0, dtype=np.intp), np.empty((0, 6, 4)),
+                                   1.0, 2.0, 0.25, capacity.WATERFILL_DEFAULT_TOL, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("gain", [1e-160, 1e160])
     @pytest.mark.parametrize("own", [False, True])

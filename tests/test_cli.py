@@ -73,6 +73,43 @@ class TestVerify:
         assert doc["worst_relative_error"] <= 1e-9
 
 
+def strict_json_loads(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """A JSON document a command writes holds a number that is not finite as
+    the text the CSV outputs use for it, and strict parsers read it."""
+
+    def test_overflowed_verify_out(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert run(["--command", "verify", "--seed", "7", "--perturb", "1e160",
+                    "--out", str(out)]) == 2
+        capsys.readouterr()
+        doc = strict_json_loads(out.read_text())
+        assert doc["worst_relative_error"] == "nan"
+        assert {chk["lhs_sum"] for chk in doc["checks"] if chk["n"] == 7 == chk["k"]} == {"nan"}
+
+    def test_achievability_with_singular_minors(self, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        assert run(["--command", "achievability", "--n", "8", "--k", "3", "--m", "3",
+                    "--ensemble", "rademacher", "--eps", "0", "--trials", "4",
+                    "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = strict_json_loads(out.read_text())
+        assert doc["summary"]["mean_min"] == "-inf" and doc["summary"]["std_min"] == "nan"
+        assert "-inf" in doc["per_trial"]["min"]
+
+    def test_finite_documents_keep_their_bytes(self):
+        doc = {"b": [1.5, (2, -0.0)], "a": {"x": None, "y": True, "z": np.float64(0.1)}}
+        assert output.strict_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        text = output.strict_json([math.inf, -math.inf, math.nan, np.float64(-math.inf)])
+        assert strict_json_loads(text) == ["inf", "-inf", "nan", "-inf"]
+
+
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):
         assert run(["--command", "nonsense"]) == 1

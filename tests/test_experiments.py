@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ class TestLandauAchievability:
                 TrialConfig(n=16, k=4, m=4, state_cap=100, trials=1)
             )
 
+
+
+class TestSingularMinors:
+    def test_a_minimum_of_minus_infinity_warns_nothing(self):
+        # Rademacher 3 x 8 draws have singular 3 x 3 minors: log det -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = achievability_trial(TrialConfig(n=8, k=3, m=3, ensemble="rademacher",
+                                                  eps=0.0, trials=4, master_seed=12345))
+        assert res.summary["mean_min"] == -math.inf
+        assert math.isnan(res.summary["std_min"])
+        assert res.passed
 
 
 class TestAchievabilityStatistics:
